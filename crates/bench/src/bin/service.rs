@@ -20,8 +20,7 @@
 //! A final obs-enabled MRIS pass per arrival process produces the
 //! `stage_breakdown` section: wall-seconds and span counts for each stage
 //! of the epoch decision path (`grid`/`filter`/`solve`/`probe`/`commit`,
-//! from the `mris_epoch_*_seconds` span histograms) plus the knapsack memo
-//! hit/miss counters. The timed passes above run with observability
+//! from the `mris_epoch_*_seconds` span histograms). The timed passes above run with observability
 //! disabled, so the breakdown never pollutes the throughput numbers.
 //!
 //! `cargo run --release -p mris-bench --bin service [--machines 8]
@@ -138,8 +137,6 @@ struct StageBreakdown {
     process: &'static str,
     /// `(stage, span count, total seconds)` for the five decision stages.
     stages: Vec<(&'static str, u64, f64)>,
-    memo_hits: u64,
-    memo_misses: u64,
 }
 
 impl StageBreakdown {
@@ -152,14 +149,9 @@ impl StageBreakdown {
             })
             .collect();
         format!(
-            concat!(
-                "{{\"process\": \"{}\", \"stages\": {{{}}}, ",
-                "\"memo_hits\": {}, \"memo_misses\": {}}}"
-            ),
+            "{{\"process\": \"{}\", \"stages\": {{{}}}}}",
             self.process,
             stages.join(", "),
-            self.memo_hits,
-            self.memo_misses,
         )
     }
 }
@@ -167,7 +159,7 @@ impl StageBreakdown {
 /// Re-runs MRIS over `workload` with an [`mris_obs::Obs`] subscriber
 /// installed (the timed passes run with observability disabled, where the
 /// `span!` sites are a single relaxed load) and reads the per-stage span
-/// histograms and memo counters back out of the registry.
+/// histograms back out of the registry.
 fn stage_breakdown(process: &'static str, workload: &Workload, machines: usize) -> StageBreakdown {
     let obs = std::sync::Arc::new(mris_obs::Obs::new());
     let guard = mris_obs::install_guard(obs.clone());
@@ -206,18 +198,7 @@ fn stage_breakdown(process: &'static str, workload: &Workload, machines: usize) 
             (stage, count, sum)
         })
         .collect();
-    StageBreakdown {
-        process,
-        stages,
-        memo_hits: obs
-            .registry()
-            .counter_value("mris_epoch_memo_hits_total", None)
-            .unwrap_or(0),
-        memo_misses: obs
-            .registry()
-            .counter_value("mris_epoch_memo_misses_total", None)
-            .unwrap_or(0),
-    }
+    StageBreakdown { process, stages }
 }
 
 /// Journal-on vs journal-off throughput plus restore latency at growing
@@ -671,16 +652,14 @@ fn main() {
             let b = stage_breakdown(process, workload, machines);
             let total: f64 = b.stages.iter().map(|(_, _, s)| s).sum();
             eprintln!(
-                "    {:>7}: {:.1} ms across stages ({}), memo {}/{} hit/miss",
+                "    {:>7}: {:.1} ms across stages ({})",
                 b.process,
                 total * 1e3,
                 b.stages
                     .iter()
                     .map(|(stage, _, s)| format!("{stage} {:.1}ms", s * 1e3))
                     .collect::<Vec<_>>()
-                    .join(", "),
-                b.memo_hits,
-                b.memo_misses
+                    .join(", ")
             );
             b
         })

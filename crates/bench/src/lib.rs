@@ -2,9 +2,7 @@
 //!
 //! Each figure has a binary in `src/bin/` (`fig1` ... `fig7`, `lemma41`)
 //! that runs the corresponding experiment and prints the series as a
-//! markdown table (and CSV with `--csv`), plus a criterion bench in
-//! `benches/` that tracks the runtime of the same code path on a reduced
-//! workload.
+//! markdown table (and CSV with `--csv`).
 //!
 //! ## Scaling
 //!

@@ -154,8 +154,8 @@ impl Mris {
 
         let mut timelines = ClusterTimelines::with_spec(cluster, r);
         // Lines 3-6 of each iteration run inside `EpochState::run_epoch`:
-        // eligibility via the monotone frontier, P1 via the memoized
-        // knapsack, placement via PQ-with-backfilling (see `epoch.rs`).
+        // eligibility via the monotone frontier, P1 via the knapsack,
+        // placement via PQ-with-backfilling (see `epoch.rs`).
         let mut state = EpochState::new(instance.len(), self.config.force_epoch_rebuild);
         for job in instance.jobs() {
             state.insert(job.id, job.proc_time, job.release);

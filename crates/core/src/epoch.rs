@@ -15,12 +15,6 @@
 //!   advances — never becomes ineligible again. Jobs wait in a min-heap
 //!   keyed by that threshold and are promoted into the `frontier` set at
 //!   most once; an epoch whose frontier is empty costs `O(1)`.
-//! * **Knapsack memo.** [`select_batch`](crate::algorithm::select_batch) is
-//!   a pure function of `(items, zeta)` for a fixed solver, so solutions
-//!   are memoized under a fingerprint of the item list and budget. Lookups
-//!   verify *full equality* of the keyed inputs before reuse — a hash
-//!   collision can cost a repeat solve, never a wrong batch. Hit/miss
-//!   counts are exported as `mris_epoch_memo_{hits,misses}_total`.
 //! * **Scratch arena.** The eligible list, item list, batch vector, and the
 //!   solver's [`SolveScratch`] live in an [`EpochScratch`] reused across
 //!   epochs, so a steady-state epoch allocates nothing beyond the returned
@@ -34,14 +28,12 @@
 //!
 //! The `force_rebuild` mode re-derives each epoch the way the
 //! pre-incremental loop did — one flat set, an explicit threshold filter
-//! per epoch, no memo — and exists solely as the reference for the
+//! per epoch — and exists solely as the reference for the
 //! equivalence property suite (`tests/epoch_equivalence.rs`), which pins
 //! both modes bit-identical.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
-use std::hash::Hasher;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use mris_knapsack::{Item, KnapsackSolver, SolveScratch};
 use mris_sim::{ClusterTimelines, OrdTime};
@@ -49,12 +41,6 @@ use mris_types::{Instance, JobId, Time};
 
 use crate::algorithm::select_batch;
 use crate::config::MrisConfig;
-
-/// Memo entries kept before the table is wiped. Epochs that can hit the
-/// memo recur within a few grid steps of each other, so a small bound
-/// suffices; wiping (rather than evicting) keeps the table allocation-free
-/// on the lookup path.
-const MEMO_CAPACITY: usize = 256;
 
 /// Reusable per-epoch buffers: cleared and refilled every epoch, never
 /// shrunk, so steady-state epochs perform no allocation.
@@ -68,14 +54,6 @@ struct EpochScratch {
     batch: Vec<JobId>,
     /// The knapsack solver's temporary buffers.
     solve: SolveScratch,
-}
-
-/// One memoized batch selection: the full keyed inputs (for collision-proof
-/// verification) and the selected indices into the item list.
-struct MemoEntry {
-    items: Vec<Item>,
-    zeta_bits: u64,
-    selection: Vec<usize>,
 }
 
 /// Per-epoch outcome summary, consumed by the offline iteration log.
@@ -106,23 +84,8 @@ pub(crate) struct EpochState {
     /// of truth for the `force_rebuild` filter; in incremental mode it only
     /// backs debug assertions.
     threshold: Vec<Time>,
-    memo: HashMap<u64, MemoEntry>,
     scratch: EpochScratch,
     force_rebuild: bool,
-}
-
-/// Fingerprint of a `select_batch` input. Exact f64 bit patterns feed the
-/// hash, so two inputs that fingerprint equal and then compare equal are
-/// the *same* pure-function input.
-fn fingerprint(items: &[Item], zeta: f64) -> u64 {
-    let mut h = DefaultHasher::new();
-    h.write_u64(items.len() as u64);
-    for it in items {
-        h.write_u64(it.weight.to_bits());
-        h.write_u64(it.size.to_bits());
-    }
-    h.write_u64(zeta.to_bits());
-    h.finish()
 }
 
 impl EpochState {
@@ -132,7 +95,6 @@ impl EpochState {
             waiting: BinaryHeap::new(),
             frontier: BTreeSet::new(),
             threshold: vec![0.0; num_jobs],
-            memo: HashMap::new(),
             scratch: EpochScratch::default(),
             force_rebuild,
         }
@@ -159,18 +121,10 @@ impl EpochState {
         self.frontier.is_empty() && self.waiting.is_empty()
     }
 
-    /// Drops every memoized solution. Called on machine failure: failures
-    /// rewrite job availability (orphans, re-releases, weight aging) while
-    /// the epoch is mid-flight, and a conservative wipe is cheaper to
-    /// reason about than proving which entries survive.
-    pub(crate) fn invalidate_memo(&mut self) {
-        self.memo.clear();
-    }
-
     /// Appends a canonical encoding of the replay-relevant state to `out`:
     /// the waiting heap (sorted — heap layout is history-dependent), the
-    /// frontier, the thresholds, and the rebuild mode. The knapsack memo
-    /// and the scratch arena are derived caches and are excluded.
+    /// frontier, the thresholds, and the rebuild mode. The scratch arena
+    /// carries nothing across epochs and is excluded.
     pub(crate) fn durable_bytes(&self, out: &mut Vec<u8>) {
         let mut waiting: Vec<(u64, u32)> = self
             .waiting
@@ -208,7 +162,7 @@ impl EpochState {
     }
 
     /// Runs one Algorithm 1 epoch at `gamma` with budget `zeta`: frontier
-    /// advance, batch selection (memoized), heuristic sort, and
+    /// advance, batch selection, heuristic sort, and
     /// earliest-fit placement committed onto `timelines`. Placements are
     /// appended to `placements` in placement order; selected jobs leave the
     /// state.
@@ -256,38 +210,12 @@ impl EpochState {
                     let job = instance.job(j);
                     Item::new(job.weight, job.volume())
                 }));
-            let key = fingerprint(&self.scratch.items, zeta);
-            let cached = self
-                .memo
-                .get(&key)
-                .filter(|e| e.zeta_bits == zeta.to_bits() && e.items == self.scratch.items);
+            let selection =
+                select_batch(solver, &mut self.scratch.solve, &self.scratch.items, zeta);
             self.scratch.batch.clear();
-            if let Some(entry) = cached {
-                mris_obs::counter_add("mris_epoch_memo_hits_total", 1);
-                self.scratch
-                    .batch
-                    .extend(entry.selection.iter().map(|&i| self.scratch.eligible[i]));
-            } else {
-                mris_obs::counter_add("mris_epoch_memo_misses_total", 1);
-                let selection =
-                    select_batch(solver, &mut self.scratch.solve, &self.scratch.items, zeta);
-                self.scratch
-                    .batch
-                    .extend(selection.iter().map(|&i| self.scratch.eligible[i]));
-                if !self.force_rebuild {
-                    if self.memo.len() >= MEMO_CAPACITY {
-                        self.memo.clear();
-                    }
-                    self.memo.insert(
-                        key,
-                        MemoEntry {
-                            items: self.scratch.items.clone(),
-                            zeta_bits: zeta.to_bits(),
-                            selection,
-                        },
-                    );
-                }
-            }
+            self.scratch
+                .batch
+                .extend(selection.iter().map(|&i| self.scratch.eligible[i]));
             let heuristic = config.heuristic;
             self.scratch.batch.sort_by(|&a, &b| {
                 OrdTime(heuristic.key(instance.job(a)))
@@ -354,15 +282,6 @@ impl EpochState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_distinguishes_inputs() {
-        let a = vec![Item::new(1.0, 2.0), Item::new(3.0, 4.0)];
-        let b = vec![Item::new(1.0, 2.0), Item::new(3.0, 5.0)];
-        assert_ne!(fingerprint(&a, 10.0), fingerprint(&b, 10.0));
-        assert_ne!(fingerprint(&a, 10.0), fingerprint(&a, 20.0));
-        assert_eq!(fingerprint(&a, 10.0), fingerprint(&a.clone(), 10.0));
-    }
 
     #[test]
     fn frontier_promotion_is_monotone_and_single_shot() {

@@ -43,8 +43,7 @@ pub struct MrisOnline {
     gamma: Time,
     k: usize,
     /// Announced-but-uncommitted jobs plus the per-run caches: the monotone
-    /// eligibility frontier, the knapsack memo, and the epoch scratch arena
-    /// (see `epoch.rs`). Availability (release for originals, the
+    /// eligibility frontier and the epoch scratch arena (see `epoch.rs`). Availability (release for originals, the
     /// kill/orphan instant for fault victims) is folded into each job's
     /// eligibility threshold at insertion.
     state: EpochState,
@@ -103,8 +102,8 @@ impl MrisOnline {
 
     /// One Algorithm 1 iteration at the current `gamma_k`: timeline
     /// compaction (the grid stage), then the shared incremental epoch body
-    /// (`EpochState::run_epoch` — frontier advance, memoized knapsack with
-    /// budget `zeta_k`, heuristic-ordered earliest-fit placement with floor
+    /// (`EpochState::run_epoch` — frontier advance, knapsack with budget
+    /// `zeta_k`, heuristic-ordered earliest-fit placement with floor
     /// `gamma_k`). Selected jobs leave the epoch state and enter `pending`;
     /// `gamma` always advances.
     fn run_iteration(&mut self, instance: &Instance) {
@@ -200,9 +199,6 @@ impl OnlinePolicy for MrisOnline {
         });
         self.pending = BinaryHeap::from(entries);
         mris_obs::counter_add("mris_chaos_orphaned_commitments_total", orphaned);
-        // A failure rewrites availability mid-epoch; wipe the knapsack memo
-        // rather than reason about which entries survive.
-        self.state.invalidate_memo();
         // Truncate the machine's committed timeline — every interval on it
         // (past, running, planned) is invalidated at once — and block out
         // the downtime so future iterations cannot plan into it. The block
@@ -211,18 +207,6 @@ impl OnlinePolicy for MrisOnline {
         self.timelines.reset_machine(machine);
         let full = self.timelines.capacity(machine).to_vec();
         self.timelines.commit(machine, now, recover_at - now, &full);
-    }
-
-    fn on_machine_recovered(&mut self, _now: Time, _machine: usize, _instance: &Instance) {
-        // Recovery is the other half of the availability rewrite: the
-        // machine's downtime block stops binding and placements that were
-        // infeasible while it was pinned become feasible again. A memoized
-        // knapsack selection computed while the machine was down can
-        // therefore go stale the same way a failure staled the pre-failure
-        // memo — wipe it here too instead of reasoning about which entries
-        // survive. (The failure hook blocked the timeline only up to
-        // `recover_at`, so the timeline itself needs no touch-up.)
-        self.state.invalidate_memo();
     }
 
     fn next_wakeup(&self) -> Option<Time> {

@@ -1,17 +1,16 @@
 //! Incremental `EpochState` vs from-scratch rebuild equivalence.
 //!
-//! The incremental epoch state (monotone eligibility frontier + knapsack
-//! memo + reused scratch) is a pure optimization: it must not change a
+//! The incremental epoch state (monotone eligibility frontier + reused
+//! scratch) is a pure optimization: it must not change a
 //! single placement. Pinned here, over randomized instances, for **all
 //! four** knapsack solvers:
 //!
 //! 1. Offline `Mris::schedule` with `force_epoch_rebuild` (the reference
-//!    path: flat job set, per-epoch threshold filter, memo bypassed) is
-//!    bit-identical — schedules and AWCT bits — to the default incremental
+//!    path: flat job set, per-epoch threshold filter) is bit-identical — schedules and AWCT bits — to the default incremental
 //!    path.
 //! 2. The same holds online, through the unified driver.
 //! 3. Chaos composition: machine failures mid-epoch (which orphan
-//!    committed jobs and invalidate the memo) leave the incremental path
+//!    committed jobs back into the frontier) leave the incremental path
 //!    bit-identical to the rebuild path under the identical fault plan —
 //!    schedules, AWCT bits, and audit logs.
 
@@ -143,7 +142,7 @@ fn incremental_matches_rebuild_exact() {
 }
 
 /// Chaos composition: randomized fault plans (machine strikes that orphan
-/// committed jobs and wipe the knapsack memo mid-epoch) must leave the
+/// committed jobs mid-epoch) must leave the
 /// incremental path bit-identical to the rebuild path — schedules, AWCT
 /// bits, and the full audit log.
 #[test]
@@ -212,11 +211,11 @@ fn incremental_matches_rebuild_under_chaos() {
 }
 
 /// A pinned mid-epoch failure: the strike lands between two grid wakeups,
-/// after jobs have been committed ahead of wall-clock — exactly the
-/// situation where stale memo entries would resurface if invalidation were
-/// wrong.
+/// after jobs have been committed ahead of wall-clock, so orphans and
+/// re-releases re-enter the frontier with thresholds behind the grid — the
+/// incremental frontier must still match the rebuild path's flat filter.
 #[test]
-fn mid_epoch_failure_invalidates_memo() {
+fn mid_epoch_failure_matches_rebuild() {
     let jobs = vec![
         Job::from_fractions(JobId(0), 0.0, 2.0, 3.0, &[0.6]),
         Job::from_fractions(JobId(1), 0.0, 2.0, 2.0, &[0.6]),
@@ -258,13 +257,11 @@ fn mid_epoch_failure_invalidates_memo() {
 
 /// The recovery twin of the test above: the machine comes back between two
 /// grid wakeups while jobs are still pending, so epochs plan against both
-/// the degraded and the recovered cluster. `on_machine_recovered` now
-/// wipes the knapsack memo exactly like the failure hook does; the
-/// memoized path must stay bit-identical to the rebuild path across the
-/// mid-epoch recovery (and keep matching through the epochs that follow
-/// it).
+/// the degraded and the recovered cluster. The incremental path must stay
+/// bit-identical to the rebuild path across the mid-epoch recovery (and
+/// keep matching through the epochs that follow it).
 #[test]
-fn mid_epoch_recovery_invalidates_memo() {
+fn mid_epoch_recovery_matches_rebuild() {
     let jobs = vec![
         Job::from_fractions(JobId(0), 0.0, 1.5, 3.0, &[0.7]),
         Job::from_fractions(JobId(1), 0.0, 3.0, 2.0, &[0.6]),
@@ -275,10 +272,8 @@ fn mid_epoch_recovery_invalidates_memo() {
     let instance = Instance::from_unnumbered(jobs, 1).unwrap();
     // Strike at t = 2.5 (killing work placed at the gamma = 2 wakeup) and
     // recover at t = 4.2: both land strictly between grid wakeups
-    // (gamma = 2, 4, 8), so the memo is wiped mid-epoch twice — once by
-    // the failure hook, once by the recovery hook — and the job released
-    // at t = 6.0 forces a post-recovery epoch that would replan against a
-    // stale memo if the recovery hook forgot to invalidate.
+    // (gamma = 2, 4, 8), and the job released at t = 6.0 forces a
+    // post-recovery epoch that plans against the recovered machine.
     let plan = FaultPlan::from_events(vec![FaultEvent {
         at: 2.5,
         downtime: 1.7,

@@ -1,4 +1,7 @@
 //! Network conservativity: the TCP front door is an invisible transport.
+//! Both sides of every comparison are the same `Service` over the same
+//! event kernel (one kernel, two configurations: submissions arriving over
+//! a loopback socket vs in-process calls).
 //!
 //! * A single-tenant run driven over a loopback socket is **bit-identical**
 //!   (schedule, AWCT bits, outcome ledger, fault log) to the same run

@@ -1,31 +1,25 @@
 //! The deterministic service event loop.
 //!
 //! [`Service`] wraps any [`OnlinePolicy`] behind a submission interface with
-//! explicit admission control, replays an optional [`FaultPlan`], and
-//! commits placements through the same [`Dispatcher`] path as the batch
-//! drivers. Under a lag-free [`crate::SimClock`] and a policy without
-//! wakeups, a drained service reproduces [`mris_sim::run_online`]
-//! bit-for-bit (the conservativity suite pins this); under a
-//! [`crate::WallClock`] the identical code runs as a daemon.
-//!
-//! # Event ordering
-//!
-//! At one instant the loop mirrors [`mris_sim::run_online_chaos`]:
-//! completions, then fault recoveries, then failures, then delivery of
-//! admitted submissions (one `on_arrivals`), then re-releases (a second
-//! `on_arrivals`), then exactly one `dispatch`. Submissions admitted at the
-//! same delivery instant coalesce into one arrival batch.
+//! explicit admission control and replays an optional [`FaultPlan`]. What
+//! happens at one instant — and in which order — is the
+//! [`EventKernel`]'s, the same one [`mris_sim::run_driver`] runs; the
+//! service owns only what surrounds it: admission and tenant accounting,
+//! the delivery queue with its epoch quantisation, the clock, telemetry,
+//! and the durability boundary. Under a lag-free [`crate::SimClock`] a
+//! drained service therefore reproduces the batch driver bit-for-bit (the
+//! conservativity suite pins this); under a [`crate::WallClock`] the
+//! identical code runs as a daemon. Submissions admitted at the same
+//! delivery instant coalesce into one arrival batch.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mris_metrics::Percentiles;
-use mris_sim::{
-    resolve_fault_target, ClusterState, CompletionRecord, Dispatcher, FailureRecord, FaultLog,
-    FaultPlan, OnlinePolicy, OrdTime, PrecedenceGate,
-};
+use mris_sim::{ChaosOutcome, EventKernel, EventSink, FaultLog, FaultPlan, OnlinePolicy, OrdTime};
 use mris_types::{
-    fraction, AdmissionError, Amount, ConfigError, DurabilityError, Instance, JobId,
+    fraction, AdmissionError, Amount, ClusterSpec, ConfigError, DurabilityError, Instance, JobId,
     RestartSemantics, Schedule, SchedulingError, TenantId, TenantQuotaKind, Time, CAPACITY,
 };
 
@@ -60,7 +54,7 @@ pub struct ServiceConfig {
     /// [`AdmissionError::DemandInfeasible`]. `f64::INFINITY` (the default)
     /// disables load shedding.
     pub load_watermark: f64,
-    /// Weight treatment for fault-killed jobs, as in the chaos driver.
+    /// Weight treatment for fault-killed jobs.
     pub restart: RestartSemantics,
     /// Machine failures to replay during the run.
     pub fault_plan: FaultPlan,
@@ -98,6 +92,17 @@ impl ServiceConfig {
     pub fn builder(num_machines: usize) -> ServiceConfigBuilder {
         ServiceConfigBuilder {
             cfg: ServiceConfig::new(num_machines),
+        }
+    }
+
+    /// When a submission (or a reopened held job) that becomes ready at
+    /// `ready` is delivered: the next multiple of `epoch`, or at once when
+    /// delivery is per-event.
+    fn delivery_time(&self, ready: Time) -> Time {
+        if self.epoch > 0.0 {
+            (ready / self.epoch).ceil() * self.epoch
+        } else {
+            ready
         }
     }
 
@@ -249,12 +254,62 @@ pub struct ServiceReport {
     pub tenants: Vec<TenantStat>,
 }
 
-/// Pending fault-queue entries; `Recover < Fail` so recoveries fire first
-/// at a shared instant, exactly as in the chaos driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum FaultKind {
-    Recover(usize),
-    Fail(usize),
+/// The service's side of the kernel's report: the per-job outcome ledger
+/// and, when durability is on, the journal. Record order within an event
+/// is the kernel's call order.
+struct Ledger<'s> {
+    outcomes: &'s mut [JobOutcome],
+    dur: Option<&'s mut Durability>,
+}
+
+impl Ledger<'_> {
+    #[inline]
+    fn emit(&mut self, make: impl FnOnce() -> JournalRecord) {
+        if let Some(d) = self.dur.as_deref_mut() {
+            d.emit(make());
+        }
+    }
+}
+
+impl EventSink for Ledger<'_> {
+    fn completed(&mut self, job: JobId, machine: usize) {
+        self.outcomes[job.index()] = JobOutcome::Completed;
+        self.emit(|| JournalRecord::Complete {
+            job: job.0,
+            machine: machine as u32,
+        });
+    }
+
+    fn gate_opened(&mut self, job: JobId) {
+        self.emit(|| JournalRecord::PrecedenceReady { job: job.0 });
+    }
+
+    fn recovered(&mut self, now: Time, machine: usize) {
+        self.emit(|| JournalRecord::Recover {
+            machine: machine as u32,
+            at: now,
+        });
+    }
+
+    fn failed(&mut self, now: Time, machine: usize, recover_at: Time, killed: &[JobId]) {
+        self.emit(|| JournalRecord::Fail {
+            machine: machine as u32,
+            at: now,
+            recover_at,
+        });
+        for &job in killed {
+            self.outcomes[job.index()] = JobOutcome::Accepted;
+            self.emit(|| JournalRecord::ReRelease { job: job.0 });
+        }
+    }
+
+    fn placed(&mut self, job: JobId, machine: u32, start: Time) {
+        self.emit(|| JournalRecord::Place {
+            job: job.0,
+            machine,
+            start,
+        });
+    }
 }
 
 /// A long-running scheduling service around one [`OnlinePolicy`].
@@ -270,12 +325,12 @@ pub struct Service<C: Clock, S: TelemetrySink> {
     pub(crate) clock: C,
     sink: S,
     policy: Box<dyn OnlinePolicy>,
-    /// Pristine copy for metrics; `work` is what aging mutates.
+    /// Pristine copy for metrics; the kernel's working copy is what aging
+    /// mutates.
     original: Instance,
-    work: Instance,
-    cluster: ClusterState,
-    schedule: Schedule,
-    log: FaultLog,
+    /// Cluster, schedule, fault log, precedence gate and fault queue, and
+    /// the one definition of what an event does to them.
+    pub(crate) kernel: EventKernel<'static>,
     pub(crate) outcomes: Vec<JobOutcome>,
     /// Admitted, undelivered submissions ordered by (delivery time,
     /// submission sequence) — matches the batch drivers' (release, id)
@@ -289,24 +344,12 @@ pub struct Service<C: Clock, S: TelemetrySink> {
     /// single-tenant (everything is implicitly tenant 0).
     job_tenant: Vec<u32>,
     seq: u64,
-    fault_q: BinaryHeap<Reverse<(OrdTime, FaultKind)>>,
-    re_released: Vec<JobId>,
-    /// Precedence gate for DAG instances; inert (every query
-    /// short-circuits) when the instance has no edges.
-    gate: PrecedenceGate,
     /// Original admission sequence of each currently-held job, indexed by
     /// job id, so a gate-opened job re-enters the delivery queue with its
     /// admission-order tiebreak intact. Empty for edge-free instances.
     held_seq: Vec<u64>,
-    /// Scratch: held jobs whose gates this event's completions opened.
-    opened_buf: Vec<JobId>,
-    // Scratch buffers reused across events.
-    freed: Vec<usize>,
-    completed_buf: Vec<(JobId, usize)>,
+    /// Scratch: the arrival batch of the current event.
     deliver_buf: Vec<JobId>,
-    /// Placements captured from the dispatcher while a journal is
-    /// attached; empty otherwise.
-    placed_buf: Vec<(JobId, u32)>,
     /// Write-ahead journal / replay verifier, when durability is on.
     /// Boxed: durability is off by default and the hot loop should not
     /// carry its footprint.
@@ -320,7 +363,6 @@ pub struct Service<C: Clock, S: TelemetrySink> {
     max_queue_depth: usize,
     epochs: usize,
     decision_ns: Vec<u64>,
-    pub(crate) last_event: Time,
     started: std::time::Instant,
 }
 
@@ -346,13 +388,6 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         cfg.check()?;
         let n = instance.len();
         let r = instance.num_resources();
-        let fault_q = cfg
-            .fault_plan
-            .events()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| Reverse((OrdTime(e.at), FaultKind::Fail(i))))
-            .collect();
         let total_weight: f64 = cfg.tenants.iter().map(|t| t.weight).sum();
         let tenants: Vec<TenantState> = cfg
             .tenants
@@ -364,36 +399,26 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         } else {
             vec![0u32; n]
         };
-        let gate = PrecedenceGate::new(&instance);
-        let held_seq = if gate.is_active() {
+        let held_seq = if instance.has_precedence() {
             vec![0u64; n]
         } else {
             Vec::new()
         };
         Ok(Service {
-            cluster: ClusterState::new(cfg.num_machines, r),
-            schedule: Schedule::new(n, cfg.num_machines),
-            log: FaultLog {
-                failures: Vec::new(),
-                recoveries: Vec::new(),
-                re_releases: vec![0; n],
-                completions: Vec::new(),
-            },
+            kernel: EventKernel::new(
+                Cow::Owned(instance.clone()),
+                &ClusterSpec::uniform(cfg.num_machines),
+                cfg.fault_plan.events(),
+                cfg.restart,
+            ),
             outcomes: vec![JobOutcome::NotSubmitted; n],
             queue: BinaryHeap::new(),
             queued_demand: vec![0; r],
             tenants,
             job_tenant,
             seq: 0,
-            fault_q,
-            re_released: Vec::new(),
-            gate,
             held_seq,
-            opened_buf: Vec::new(),
-            freed: Vec::new(),
-            completed_buf: Vec::new(),
             deliver_buf: Vec::new(),
-            placed_buf: Vec::new(),
             dur: None,
             submitted: 0,
             accepted: 0,
@@ -403,10 +428,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             max_queue_depth: 0,
             epochs: 0,
             decision_ns: Vec::new(),
-            last_event: f64::NEG_INFINITY,
             started: std::time::Instant::now(),
-            original: instance.clone(),
-            work: instance,
+            original: instance,
             cfg,
             clock,
             sink,
@@ -580,9 +603,9 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
 
     fn admit(&mut self, now: Time, job: JobId, tenant: TenantId) -> Result<(), AdmissionError> {
         assert!(
-            job.index() < self.work.len(),
+            job.index() < self.original.len(),
             "unknown job {job} (instance has {} jobs)",
-            self.work.len()
+            self.original.len()
         );
         assert!(
             matches!(self.outcomes[job.index()], JobOutcome::NotSubmitted),
@@ -639,7 +662,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         }
         let budget_ticks = self.cfg.load_watermark * self.cfg.num_machines as f64 * CAPACITY as f64;
         if budget_ticks.is_finite() {
-            let j = self.work.job(job);
+            let j = self.kernel.instance().job(job);
             for (resource, (&queued, &demand)) in
                 self.queued_demand.iter().zip(j.demands.iter()).enumerate()
             {
@@ -677,7 +700,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             let tenant_budget =
                 ts.spec.load_watermark * self.cfg.num_machines as f64 * CAPACITY as f64;
             if tenant_budget.is_finite() {
-                let j = self.work.job(job);
+                let j = self.kernel.instance().job(job);
                 for (&queued, &demand) in ts.queued_demand.iter().zip(j.demands.iter()) {
                     if (queued + demand) as f64 > tenant_budget {
                         let kind = TenantQuotaKind::QueuedDemand {
@@ -693,7 +716,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         // spends deficit credit earned from deliveries (see crate::tenant).
         let mut spend = 0u64;
         if !self.tenants.is_empty() && self.queue.len() >= self.cfg.fair_watermark {
-            let cost = job_cost(self.work.job(job));
+            let cost = job_cost(self.kernel.instance().job(job));
             let ts = &self.tenants[tenant.index()];
             if ts.deficit < cost {
                 let kind = TenantQuotaKind::FairShare {
@@ -704,13 +727,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             }
             spend = cost;
         }
-        let j = self.work.job(job);
-        let ready = now.max(j.release);
-        let deliver = if self.cfg.epoch > 0.0 {
-            (ready / self.cfg.epoch).ceil() * self.cfg.epoch
-        } else {
-            ready
-        };
+        let j = self.kernel.instance().job(job);
+        let deliver = self.cfg.delivery_time(now.max(j.release));
         for (q, &d) in self.queued_demand.iter_mut().zip(j.demands.iter()) {
             *q += d;
         }
@@ -719,15 +737,15 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         self.accepted += 1;
         mris_obs::counter_add("mris_service_admitted_total", 1);
         if !self.tenants.is_empty() {
-            let cost = job_cost(self.work.job(job));
-            let demand_ticks: u64 = self.work.job(job).demands.iter().sum();
+            let cost = job_cost(self.kernel.instance().job(job));
+            let demand_ticks: u64 = self.kernel.instance().job(job).demands.iter().sum();
             let ts = &mut self.tenants[tenant.index()];
             ts.deficit -= spend;
             ts.queued_jobs += 1;
             for (q, &d) in ts
                 .queued_demand
                 .iter_mut()
-                .zip(self.work.job(job).demands.iter())
+                .zip(self.kernel.instance().job(job).demands.iter())
             {
                 *q += d;
             }
@@ -779,14 +797,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
     /// policy wakeup), or `None` when the service is quiescent.
     pub fn next_event_time(&self) -> Option<Time> {
         let delivery = self.queue.peek().map(|&Reverse((t, _, _))| t.0);
-        let completion = self.cluster.next_completion();
-        let fault = self.fault_q.peek().map(|&Reverse((t, _))| t.0);
-        let wake = self.policy.next_wakeup().filter(|&t| t > self.last_event);
-        let mut next = f64::INFINITY;
-        for t in [delivery, completion, fault, wake].into_iter().flatten() {
-            next = next.min(t);
-        }
-        next.is_finite().then_some(next)
+        self.kernel
+            .next_event_time(delivery, self.policy.next_wakeup())
     }
 
     /// How long a wall-clock caller should sleep before the next event is
@@ -812,135 +824,32 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         }
     }
 
-    /// One decision event at `now`: completions, fault events, arrival
-    /// deliveries, re-releases, a single dispatch, then telemetry.
+    /// One decision event at `now`: the kernel settles (completions, fault
+    /// events), the deliveries due are popped off the queue, the kernel
+    /// decides (arrivals, re-releases, a single dispatch), then telemetry.
     /// Everything due at or before `now` is handled (a lagging clock may
     /// overshoot the event that scheduled this call).
     fn process_event(&mut self, now: Time) -> Result<(), SchedulingError> {
-        self.last_event = now;
-        self.emit(|| JournalRecord::Event { at: now });
-
-        // 1. Completions — before faults, so a job finishing exactly at a
-        //    strike instant survives.
-        self.freed.clear();
-        self.completed_buf.clear();
-        self.opened_buf.clear();
-        self.cluster
-            .complete_due_recorded(now, &self.work, &mut self.completed_buf);
-        let first_new_completion = self.log.completions.len();
-        for i in 0..self.completed_buf.len() {
-            let (job, machine) = self.completed_buf[i];
-            // Completions are ordered before the fault events that unassign
-            // jobs at the same tick (a fault re-release racing a completion
-            // lands in step 2); a missing assignment means that ordering
-            // regressed, so surface the typed error — the ledger keeps the
-            // job's last recorded state — instead of aborting the service.
-            let Some(a) = self.schedule.get(job) else {
-                return Err(SchedulingError::UnassignedCompletion { job, machine });
-            };
-            self.log.completions.push(CompletionRecord {
-                job,
-                machine,
-                start: a.start,
-                end: a.start + self.work.job(job).proc_time,
-            });
-            self.outcomes[job.index()] = JobOutcome::Completed;
-            self.freed.push(machine);
-            self.gate.complete(job, &self.work, &mut self.opened_buf);
-            self.emit(|| JournalRecord::Complete {
-                job: job.0,
-                machine: machine as u32,
-            });
-        }
-        let completions = self.completed_buf.len();
+        let policy = &mut *self.policy;
+        let mut ledger = Ledger {
+            outcomes: &mut self.outcomes,
+            dur: self.dur.as_deref_mut(),
+        };
+        ledger.emit(|| JournalRecord::Event { at: now });
+        let completions = self.kernel.settle(now, policy, &mut ledger)?;
         // Held jobs whose last predecessor just completed re-enter the
         // delivery queue at this instant (epoch-quantized, like admission)
-        // under their original sequence, so step 3 delivers them in
+        // under their original sequence, so they are delivered in
         // admission order alongside any originals due now.
-        if !self.opened_buf.is_empty() {
-            let deliver = if self.cfg.epoch > 0.0 {
-                (now / self.cfg.epoch).ceil() * self.cfg.epoch
-            } else {
-                now
-            };
-            for i in 0..self.opened_buf.len() {
-                let job = self.opened_buf[i];
+        if !self.kernel.opened().is_empty() {
+            let deliver = self.cfg.delivery_time(now);
+            for &job in self.kernel.opened() {
                 self.queue
                     .push(Reverse((OrdTime(deliver), self.held_seq[job.index()], job)));
-                self.emit(|| JournalRecord::PrecedenceReady { job: job.0 });
-            }
-            self.opened_buf.clear();
-        }
-
-        // 2. Fault events due (recoveries before failures at an instant).
-        while let Some(&Reverse((t, kind))) = self.fault_q.peek() {
-            if t.0 > now {
-                break;
-            }
-            self.fault_q.pop();
-            match kind {
-                FaultKind::Recover(machine) => {
-                    self.cluster.recover_machine(machine);
-                    self.freed.push(machine);
-                    self.log.recoveries.push((now, machine));
-                    self.policy.on_machine_recovered(now, machine, &self.work);
-                    self.emit(|| JournalRecord::Recover {
-                        machine: machine as u32,
-                        at: now,
-                    });
-                }
-                FaultKind::Fail(idx) => {
-                    let event = self.cfg.fault_plan.events()[idx];
-                    let Some(machine) = resolve_fault_target(event.target, &self.cluster) else {
-                        continue;
-                    };
-                    let killed = self.cluster.fail_machine(machine);
-                    let recover_at = now + event.downtime;
-                    for &job in &killed {
-                        self.schedule.unassign(job);
-                        self.log.re_releases[job.index()] += 1;
-                        self.outcomes[job.index()] = JobOutcome::Accepted;
-                        if let RestartSemantics::WeightAging { factor } = self.cfg.restart {
-                            self.work.scale_weight(job, factor);
-                        }
-                        // Defensive gate re-arm, mirroring the chaos driver:
-                        // completions run before failures at an instant and
-                        // only running jobs can be killed, so `job` was never
-                        // marked complete and this is a no-op today; it keeps
-                        // the gate sound if that ordering ever changes.
-                        // Started successors are never recalled.
-                        for s in self.gate.revoke(job, &self.work) {
-                            if self.schedule.get(s).is_none() {
-                                self.gate.hold(s);
-                            }
-                        }
-                        self.re_released.push(job);
-                    }
-                    self.fault_q
-                        .push(Reverse((OrdTime(recover_at), FaultKind::Recover(machine))));
-                    self.log.failures.push(FailureRecord {
-                        at: now,
-                        machine,
-                        recover_at,
-                        killed: killed.clone(),
-                    });
-                    self.policy
-                        .on_machine_failed(now, machine, recover_at, &killed, &self.work);
-                    self.emit(|| JournalRecord::Fail {
-                        machine: machine as u32,
-                        at: now,
-                        recover_at,
-                    });
-                    for &job in &killed {
-                        self.emit(|| JournalRecord::ReRelease { job: job.0 });
-                    }
-                }
             }
         }
 
-        // 3. Deliveries due: originals first, then this event's re-releases.
-        self.freed.sort_unstable();
-        self.freed.dedup();
+        // Deliveries due.
         self.deliver_buf.clear();
         let mut delivered_cost = 0u64;
         while let Some(&Reverse((t, s, job))) = self.queue.peek() {
@@ -948,31 +857,23 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 break;
             }
             self.queue.pop();
-            if !self.gate.is_ready(job) {
-                // Released but a predecessor is still outstanding: withhold
+            if !self.kernel.ready_or_hold(job) {
+                // Released but a predecessor is still outstanding: withheld
                 // from the policy. Queued-demand and tenant accounting stay
                 // charged — the job is still admitted-and-undelivered — and
                 // the sequence is kept for the re-enqueue on gate open.
-                self.gate.hold(job);
                 self.held_seq[job.index()] = s;
                 continue;
             }
-            for (q, &d) in self
-                .queued_demand
-                .iter_mut()
-                .zip(self.work.job(job).demands.iter())
-            {
+            let demands = &self.kernel.instance().job(job).demands;
+            for (q, &d) in self.queued_demand.iter_mut().zip(demands.iter()) {
                 *q -= d;
             }
             if !self.tenants.is_empty() {
-                delivered_cost += job_cost(self.work.job(job));
+                delivered_cost += job_cost(self.kernel.instance().job(job));
                 let ts = &mut self.tenants[self.job_tenant[job.index()] as usize];
                 ts.queued_jobs -= 1;
-                for (q, &d) in ts
-                    .queued_demand
-                    .iter_mut()
-                    .zip(self.work.job(job).demands.iter())
-                {
+                for (q, &d) in ts.queued_demand.iter_mut().zip(demands.iter()) {
                     *q -= d;
                 }
             }
@@ -1008,50 +909,18 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         // in the summary are over the sampled events.
         let timed = mris_obs::enabled() || self.epochs.is_multiple_of(4);
         let decision_started = timed.then(std::time::Instant::now);
-        if arrivals > 0 {
-            self.policy.on_arrivals(now, &self.deliver_buf, &self.work);
-        }
-        let re_releases = self.re_released.len();
-        if re_releases > 0 {
-            self.re_released.sort_unstable();
-            self.policy.on_arrivals(now, &self.re_released, &self.work);
-            self.re_released.clear();
-        }
-
-        // 4. One dispatch per event.
-        let running_before = self.cluster.num_running();
-        self.placed_buf.clear();
-        {
-            let mut dispatcher =
-                Dispatcher::new(&mut self.cluster, &mut self.schedule, &self.work, now);
-            if self.dur.is_some() {
-                dispatcher.record_placements(&mut self.placed_buf);
-            }
-            if self.gate.is_active() {
-                dispatcher.set_gate(&self.gate);
-            }
-            self.policy.dispatch(&mut dispatcher, &self.freed)?;
-        }
-        for i in 0..self.placed_buf.len() {
-            let (job, machine) = self.placed_buf[i];
-            let start = self.schedule.get(job).map_or(now, |a| a.start);
-            self.emit(|| JournalRecord::Place {
-                job: job.0,
-                machine,
-                start,
-            });
-        }
-        self.placed_buf.clear();
+        let decided = self
+            .kernel
+            .decide(now, &self.deliver_buf, policy, &mut ledger)?;
         let decision_ns = decision_started.map(|t| t.elapsed().as_nanos() as u64);
         if let Some(ns) = decision_ns {
             self.decision_ns.push(ns);
         }
-        let placements = self.cluster.num_running() - running_before;
         if mris_obs::enabled() {
             mris_obs::counter_add("mris_service_epochs_total", 1);
             mris_obs::histogram_record(
                 "mris_service_epoch_batch_size",
-                (arrivals + re_releases) as f64,
+                (arrivals + decided.re_releases) as f64,
             );
             mris_obs::histogram_record(
                 "mris_service_decision_latency_seconds",
@@ -1059,16 +928,16 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             );
         }
 
-        // 5. Telemetry.
+        // Telemetry.
         let record = EpochRecord {
             epoch: self.epochs,
             time: now,
             queue_depth: self.queue.len(),
             arrivals,
-            re_releases,
-            placements,
+            re_releases: decided.re_releases,
+            placements: decided.placements,
             completions,
-            running: self.cluster.num_running(),
+            running: self.kernel.cluster().num_running(),
             rejections_total: self.rejected_queue_full
                 + self.rejected_infeasible
                 + self.rejected_tenant,
@@ -1077,37 +946,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         self.epochs += 1;
         self.sink.epoch(&record);
 
-        // 6. Debug invariant audit, mirroring the chaos driver.
-        #[cfg(debug_assertions)]
-        {
-            for rec in &self.log.completions[first_new_completion..] {
-                for fail in &self.log.failures {
-                    assert!(
-                        !(rec.machine == fail.machine
-                            && rec.start < fail.recover_at
-                            && fail.at < rec.end),
-                        "service invariant violated: {} ran [{}, {}) across downtime [{}, {}) on machine {}",
-                        rec.job,
-                        rec.start,
-                        rec.end,
-                        fail.at,
-                        fail.recover_at,
-                        rec.machine
-                    );
-                }
-            }
-            for (_, m, job) in self.cluster.running_jobs() {
-                assert!(
-                    self.cluster.is_up(m),
-                    "service invariant violated: {job} is running on down machine {m}"
-                );
-            }
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = first_new_completion;
-
-        // 7. Durability boundary: snapshot if due, flush at cadence. The
-        //    state encoding is computed only at snapshot points.
+        // Durability boundary: snapshot if due, flush at cadence. The
+        // state encoding is computed only at snapshot points.
         if let Some(mut d) = self.dur.take() {
             let state = d.snapshot_due().then(|| self.durable_state_bytes());
             d.event_end(now, state);
@@ -1124,7 +964,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
     /// replay without affecting any scheduling decision.
     pub(crate) fn durable_state_bytes(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.f64(self.last_event);
+        e.f64(self.kernel.last_event());
         e.u64(self.submitted as u64);
         e.u64(self.accepted as u64);
         e.u64(self.rejected_queue_full as u64);
@@ -1143,8 +983,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 JobOutcome::Rejected(AdmissionError::TenantQuota { .. }) => 5,
             });
         }
-        // Weight aging mutates `work`; everything else in it is static.
-        for j in self.work.jobs() {
+        // Weight aging mutates the working instance; the rest of it is static.
+        for j in self.kernel.instance().jobs() {
             e.f64(j.weight);
         }
         let mut queue: Vec<(u64, u64, u32)> = self
@@ -1163,30 +1003,15 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         for &d in &self.queued_demand {
             e.u64(d);
         }
-        let mut faults: Vec<(u64, u8, u64)> = self
-            .fault_q
-            .iter()
-            .map(|&Reverse((t, kind))| match kind {
-                FaultKind::Recover(m) => (t.0.to_bits(), 0u8, m as u64),
-                FaultKind::Fail(i) => (t.0.to_bits(), 1u8, i as u64),
-            })
-            .collect();
-        faults.sort_unstable();
-        e.u64(faults.len() as u64);
-        for (t, k, p) in faults {
-            e.u64(t);
-            e.u8(k);
-            e.u64(p);
-        }
-        e.u64(self.re_released.len() as u64);
-        for j in &self.re_released {
-            e.u32(j.0);
-        }
         let mut sub = Vec::new();
-        self.cluster.durable_bytes(&mut sub);
+        self.kernel.durable_fault_bytes(&mut sub);
         e.bytes(&sub);
+        sub.clear();
+        self.kernel.cluster().durable_bytes(&mut sub);
+        e.bytes(&sub);
+        let log = self.kernel.log();
         for i in 0..self.original.len() {
-            match self.schedule.get(JobId(i as u32)) {
+            match self.kernel.schedule().get(JobId(i as u32)) {
                 Some(a) => {
                     e.u8(1);
                     e.u32(a.machine as u32);
@@ -1195,8 +1020,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 None => e.u8(0),
             }
         }
-        e.u64(self.log.failures.len() as u64);
-        for f in &self.log.failures {
+        e.u64(log.failures.len() as u64);
+        for f in &log.failures {
             e.f64(f.at);
             e.u64(f.machine as u64);
             e.f64(f.recover_at);
@@ -1205,17 +1030,17 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 e.u32(j.0);
             }
         }
-        e.u64(self.log.recoveries.len() as u64);
-        for &(t, m) in &self.log.recoveries {
+        e.u64(log.recoveries.len() as u64);
+        for &(t, m) in &log.recoveries {
             e.f64(t);
             e.u64(m as u64);
         }
-        e.u64(self.log.re_releases.len() as u64);
-        for &n in &self.log.re_releases {
+        e.u64(log.re_releases.len() as u64);
+        for &n in &log.re_releases {
             e.u64(n as u64);
         }
-        e.u64(self.log.completions.len() as u64);
-        for c in &self.log.completions {
+        e.u64(log.completions.len() as u64);
+        for c in &log.completions {
             e.u32(c.job.0);
             e.u64(c.machine as u64);
             e.f64(c.start);
@@ -1245,9 +1070,9 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         }
         // Precedence section — only for DAG instances, so edge-free
         // snapshot bytes stay identical to the pre-precedence format.
-        if self.gate.is_active() {
+        if self.kernel.gate().is_active() {
             sub.clear();
-            self.gate.durable_bytes_if_active(&mut sub);
+            self.kernel.gate().durable_bytes_if_active(&mut sub);
             e.bytes(&sub);
             for &s in &self.held_seq {
                 e.u64(s);
@@ -1277,10 +1102,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         if stranded > 0 {
             return Err(SchedulingError::StrandedJobs { unplaced: stranded });
         }
-        debug_assert!(
-            self.log.verify().is_ok(),
-            "service fault-log invariant violated at drain"
-        );
+        let ChaosOutcome { schedule, log } = self.kernel.into_outcome();
         if let Some(d) = self.dur.as_deref_mut() {
             let at = self.clock.now();
             d.emit(JournalRecord::Close { at });
@@ -1293,7 +1115,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             .count();
         let wall_seconds = self.started.elapsed().as_secs_f64();
         let awct = if completed > 0 {
-            self.schedule.total_weighted_completion(&self.original) / completed as f64
+            schedule.total_weighted_completion(&self.original) / completed as f64
         } else {
             0.0
         };
@@ -1306,9 +1128,9 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             completed,
             epochs: self.epochs,
             max_queue_depth: self.max_queue_depth,
-            failures: self.log.failures.len(),
+            failures: log.failures.len(),
             awct,
-            makespan: self.schedule.makespan(&self.original),
+            makespan: schedule.makespan(&self.original),
             drained_at: self.clock.now(),
             wall_seconds,
             // Guard against a zero-resolution timer on pathological hosts.
@@ -1318,8 +1140,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         self.sink.summary(&summary);
         Ok((
             ServiceReport {
-                schedule: self.schedule,
-                log: self.log,
+                schedule,
+                log,
                 outcomes: self.outcomes,
                 summary,
                 tenants: self.tenants.iter().map(|t| t.stat()).collect(),

@@ -16,7 +16,8 @@
 //!   per-event and is bit-identical to the batch drivers (the
 //!   conservativity suite pins this).
 //! * **Fault replay** — a [`mris_sim::FaultPlan`] runs against the live
-//!   service with the chaos driver's exact event ordering and audit log.
+//!   service through the same [`mris_sim::EventKernel`] as the batch
+//!   driver: one event ordering, one audit log.
 //! * **Telemetry** ([`TelemetrySink`], [`JsonlSink`]) — per-epoch JSONL
 //!   events plus an end-of-run [`ServiceSummary`] with decision-latency
 //!   percentiles from [`mris_metrics::Percentiles`].

@@ -262,7 +262,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             }
         }
 
-        let resumed_at = svc.last_event;
+        let resumed_at = svc.kernel.last_event();
         let dur = svc.dur.take().expect("verifier attached above");
         let verifier = match dur.sink {
             DurabilitySink::Verify(v) => v,

@@ -1,9 +1,12 @@
 //! Precedence (DAG) workloads through the service event loop.
 //!
-//! The service must honor precedence edges exactly like the batch drivers:
-//! a successor is withheld from the policy until every predecessor has
-//! completed, and the journal records each gate opening (`PrecedenceReady`,
-//! v3) so a crash-restored service re-derives the identical continuation.
+//! The precedence gate lives in the event kernel the service shares with
+//! the batch driver (one kernel, two configurations): a successor is
+//! withheld from the policy until every predecessor has completed. The
+//! service's own part is how a reopened job re-enters its delivery queue
+//! (original admission sequence, epoch-quantised) and the journal record of
+//! each gate opening (`PrecedenceReady`, v3), from which a crash-restored
+//! service re-derives the identical continuation.
 //!
 //! Pinned here, over randomized DAG instances:
 //!

@@ -1,45 +1,27 @@
-//! The unified event-loop driver.
+//! The batch driver: an [`EventKernel`] fed from an instance's own jobs.
 //!
-//! One loop drives every simulation in the repo. Historically
-//! [`run_online`](crate::run_online) (arrivals + completions only) and
-//! [`run_online_chaos`](crate::run_online_chaos) (plus fault events and
-//! policy wakeups) were two hand-maintained copies of the same event loop
-//! that had already drifted once: the fault-free loop ignored
-//! [`OnlinePolicy::next_wakeup`], so grid-driven policies silently only
-//! worked under the chaos entry point. Both are now thin wrappers over
-//! [`run_driver`], configured through [`RunOptions`]:
+//! [`run_driver`] sorts the jobs by `(release, id)`, advances the simulated
+//! clock to the earliest of the next release, completion, fault event and
+//! policy wakeup, and at each instant lets the kernel settle, hands it the
+//! jobs released by then, and lets it decide — see [`EventKernel`] for what
+//! happens, and in which order, within the instant.
+//! [`run_online`](crate::run_online),
+//! [`run_online_observed`](crate::run_online_observed) and
+//! [`run_online_chaos`](crate::run_online_chaos) are thin wrappers,
+//! configured through [`RunOptions`]:
 //!
-//! * **fault-free** is simply the default options (no fault plan) — the
-//!   fault queue starts empty and the loop degenerates to
-//!   arrivals/completions/wakeups;
+//! * **fault-free** is simply the default options (no fault plan);
 //! * **chaos** attaches a [`FaultPlan`] and
 //!   [`RestartSemantics`].
-//!
-//! The driver only clones the instance when weight aging actually rewrites
-//! a weight (`Cow`), so the dominant fault-free path borrows the caller's
-//! instance without copying.
-//!
-//! # Event ordering at one instant
-//!
-//! At a shared timestamp `t` the driver processes, in order: completions
-//! (a job finishing exactly at `t` survives a failure at `t`), then
-//! recoveries, then failures (a machine recovering at `t` can be re-failed
-//! by a strike at `t`), then arrivals and re-releases, then one dispatch.
-//! A failure targeting a machine that is down (or out of range) at fire
-//! time is absorbed without effect.
 
 use std::borrow::Cow;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use mris_types::{ClusterSpec, Instance, JobId, RestartSemantics, Schedule, SchedulingError};
 
-use crate::fault::{
-    resolve_fault_target, ChaosOutcome, CompletionRecord, FailureRecord, FaultLog, FaultPlan,
-};
+use crate::fault::{ChaosOutcome, FaultLog, FaultPlan};
+use crate::kernel::EventKernel;
 use crate::online::EventSnapshot;
-use crate::precedence::PrecedenceGate;
-use crate::{ClusterState, Dispatcher, OnlinePolicy, OrdTime};
+use crate::OnlinePolicy;
 
 /// Configuration for one [`run_driver`] run, built fluently:
 ///
@@ -111,44 +93,6 @@ impl<'a> RunOptions<'a> {
     }
 }
 
-/// Pending fault-queue entries. Variant order matters: `Recover < Fail`,
-/// so at a shared instant recoveries fire before failures (a machine
-/// recovering at `t` can be struck again at `t`). Within a kind, the
-/// payload (machine index / plan index) breaks ties deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum FaultKind {
-    Recover(usize),
-    Fail(usize),
-}
-
-#[cfg(debug_assertions)]
-fn debug_check_event(log: &FaultLog, cluster: &ClusterState, first_new_completion: usize) {
-    // Completions recorded this event must not overlap any downtime so far
-    // (future failures cannot overlap them: a failure at `t >= now` starts
-    // at or after every end recorded by `now`).
-    for rec in &log.completions[first_new_completion..] {
-        for fail in &log.failures {
-            assert!(
-                !(rec.machine == fail.machine && rec.start < fail.recover_at && fail.at < rec.end),
-                "chaos invariant violated: {} ran [{}, {}) across downtime [{}, {}) on machine {}",
-                rec.job,
-                rec.start,
-                rec.end,
-                fail.at,
-                fail.recover_at,
-                rec.machine
-            );
-        }
-    }
-    // No job may be running on a down machine.
-    for (_, m, job) in cluster.running_jobs() {
-        assert!(
-            cluster.is_up(m),
-            "chaos invariant violated: {job} is running on down machine {m}"
-        );
-    }
-}
-
 /// Runs `policy` over `instance` on the machines described by `cluster`
 /// under `options`, calling `observer` with an [`EventSnapshot`] after
 /// every processed event.
@@ -159,13 +103,13 @@ fn debug_check_event(log: &FaultLog, cluster: &ClusterState, first_new_completio
 /// completes after `p_j / speed_m` wall time, and fit checks use `m`'s own
 /// capacity vector).
 ///
-/// This is the single event loop behind [`run_online`](crate::run_online),
+/// This is the single batch loop behind [`run_online`](crate::run_online),
 /// [`run_online_observed`](crate::run_online_observed), and
-/// [`run_online_chaos`](crate::run_online_chaos); see those wrappers for
-/// the common entry points. The loop advances the simulated clock to the
-/// earliest of: the next arrival, the next completion, the next fault
-/// event (failure or recovery), and the policy's
-/// [`next_wakeup`](OnlinePolicy::next_wakeup).
+/// [`run_online_chaos`](crate::run_online_chaos). It advances the simulated
+/// clock to the earliest of: the next arrival, the next completion, the
+/// next fault event (failure or recovery), and the policy's
+/// [`next_wakeup`](OnlinePolicy::next_wakeup); what happens at that instant
+/// is the [`EventKernel`]'s.
 ///
 /// For instances with precedence edges the driver withholds a released job
 /// from [`OnlinePolicy::on_arrivals`] until every predecessor has
@@ -173,19 +117,12 @@ fn debug_check_event(log: &FaultLog, cluster: &ClusterState, first_new_completio
 /// gate (or at its release time, whichever is later). Policies therefore
 /// never see a job they may not start, and run DAG workloads unmodified.
 ///
-/// Machine failures kill every job running on the struck machine; killed
-/// jobs lose all progress (non-preemptive restart) and are re-released to
-/// the policy as fresh arrivals at the failure instant, with weights per
-/// [`RunOptions::with_restart`]. A killed job's own completions never
-/// happened, so gates it would have opened stay armed until its re-run
-/// completes.
-///
 /// # Errors
 ///
 /// Returns a [`SchedulingError`] if the policy strands jobs (leaves them
 /// unplaced after the last event) or violates placement rules — see
-/// [`Dispatcher::place`] — or, on a heterogeneous cluster, if some job's
-/// demand exceeds every machine's capacity
+/// [`Dispatcher::place`](crate::Dispatcher::place) — or, on a heterogeneous
+/// cluster, if some job's demand exceeds every machine's capacity
 /// ([`SchedulingError::UnplaceableJob`]).
 pub fn run_driver_observed<P: OnlinePolicy + ?Sized>(
     instance: &Instance,
@@ -194,20 +131,13 @@ pub fn run_driver_observed<P: OnlinePolicy + ?Sized>(
     options: RunOptions<'_>,
     mut observer: impl FnMut(&EventSnapshot),
 ) -> Result<ChaosOutcome, SchedulingError> {
-    // Re-validate here so options built without the builder (Default +
-    // struct update) cannot smuggle in a bad factor.
-    if let RestartSemantics::WeightAging { factor } = options.restart {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "weight-aging factor {factor} must be finite and non-negative"
-        );
-    }
     let spec: ClusterSpec = cluster.into();
     let num_machines = spec.len();
-    let mut log = FaultLog::new(instance.len());
-    let mut schedule = Schedule::new(instance.len(), num_machines);
     if instance.is_empty() {
-        return Ok(ChaosOutcome { schedule, log });
+        return Ok(ChaosOutcome {
+            schedule: Schedule::new(0, num_machines),
+            log: FaultLog::new(0),
+        });
     }
     // On a restricted-capacity cluster a job can exceed every machine; the
     // instance-level bound (demand <= CAPACITY) only covers uniform specs.
@@ -225,206 +155,74 @@ pub fn run_driver_observed<P: OnlinePolicy + ?Sized>(
             }
         }
     }
-    // Weight aging rewrites weights in a working copy made on first kill;
-    // the fault-free path never clones.
-    let mut work: Cow<'_, Instance> = Cow::Borrowed(instance);
-    let mut cluster = ClusterState::with_spec(&spec, instance.num_resources());
-    let mut gate = PrecedenceGate::new(instance);
-    // Successors whose gates opened at this event's completions, pending
-    // delivery in the arrival phase.
-    let mut opened: Vec<JobId> = Vec::new();
-
-    let mut arrivals: Vec<JobId> = work.jobs().iter().map(|j| j.id).collect();
-    arrivals.sort_by(|&a, &b| {
-        work.job(a)
+    let by_release = |&a: &JobId, &b: &JobId| {
+        instance
+            .job(a)
             .release
-            .total_cmp(&work.job(b).release)
+            .total_cmp(&instance.job(b).release)
             .then(a.cmp(&b))
-    });
+    };
+    let mut arrivals: Vec<JobId> = instance.jobs().iter().map(|j| j.id).collect();
+    arrivals.sort_by(by_release);
     let mut next_arrival = 0usize;
 
     let plan_events = options.plan.map(FaultPlan::events).unwrap_or(&[]);
-    let mut fault_q: BinaryHeap<Reverse<(OrdTime, FaultKind)>> = plan_events
-        .iter()
-        .enumerate()
-        .map(|(i, e)| Reverse((OrdTime(e.at), FaultKind::Fail(i))))
-        .collect();
-
-    let mut freed: Vec<usize> = Vec::new();
-    let mut completed: Vec<(JobId, usize)> = Vec::new();
-    let mut re_released: Vec<JobId> = Vec::new();
+    let mut kernel = EventKernel::new(Cow::Borrowed(instance), &spec, plan_events, options.restart);
+    let gated = kernel.gate().is_active();
+    let mut deliver: Vec<JobId> = Vec::new();
     let mut placed_total = 0usize;
-    let mut last_now = f64::NEG_INFINITY;
 
     loop {
-        let arr_t = arrivals.get(next_arrival).map(|&j| work.job(j).release);
-        let comp_t = cluster.next_completion();
-        let fault_t = fault_q.peek().map(|&Reverse((t, _))| t.0);
-        let wake_t = policy.next_wakeup().filter(|&t| t > last_now);
-        let mut now = f64::INFINITY;
-        for t in [arr_t, comp_t, fault_t, wake_t].into_iter().flatten() {
-            now = now.min(t);
-        }
-        if !now.is_finite() {
+        let arr_t = arrivals.get(next_arrival).map(|&j| instance.job(j).release);
+        let Some(now) = kernel.next_event_time(arr_t, policy.next_wakeup()) else {
             break;
-        }
-        last_now = now;
+        };
+        kernel.settle(now, policy, &mut ())?;
 
-        // 1. Completions due at `now` — before faults, so a job finishing
-        //    exactly at the strike instant survives.
-        freed.clear();
-        completed.clear();
-        cluster.complete_due_recorded(now, &work, &mut completed);
-        let _first_new_completion = log.completions.len();
-        for &(job, machine) in &completed {
-            // Completions are ordered before the fault events that unassign
-            // jobs at the same tick, so a missing assignment means that
-            // ordering regressed; surface it instead of aborting the run.
-            let Some(a) = schedule.get(job) else {
-                return Err(SchedulingError::UnassignedCompletion { job, machine });
-            };
-            log.completions.push(CompletionRecord {
-                job,
-                machine,
-                start: a.start,
-                // Effective time: exact `p / 1.0 == p` on uniform clusters.
-                end: a.start + spec.effective_time(machine, work.job(job).proc_time),
-            });
-            gate.complete(job, &work, &mut opened);
-            freed.push(machine);
-        }
-
-        // 2. Fault events due at `now` (recoveries before failures).
-        while let Some(&Reverse((t, kind))) = fault_q.peek() {
-            if t.0 > now {
-                break;
-            }
-            fault_q.pop();
-            match kind {
-                FaultKind::Recover(machine) => {
-                    cluster.recover_machine(machine);
-                    // Listed as freed so incremental policies re-examine it.
-                    freed.push(machine);
-                    log.recoveries.push((now, machine));
-                    mris_obs::counter_add("mris_chaos_recoveries_total", 1);
-                    policy.on_machine_recovered(now, machine, &work);
-                }
-                FaultKind::Fail(idx) => {
-                    let event = plan_events[idx];
-                    // Absorb strikes on down or out-of-range machines.
-                    let Some(machine) = resolve_fault_target(event.target, &cluster) else {
-                        mris_obs::counter_add("mris_chaos_absorbed_strikes_total", 1);
-                        continue;
-                    };
-                    let killed = cluster.fail_machine(machine);
-                    let recover_at = now + event.downtime;
-                    for &job in &killed {
-                        schedule.unassign(job);
-                        log.re_releases[job.index()] += 1;
-                        if let RestartSemantics::WeightAging { factor } = options.restart {
-                            work.to_mut().scale_weight(job, factor);
-                        }
-                        // Re-arm gates downstream of the killed job. Only
-                        // running jobs can be killed and completions are
-                        // processed first at a shared instant, so a killed
-                        // job was never marked complete and this is a no-op
-                        // today; it keeps the gate sound if the ordering
-                        // ever changes. Started successors are never
-                        // recalled (non-preemptive).
-                        for s in gate.revoke(job, &work) {
-                            if schedule.get(s).is_none() {
-                                gate.hold(s);
-                            }
-                        }
-                        re_released.push(job);
-                    }
-                    fault_q.push(Reverse((OrdTime(recover_at), FaultKind::Recover(machine))));
-                    log.failures.push(FailureRecord {
-                        at: now,
-                        machine,
-                        recover_at,
-                        killed: killed.clone(),
-                    });
-                    mris_obs::counter_add("mris_chaos_failures_total", 1);
-                    mris_obs::counter_add("mris_chaos_re_releases_total", killed.len() as u64);
-                    policy.on_machine_failed(now, machine, recover_at, &killed, &work);
-                }
-            }
-        }
-
-        // 3. Arrivals: originals first, then this instant's re-releases.
-        freed.sort_unstable();
-        freed.dedup();
         let first = next_arrival;
-        while next_arrival < arrivals.len() && work.job(arrivals[next_arrival]).release <= now {
+        while next_arrival < arrivals.len() && instance.job(arrivals[next_arrival]).release <= now {
             next_arrival += 1;
         }
-        if !gate.is_active() {
-            // Historical edge-free path, byte for byte.
-            if next_arrival > first {
-                policy.on_arrivals(now, &arrivals[first..next_arrival], &work);
-            }
+        let released = &arrivals[first..next_arrival];
+        let decided = if !gated {
+            kernel.decide(now, released, policy, &mut ())?
         } else {
             // Gated delivery: withhold released jobs with incomplete
             // predecessors; deliver the ones whose gates this event's
             // completions opened alongside fresh ready arrivals, ordered by
             // (release, id) to preserve the `on_arrivals` contract.
-            let mut deliver: Vec<JobId> = Vec::new();
-            for &j in &arrivals[first..next_arrival] {
-                if gate.is_ready(j) {
+            deliver.clear();
+            for &j in released {
+                if kernel.ready_or_hold(j) {
                     deliver.push(j);
-                } else {
-                    gate.hold(j);
                 }
             }
-            // A gate re-armed by the (defensive) revoke path can leave an
-            // opened entry whose release is still in the future; the normal
-            // sweep delivers it at its release instead.
-            deliver.extend(opened.drain(..).filter(|&j| work.job(j).release <= now));
-            deliver.sort_by(|&a, &b| {
-                work.job(a)
-                    .release
-                    .total_cmp(&work.job(b).release)
-                    .then(a.cmp(&b))
-            });
-            if !deliver.is_empty() {
-                policy.on_arrivals(now, &deliver, &work);
-            }
-        }
-        if !re_released.is_empty() {
-            re_released.sort_unstable();
-            policy.on_arrivals(now, &re_released, &work);
-            re_released.clear();
-        }
-
-        // 4. One dispatch per event.
-        let running_before_dispatch = cluster.num_running();
-        let mut dispatcher = Dispatcher::new(&mut cluster, &mut schedule, &work, now);
-        if gate.is_active() {
-            dispatcher.set_gate(&gate);
-        }
-        policy.dispatch(&mut dispatcher, &freed)?;
-        placed_total += cluster.num_running() - running_before_dispatch;
+            // A gate re-armed by the kernel's defensive revoke path can
+            // leave an opened entry whose release is still in the future;
+            // the sweep above delivers it at its release instead.
+            deliver.extend(
+                kernel
+                    .opened()
+                    .iter()
+                    .filter(|&&j| instance.job(j).release <= now),
+            );
+            deliver.sort_by(by_release);
+            kernel.decide(now, &deliver, policy, &mut ())?
+        };
+        placed_total += decided.placements;
         observer(&EventSnapshot {
             time: now,
-            running: cluster.num_running(),
+            running: kernel.cluster().num_running(),
             placed: placed_total,
             released: next_arrival,
         });
-
-        // 5. Debug invariant audit.
-        #[cfg(debug_assertions)]
-        debug_check_event(&log, &cluster, _first_new_completion);
     }
 
-    if !schedule.is_complete() {
-        let unplaced = instance.len() - schedule.assignments().count();
+    if !kernel.schedule().is_complete() {
+        let unplaced = instance.len() - kernel.schedule().assignments().count();
         return Err(SchedulingError::StrandedJobs { unplaced });
     }
-    #[cfg(debug_assertions)]
-    log.verify()
-        .expect("chaos invariant violated at end of run");
-    Ok(ChaosOutcome { schedule, log })
+    Ok(kernel.into_outcome())
 }
 
 /// [`run_driver_observed`] without an observer.
@@ -440,6 +238,7 @@ pub fn run_driver<P: OnlinePolicy + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dispatcher;
     use mris_types::{FaultEvent, FaultTarget, Job, Time};
 
     /// Minimal work-conserving FIFO policy for driver tests.

@@ -14,14 +14,8 @@
 //! the driver additionally audits, after every event, that no completed job
 //! overlapped a downtime interval on its machine ([`FaultLog::verify`]).
 //!
-//! # Event ordering at one instant
-//!
-//! At a shared timestamp `t` the driver processes, in order: completions
-//! (a job finishing exactly at `t` survives a failure at `t`), then
-//! recoveries, then failures (a machine recovering at `t` can be re-failed
-//! by a strike at `t`), then arrivals and re-releases, then one dispatch.
-//! A failure targeting a machine that is down (or out of range) at fire
-//! time is absorbed without effect.
+//! What happens when a strike, a recovery, a completion and an arrival
+//! share an instant is defined once, by [`crate::EventKernel`].
 
 use mris_rng::Rng;
 use mris_types::{
@@ -29,7 +23,7 @@ use mris_types::{
 };
 
 use crate::driver::{run_driver, RunOptions};
-use crate::{ClusterState, OnlinePolicy};
+use crate::OnlinePolicy;
 
 /// A deterministic list of machine failures, sorted by strike time.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -342,30 +336,6 @@ pub struct ChaosOutcome {
     pub schedule: Schedule,
     /// Failure/recovery/re-release/completion audit trail.
     pub log: FaultLog,
-}
-
-/// Resolves a [`FaultTarget`] against the instantaneous cluster state:
-/// `Machine(m)` hits `m` iff it is in range and up; `Busiest` picks the up
-/// machine running the most jobs (lowest index wins ties). `None` means the
-/// strike is absorbed. Public so external fault-replaying drivers (the
-/// `mris-service` event loop) share the chaos driver's exact semantics.
-pub fn resolve_fault_target(target: FaultTarget, cluster: &ClusterState) -> Option<usize> {
-    match target {
-        FaultTarget::Machine(m) => (m < cluster.num_machines() && cluster.is_up(m)).then_some(m),
-        FaultTarget::Busiest => {
-            let mut counts = vec![0usize; cluster.num_machines()];
-            for (_, m, _) in cluster.running_jobs() {
-                counts[m] += 1;
-            }
-            let mut best: Option<usize> = None;
-            for (m, &count) in counts.iter().enumerate() {
-                if cluster.is_up(m) && best.is_none_or(|b| count > counts[b]) {
-                    best = Some(m);
-                }
-            }
-            best
-        }
-    }
 }
 
 /// Runs `policy` over `instance` while replaying the failures in `plan`.

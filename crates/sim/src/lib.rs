@@ -17,11 +17,12 @@
 //!   in-flight jobs, re-releases them as fresh arrivals, and audits every
 //!   run with an invariant checker ([`FaultLog::verify`]).
 //!
-//! All online execution flows through one event loop: [`run_driver`] with
-//! a [`RunOptions`] builder (fault plan, restart semantics). The classic
-//! entry points [`run_online`], [`run_online_observed`], and
-//! [`run_online_chaos`] are thin wrappers over it — no call site
-//! constructs the event loop by hand.
+//! What happens at one instant is defined once, by [`EventKernel`];
+//! [`run_driver`] (configured through [`RunOptions`]: fault plan, restart
+//! semantics) feeds it the release-sorted jobs of an instance, and
+//! `mris-service` feeds it an admission-controlled queue. The classic entry
+//! points [`run_online`], [`run_online_observed`], and [`run_online_chaos`]
+//! are thin wrappers over [`run_driver`].
 //!
 //! All resource arithmetic is exact fixed-point (`mris_types::Amount`).
 
@@ -34,6 +35,7 @@
 mod cluster;
 mod driver;
 mod fault;
+mod kernel;
 mod online;
 #[allow(unsafe_code)]
 mod pool;
@@ -43,9 +45,10 @@ mod timeline;
 pub use cluster::ClusterState;
 pub use driver::{run_driver, run_driver_observed, RunOptions};
 pub use fault::{
-    resolve_fault_target, run_online_chaos, suggested_horizon, ChaosOutcome, ChaosViolation,
-    CompletionRecord, FailureRecord, FaultLog, FaultPlan, PoissonFaultConfig, RackBurstConfig,
+    run_online_chaos, suggested_horizon, ChaosOutcome, ChaosViolation, CompletionRecord,
+    FailureRecord, FaultLog, FaultPlan, PoissonFaultConfig, RackBurstConfig,
 };
+pub use kernel::{Decided, EventKernel, EventSink};
 pub use online::{run_online, run_online_observed, Dispatcher, EventSnapshot, OnlinePolicy};
 pub use precedence::PrecedenceGate;
 pub use timeline::{ClusterTimelines, MachineTimeline, PARALLEL_SCAN_THRESHOLD, SHARD_SIZE};

@@ -35,44 +35,39 @@ pub struct Dispatcher<'a> {
     schedule: &'a mut Schedule,
     instance: &'a Instance,
     now: Time,
-    recorder: Option<&'a mut Vec<(JobId, u32)>>,
+    /// Every successful placement of this event as `(job, machine)`, in
+    /// placement order.
+    placed: &'a mut Vec<(JobId, u32)>,
     gate: Option<&'a PrecedenceGate>,
 }
 
 impl<'a> Dispatcher<'a> {
-    /// Builds a dispatcher for one event at `now`. Public so external
-    /// drivers (the `mris-service` event loop) can commit placements
-    /// through the same checked path as [`run_online`] and
-    /// [`crate::run_online_chaos`].
-    pub fn new(
+    /// Builds a dispatcher for one event at `now` that appends its
+    /// placements to `placed`; only the [`EventKernel`](crate::EventKernel)
+    /// does.
+    pub(crate) fn new(
         cluster: &'a mut ClusterState,
         schedule: &'a mut Schedule,
         instance: &'a Instance,
         now: Time,
+        placed: &'a mut Vec<(JobId, u32)>,
     ) -> Self {
         Dispatcher {
             cluster,
             schedule,
             instance,
             now,
-            recorder: None,
+            placed,
             gate: None,
         }
     }
 
     /// Attaches a precedence gate: placements of jobs with incomplete
     /// predecessors are rejected with
-    /// [`SchedulingError::PredecessorIncomplete`]. The driver attaches the
+    /// [`SchedulingError::PredecessorIncomplete`]. The kernel attaches the
     /// gate only for instances that carry precedence edges.
-    pub fn set_gate(&mut self, gate: &'a PrecedenceGate) {
+    pub(crate) fn set_gate(&mut self, gate: &'a PrecedenceGate) {
         self.gate = Some(gate);
-    }
-
-    /// Appends every successful placement of this event as `(job, machine)`
-    /// to `out`, in placement order. The service's write-ahead journal uses
-    /// this to capture placements without a second bookkeeping path.
-    pub fn record_placements(&mut self, out: &'a mut Vec<(JobId, u32)>) {
-        self.recorder = Some(out);
     }
 
     /// The current simulated time.
@@ -144,9 +139,7 @@ impl<'a> Dispatcher<'a> {
             .assign(job, machine, self.now)
             .map_err(|_| SchedulingError::AlreadyPlaced { job })?;
         self.cluster.start(machine, j, self.now);
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.push((job, machine as u32));
-        }
+        self.placed.push((job, machine as u32));
         mris_obs::counter_add("mris_dispatcher_placements_total", 1);
         Ok(())
     }
@@ -490,7 +483,8 @@ mod tests {
         let mut cluster = ClusterState::new(2, 1);
         cluster.fail_machine(0);
         let mut schedule = Schedule::new(1, 2);
-        let mut d = Dispatcher::new(&mut cluster, &mut schedule, &instance, 0.0);
+        let mut placed = Vec::new();
+        let mut d = Dispatcher::new(&mut cluster, &mut schedule, &instance, 0.0, &mut placed);
         assert_eq!(
             d.place(0, JobId(0)).unwrap_err(),
             SchedulingError::MachineDown { machine: 0 }

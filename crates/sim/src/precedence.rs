@@ -105,9 +105,9 @@ impl PrecedenceGate {
     /// never recalled).
     ///
     /// This is the chaos path's defensive counterpart to
-    /// [`PrecedenceGate::complete`]. The driver orders completions before
+    /// [`PrecedenceGate::complete`]. The kernel orders completions before
     /// failures at a shared instant, so a completed predecessor can never be
-    /// killed and this is unreachable from [`crate::run_driver`]; it is kept
+    /// killed and this is unreachable from [`crate::EventKernel`]; it is kept
     /// (and tested) so the gate stays correct if a caller with different
     /// event ordering ever revokes a completion.
     pub fn revoke(&mut self, job: JobId, instance: &Instance) -> Vec<JobId> {

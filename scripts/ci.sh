@@ -12,7 +12,6 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
-cargo clippy -p mris-bench --features criterion --benches --offline -- -D warnings
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
@@ -25,9 +24,6 @@ cargo test -q --offline --workspace
 # clamping), so the sim suite must also run in release mode.
 echo "==> cargo test -q --release --offline -p mris-sim"
 cargo test -q --release --offline -p mris-sim
-
-echo "==> benches compile under --features criterion"
-cargo build --offline -p mris-bench --features criterion --benches
 
 echo "==> timeline bench smoke run + schema check"
 mkdir -p results
@@ -87,7 +83,7 @@ for key in '"bench": "service"' '"mode": "smoke"' '"poisson_rate"' \
   '"throughput_jobs_per_sec"' '"decision_latency_us"' '"p50"' '"p95"' \
   '"p99"' '"submitted"' '"completed"' '"epochs"' '"max_queue_depth"' \
   '"stage_breakdown"' '"stages"' '"grid"' '"filter"' '"solve"' '"probe"' \
-  '"commit"' '"memo_hits"' '"memo_misses"' '"durability"' \
+  '"commit"' '"durability"' \
   '"journal_off_jobs_per_sec"' '"journal_on_jobs_per_sec"' \
   '"overhead_pct"' '"within_budget"' '"journal_bytes"' '"restore"' \
   '"regenerated"' '"clean_shutdown"' '"restore_seconds"' \
@@ -186,7 +182,7 @@ for family in mris_dispatcher_placements_total mris_knapsack_solves_total \
   mris_service_decision_latency_seconds mris_schedule_seconds \
   mris_epoch_grid_seconds mris_epoch_filter_seconds mris_epoch_solve_seconds \
   mris_epoch_probe_seconds mris_epoch_commit_seconds \
-  mris_epoch_memo_misses_total mris_journal_appends_total \
+  mris_journal_appends_total \
   mris_journal_bytes_total mris_journal_fsyncs_total mris_snapshot_seconds \
   mris_restore_seconds; do
   grep -q "^# TYPE $family " results/BENCH_obs_smoke.prom \
