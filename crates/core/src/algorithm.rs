@@ -1,6 +1,6 @@
 //! The MRIS main loop (Algorithm 1).
 
-use mris_knapsack::{Cadp, GreedyConstraint, Item, KnapsackSolver, SolveScratch};
+use mris_knapsack::{Item, KnapsackSolver, SolveScratch};
 use mris_schedulers::Scheduler;
 use mris_sim::ClusterTimelines;
 use mris_types::{ClusterSpec, Instance, JobId, Schedule, Time};
@@ -78,12 +78,15 @@ pub(crate) fn select_batch(
         solver.name(),
         solution.selected
     );
-    let mut batch = solution.selected.clone();
     let mut used = solution.size;
+    let mut batch = solution.selected;
+    // Folded items are appended, so the solver's picks stay the sorted
+    // prefix the binary search needs.
+    let picked = batch.len();
     let budget = zeta * solver.capacity_blowup();
     for (idx, item) in items.iter().enumerate() {
         if item.weight == 0.0
-            && solution.selected.binary_search(&idx).is_err()
+            && batch[..picked].binary_search(&idx).is_err()
             && used + item.size <= budget
         {
             used += item.size;
@@ -145,12 +148,7 @@ impl Mris {
         let gamma0 = stats.min_proc;
         debug_assert!(gamma0 > 0.0);
 
-        let solver: Box<dyn KnapsackSolver> = match self.config.knapsack {
-            KnapsackChoice::Cadp => Box::new(Cadp::new(self.config.epsilon)),
-            KnapsackChoice::Greedy => Box::new(GreedyConstraint),
-            KnapsackChoice::GreedyHalf => Box::new(mris_knapsack::GreedyHalf),
-            KnapsackChoice::Exact => Box::new(mris_knapsack::ExactDp::default()),
-        };
+        let solver = self.config.solver();
 
         let mut timelines = ClusterTimelines::with_spec(cluster, r);
         // Lines 3-6 of each iteration run inside `EpochState::run_epoch`:

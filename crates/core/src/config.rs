@@ -1,5 +1,6 @@
 //! MRIS configuration.
 
+use mris_knapsack::{Cadp, ExactDp, GreedyConstraint, GreedyHalf, KnapsackSolver};
 use mris_schedulers::SortHeuristic;
 
 /// Which constraint-approximate knapsack solves problem **P1** each
@@ -87,6 +88,17 @@ impl MrisConfig {
             "MRIS requires alpha >= 2 (gamma_(k+1) - gamma_k >= gamma_k), got {}",
             self.alpha
         );
+    }
+
+    /// The **P1** solver this configuration names; offline [`Mris`](crate::Mris)
+    /// and [`MrisOnline`](crate::MrisOnline) both construct theirs here.
+    pub fn solver(&self) -> Box<dyn KnapsackSolver> {
+        match self.knapsack {
+            KnapsackChoice::Cadp => Box::new(Cadp::new(self.epsilon)),
+            KnapsackChoice::Greedy => Box::new(GreedyConstraint),
+            KnapsackChoice::GreedyHalf => Box::new(GreedyHalf),
+            KnapsackChoice::Exact => Box::new(ExactDp::default()),
+        }
     }
 
     /// The proven competitive ratio of this configuration for AWCT (and

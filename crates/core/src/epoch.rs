@@ -17,8 +17,8 @@
 //!   most once; an epoch whose frontier is empty costs `O(1)`.
 //! * **Scratch arena.** The eligible list, item list, batch vector, and the
 //!   solver's [`SolveScratch`] live in an [`EpochScratch`] reused across
-//!   epochs, so a steady-state epoch allocates nothing beyond the returned
-//!   placements.
+//!   epochs, so a steady-state epoch allocates one vector: the solver's
+//!   selection, which `select_batch` extends into the batch and returns.
 //!
 //! Stage timing: when an observability subscriber is installed the epoch
 //! body opens `mris_epoch_{filter,solve,probe,commit}_seconds` spans (the
@@ -43,7 +43,8 @@ use crate::algorithm::select_batch;
 use crate::config::MrisConfig;
 
 /// Reusable per-epoch buffers: cleared and refilled every epoch, never
-/// shrunk, so steady-state epochs perform no allocation.
+/// shrunk, so a steady-state epoch's only allocation is the solver's
+/// selection vector.
 #[derive(Default)]
 struct EpochScratch {
     /// Eligible job ids in ascending id order (`J_k`).

@@ -21,11 +21,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mris_knapsack::{Cadp, GreedyConstraint, KnapsackSolver};
+use mris_knapsack::KnapsackSolver;
 use mris_sim::{ClusterTimelines, Dispatcher, OnlinePolicy, OrdTime};
 use mris_types::{ClusterSpec, Instance, JobId, SchedulingError, Time};
 
-use crate::config::{KnapsackChoice, MrisConfig};
+use crate::config::MrisConfig;
 use crate::epoch::EpochState;
 
 /// The incremental MRIS policy. Construct per run (it is stateful) with
@@ -79,15 +79,9 @@ impl MrisOnline {
             instance.stats().min_proc
         };
         debug_assert!(gamma0 > 0.0);
-        let solver: Box<dyn KnapsackSolver> = match config.knapsack {
-            KnapsackChoice::Cadp => Box::new(Cadp::new(config.epsilon)),
-            KnapsackChoice::Greedy => Box::new(GreedyConstraint),
-            KnapsackChoice::GreedyHalf => Box::new(mris_knapsack::GreedyHalf),
-            KnapsackChoice::Exact => Box::new(mris_knapsack::ExactDp::default()),
-        };
         MrisOnline {
             config,
-            solver,
+            solver: config.solver(),
             timelines: ClusterTimelines::with_spec(cluster, instance.num_resources()),
             num_machines,
             num_resources: instance.num_resources(),
@@ -245,7 +239,7 @@ impl OnlinePolicy for MrisOnline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mris;
+    use crate::{KnapsackChoice, Mris};
     use mris_schedulers::Scheduler;
     use mris_sim::{run_online_chaos, FaultPlan};
     use mris_types::{FaultEvent, FaultTarget, Job, RestartSemantics};

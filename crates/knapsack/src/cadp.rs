@@ -12,7 +12,7 @@
 //! typo: its own Lemma 6.1 proof requires `n * K = eps * zeta`, i.e.
 //! `K = eps * zeta / n`, which is what we implement.
 
-use crate::dp::solve_integer;
+use crate::dp::solve_integer_into;
 use crate::{assert_valid_items, Item, KnapsackSolver, Solution, SolveScratch};
 
 /// The CADP solver: optimal weight at `capacity`, returned size at most
@@ -76,7 +76,7 @@ impl KnapsackSolver for Cadp {
             .extend(items.iter().map(|it| (it.size / k).floor() as u64));
         scratch.weights.clear();
         scratch.weights.extend(items.iter().map(|it| it.weight));
-        let selected = solve_integer(&scratch.sizes, &scratch.weights, scaled_cap);
+        let selected = solve_integer_into(scratch, scaled_cap);
         Solution::from_selected(items, selected)
     }
 

@@ -1,44 +1,96 @@
 //! Exact integer-size knapsack dynamic programming.
 //!
-//! The value-only recurrence uses a single `O(capacity)` array. Solution
+//! The value recurrence is a streaming kernel over two `O(capacity)` rows:
+//! each item relaxes the current row **out of place** into the other one
+//! ([`relax`]), the rows swap, and only the columns an item can still
+//! change are touched (the *reach* bound in [`dp_values`]). Solution
 //! reconstruction uses Hirschberg-style divide and conquer: split the items
-//! in half, run a forward DP over the first half and a backward DP over the
-//! second, find the capacity split that maximizes the combined value, and
-//! recurse. Each recursion level does at most `n * capacity` array updates in
-//! total, so the whole reconstruction costs at most twice the value-only DP
-//! while never materializing the `n x capacity` choice matrix.
+//! in half, run the value DP over each half, find the capacity split that
+//! maximizes the combined value, and recurse. Each recursion level does at
+//! most `n * capacity` cell updates in total, so the whole reconstruction
+//! costs at most twice the value-only DP while never materializing the
+//! `n x capacity` choice matrix. Every node works in prefixes of one set of
+//! rows held by [`SolveScratch`], so a solve allocates nothing but its
+//! result.
 
 use crate::{assert_valid_items, Item, KnapsackSolver, Solution, SolveScratch};
 
-/// Best achievable weight for each capacity `0..=cap`, considering
-/// `items[lo..hi]`. `out` must have length `cap + 1` and is overwritten.
-fn dp_values(sizes: &[u64], weights: &[f64], lo: usize, hi: usize, cap: u64, out: &mut [f64]) {
-    debug_assert_eq!(out.len(), cap as usize + 1);
-    out.fill(0.0);
-    for i in lo..hi {
-        let s = sizes[i] as usize;
-        let w = weights[i];
-        if s > cap as usize || w <= 0.0 {
-            continue;
-        }
-        // Classic 0/1 downward scan so each item is used at most once.
-        for c in (s..=cap as usize).rev() {
-            let candidate = out[c - s] + w;
-            if candidate > out[c] {
-                out[c] = candidate;
-            }
-        }
+/// One item of size `s` and weight `w`: `next[c] = max(cur[c], cur[c-s] + w)`
+/// for `c >= s`, `next[c] = cur[c]` below.
+///
+/// `cur` and `next` never alias, so the loop is a zip over three disjoint
+/// slices — a packed add, compare and select with no branch and no bounds
+/// check. An in-place downward scan computes the same cells but reads and
+/// writes one slice at an offset the compiler cannot see through, which
+/// keeps it scalar with a data-dependent branch (DESIGN.md §18 has the
+/// measurements). The comparison is the strict `>` on `cur[c-s] + w`, not
+/// `f64::max`.
+fn relax(cur: &[f64], next: &mut [f64], s: usize, w: f64) {
+    debug_assert_eq!(cur.len(), next.len());
+    let shifted = cur.len() - s;
+    next[..s].copy_from_slice(&cur[..s]);
+    for ((out, &below), &same) in next[s..].iter_mut().zip(&cur[..shifted]).zip(&cur[s..]) {
+        let candidate = below + w;
+        *out = if candidate > same { candidate } else { same };
     }
 }
 
+/// Best achievable weight for each capacity `0..=cap` over the given items,
+/// written to `out`. `out` and `spare` must both have length `cap + 1`;
+/// their prior contents are irrelevant.
+///
+/// **Flat-region invariant.** Let `P` be the summed size of the items
+/// relaxed so far. Every column `c >= P` holds the same bits as column
+/// `min(P, cap)`: before any item the row is all zeros, and if the claim
+/// holds at `P` then relaxing an item of size `s` reads, for every
+/// `c >= P + s`, the candidate `row[c-s] + w` with `c - s >= P` and the
+/// incumbent `row[c]` with `c >= P` — the same two floats in each such
+/// column, hence the same result. So only `[..=reach]`, `reach = min(cap,
+/// P)`, is kept live: it is extended by a fill before each item and the
+/// tail is filled once at the end.
+fn dp_values(sizes: &[u64], weights: &[f64], cap: u64, out: &mut [f64], spare: &mut [f64]) {
+    let cap = cap as usize;
+    debug_assert_eq!(out.len(), cap + 1);
+    debug_assert_eq!(spare.len(), cap + 1);
+    let (mut cur, mut next) = (out, spare);
+    let mut result_in_out = true;
+    cur[0] = 0.0;
+    let mut reach = 0usize;
+    for (&s, &w) in sizes.iter().zip(weights) {
+        if s > cap as u64 || w <= 0.0 {
+            continue;
+        }
+        let s = s as usize;
+        let grown = cap.min(reach + s);
+        let flat = cur[reach];
+        cur[reach + 1..=grown].fill(flat);
+        reach = grown;
+        relax(&cur[..=reach], &mut next[..=reach], s, w);
+        std::mem::swap(&mut cur, &mut next);
+        result_in_out = !result_in_out;
+    }
+    if !result_in_out {
+        // An odd number of relaxations left the row in `spare`.
+        next[..=reach].copy_from_slice(&cur[..=reach]);
+        cur = next;
+    }
+    let flat = cur[reach];
+    cur[reach + 1..].fill(flat);
+}
+
 /// Reconstructs one optimal selection of `items[lo..hi]` at capacity `cap`
-/// into `selected`, using divide and conquer.
+/// into `selected` (in increasing index order), using divide and conquer.
+///
+/// `rows` is the arena: two value rows and the relaxation spare, each at
+/// least `cap + 1` long. A node is done with its rows once it has chosen
+/// the split, so its children reuse them as shorter prefixes.
 fn dp_reconstruct(
     sizes: &[u64],
     weights: &[f64],
     lo: usize,
     hi: usize,
     cap: u64,
+    rows: &mut [Vec<f64>; 3],
     selected: &mut Vec<usize>,
 ) {
     if lo >= hi || cap == 0 {
@@ -57,10 +109,11 @@ fn dp_reconstruct(
         return;
     }
     let mid = lo + (hi - lo) / 2;
-    let mut left = vec![0.0; cap as usize + 1];
-    let mut right = vec![0.0; cap as usize + 1];
-    dp_values(sizes, weights, lo, mid, cap, &mut left);
-    dp_values(sizes, weights, mid, hi, cap, &mut right);
+    let width = cap as usize + 1;
+    let [left, right, spare] = rows;
+    let (left, right, spare) = (&mut left[..width], &mut right[..width], &mut spare[..width]);
+    dp_values(&sizes[lo..mid], &weights[lo..mid], cap, left, spare);
+    dp_values(&sizes[mid..hi], &weights[mid..hi], cap, right, spare);
     let mut best_c = 0usize;
     let mut best = f64::NEG_INFINITY;
     for c in 0..=cap as usize {
@@ -70,10 +123,39 @@ fn dp_reconstruct(
             best_c = c;
         }
     }
-    drop(left);
-    drop(right);
-    dp_reconstruct(sizes, weights, lo, mid, best_c as u64, selected);
-    dp_reconstruct(sizes, weights, mid, hi, cap - best_c as u64, selected);
+    dp_reconstruct(sizes, weights, lo, mid, best_c as u64, rows, selected);
+    dp_reconstruct(sizes, weights, mid, hi, cap - best_c as u64, rows, selected);
+}
+
+/// `cap` clamped to the total size: larger capacities are equivalent and
+/// only waste DP columns.
+fn clamp_to_total(sizes: &[u64], cap: u64) -> u64 {
+    cap.min(sizes.iter().fold(0u64, |a, &b| a.saturating_add(b)))
+}
+
+/// [`solve_integer`] over the instance staged in `scratch.sizes` and
+/// `scratch.weights`, drawing the DP rows and the index staging from
+/// `scratch`; the returned vector is the only allocation once the scratch
+/// has grown to the instance.
+pub(crate) fn solve_integer_into(scratch: &mut SolveScratch, cap: u64) -> Vec<usize> {
+    let SolveScratch {
+        sizes,
+        weights,
+        indices,
+        rows,
+    } = scratch;
+    assert_eq!(sizes.len(), weights.len());
+    let cap = clamp_to_total(sizes, cap);
+    for row in rows.iter_mut() {
+        // Contents are overwritten by every `dp_values`; only length matters.
+        if row.len() <= cap as usize {
+            row.resize(cap as usize + 1, 0.0);
+        }
+    }
+    indices.clear();
+    dp_reconstruct(sizes, weights, 0, sizes.len(), cap, rows, indices);
+    debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
+    indices.clone()
 }
 
 /// Solves the 0/1 knapsack with integer sizes exactly.
@@ -85,25 +167,28 @@ fn dp_reconstruct(
 /// Items with non-positive weight are never selected (selecting them cannot
 /// increase the objective and only consumes capacity).
 pub fn solve_integer(sizes: &[u64], weights: &[f64], cap: u64) -> Vec<usize> {
+    let mut scratch = SolveScratch {
+        sizes: sizes.to_vec(),
+        weights: weights.to_vec(),
+        ..SolveScratch::default()
+    };
+    solve_integer_into(&mut scratch, cap)
+}
+
+/// Best achievable total weight at every integer capacity `0..=cap` (value
+/// only): entry `c` is the optimum of the knapsack with capacity `c`.
+pub fn value_row_integer(sizes: &[u64], weights: &[f64], cap: u64) -> Vec<f64> {
     assert_eq!(sizes.len(), weights.len());
-    // Clamp the capacity to the total size: larger capacities are equivalent
-    // and only waste DP columns.
-    let total: u64 = sizes.iter().fold(0u64, |a, &b| a.saturating_add(b));
-    let cap = cap.min(total);
-    let mut selected = Vec::new();
-    dp_reconstruct(sizes, weights, 0, sizes.len(), cap, &mut selected);
-    selected.sort_unstable();
-    selected
+    let width = cap as usize + 1;
+    let (mut out, mut spare) = (vec![0.0; width], vec![0.0; width]);
+    dp_values(sizes, weights, cap, &mut out, &mut spare);
+    out
 }
 
 /// Best achievable total weight at integer capacity `cap` (value only).
 pub fn max_weight_integer(sizes: &[u64], weights: &[f64], cap: u64) -> f64 {
-    assert_eq!(sizes.len(), weights.len());
-    let total: u64 = sizes.iter().fold(0u64, |a, &b| a.saturating_add(b));
-    let cap = cap.min(total);
-    let mut out = vec![0.0; cap as usize + 1];
-    dp_values(sizes, weights, 0, sizes.len(), cap, &mut out);
-    *out.last().unwrap()
+    let row = value_row_integer(sizes, weights, clamp_to_total(sizes, cap));
+    row[row.len() - 1]
 }
 
 /// Exact pseudo-polynomial knapsack over real sizes, via fixed-point scaling.
@@ -146,7 +231,7 @@ impl KnapsackSolver for ExactDp {
         scratch.weights.clear();
         scratch.weights.extend(items.iter().map(|it| it.weight));
         let cap = (capacity * self.resolution).floor().max(0.0) as u64;
-        let selected = solve_integer(&scratch.sizes, &scratch.weights, cap);
+        let selected = solve_integer_into(scratch, cap);
         Solution::from_selected(items, selected)
     }
 

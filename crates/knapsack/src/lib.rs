@@ -33,7 +33,7 @@ mod greedy;
 
 pub use brute::brute_force;
 pub use cadp::Cadp;
-pub use dp::{max_weight_integer, solve_integer, ExactDp};
+pub use dp::{max_weight_integer, solve_integer, value_row_integer, ExactDp};
 pub use greedy::{GreedyConstraint, GreedyHalf};
 
 /// A knapsack item: MRIS maps job `j` to `weight = w_j`, `size = v_j`
@@ -91,12 +91,13 @@ impl Solution {
 
 /// Reusable scratch buffers for [`KnapsackSolver::solve_into`].
 ///
-/// Every solver needs a handful of `O(n)` temporaries per solve — scaled
-/// integer sizes, extracted weights, a density-sorted index order. A caller
-/// that solves once per scheduling epoch can hold one `SolveScratch` for the
-/// lifetime of the run and amortize those allocations away; the only
-/// per-solve allocation left is the (batch-sized) `selected` vector inside
-/// the returned [`Solution`].
+/// Every solver needs a handful of temporaries per solve — scaled integer
+/// sizes, extracted weights, a density-sorted index order, and for the
+/// DP-based solvers three `O(capacity)` value rows. A caller that solves
+/// once per scheduling epoch can hold one `SolveScratch` for the lifetime of
+/// the run and amortize those allocations away: once the buffers have grown
+/// to the largest instance seen, the only per-solve allocation left is the
+/// (batch-sized) `selected` vector inside the returned [`Solution`].
 ///
 /// The buffers carry **no state between solves**: every `solve_into`
 /// implementation fully re-initializes whatever it uses, so a scratch can be
@@ -110,6 +111,10 @@ pub struct SolveScratch {
     /// Index staging: density order for the greedies, raw DP selection for
     /// the exact solvers.
     pub(crate) indices: Vec<usize>,
+    /// The DP arena: two value rows and the out-of-place relaxation spare,
+    /// sized for the top-level capacity; every Hirschberg node works in
+    /// prefixes of them.
+    pub(crate) rows: [Vec<f64>; 3],
 }
 
 /// A 0/1-knapsack solver over real-valued sizes.

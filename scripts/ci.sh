@@ -25,6 +25,11 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --release --offline -p mris-sim"
 cargo test -q --release --offline -p mris-sim
 
+# The knapsack DP kernel compiles to packed compare/select in release and to
+# a scalar loop in debug; its differential test must hold in both profiles.
+echo "==> cargo test -q --release --offline -p mris-knapsack"
+cargo test -q --release --offline -p mris-knapsack
+
 echo "==> timeline bench smoke run + schema check"
 mkdir -p results
 cargo run --release --offline -p mris-bench --bin timeline -- \
@@ -188,5 +193,8 @@ for family in mris_dispatcher_placements_total mris_knapsack_solves_total \
   grep -q "^# TYPE $family " results/BENCH_obs_smoke.prom \
     || { echo "BENCH_obs_smoke.prom is missing the $family family" >&2; exit 1; }
 done
+
+echo "==> job-path benchmark smoke on overload (correctness + schema, no timing gate)"
+benchmark/run.sh --smoke --workload overload >/dev/null
 
 echo "CI OK"
