@@ -1,12 +1,13 @@
-//! The MRIS main loop (Algorithm 1).
+//! The batch face of Algorithm 1: [`Mris`] is a [`Scheduler`] whose policy
+//! is [`MrisOnline`], plus the per-iteration log and the P1 batch selection.
 
 use mris_knapsack::{Item, KnapsackSolver, SolveScratch};
 use mris_schedulers::Scheduler;
-use mris_sim::ClusterTimelines;
-use mris_types::{ClusterSpec, Instance, JobId, Schedule, Time};
+use mris_sim::{run_online, OnlinePolicy};
+use mris_types::{ClusterSpec, Instance, Schedule, SchedulingError, Time};
 
 use crate::config::{KnapsackChoice, MrisConfig};
-use crate::epoch::EpochState;
+use crate::online::MrisOnline;
 
 /// Multi-Resource Interval Scheduling (Algorithm 1): the paper's main
 /// contribution. `8R(1 + eps)`-competitive for AWCT (Theorem 6.8) and for
@@ -32,7 +33,7 @@ pub struct Mris {
 }
 
 /// Per-iteration instrumentation returned by [`Mris::schedule_with_log`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IterationStats {
     /// Iteration index `k`.
     pub k: usize,
@@ -114,85 +115,44 @@ impl Mris {
 
     /// [`Mris::schedule_with_log`] on an explicit cluster description:
     /// placement probes and commits scale nominal work by each machine's
-    /// speed and respect per-machine capacities. On a uniform spec this is
-    /// bit-identical to the historical path.
+    /// speed and respect per-machine capacities. The schedule is the one
+    /// [`Scheduler::try_schedule_on`] returns; the log has one entry per
+    /// iteration that scheduled at least one job.
     ///
-    /// Precedence edges are ignored here — the offline pass has no
-    /// completion events to gate on. [`Scheduler::try_schedule_on`] routes
-    /// DAG instances through the event-driven engine instead.
+    /// # Panics
+    ///
+    /// Panics if the policy fails to place a job, like
+    /// [`Scheduler::schedule_on`].
     pub fn schedule_with_log_on(
         &self,
         instance: &Instance,
         cluster: &ClusterSpec,
     ) -> (Schedule, Vec<IterationStats>) {
-        self.config.validate();
-        let num_machines = cluster.len();
-        assert!(num_machines > 0);
+        let mut policy = MrisOnline::new_on(self.config, instance, cluster);
+        policy.record_iterations();
+        match self.run(instance, cluster, policy) {
+            Ok(out) => out,
+            Err(e) => panic!("{} failed to schedule: {e}", self.name()),
+        }
+    }
+
+    /// Runs `policy` through the event kernel under the batch entry point's
+    /// `mris_schedule_seconds` span and iteration counter.
+    fn run(
+        &self,
+        instance: &Instance,
+        cluster: &ClusterSpec,
+        mut policy: MrisOnline,
+    ) -> Result<(Schedule, Vec<IterationStats>), SchedulingError> {
         let _span = mris_obs::span!(
             "mris_schedule_seconds",
             jobs = instance.len(),
-            machines = num_machines
+            machines = cluster.len()
         );
-        let mut schedule = Schedule::new(instance.len(), num_machines);
-        let mut log = Vec::new();
-        if instance.is_empty() {
-            return (schedule, log);
-        }
-
-        let r = instance.num_resources();
-        let stats = instance.stats();
-        // The paper normalizes p_j >= 1 and starts the grid at gamma_0 = 1
-        // (= the minimum processing time). Starting at min_proc generalizes
-        // that to unnormalized instances: no job can complete before gamma_0,
-        // which is what the Lemma 6.6 accounting needs.
-        let gamma0 = stats.min_proc;
-        debug_assert!(gamma0 > 0.0);
-
-        let solver = self.config.solver();
-
-        let mut timelines = ClusterTimelines::with_spec(cluster, r);
-        // Lines 3-6 of each iteration run inside `EpochState::run_epoch`:
-        // eligibility via the monotone frontier, P1 via the knapsack,
-        // placement via PQ-with-backfilling (see `epoch.rs`).
-        let mut state = EpochState::new(instance.len(), self.config.force_epoch_rebuild);
-        for job in instance.jobs() {
-            state.insert(job.id, job.proc_time, job.release);
-        }
-        let mut placements: Vec<(JobId, usize, Time)> = Vec::new();
-        let mut gamma = gamma0;
-        let mut k = 0usize;
-        while !state.is_empty() {
-            let zeta = (r * num_machines) as f64 * gamma;
-            placements.clear();
-            let stats = state.run_epoch(
-                instance,
-                &mut timelines,
-                solver.as_ref(),
-                &self.config,
-                gamma,
-                zeta,
-                &mut placements,
-            );
-            if stats.scheduled > 0 {
-                for &(j, m, s) in &placements {
-                    schedule.assign(j, m, s).expect("MRIS placed a job twice");
-                }
-                log.push(IterationStats {
-                    k,
-                    gamma,
-                    zeta,
-                    eligible: stats.eligible,
-                    scheduled: stats.scheduled,
-                    batch_weight: stats.batch_weight,
-                    batch_volume: stats.batch_volume,
-                    batch_end: stats.batch_end,
-                });
-            }
-            k += 1;
-            gamma = gamma0 * self.config.alpha.powi(k as i32);
-        }
-        mris_obs::counter_add("mris_schedule_iterations_total", k as u64);
-        (schedule, log)
+        let schedule = run_online(instance, cluster, &mut policy)?;
+        let (log, iterations) = policy.into_iterations();
+        mris_obs::counter_add("mris_schedule_iterations_total", iterations as u64);
+        Ok((schedule, log))
     }
 }
 
@@ -208,21 +168,19 @@ impl Scheduler for Mris {
         }
     }
 
+    fn policy(&self, instance: &Instance, cluster: &ClusterSpec) -> Box<dyn OnlinePolicy> {
+        Box::new(MrisOnline::new_on(self.config, instance, cluster))
+    }
+
+    // The provided method on a concrete `MrisOnline`, inside the batch
+    // entry point's span and counter.
     fn try_schedule_on(
         &self,
         instance: &Instance,
         cluster: &ClusterSpec,
-    ) -> Result<Schedule, mris_types::SchedulingError> {
-        if instance.has_precedence() {
-            // The offline pass packs timelines with no completion events to
-            // gate on, so DAG instances run through the event-driven engine
-            // instead: fault-free, MrisOnline reproduces the offline pass
-            // exactly (pinned by the chaos determinism suite), and the
-            // driver withholds each job until its predecessors complete.
-            let mut policy = crate::MrisOnline::new_on(self.config, instance, cluster);
-            return mris_sim::run_online(instance, cluster, &mut policy);
-        }
-        Ok(self.schedule_with_log_on(instance, cluster).0)
+    ) -> Result<Schedule, SchedulingError> {
+        let policy = MrisOnline::new_on(self.config, instance, cluster);
+        Ok(self.run(instance, cluster, policy)?.0)
     }
 
     fn supports_precedence(&self) -> bool {
@@ -238,7 +196,7 @@ impl Scheduler for Mris {
 mod tests {
     use super::*;
     use mris_schedulers::{Pq, SortHeuristic};
-    use mris_types::Job;
+    use mris_types::{Job, JobId};
 
     fn inst(jobs: Vec<Job>, r: usize) -> Instance {
         Instance::from_unnumbered(jobs, r).unwrap()
@@ -371,6 +329,52 @@ mod tests {
         let instance = inst(jobs, 1);
         let s = Mris::default().schedule(&instance, 1);
         s.validate(&instance).unwrap();
+    }
+
+    #[test]
+    fn batch_end_is_a_completion_time_on_related_machines() {
+        // Two full-demand p = 4 jobs on one speed-0.5 machine run [4, 12)
+        // and [12, 20): the log reports those completions, not start + p.
+        let jobs = vec![j(0.0, 4.0, 2.0, &[1.0]), j(0.0, 4.0, 1.0, &[1.0])];
+        let instance = inst(jobs, 1);
+        let cluster = ClusterSpec::related(1, &[0.5]);
+        let (s, log) = Mris::default().schedule_with_log_on(&instance, &cluster);
+        s.validate_on(&instance, &cluster).unwrap();
+        let ends: Vec<Time> = log.iter().map(|it| it.batch_end).collect();
+        assert_eq!(ends, [12.0, 20.0]);
+    }
+
+    #[test]
+    fn log_path_honours_precedence_edges() {
+        use mris_types::InstanceBuilder;
+        // The chain 0 -> 1 on one machine, and `tests/dag_golden.rs`'s
+        // diamond 0 -> {1, 2} -> 3 on two.
+        let mut chain = InstanceBuilder::new(1);
+        let a = chain.push_job(0.0, 4.0, 1.0, &[0.5]);
+        let b = chain.push_job(0.0, 4.0, 1.0, &[0.5]);
+        chain.edge(a, b);
+        let mut diamond = InstanceBuilder::new(1);
+        let ids: Vec<JobId> = [(2.0, 1.0), (1.0, 2.0), (3.0, 1.0), (1.0, 4.0)]
+            .iter()
+            .map(|&(p, w)| diamond.push_job(0.0, p, w, &[0.6]))
+            .collect();
+        for (pred, succ) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            diamond.edge(ids[pred], ids[succ]);
+        }
+        for (builder, machines) in [(chain, 1), (diamond, 2)] {
+            let instance = builder.build().unwrap();
+            let cluster = ClusterSpec::uniform(machines);
+            let (s, log) = Mris::default().schedule_with_log_on(&instance, &cluster);
+            s.validate_on(&instance, &cluster).unwrap();
+            assert_eq!(
+                s,
+                Mris::default()
+                    .try_schedule_on(&instance, &cluster)
+                    .unwrap()
+            );
+            let logged: usize = log.iter().map(|it| it.scheduled).sum();
+            assert_eq!(logged, instance.len());
+        }
     }
 
     #[test]

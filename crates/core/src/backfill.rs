@@ -25,21 +25,21 @@ use mris_types::{Instance, JobId, Time};
 /// placements `(job, machine, start)` in batch order.
 ///
 /// Ties between machines break toward the lower index, making the subroutine
-/// fully deterministic for a fixed batch order.
+/// fully deterministic for a fixed batch order. Probe and commit are the
+/// pair the MRIS epoch uses: both account `p_j` as `p_j / speed_m` wall time.
 pub fn place_batch(
     timelines: &mut ClusterTimelines,
     instance: &Instance,
     batch: &[JobId],
     floor: Time,
 ) -> Vec<(JobId, usize, Time)> {
-    let mut placements = Vec::with_capacity(batch.len());
-    for &id in batch {
-        let job = instance.job(id);
-        let (machine, start) = timelines.earliest_fit_mut(floor, job.proc_time, &job.demands);
-        timelines.commit(machine, start, job.proc_time, &job.demands);
-        placements.push((id, machine, start));
-    }
-    placements
+    batch
+        .iter()
+        .map(|&id| {
+            let (machine, start) = timelines.place_earliest(instance.job(id), floor);
+            (id, machine, start)
+        })
+        .collect()
 }
 
 /// The Lemma 6.3 upper bound on the makespan of a batch placed by
@@ -58,7 +58,7 @@ pub fn batch_makespan_bound(instance: &Instance, batch: &[JobId], machines: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mris_types::{Instance, Job, JobId};
+    use mris_types::{ClusterSpec, Instance, Job, JobId, Schedule};
 
     fn inst(jobs: Vec<Job>, r: usize) -> Instance {
         Instance::from_unnumbered(jobs, r).unwrap()
@@ -119,6 +119,26 @@ mod tests {
         assert!(makespan <= bound + 1e-9);
         // Tightness: the bound is within (1 + 2 delta) of the achieved value.
         assert!(bound <= makespan * (1.0 + 2.0 * delta) + 1e-9);
+    }
+
+    #[test]
+    fn commits_what_it_probed_on_a_slow_machine() {
+        // Two full-demand p = 4 jobs on one speed-0.5 machine: each occupies
+        // 8 wall-time units, so the second must start at 8, not at 4.
+        let jobs = vec![
+            Job::from_fractions(JobId(0), 0.0, 4.0, 1.0, &[1.0]),
+            Job::from_fractions(JobId(0), 0.0, 4.0, 1.0, &[1.0]),
+        ];
+        let instance = inst(jobs, 1);
+        let cluster = ClusterSpec::related(1, &[0.5]);
+        let mut tl = ClusterTimelines::with_spec(&cluster, 1);
+        let placements = place_batch(&mut tl, &instance, &all_ids(&instance), 0.0);
+        assert_eq!(placements, [(JobId(0), 0, 0.0), (JobId(1), 0, 8.0)]);
+        let mut schedule = Schedule::new(instance.len(), cluster.len());
+        for (j, m, s) in placements {
+            schedule.assign(j, m, s).unwrap();
+        }
+        schedule.validate_on(&instance, &cluster).unwrap();
     }
 
     #[test]

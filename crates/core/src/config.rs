@@ -90,8 +90,8 @@ impl MrisConfig {
         );
     }
 
-    /// The **P1** solver this configuration names; offline [`Mris`](crate::Mris)
-    /// and [`MrisOnline`](crate::MrisOnline) both construct theirs here.
+    /// The **P1** solver this configuration names;
+    /// [`MrisOnline`](crate::MrisOnline) constructs its own here.
     pub fn solver(&self) -> Box<dyn KnapsackSolver> {
         match self.knapsack {
             KnapsackChoice::Cadp => Box::new(Cadp::new(self.epsilon)),

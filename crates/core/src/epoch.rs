@@ -1,14 +1,12 @@
 //! Incremental epoch state for the Algorithm 1 interval loop.
 //!
-//! The offline pass ([`Mris`](crate::Mris)) and the online policy
-//! ([`MrisOnline`](crate::MrisOnline)) execute the same per-iteration body:
-//! filter the pending set down to the eligible jobs `J_k`, solve problem
-//! **P1** at budget `zeta_k`, and place the batch earliest-fit. Before this
-//! module both loops re-derived everything from scratch at every `gamma_k`
-//! — an `O(pending)` filter plus a fresh knapsack solve and a handful of
-//! allocations per epoch, even for epochs in which nothing changed.
-//!
-//! [`EpochState`] carries the loop's working set across iterations:
+//! Each iteration of [`MrisOnline`](crate::MrisOnline) — the state's one
+//! owner — filters the pending set down to the eligible jobs `J_k`, solves
+//! problem **P1** at budget `zeta_k`, and places the batch earliest-fit.
+//! Re-deriving all of that at every `gamma_k` costs an `O(pending)` filter
+//! plus a handful of allocations per epoch, even for epochs in which
+//! nothing changed, so [`EpochState`] carries the loop's working set across
+//! iterations:
 //!
 //! * **Monotone eligibility frontier.** A job becomes eligible at the fixed
 //!   threshold `max(p_j, available_from_j)` and — because the grid only
@@ -39,7 +37,7 @@ use mris_knapsack::{Item, KnapsackSolver, SolveScratch};
 use mris_sim::{ClusterTimelines, OrdTime};
 use mris_types::{Instance, JobId, Time};
 
-use crate::algorithm::select_batch;
+use crate::algorithm::{select_batch, IterationStats};
 use crate::config::MrisConfig;
 
 /// Reusable per-epoch buffers: cleared and refilled every epoch, never
@@ -55,21 +53,6 @@ struct EpochScratch {
     batch: Vec<JobId>,
     /// The knapsack solver's temporary buffers.
     solve: SolveScratch,
-}
-
-/// Per-epoch outcome summary, consumed by the offline iteration log.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EpochStats {
-    /// `|J_k|`: eligible jobs considered this epoch.
-    pub eligible: usize,
-    /// `|B_k|`: jobs selected and placed.
-    pub scheduled: usize,
-    /// Total weight of `B_k`.
-    pub batch_weight: f64,
-    /// Total volume of `B_k`.
-    pub batch_volume: f64,
-    /// Latest completion among this epoch's placements (0 if none).
-    pub batch_end: Time,
 }
 
 /// The carried state described in the [module docs](self).
@@ -162,11 +145,11 @@ impl EpochState {
         }
     }
 
-    /// Runs one Algorithm 1 epoch at `gamma` with budget `zeta`: frontier
-    /// advance, batch selection, heuristic sort, and
-    /// earliest-fit placement committed onto `timelines`. Placements are
-    /// appended to `placements` in placement order; selected jobs leave the
-    /// state.
+    /// Runs Algorithm 1's iteration `k` at `gamma` with budget
+    /// `zeta_k = R * M * gamma`: frontier advance, batch selection,
+    /// heuristic sort, and earliest-fit placement committed onto
+    /// `timelines`. Placements are appended to `placements` in placement
+    /// order; selected jobs leave the state.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_epoch(
         &mut self,
@@ -174,11 +157,17 @@ impl EpochState {
         timelines: &mut ClusterTimelines,
         solver: &dyn KnapsackSolver,
         config: &MrisConfig,
+        k: usize,
         gamma: Time,
-        zeta: f64,
         placements: &mut Vec<(JobId, usize, Time)>,
-    ) -> EpochStats {
-        let mut stats = EpochStats::default();
+    ) -> IterationStats {
+        let zeta = (instance.num_resources() * timelines.num_machines()) as f64 * gamma;
+        let mut stats = IterationStats {
+            k,
+            gamma,
+            zeta,
+            ..Default::default()
+        };
         {
             let _s = mris_obs::span!("mris_epoch_filter_seconds");
             self.scratch.eligible.clear();
@@ -247,9 +236,10 @@ impl EpochState {
         let mut commit_time = std::time::Duration::ZERO;
         for &id in &self.scratch.batch {
             let job = instance.job(id);
-            // `proc_time` is nominal work; the fit probe and `commit_job`
-            // both scale it by the chosen machine's speed (a no-op on unit
-            // machines, where `p / 1.0` is bitwise `p`).
+            // `proc_time` is nominal work; the fit probe, `commit_job` and
+            // the completion below all scale it by the chosen machine's
+            // speed (a no-op on unit machines, where `p / 1.0` is bitwise
+            // `p`).
             let (machine, start) = if timed {
                 let t0 = std::time::Instant::now();
                 let (machine, start) =
@@ -260,17 +250,16 @@ impl EpochState {
                 commit_time += t1.elapsed();
                 (machine, start)
             } else {
-                let (machine, start) =
-                    timelines.earliest_fit_mut(floor, job.proc_time, &job.demands);
-                timelines.commit_job(machine, start, job.proc_time, &job.demands);
-                (machine, start)
+                timelines.place_earliest(job, floor)
             };
             placements.push((id, machine, start));
             self.frontier.remove(&id);
             stats.scheduled += 1;
             stats.batch_weight += job.weight;
             stats.batch_volume += job.volume();
-            stats.batch_end = stats.batch_end.max(start + job.proc_time);
+            stats.batch_end = stats
+                .batch_end
+                .max(start + job.proc_time / timelines.speed(machine));
         }
         if timed {
             mris_obs::histogram_record("mris_epoch_probe_seconds", probe_time.as_secs_f64());

@@ -23,6 +23,11 @@ use mris_types::{Amount, Instance, JobId, Time, CAPACITY};
 /// earlier than `floor` (and no earlier than each machine's current
 /// horizon). Returns placements in batch order.
 ///
+/// A unit-machine ablation routine (Remark 3): shelves are packed against
+/// the global `CAPACITY` and committed as wall time, so it ignores a
+/// [`ClusterSpec`](mris_types::ClusterSpec)'s per-machine capacities and
+/// speeds. Use [`place_batch`](crate::place_batch) on non-uniform clusters.
+///
 /// Panics if the batch is empty-safe (returns empty) — jobs may have
 /// unequal processing times, in which case every shelf runs for the longest
 /// processing time among its members (correct, but wasteful; intended for

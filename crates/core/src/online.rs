@@ -1,15 +1,12 @@
-//! MRIS as an incremental [`OnlinePolicy`], for the event-driven and
-//! fault-injection drivers.
+//! Algorithm 1 as an [`OnlinePolicy`]: the one MRIS loop in the workspace.
 //!
-//! [`Mris`](crate::Mris) constructs the whole schedule in one offline pass
-//! over the geometric interval grid. [`MrisOnline`] runs the *same*
-//! Algorithm 1 loop incrementally: iteration `k` executes when the
-//! simulated clock reaches `gamma_k` (requested through
-//! [`OnlinePolicy::next_wakeup`]), commits its batch on the shared
-//! [`ClusterTimelines`], and the committed starts are realized on the live
-//! cluster as their times arrive. Under a fault-free run this produces a
-//! schedule byte-identical to the offline pass (pinned by the chaos
-//! property suite); under machine failures it additionally:
+//! Iteration `k` executes when the simulated clock reaches `gamma_k`
+//! (requested through [`OnlinePolicy::next_wakeup`]), commits its batch on
+//! the policy's [`ClusterTimelines`], and the committed starts are realized
+//! on the live cluster as their times arrive. Every front end runs this
+//! policy through the event kernel — batch [`Mris`](crate::Mris), the
+//! fault-injection driver, the service. Under machine failures it
+//! additionally:
 //!
 //! * truncates the failed machine's committed timeline
 //!   ([`ClusterTimelines::reset_machine`]) and blocks out the downtime with
@@ -25,18 +22,17 @@ use mris_knapsack::KnapsackSolver;
 use mris_sim::{ClusterTimelines, Dispatcher, OnlinePolicy, OrdTime};
 use mris_types::{ClusterSpec, Instance, JobId, SchedulingError, Time};
 
+use crate::algorithm::IterationStats;
 use crate::config::MrisConfig;
 use crate::epoch::EpochState;
 
-/// The incremental MRIS policy. Construct per run (it is stateful) with
-/// [`MrisOnline::new`], then drive it with
-/// [`run_online_chaos`](mris_sim::run_online_chaos).
+/// The MRIS policy. Construct per run (it is stateful) with
+/// [`MrisOnline::new`], then drive it with [`run_online`](mris_sim::run_online)
+/// or [`run_driver`](mris_sim::run_driver).
 pub struct MrisOnline {
     config: MrisConfig,
     solver: Box<dyn KnapsackSolver>,
     timelines: ClusterTimelines,
-    num_machines: usize,
-    num_resources: usize,
     gamma0: Time,
     /// Current interval endpoint `gamma_k`; iteration `k` runs when the
     /// clock reaches it.
@@ -54,6 +50,10 @@ pub struct MrisOnline {
     pending: BinaryHeap<Reverse<(OrdTime, JobId, usize)>>,
     /// Scratch for each epoch's placements, reused across iterations.
     placements: Vec<(JobId, usize, Time)>,
+    /// One entry per iteration that scheduled something, when recording.
+    /// `None` unless [`Mris::schedule_with_log_on`](crate::Mris) switched it
+    /// on; not replay state, so not part of the durable encoding.
+    log: Option<Vec<IterationStats>>,
 }
 
 impl MrisOnline {
@@ -68,11 +68,13 @@ impl MrisOnline {
     /// commits account nominal work as `p / speed_m` wall time.
     pub fn new_on(config: MrisConfig, instance: &Instance, cluster: &ClusterSpec) -> Self {
         config.validate();
-        let num_machines = cluster.len();
-        assert!(num_machines > 0);
-        // Same grid base as the offline pass: gamma_0 = min_proc (see
-        // `Mris::schedule_with_log`); the value is irrelevant for an empty
-        // instance but must be positive for the geometric grid.
+        assert!(!cluster.is_empty());
+        // The paper normalizes p_j >= 1 and starts the grid at gamma_0 = 1
+        // (= the minimum processing time). Starting at min_proc generalizes
+        // that to unnormalized instances: no job can complete before
+        // gamma_0, which is what the Lemma 6.6 accounting needs. The value
+        // is irrelevant for an empty instance but must be positive for the
+        // geometric grid.
         let gamma0 = if instance.is_empty() {
             1.0
         } else {
@@ -83,19 +85,29 @@ impl MrisOnline {
             config,
             solver: config.solver(),
             timelines: ClusterTimelines::with_spec(cluster, instance.num_resources()),
-            num_machines,
-            num_resources: instance.num_resources(),
             gamma0,
             gamma: gamma0,
             k: 0,
             state: EpochState::new(instance.len(), config.force_epoch_rebuild),
             pending: BinaryHeap::new(),
             placements: Vec::new(),
+            log: None,
         }
     }
 
+    /// Starts recording the iteration log.
+    pub(crate) fn record_iterations(&mut self) {
+        self.log = Some(Vec::new());
+    }
+
+    /// The recorded iteration log (empty unless recording) and the number
+    /// of grid iterations run so far.
+    pub(crate) fn into_iterations(self) -> (Vec<IterationStats>, usize) {
+        (self.log.unwrap_or_default(), self.k)
+    }
+
     /// One Algorithm 1 iteration at the current `gamma_k`: timeline
-    /// compaction (the grid stage), then the shared incremental epoch body
+    /// compaction (the grid stage), then the epoch body
     /// (`EpochState::run_epoch` — frontier advance, knapsack with budget
     /// `zeta_k`, heuristic-ordered earliest-fit placement with floor
     /// `gamma_k`). Selected jobs leave the epoch state and enter `pending`;
@@ -106,19 +118,23 @@ impl MrisOnline {
             let _s = mris_obs::span!("mris_epoch_grid_seconds");
             self.timelines.compact_before(gamma);
         }
-        let zeta = (self.num_resources * self.num_machines) as f64 * gamma;
         self.placements.clear();
-        self.state.run_epoch(
+        let stats = self.state.run_epoch(
             instance,
             &mut self.timelines,
             self.solver.as_ref(),
             &self.config,
+            self.k,
             gamma,
-            zeta,
             &mut self.placements,
         );
         for &(j, m, s) in &self.placements {
             self.pending.push(Reverse((OrdTime(s), j, m)));
+        }
+        if stats.scheduled > 0 {
+            if let Some(log) = &mut self.log {
+                log.push(stats);
+            }
         }
         self.k += 1;
         self.gamma = self.gamma0 * self.config.alpha.powi(self.k as i32);
@@ -239,8 +255,6 @@ impl OnlinePolicy for MrisOnline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KnapsackChoice, Mris};
-    use mris_schedulers::Scheduler;
     use mris_sim::{run_online_chaos, FaultPlan};
     use mris_types::{FaultEvent, FaultTarget, Job, RestartSemantics};
 
@@ -263,55 +277,6 @@ mod tests {
                 .collect(),
             2,
         )
-    }
-
-    #[test]
-    fn fault_free_run_matches_offline_mris() {
-        let instance = mixed_instance();
-        for machines in [1, 3] {
-            let offline = Mris::default().schedule(&instance, machines);
-            let mut policy = MrisOnline::new(MrisConfig::default(), &instance, machines);
-            let outcome = run_online_chaos(
-                &instance,
-                machines,
-                &mut policy,
-                &FaultPlan::none(),
-                RestartSemantics::FullRestart,
-            )
-            .unwrap();
-            assert_eq!(outcome.schedule, offline, "machines = {machines}");
-        }
-    }
-
-    #[test]
-    fn fault_free_run_matches_offline_for_variant_configs() {
-        let instance = mixed_instance();
-        for config in [
-            MrisConfig {
-                knapsack: KnapsackChoice::Greedy,
-                ..Default::default()
-            },
-            MrisConfig {
-                backfill: false,
-                ..Default::default()
-            },
-            MrisConfig {
-                heuristic: mris_schedulers::SortHeuristic::Wsvf,
-                ..Default::default()
-            },
-        ] {
-            let offline = Mris::with_config(config).schedule(&instance, 2);
-            let mut policy = MrisOnline::new(config, &instance, 2);
-            let outcome = run_online_chaos(
-                &instance,
-                2,
-                &mut policy,
-                &FaultPlan::none(),
-                RestartSemantics::FullRestart,
-            )
-            .unwrap();
-            assert_eq!(outcome.schedule, offline, "{config:?}");
-        }
     }
 
     #[test]

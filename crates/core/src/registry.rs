@@ -1,14 +1,14 @@
 //! Algorithm registry: the one place that maps names to schedulers.
 //!
-//! Every front end — the `mris` CLI, the figure binaries, and the bench
-//! harness — resolves algorithms through this module, so adding an
-//! algorithm (or renaming one) is a one-place change.
+//! Every front end — the `mris` CLI, the figure binaries, the bench
+//! harness, and the service — resolves algorithms through this module, so
+//! adding an algorithm (or renaming one) is a one-place change:
+//! [`algorithm_by_name`] holds the only name table, and the online-policy
+//! resolvers ask the resolved [`Scheduler`] for its
+//! [`policy`](Scheduler::policy).
 
-use crate::{KnapsackChoice, Mris, MrisConfig, MrisOnline};
-use mris_schedulers::{
-    BfExec, BfExecPolicy, CaPq, CaPqPolicy, Pq, PqPolicy, Scheduler, SortHeuristic, Tetris,
-    TetrisPolicy,
-};
+use crate::{KnapsackChoice, Mris, MrisConfig};
+use mris_schedulers::{BfExec, CaPq, Pq, Scheduler, SortHeuristic, Tetris};
 use mris_sim::OnlinePolicy;
 use mris_types::{ClusterSpec, Instance, RegistryError, WorkloadFeature};
 
@@ -136,13 +136,13 @@ pub fn algorithm_by_name(name: &str) -> Result<Box<dyn Scheduler>, RegistryError
 
 /// Resolves the same names as [`algorithm_by_name`] into *stateful*
 /// [`OnlinePolicy`] instances for the event-driven and fault-injection
-/// drivers ([`mris_sim::run_online`], [`mris_sim::run_online_chaos`]).
+/// drivers ([`mris_sim::run_online`], [`mris_sim::run_driver`]) and the
+/// service.
 ///
 /// Unlike [`algorithm_by_name`], this takes the instance and machine count:
 /// the policies are constructed per run (MRIS sizes its grid and timelines;
-/// CA-PQ receives the oracle gate, the instance's last release time). The
-/// returned policy, driven fault-free, reproduces the boxed scheduler's
-/// schedule exactly — pinned by the chaos determinism suite.
+/// CA-PQ receives the oracle gate, the instance's last release time). It is
+/// the policy the boxed scheduler's own batch entry points run.
 pub fn online_policy_by_name(
     name: &str,
     instance: &Instance,
@@ -162,52 +162,7 @@ pub fn online_policy_on(
     instance: &Instance,
     cluster: &ClusterSpec,
 ) -> Result<Box<dyn OnlinePolicy>, RegistryError> {
-    let lower = name.to_ascii_lowercase();
-    let mris = |config: MrisConfig| -> Box<dyn OnlinePolicy> {
-        Box::new(MrisOnline::new_on(config, instance, cluster))
-    };
-    match lower.as_str() {
-        "mris" => return Ok(mris(MrisConfig::default())),
-        "mris-greedy" => {
-            return Ok(mris(MrisConfig {
-                knapsack: KnapsackChoice::Greedy,
-                ..Default::default()
-            }))
-        }
-        "mris-greedy-half" => {
-            return Ok(mris(MrisConfig {
-                knapsack: KnapsackChoice::GreedyHalf,
-                ..Default::default()
-            }))
-        }
-        "mris-exact" => {
-            return Ok(mris(MrisConfig {
-                knapsack: KnapsackChoice::Exact,
-                ..Default::default()
-            }))
-        }
-        "tetris" => return Ok(Box::new(TetrisPolicy::new(Tetris::default().eps))),
-        "bf-exec" | "bfexec" => return Ok(Box::new(BfExecPolicy::new())),
-        "ca-pq" | "capq" => {
-            return Ok(Box::new(CaPqPolicy::new(
-                SortHeuristic::Wsjf,
-                instance.stats().max_release,
-            )))
-        }
-        _ => {}
-    }
-    if let Some(suffix) = lower.strip_prefix("pq-") {
-        let heuristic: SortHeuristic = suffix.parse().map_err(|e| bad_heuristic(name, e))?;
-        return Ok(Box::new(PqPolicy::new(heuristic)));
-    }
-    if let Some(suffix) = lower.strip_prefix("mris-") {
-        let heuristic: SortHeuristic = suffix.parse().map_err(|e| bad_heuristic(name, e))?;
-        return Ok(mris(MrisConfig {
-            heuristic,
-            ..Default::default()
-        }));
-    }
-    Err(unknown(name))
+    Ok(algorithm_by_name(name)?.policy(instance, cluster))
 }
 
 /// Rejects a resolved algorithm whose capability flags do not cover the
@@ -250,18 +205,14 @@ pub fn algorithm_for_workload(
     Ok(algo)
 }
 
-/// [`online_policy_by_name`] over an explicit [`ClusterSpec`], with the same
-/// capability check as [`algorithm_for_workload`]. The boxed-scheduler and
-/// online-policy registries resolve the same names to the same algorithms,
-/// so the flags are read off the boxed form.
+/// [`online_policy_on`] with the same capability check as
+/// [`algorithm_for_workload`].
 pub fn online_policy_for_workload(
     name: &str,
     instance: &Instance,
     cluster: &ClusterSpec,
 ) -> Result<Box<dyn OnlinePolicy>, RegistryError> {
-    let algo = algorithm_by_name(name)?;
-    check_capabilities(name, algo.as_ref(), instance, cluster)?;
-    online_policy_on(name, instance, cluster)
+    Ok(algorithm_for_workload(name, instance, cluster)?.policy(instance, cluster))
 }
 
 /// Resolves a list of names in order; fails on the first unknown name.

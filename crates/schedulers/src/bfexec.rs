@@ -12,8 +12,8 @@
 
 use std::collections::BTreeSet;
 
-use mris_sim::{run_online, Dispatcher, OnlinePolicy, OrdTime};
-use mris_types::{fraction, Amount, Instance, JobId, Schedule, SchedulingError, Time};
+use mris_sim::{Dispatcher, OnlinePolicy, OrdTime};
+use mris_types::{fraction, Amount, ClusterSpec, Instance, JobId, SchedulingError, Time};
 
 use crate::Scheduler;
 
@@ -96,12 +96,8 @@ impl Scheduler for BfExec {
         "BF-EXEC".to_string()
     }
 
-    fn try_schedule_on(
-        &self,
-        instance: &Instance,
-        cluster: &mris_types::ClusterSpec,
-    ) -> Result<Schedule, SchedulingError> {
-        run_online(instance, cluster, &mut BfExecPolicy::new())
+    fn policy(&self, _instance: &Instance, _cluster: &ClusterSpec) -> Box<dyn OnlinePolicy> {
+        Box::new(BfExecPolicy::new())
     }
 
     // Reactive like PQ: gated arrivals and speed-scaled runs both come for

@@ -9,8 +9,8 @@
 
 use std::collections::BTreeSet;
 
-use mris_sim::{run_online, Dispatcher, OnlinePolicy, OrdTime};
-use mris_types::{Instance, JobId, Schedule, SchedulingError, Time};
+use mris_sim::{Dispatcher, OnlinePolicy, OrdTime};
+use mris_types::{ClusterSpec, Instance, JobId, SchedulingError, Time};
 
 use crate::{Scheduler, SortHeuristic};
 
@@ -105,14 +105,9 @@ impl Scheduler for CaPq {
         format!("CA-PQ-{}", self.heuristic)
     }
 
-    fn try_schedule_on(
-        &self,
-        instance: &Instance,
-        cluster: &mris_types::ClusterSpec,
-    ) -> Result<Schedule, SchedulingError> {
+    fn policy(&self, instance: &Instance, _cluster: &ClusterSpec) -> Box<dyn OnlinePolicy> {
         let gate = instance.stats().max_release;
-        let mut policy = CaPqPolicy::new(self.heuristic, gate);
-        run_online(instance, cluster, &mut policy)
+        Box::new(CaPqPolicy::new(self.heuristic, gate))
     }
 
     // Precedence stays opted out (the default): CA-PQ's oracle is the last

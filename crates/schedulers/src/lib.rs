@@ -32,21 +32,22 @@ pub use heuristic::SortHeuristic;
 pub use pq::{NaivePqPolicy, Pq, PqPolicy};
 pub use tetris::{Tetris, TetrisPolicy};
 
+use mris_sim::{run_online, OnlinePolicy};
 use mris_types::{ClusterSpec, Instance, Schedule, SchedulingError};
 
 /// A complete scheduling algorithm: consumes an instance and produces a full
 /// schedule on the machines described by a [`ClusterSpec`].
 ///
-/// Online algorithms implement this by running themselves through the
-/// event-driven engine; the trait exists so experiments and benches can
-/// compare algorithms uniformly.
+/// A scheduler *is* its [`OnlinePolicy`] run through the event-driven
+/// engine: implementors write [`Scheduler::policy`], which builds the
+/// stateful policy for one run, and every batch entry point below is a
+/// provided method over [`run_online`]. The trait exists so experiments and
+/// benches can compare algorithms uniformly, and so the registry can hand
+/// the same policy to the fault-injection driver and the service.
 ///
-/// Implementors provide [`Scheduler::try_schedule_on`], the fallible entry
-/// point over an explicit cluster description. The historical
-/// [`Scheduler::try_schedule`] shape (`num_machines` identical unit
-/// machines) is a provided wrapper over `ClusterSpec::uniform`, so existing
-/// call sites keep compiling unchanged. Callers that treat a scheduling
-/// failure as a bug (experiments, benches) use the provided
+/// The historical [`Scheduler::try_schedule`] shape (`num_machines`
+/// identical unit machines) wraps `ClusterSpec::uniform`. Callers that treat
+/// a scheduling failure as a bug (experiments, benches) use
 /// [`Scheduler::schedule`] / [`Scheduler::schedule_on`], which panic with
 /// the algorithm's name on error.
 ///
@@ -58,13 +59,19 @@ pub trait Scheduler {
     /// Human-readable algorithm name (appears in experiment reports).
     fn name(&self) -> String;
 
+    /// A fresh policy for one run over `instance` on `cluster`. Policies
+    /// are stateful; build one per run.
+    fn policy(&self, instance: &Instance, cluster: &ClusterSpec) -> Box<dyn OnlinePolicy>;
+
     /// Produces a complete schedule of `instance` on the machines of
     /// `cluster`, surfacing policy bugs as typed errors.
     fn try_schedule_on(
         &self,
         instance: &Instance,
         cluster: &ClusterSpec,
-    ) -> Result<Schedule, SchedulingError>;
+    ) -> Result<Schedule, SchedulingError> {
+        run_online(instance, cluster, self.policy(instance, cluster).as_mut())
+    }
 
     /// [`Scheduler::try_schedule_on`] on `num_machines` identical unit
     /// machines — the pre-`ClusterSpec` call shape, kept as a wrapper.
@@ -83,10 +90,7 @@ pub trait Scheduler {
     /// Panics (naming the algorithm) if the underlying policy fails; every
     /// shipped algorithm is work-conserving and never does.
     fn schedule(&self, instance: &Instance, num_machines: usize) -> Schedule {
-        match self.try_schedule(instance, num_machines) {
-            Ok(s) => s,
-            Err(e) => panic!("{} failed to schedule: {e}", self.name()),
-        }
+        self.schedule_on(instance, &ClusterSpec::uniform(num_machines))
     }
 
     /// Infallible convenience wrapper around [`Scheduler::try_schedule_on`].
@@ -115,9 +119,16 @@ pub trait Scheduler {
     }
 }
 
+// The forwarders carry what an implementor can define; `try_schedule`,
+// `schedule` and `schedule_on` are provided wrappers over these.
+
 impl<S: Scheduler + ?Sized> Scheduler for &S {
     fn name(&self) -> String {
         (**self).name()
+    }
+
+    fn policy(&self, instance: &Instance, cluster: &ClusterSpec) -> Box<dyn OnlinePolicy> {
+        (**self).policy(instance, cluster)
     }
 
     fn try_schedule_on(
@@ -126,22 +137,6 @@ impl<S: Scheduler + ?Sized> Scheduler for &S {
         cluster: &ClusterSpec,
     ) -> Result<Schedule, SchedulingError> {
         (**self).try_schedule_on(instance, cluster)
-    }
-
-    fn try_schedule(
-        &self,
-        instance: &Instance,
-        num_machines: usize,
-    ) -> Result<Schedule, SchedulingError> {
-        (**self).try_schedule(instance, num_machines)
-    }
-
-    fn schedule(&self, instance: &Instance, num_machines: usize) -> Schedule {
-        (**self).schedule(instance, num_machines)
-    }
-
-    fn schedule_on(&self, instance: &Instance, cluster: &ClusterSpec) -> Schedule {
-        (**self).schedule_on(instance, cluster)
     }
 
     fn supports_precedence(&self) -> bool {
@@ -158,28 +153,16 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
         (**self).name()
     }
 
+    fn policy(&self, instance: &Instance, cluster: &ClusterSpec) -> Box<dyn OnlinePolicy> {
+        (**self).policy(instance, cluster)
+    }
+
     fn try_schedule_on(
         &self,
         instance: &Instance,
         cluster: &ClusterSpec,
     ) -> Result<Schedule, SchedulingError> {
         (**self).try_schedule_on(instance, cluster)
-    }
-
-    fn try_schedule(
-        &self,
-        instance: &Instance,
-        num_machines: usize,
-    ) -> Result<Schedule, SchedulingError> {
-        (**self).try_schedule(instance, num_machines)
-    }
-
-    fn schedule(&self, instance: &Instance, num_machines: usize) -> Schedule {
-        (**self).schedule(instance, num_machines)
-    }
-
-    fn schedule_on(&self, instance: &Instance, cluster: &ClusterSpec) -> Schedule {
-        (**self).schedule_on(instance, cluster)
     }
 
     fn supports_precedence(&self) -> bool {

@@ -12,8 +12,8 @@
 
 use std::collections::BTreeSet;
 
-use mris_sim::{run_online, Dispatcher, OnlinePolicy, OrdTime};
-use mris_types::{Instance, JobId, Schedule, SchedulingError, Time};
+use mris_sim::{Dispatcher, OnlinePolicy, OrdTime};
+use mris_types::{ClusterSpec, Instance, JobId, SchedulingError, Time};
 
 use crate::{Scheduler, SortHeuristic};
 
@@ -120,12 +120,8 @@ impl Scheduler for Pq {
         format!("PQ-{}", self.heuristic)
     }
 
-    fn try_schedule_on(
-        &self,
-        instance: &Instance,
-        cluster: &mris_types::ClusterSpec,
-    ) -> Result<Schedule, SchedulingError> {
-        run_online(instance, cluster, &mut PqPolicy::new(self.heuristic))
+    fn policy(&self, _instance: &Instance, _cluster: &ClusterSpec) -> Box<dyn OnlinePolicy> {
+        Box::new(PqPolicy::new(self.heuristic))
     }
 
     // Purely reactive: the driver gates DAG arrivals and the cluster scales
@@ -189,6 +185,7 @@ impl OnlinePolicy for NaivePqPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mris_sim::run_online;
     use mris_types::Job;
 
     fn inst(jobs: Vec<Job>) -> Instance {

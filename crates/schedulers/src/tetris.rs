@@ -16,8 +16,8 @@
 //! balances packing against volume. This interpretation is recorded in
 //! DESIGN.md.
 
-use mris_sim::{run_online, Dispatcher, OnlinePolicy};
-use mris_types::{fraction, Amount, Instance, Job, JobId, Schedule, SchedulingError, Time};
+use mris_sim::{Dispatcher, OnlinePolicy};
+use mris_types::{fraction, Amount, ClusterSpec, Instance, Job, JobId, SchedulingError, Time};
 
 use crate::Scheduler;
 
@@ -165,12 +165,8 @@ impl Scheduler for Tetris {
         "TETRIS".to_string()
     }
 
-    fn try_schedule_on(
-        &self,
-        instance: &Instance,
-        cluster: &mris_types::ClusterSpec,
-    ) -> Result<Schedule, SchedulingError> {
-        run_online(instance, cluster, &mut TetrisPolicy::new(self.eps))
+    fn policy(&self, _instance: &Instance, _cluster: &ClusterSpec) -> Box<dyn OnlinePolicy> {
+        Box::new(TetrisPolicy::new(self.eps))
     }
 
     // Reactive like PQ: gated arrivals and speed-scaled runs both come for

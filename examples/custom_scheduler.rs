@@ -3,13 +3,13 @@
 //! Shows the two extension points:
 //! 1. [`OnlinePolicy`] — plug a new decision rule into the event-driven
 //!    simulation engine (here: a "largest weight first" greedy).
-//! 2. [`Scheduler`] — wrap it so it can be compared against MRIS and the
-//!    built-in baselines uniformly.
+//! 2. [`Scheduler`] — name it and hand out the policy, so it can be
+//!    compared against MRIS and the built-in baselines uniformly.
 //!
 //! Run with: `cargo run --release --example custom_scheduler`
 
 use mris::prelude::*;
-use mris::sim::{run_online, Dispatcher, OnlinePolicy, OrdTime};
+use mris::sim::{Dispatcher, OnlinePolicy, OrdTime};
 use mris::trace::{AzureTrace, AzureTraceConfig};
 use std::collections::BTreeSet;
 
@@ -55,12 +55,8 @@ impl Scheduler for HeaviestFirst {
         "HEAVIEST-FIRST".to_string()
     }
 
-    fn try_schedule_on(
-        &self,
-        instance: &Instance,
-        cluster: &ClusterSpec,
-    ) -> Result<Schedule, SchedulingError> {
-        run_online(instance, cluster, &mut HeaviestFirstPolicy::default())
+    fn policy(&self, _instance: &Instance, _cluster: &ClusterSpec) -> Box<dyn OnlinePolicy> {
+        Box::new(HeaviestFirstPolicy::default())
     }
 }
 

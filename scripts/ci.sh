@@ -30,6 +30,12 @@ cargo test -q --release --offline -p mris-sim
 echo "==> cargo test -q --release --offline -p mris-knapsack"
 cargo test -q --release --offline -p mris-knapsack
 
+# Batch MRIS is pinned in absolute terms (there is no second loop left to
+# compare it against); the pins must hold in both profiles for the same
+# reason as the DP's.
+echo "==> cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden"
+cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden
+
 echo "==> timeline bench smoke run + schema check"
 mkdir -p results
 cargo run --release --offline -p mris-bench --bin timeline -- \
@@ -194,7 +200,12 @@ for family in mris_dispatcher_placements_total mris_knapsack_solves_total \
     || { echo "BENCH_obs_smoke.prom is missing the $family family" >&2; exit 1; }
 done
 
-echo "==> job-path benchmark smoke on overload (correctness + schema, no timing gate)"
-benchmark/run.sh --smoke --workload overload >/dev/null
+# `steady`'s traced run is the one place the benchmark calls batch
+# `Mris::try_schedule` and validates the result; `dag_related` is the DAG
+# batch path on related machines.
+echo "==> job-path benchmark smoke on overload, steady, dag_related (correctness + schema, no timing gate)"
+for workload in overload steady dag_related; do
+  benchmark/run.sh --smoke --workload "$workload" >/dev/null
+done
 
 echo "CI OK"

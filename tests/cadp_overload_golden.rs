@@ -1,6 +1,7 @@
 //! Schedule-level golden for the CADP solve: one overload-shaped instance
 //! (M = 8, Poisson arrivals at 16x the cluster's capacity, N = 2,000) whose
-//! MRIS schedule is pinned by hash, offline and online.
+//! MRIS schedule is pinned by hash: one pinned schedule, two entry points
+//! (batch `Mris` and a hand-driven `MrisOnline`) into the one loop.
 //!
 //! `epoch_equivalence.rs` compares MRIS with itself, so a knapsack solver
 //! that returned a *different optimal set* — another tie-break, another
@@ -49,8 +50,9 @@ fn schedule_hash(schedule: &Schedule) -> u64 {
     fnv64(&bytes)
 }
 
-/// Captured at the commit before the streaming kernel; offline `Mris` and
-/// `MrisOnline` through `run_driver` produce the same schedule here. Three
+/// Captured at the commit before the streaming kernel, when batch `Mris`
+/// was still a loop of its own beside `MrisOnline`; both produced this
+/// schedule, and both entry points into the merged loop must keep it. Three
 /// epochs reach the DP (n = 188, 494, 901), and with the trace's integer
 /// priorities as weights their optima are heavily tied: flipping the
 /// Hirschberg split's `>` to `>=` alone moves this hash.
@@ -64,7 +66,7 @@ fn offline_mris_schedule_is_pinned() {
     assert_eq!(
         schedule_hash(&schedule),
         SCHEDULE_HASH,
-        "offline MRIS (CADP) placed some job differently"
+        "batch MRIS (CADP) placed some job differently"
     );
 }
 

@@ -8,9 +8,9 @@
 //!    what makes chaos experiments debuggable — any failure reproduces.
 //! 2. **Conservativity**: a run under [`FaultPlan::none`] is identical to
 //!    the failure-free scheduler for every registered comparison
-//!    algorithm. The chaos harness adds no behavior when nothing fails —
-//!    in particular, the incremental `MrisOnline` reproduces the offline
-//!    `Mris` pass exactly.
+//!    algorithm. Each scheduler *is* its policy run through the event
+//!    kernel — one loop — so this pins that `FaultPlan::none()` adds
+//!    nothing to it: the chaos harness has no behavior when nothing fails.
 
 use mris::registry::{algorithm_by_name, online_policy_by_name};
 use mris::sim::{run_online_chaos, suggested_horizon, FaultPlan, PoissonFaultConfig};
