@@ -352,7 +352,10 @@ mod tests {
         }
         assert!(online_policy_for_workload("ca-pq", &dag, &uniform).is_err());
         for name in ["mris", "pq-wsjf", "pq-wsvf", "tetris", "bf-exec"] {
-            assert!(algorithm_for_workload(name, &dag, &related).is_ok(), "{name}");
+            assert!(
+                algorithm_for_workload(name, &dag, &related).is_ok(),
+                "{name}"
+            );
             assert!(
                 online_policy_for_workload(name, &dag, &related).is_ok(),
                 "{name}"

@@ -160,7 +160,7 @@ impl PrecedenceGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mris_types::{InstanceBuilder, Instance};
+    use mris_types::{Instance, InstanceBuilder};
 
     /// A diamond: 0 -> {1, 2} -> 3.
     fn diamond() -> Instance {
@@ -218,17 +218,11 @@ mod tests {
     fn first_incomplete_pred_names_the_blocker() {
         let inst = diamond();
         let mut gate = PrecedenceGate::new(&inst);
-        assert_eq!(
-            gate.first_incomplete_pred(JobId(3), &inst),
-            Some(JobId(1))
-        );
+        assert_eq!(gate.first_incomplete_pred(JobId(3), &inst), Some(JobId(1)));
         let mut opened = Vec::new();
         gate.complete(JobId(0), &inst, &mut opened);
         gate.complete(JobId(1), &inst, &mut opened);
-        assert_eq!(
-            gate.first_incomplete_pred(JobId(3), &inst),
-            Some(JobId(2))
-        );
+        assert_eq!(gate.first_incomplete_pred(JobId(3), &inst), Some(JobId(2)));
     }
 
     #[test]
@@ -245,10 +239,7 @@ mod tests {
         let regated = gate.revoke(JobId(2), &inst);
         assert_eq!(regated, vec![JobId(3)]);
         assert!(!gate.is_ready(JobId(3)));
-        assert_eq!(
-            gate.first_incomplete_pred(JobId(3), &inst),
-            Some(JobId(2))
-        );
+        assert_eq!(gate.first_incomplete_pred(JobId(3), &inst), Some(JobId(2)));
         // Revoking a never-completed job is a no-op.
         assert!(gate.revoke(JobId(3), &inst).is_empty());
 

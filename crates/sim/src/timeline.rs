@@ -1639,10 +1639,7 @@ mod tests {
         let spec = ClusterSpec::new(
             (0..11)
                 .map(|m| {
-                    MachineSpec::from_fractions(
-                        1.0 + (m % 3) as f64,
-                        &[1.0 - 0.1 * (m % 4) as f64],
-                    )
+                    MachineSpec::from_fractions(1.0 + (m % 3) as f64, &[1.0 - 0.1 * (m % 4) as f64])
                 })
                 .collect(),
         );

@@ -101,8 +101,7 @@ impl MachineSpec {
     /// Whether this is the reference machine: unit speed, full capacity.
     #[inline]
     pub fn is_unit(&self) -> bool {
-        self.speed.to_bits() == 1.0_f64.to_bits()
-            && self.capacities.iter().all(|&c| c == CAPACITY)
+        self.speed.to_bits() == 1.0_f64.to_bits() && self.capacities.iter().all(|&c| c == CAPACITY)
     }
 
     /// Wall time this machine needs for nominal processing time `p`.

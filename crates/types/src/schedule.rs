@@ -98,7 +98,10 @@ impl std::fmt::Display for ScheduleError {
                 "machine {machine} exceeds capacity of resource {resource} at time {at}"
             ),
             ScheduleError::PrecedenceViolated { pred, succ } => {
-                write!(f, "job {succ} starts before its predecessor {pred} completes")
+                write!(
+                    f,
+                    "job {succ} starts before its predecessor {pred} completes"
+                )
             }
         }
     }
@@ -338,7 +341,11 @@ impl Schedule {
     /// [`validate`](Self::validate) against a heterogeneous cluster: job
     /// occupancy is `[S_j, S_j + p_j / s_m)` and per-machine capacities
     /// replace the global one. Identical to `validate` for uniform specs.
-    pub fn validate_on(&self, instance: &Instance, spec: &ClusterSpec) -> Result<(), ScheduleError> {
+    pub fn validate_on(
+        &self,
+        instance: &Instance,
+        spec: &ClusterSpec,
+    ) -> Result<(), ScheduleError> {
         assert_eq!(
             spec.len(),
             self.num_machines,

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use mris_core::{KnapsackChoice, Mris, MrisConfig};
     pub use mris_schedulers::{BfExec, CaPq, Pq, Scheduler, SortHeuristic, Tetris};
     pub use mris_types::{
-        ClusterSpec, Instance, InstanceBuilder, Job, JobId, MachineSpec, Schedule,
-        SchedulingError, Time,
+        ClusterSpec, Instance, InstanceBuilder, Job, JobId, MachineSpec, Schedule, SchedulingError,
+        Time,
     };
 }

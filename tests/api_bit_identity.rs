@@ -39,7 +39,10 @@ fn gen_instance(rng: &mut Rng) -> (usize, Instance) {
         })
         .collect();
     let machines = rng.gen_range(1..=4usize);
-    (machines, Instance::new(jobs, r).expect("generated jobs are valid"))
+    (
+        machines,
+        Instance::new(jobs, r).expect("generated jobs are valid"),
+    )
 }
 
 #[test]
@@ -75,8 +78,7 @@ fn registry_accepts_every_algorithm_for_legacy_workloads() {
     let (machines, instance) = gen_instance(&mut rng);
     let cluster = ClusterSpec::uniform(machines);
     for name in ALGORITHMS {
-        algorithm_for_workload(name, &instance, &cluster).unwrap_or_else(|e| {
-            panic!("{name}: rejected an edge-free uniform workload: {e}")
-        });
+        algorithm_for_workload(name, &instance, &cluster)
+            .unwrap_or_else(|e| panic!("{name}: rejected an edge-free uniform workload: {e}"));
     }
 }
