@@ -18,7 +18,6 @@
 
 pub mod cli;
 pub mod harness;
-pub mod scan;
 
 pub use cli::Args;
 pub use harness::{

@@ -21,8 +21,9 @@
 //! Stage timing: when an observability subscriber is installed the epoch
 //! body opens `mris_epoch_{filter,solve,probe,commit}_seconds` spans (the
 //! grid/compaction stage is timed by the caller as
-//! `mris_epoch_grid_seconds`), giving the service bench its per-stage
-//! breakdown. With no subscriber each span is one relaxed atomic load.
+//! `mris_epoch_grid_seconds`), giving the job-path benchmark
+//! (`benchmark/`, the `core.*` layer) its per-stage breakdown. With no
+//! subscriber each span is one relaxed atomic load.
 //!
 //! The `force_rebuild` mode re-derives each epoch the way the
 //! pre-incremental loop did — one flat set, an explicit threshold filter

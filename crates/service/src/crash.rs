@@ -50,11 +50,11 @@ impl CrashPlan {
 /// such event.
 pub fn truncate_at_event(journal: &[u8], event_index: usize) -> Option<usize> {
     let mut d = Decoder::new(journal);
-    let (version, _) = parse_header(&mut d).ok()?;
+    parse_header(&mut d).ok()?;
     let mut current_event: Option<usize> = None;
     let mut group_end: Option<usize> = None;
     while d.remaining() > 0 {
-        let Ok((rec, end)) = parse_frame(&mut d, version) else {
+        let Ok((rec, end)) = parse_frame(&mut d) else {
             break;
         };
         match rec {

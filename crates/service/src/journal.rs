@@ -40,28 +40,16 @@ use crate::snapshot::{Snapshot, SnapshotStore, SNAPSHOT_VERSION};
 
 /// Journal file magic bytes.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"MRJL";
-/// Newest journal format version this build reads and writes.
+/// The journal format version this build reads and writes.
 ///
-/// # Version history and back-compat rule
-///
-/// * **v1** — PR 8 format: `Admit`/`Reject` carry no tenant field.
-/// * **v2** — multi-tenancy: `Admit` and `Reject` payloads end with the
-///   admitting tenant's id (`u32`), and `Reject` gains the `TenantQuota`
-///   reason (tag 2).
-/// * **v3** — precedence: the `PrecedenceReady` record (tag 11) marks a
-///   job whose last outstanding predecessor completed while the job was
-///   withheld from delivery. It is only ever emitted for DAG instances,
-///   and the world encoding appends an edge section for those, so a
-///   journal of an edge-free instance is byte-identical to v2 content
-///   under a v3 header.
-///
-/// Writers always write the newest version. Readers accept any version in
-/// `1..=JOURNAL_VERSION`: a v1 `Admit`/`Reject` decodes with tenant 0 (the
-/// single-tenant default), which replays identically because a v1 journal
-/// can only have been recorded by a single-tenant service. The
-/// configuration fingerprint incorporates the tenant table only when one
-/// is configured (and the edge list only when the instance has edges), so
-/// a v1/v2 journal's fingerprint still matches a restore under this build.
+/// v3 is the format since precedence: `Admit` and `Reject` payloads end
+/// with the admitting tenant's id (`u32`), `Reject` has the `TenantQuota`
+/// reason (tag 2), and the `PrecedenceReady` record (tag 11) marks a job
+/// whose last outstanding predecessor completed while the job was withheld
+/// from delivery. A header with any other version is
+/// [`CodecError::UnsupportedVersion`]: v1 and v2 journals were only ever
+/// written by earlier revisions of this repository, and nothing decodes
+/// them any more.
 pub const JOURNAL_VERSION: u32 = 3;
 /// Upper bound on a single frame's payload; real payloads are < 32 bytes,
 /// so anything larger is corruption, caught before allocating.
@@ -81,7 +69,7 @@ pub enum RejectReason {
     QueueFull,
     /// Resource-load watermark hit.
     LoadShed,
-    /// A per-tenant quota or the weighted-fair gate hit (v2 journals only).
+    /// A per-tenant quota or the weighted-fair gate hit.
     TenantQuota,
 }
 
@@ -95,8 +83,7 @@ pub enum JournalRecord {
         at: Time,
         /// The admitted job id.
         job: u32,
-        /// The admitting tenant (0 on the single-tenant path; decoded as 0
-        /// from v1 journals).
+        /// The admitting tenant (0 on the single-tenant path).
         tenant: u32,
     },
     /// A submission was rejected at `at`.
@@ -107,8 +94,7 @@ pub enum JournalRecord {
         job: u32,
         /// Which watermark shed it.
         reason: RejectReason,
-        /// The submitting tenant (0 on the single-tenant path; decoded as
-        /// 0 from v1 journals).
+        /// The submitting tenant (0 on the single-tenant path).
         tenant: u32,
     },
     /// The event loop processed a decision event at `at`.
@@ -252,18 +238,16 @@ impl JournalRecord {
         }
     }
 
-    /// Decodes one tagged payload written by format `version`. `base` is
-    /// the payload's offset in the file, for error reporting. v1 payloads
-    /// lack the tenant field on `Admit`/`Reject`; it decodes as tenant 0
-    /// (see [`JOURNAL_VERSION`] for the back-compat rule).
-    pub fn decode(payload: &[u8], base: usize, version: u32) -> Result<JournalRecord, CodecError> {
+    /// Decodes one tagged payload. `base` is the payload's offset in the
+    /// file, for error reporting.
+    pub fn decode(payload: &[u8], base: usize) -> Result<JournalRecord, CodecError> {
         let mut d = Decoder::new(payload);
         let tag = d.u8()?;
         let rec = match tag {
             1 => JournalRecord::Admit {
                 at: d.f64()?,
                 job: d.u32()?,
-                tenant: if version >= 2 { d.u32()? } else { 0 },
+                tenant: d.u32()?,
             },
             2 => JournalRecord::Reject {
                 at: d.f64()?,
@@ -271,7 +255,7 @@ impl JournalRecord {
                 reason: match d.u8()? {
                     0 => RejectReason::QueueFull,
                     1 => RejectReason::LoadShed,
-                    2 if version >= 2 => RejectReason::TenantQuota,
+                    2 => RejectReason::TenantQuota,
                     other => {
                         return Err(CodecError::Malformed {
                             offset: base + d.offset() - 1,
@@ -279,7 +263,7 @@ impl JournalRecord {
                         })
                     }
                 },
-                tenant: if version >= 2 { d.u32()? } else { 0 },
+                tenant: d.u32()?,
             },
             3 => JournalRecord::Event { at: d.f64()? },
             4 => JournalRecord::Place {
@@ -303,7 +287,7 @@ impl JournalRecord {
             8 => JournalRecord::ReRelease { job: d.u32()? },
             9 => JournalRecord::SnapshotMark { lsn: d.u64()? },
             10 => JournalRecord::Close { at: d.f64()? },
-            11 if version >= 3 => JournalRecord::PrecedenceReady { job: d.u32()? },
+            11 => JournalRecord::PrecedenceReady { job: d.u32()? },
             other => {
                 return Err(CodecError::Malformed {
                     offset: base,
@@ -373,9 +357,9 @@ fn encode_world(e: &mut Encoder, instance: &Instance, cfg: &ServiceConfig) {
         }
     }
     encode_fault_plan(e, &cfg.fault_plan);
-    // Tenant section only when tenancy is actually in play, so a
-    // single-tenant config fingerprints identically to the pre-tenancy
-    // format (v1 journals of single-tenant runs stay restorable).
+    // Tenant section only when tenancy is actually in play: a
+    // single-tenant config contributes no tenant bytes. The layout is
+    // frozen; changing it orphans every existing journal and snapshot.
     if !cfg.tenants.is_empty() || cfg.fair_watermark != usize::MAX {
         e.u64(cfg.fair_watermark as u64);
         e.u64(cfg.tenants.len() as u64);
@@ -387,9 +371,8 @@ fn encode_world(e: &mut Encoder, instance: &Instance, cfg: &ServiceConfig) {
             e.f64(t.load_watermark);
         }
     }
-    // Edge section only for DAG instances, so edge-free worlds fingerprint
-    // identically to the pre-precedence format (v1/v2 journals of edge-free
-    // runs stay restorable).
+    // Edge section only for DAG instances: an edge-free world contributes
+    // no edge bytes (same frozen layout).
     if instance.has_precedence() {
         let edges = instance.edges();
         e.u64(edges.len() as u64);
@@ -536,7 +519,7 @@ pub(crate) fn parse_header(d: &mut Decoder<'_>) -> Result<(u32, u64), CodecError
         });
     }
     let version = d.u32()?;
-    if version == 0 || version > JOURNAL_VERSION {
+    if version != JOURNAL_VERSION {
         return Err(CodecError::UnsupportedVersion {
             found: version,
             supported: JOURNAL_VERSION,
@@ -546,10 +529,7 @@ pub(crate) fn parse_header(d: &mut Decoder<'_>) -> Result<(u32, u64), CodecError
     Ok((version, fingerprint))
 }
 
-pub(crate) fn parse_frame(
-    d: &mut Decoder<'_>,
-    version: u32,
-) -> Result<(JournalRecord, usize), CodecError> {
+pub(crate) fn parse_frame(d: &mut Decoder<'_>) -> Result<(JournalRecord, usize), CodecError> {
     let frame_start = d.offset();
     let len = d.u32()?;
     if len == 0 || len > MAX_FRAME {
@@ -569,7 +549,7 @@ pub(crate) fn parse_frame(
             computed,
         });
     }
-    let rec = JournalRecord::decode(payload, payload_start, version)?;
+    let rec = JournalRecord::decode(payload, payload_start)?;
     Ok((rec, d.offset()))
 }
 
@@ -580,7 +560,7 @@ pub fn parse_journal(bytes: &[u8]) -> Result<ParsedJournal, CodecError> {
     let (version, fingerprint) = parse_header(&mut d)?;
     let mut records = Vec::new();
     while d.remaining() > 0 {
-        let (rec, _) = parse_frame(&mut d, version)?;
+        let (rec, _) = parse_frame(&mut d)?;
         records.push(rec);
     }
     Ok(ParsedJournal {
@@ -605,7 +585,7 @@ pub fn read_valid_prefix(
     let mut valid = d.offset();
     let mut tail_error = None;
     while d.remaining() > 0 {
-        match parse_frame(&mut d, version) {
+        match parse_frame(&mut d) {
             Ok((rec, end)) => {
                 records.push(rec);
                 valid = end;

@@ -18,6 +18,9 @@
 //!    golden run — schedule, AWCT bits, [`mris_sim::FaultLog`], and
 //!    per-job outcomes.
 //!
+//! The golden run is itself held equal to the same case with no journal
+//! attached (journaling observes decisions, it never makes them).
+//!
 //! A final test pins the degraded path: restoring with
 //! [`RestoreOptions::outage`] after total journal-tail loss equals a
 //! fresh run whose fault plan contains the same whole-cluster outage —
@@ -116,6 +119,20 @@ fn submission_order(instance: &Instance) -> Vec<JobId> {
     order
 }
 
+/// Submits, at its release time, every job `svc` has not seen yet (all of
+/// them for a fresh service, the ones a crash cut off for a restored one),
+/// then drains.
+fn finish(mut svc: Service<SimClock, MemorySink>, instance: &Instance) -> ServiceReport {
+    for job in submission_order(instance) {
+        if matches!(svc.outcome(job), JobOutcome::NotSubmitted) {
+            let _ = svc
+                .submit_at(instance.job(job).release, job)
+                .expect("submission never hits a policy error");
+        }
+    }
+    svc.drain().expect("drain").0
+}
+
 fn golden_run(name: &str, seed: u64) -> Golden {
     let mut rng = Rng::new(seed).substream("crash-restart");
     let (machines, instance) = gen_instance(&mut rng);
@@ -133,12 +150,7 @@ fn golden_run(name: &str, seed: u64) -> Golden {
     let snaps = MemorySnapshots::new();
     svc.attach_journal(DCFG, Box::new(buf.clone()), Box::new(snaps.clone()))
         .expect("journal attaches to a fresh service");
-    for job in submission_order(&instance) {
-        let _ = svc
-            .submit_at(instance.job(job).release, job)
-            .expect("golden run never hits a policy error");
-    }
-    let (report, _sink) = svc.drain().expect("golden drain");
+    let report = finish(svc, &instance);
     Golden {
         instance,
         cfg,
@@ -158,7 +170,7 @@ fn restore_and_finish(
     opts: RestoreOptions,
 ) -> (ServiceReport, RestoreReport) {
     let policy = online_policy_by_name(name, &g.instance, g.cfg.num_machines).expect("known");
-    let (mut svc, restore) = Service::restore(
+    let (svc, restore) = Service::restore(
         g.instance.clone(),
         policy,
         g.cfg.clone(),
@@ -170,16 +182,7 @@ fn restore_and_finish(
         opts,
     )
     .expect("restore succeeds");
-    for job in submission_order(&g.instance) {
-        if !matches!(svc.outcome(job), JobOutcome::NotSubmitted) {
-            continue;
-        }
-        let _ = svc
-            .submit_at(g.instance.job(job).release, job)
-            .expect("resubmission never hits a policy error");
-    }
-    let (report, _sink) = svc.drain().expect("post-restore drain");
-    (report, restore)
+    (finish(svc, &g.instance), restore)
 }
 
 /// Equality of everything the golden run pinned.
@@ -233,6 +236,30 @@ fn crash_restart_is_bit_identical() {
                 assert!(!restore.clean_shutdown, "a truncated journal is a crash");
                 assert_equivalent(name, seed, &format!("kill@{kill}"), &g.report, &report);
             }
+        }
+    }
+}
+
+/// Journaling observes decisions, it never makes them: the same case with
+/// no journal attached ends in the golden (journaled, snapshotting) run's
+/// schedule, AWCT bits, fault log and outcome ledger.
+#[test]
+fn journaling_never_changes_the_run() {
+    for name in POLICIES {
+        for seed in 0..SEEDS {
+            let g = golden_run(name, seed);
+            let policy =
+                online_policy_by_name(name, &g.instance, g.cfg.num_machines).expect("known policy");
+            let svc = Service::new(
+                g.instance.clone(),
+                policy,
+                g.cfg.clone(),
+                SimClock::new(),
+                MemorySink::default(),
+            )
+            .expect("valid service config");
+            let plain = finish(svc, &g.instance);
+            assert_equivalent(name, seed, "no journal", &g.report, &plain);
         }
     }
 }
@@ -380,7 +407,7 @@ fn journal_loss_degrades_to_machine_failure_semantics() {
             }
             cfg.fault_plan = FaultPlan::from_events(events);
             let policy = online_policy_by_name(name, &g.instance, cfg.num_machines).expect("known");
-            let mut svc = Service::new(
+            let svc = Service::new(
                 g.instance.clone(),
                 policy,
                 cfg,
@@ -388,12 +415,7 @@ fn journal_loss_degrades_to_machine_failure_semantics() {
                 MemorySink::default(),
             )
             .expect("valid service config");
-            for job in submission_order(&g.instance) {
-                let _ = svc
-                    .submit_at(g.instance.job(job).release, job)
-                    .expect("reference run never hits a policy error");
-            }
-            let (reference, _sink) = svc.drain().expect("reference drain");
+            let reference = finish(svc, &g.instance);
             assert_equivalent(name, seed, "degraded outage", &reference, &report);
         }
     }

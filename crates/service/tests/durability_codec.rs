@@ -5,11 +5,11 @@
 use mris_core::registry::online_policy_by_name;
 use mris_rng::Rng;
 use mris_service::{
-    config_fingerprint, parse_journal, read_valid_prefix, DurabilityConfig, JournalRecord,
-    JournalWriter, MemorySink, RejectReason, RestoreOptions, Service, ServiceConfig, SharedBuf,
-    SimClock, Snapshot, HEADER_LEN, SNAPSHOT_VERSION,
+    config_fingerprint, parse_journal, read_valid_prefix, truncate_at_event, DurabilityConfig,
+    JournalRecord, JournalWriter, MemorySink, RejectReason, RestoreOptions, Service, ServiceConfig,
+    SharedBuf, SimClock, Snapshot, HEADER_LEN, JOURNAL_VERSION, SNAPSHOT_VERSION,
 };
-use mris_types::{CodecError, DurabilityError, Instance, Job, JobId};
+use mris_types::{CodecError, DurabilityError, Instance, Job, JobId, RestoreError};
 
 fn tiny_instance(n: usize) -> Instance {
     let jobs = (0..n)
@@ -69,6 +69,7 @@ fn all_records() -> Vec<JournalRecord> {
         JournalRecord::ReRelease { job: 9 },
         JournalRecord::SnapshotMark { lsn: u64::MAX },
         JournalRecord::Close { at: 7.0 },
+        JournalRecord::PrecedenceReady { job: 9 },
     ]
 }
 
@@ -180,6 +181,29 @@ fn real_journal() -> (Instance, ServiceConfig, DurabilityConfig, Vec<u8>) {
     (instance, cfg, dcfg, buf.contents())
 }
 
+/// Restores `journal` (no snapshot, default options) into the world of
+/// [`real_journal`]; the typed error, if restoring refused.
+fn restore_error(
+    instance: &Instance,
+    cfg: &ServiceConfig,
+    dcfg: DurabilityConfig,
+    journal: &[u8],
+) -> Option<RestoreError> {
+    let policy = online_policy_by_name("pq-wsjf", instance, cfg.num_machines).expect("known");
+    Service::restore(
+        instance.clone(),
+        policy,
+        cfg.clone(),
+        dcfg,
+        SimClock::new(),
+        MemorySink::default(),
+        journal,
+        None,
+        RestoreOptions::default(),
+    )
+    .err()
+}
+
 /// Strict parsing rejects a truncated journal with a typed error; the
 /// lenient reader recovers the valid prefix and reports the tail error.
 #[test]
@@ -210,6 +234,31 @@ fn torn_tails_are_typed_and_recoverable() {
     }
 }
 
+/// A journal whose header is well formed but names any version other than
+/// the one this build writes — the retired v1 and v2 included — is refused
+/// whole by every reader: a typed `UnsupportedVersion`, no panic, and not
+/// one of its (perfectly valid) frames replayed.
+#[test]
+fn other_journal_versions_are_refused_whole() {
+    let (instance, cfg, dcfg, journal) = real_journal();
+    assert_eq!(JOURNAL_VERSION, 3);
+    for found in [0u32, 1, 2, 4] {
+        let mut other = journal.clone();
+        other[4..8].copy_from_slice(&found.to_le_bytes());
+        let refused = CodecError::UnsupportedVersion {
+            found,
+            supported: 3,
+        };
+        assert_eq!(parse_journal(&other), Err(refused.clone()));
+        assert_eq!(read_valid_prefix(&other), Err(refused.clone()));
+        assert_eq!(truncate_at_event(&other, 0), None);
+        assert_eq!(
+            restore_error(&instance, &cfg, dcfg, &other),
+            Some(RestoreError::Journal(refused))
+        );
+    }
+}
+
 /// Seeded bit-flip fuzzing: parsing and restoring a corrupted journal
 /// never panics — every outcome is `Ok` or a typed error.
 #[test]
@@ -226,21 +275,7 @@ fn journal_fuzz_never_panics() {
         // Typed or fine — but no panic, in any of the three readers.
         let _ = parse_journal(&bad);
         let _ = read_valid_prefix(&bad);
-        let policy = online_policy_by_name("pq-wsjf", &instance, cfg.num_machines).expect("known");
-        let restored = Service::restore(
-            instance.clone(),
-            policy,
-            cfg.clone(),
-            dcfg,
-            SimClock::new(),
-            MemorySink::default(),
-            &bad,
-            None,
-            RestoreOptions::default(),
-        );
-        match restored {
-            Ok(_) | Err(_) => {} // the property *is* reaching this match
-        }
+        let _ = restore_error(&instance, &cfg, dcfg, &bad); // the property *is* returning
         let _ = case;
     }
 }

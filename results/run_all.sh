@@ -19,20 +19,6 @@ $B/ablation --samples 5 > results/ablation.txt 2> results/ablation.log
 $B/runtime  > results/runtime.txt  2> results/runtime.log
 $B/dynamics > results/dynamics.txt 2> results/dynamics.log
 $B/fairness --samples 3 > results/fairness.txt 2> results/fairness.log
-$B/timeline --out results/BENCH_timeline.json > /dev/null 2> results/timeline.log
-# scale bench: shard worker-pool scan + placement throughput at up to 10k
-# machines; --gate enforces sharded >= sequential at 1000 machines.
-$B/scale --gate --out results/BENCH_scale.json > /dev/null 2> results/scale.log
 $B/chaos    --out results/BENCH_chaos.json    > /dev/null 2> results/chaos.log
-# workloads bench: job structure (independent / chain / fork-join /
-# random-DAG) x cluster shape (uniform / related speeds) for every
-# scheduler; capability-gated cells report "supported": false.
-$B/workloads --out results/BENCH_workloads.json > /dev/null 2> results/workloads.log
-# service bench includes the MRIS stage_breakdown section (obs-enabled pass),
-# the durability section (journal-on vs journal-off throughput with a
-# <15% overhead budget, plus restore latency vs journal-tail length), and the
-# net section (loopback TCP front-door round-trip latency + throughput vs
-# in-process, and the 2-tenant weighted-fair split accuracy).
-$B/service  --out results/BENCH_service.json  > /dev/null 2> results/service.log
 $B/obs      --out results/BENCH_obs.json      > /dev/null 2> results/obs.log
 echo ALL_DONE

@@ -36,73 +36,19 @@ cargo test -q --release --offline -p mris-knapsack
 echo "==> cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden"
 cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden
 
-echo "==> timeline bench smoke run + schema check"
-mkdir -p results
-cargo run --release --offline -p mris-bench --bin timeline -- \
-  --smoke --out results/BENCH_timeline_smoke.json >/dev/null
-for key in '"bench": "timeline"' '"mode": "smoke"' '"workloads"' \
-  '"name": "trace_replay"' '"name": "synthetic_churn"' '"name": "parallel_scan"' \
-  '"ops_per_sec"' '"baseline_ops_per_sec"' '"speedup"' '"segments"' \
-  '"query_ns_p50"' '"query_ns_p99"'; do
-  grep -qF "$key" results/BENCH_timeline_smoke.json \
-    || { echo "BENCH_timeline_smoke.json is missing $key" >&2; exit 1; }
-done
-
-echo "==> scale bench smoke run + schema check + shard-pool gate"
-# --gate fails the run unless the sharded (worker-pool) scan is at least
-# as fast as the sequential scan at 1000 machines: the tripwire against
-# reintroducing per-query overhead on the wide-cluster path.
-cargo run --release --offline -p mris-bench --bin scale -- \
-  --smoke --gate --out results/BENCH_scale_smoke.json >/dev/null
-for key in '"bench": "scale"' '"mode": "smoke"' '"scan"' '"placement"' \
-  '"machines": 64' '"machines": 1000' '"sharded_ops_per_sec"' \
-  '"sequential_ops_per_sec"' '"scoped_ops_per_sec"' \
-  '"speedup_vs_sequential"' '"speedup_vs_scoped"' '"jobs_per_sec"' \
-  '"shard_counters"' '"wakeups"' '"steals"' '"probes"'; do
-  grep -qF "$key" results/BENCH_scale_smoke.json \
-    || { echo "BENCH_scale_smoke.json is missing $key" >&2; exit 1; }
-done
+# Everything the smoke steps below write goes here, so a CI run leaves the
+# work tree as it found it.
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
 
 echo "==> chaos bench smoke run + schema check"
 cargo run --release --offline -p mris-bench --bin chaos -- \
-  --smoke --out results/BENCH_chaos_smoke.json >/dev/null
+  --smoke --out "$CI_TMP/BENCH_chaos_smoke.json" >/dev/null
 for key in '"bench": "chaos"' '"mode": "smoke"' '"restart"' '"rates"' \
   '"schedulers"' '"baseline_awct"' '"results"' '"rate"' '"awct"' \
   '"awct_inflation"' '"failures"' '"kills"' '"re_releases"'; do
-  grep -qF "$key" results/BENCH_chaos_smoke.json \
+  grep -qF "$key" "$CI_TMP/BENCH_chaos_smoke.json" \
     || { echo "BENCH_chaos_smoke.json is missing $key" >&2; exit 1; }
-done
-
-echo "==> workloads bench smoke run + schema check (DAGs x heterogeneous clusters)"
-cargo run --release --offline -p mris-bench --bin workloads -- \
-  --smoke --out results/BENCH_workloads_smoke.json >/dev/null
-for key in '"bench": "workloads"' '"mode": "smoke"' '"families"' \
-  '"clusters"' '"speeds"' '"independent"' '"chain"' '"fork-join"' \
-  '"random-dag"' '"uniform"' '"related"' '"precedence_counters"' \
-  '"mris_prec_gated_total"' '"mris_prec_ready_total"' \
-  '"mris_prec_revoked_total"' '"grid"' '"edges"' '"supported"' \
-  '"awct"' '"makespan"'; do
-  grep -qF "$key" results/BENCH_workloads_smoke.json \
-    || { echo "BENCH_workloads_smoke.json is missing $key" >&2; exit 1; }
-done
-
-echo "==> service bench smoke run + schema check"
-cargo run --release --offline -p mris-bench --bin service -- \
-  --smoke --out results/BENCH_service_smoke.json >/dev/null
-for key in '"bench": "service"' '"mode": "smoke"' '"poisson_rate"' \
-  '"schedulers"' '"process": "poisson"' '"process": "bursts"' \
-  '"throughput_jobs_per_sec"' '"decision_latency_us"' '"p50"' '"p95"' \
-  '"p99"' '"submitted"' '"completed"' '"epochs"' '"max_queue_depth"' \
-  '"stage_breakdown"' '"stages"' '"grid"' '"filter"' '"solve"' '"probe"' \
-  '"commit"' '"durability"' \
-  '"journal_off_jobs_per_sec"' '"journal_on_jobs_per_sec"' \
-  '"overhead_pct"' '"within_budget"' '"journal_bytes"' '"restore"' \
-  '"regenerated"' '"clean_shutdown"' '"restore_seconds"' \
-  '"net"' '"inproc_jobs_per_sec"' '"tcp_jobs_per_sec"' \
-  '"tcp_vs_inproc_ratio"' '"submit_rtt_us"' '"fair_split"' \
-  '"target_share": 0.75' '"measured_share"' '"within_5pct"'; do
-  grep -qF "$key" results/BENCH_service_smoke.json \
-    || { echo "BENCH_service_smoke.json is missing $key" >&2; exit 1; }
 done
 
 echo "==> durability suites in release (crash-restart equivalence + codec fuzz)"
@@ -114,8 +60,8 @@ cargo test -q --release --offline -p mris-net --test net_conservativity
 cargo test -q --release --offline -p mris-service --test tenant_fairness
 
 echo "==> CLI crash-restart smoke (serve --journal, torn tail, restore)"
-DUR_TMP=$(mktemp -d)
-trap 'rm -rf "$DUR_TMP"' EXIT
+DUR_TMP="$CI_TMP/dur"
+mkdir "$DUR_TMP"
 cargo run --release --offline -p mris-cli --bin mris -- generate \
   --jobs 80 --out "$DUR_TMP/trace.csv" >/dev/null
 cargo run --release --offline -p mris-cli --bin mris -- serve \
@@ -135,8 +81,8 @@ grep -qF "$SERVE_AWCT" "$DUR_TMP/restore.txt" \
   || { echo "crash-restart AWCT diverged from the uncrashed serve" >&2; exit 1; }
 
 echo "==> CLI loopback smoke (serve --listen, client submit, drain, AWCT grep)"
-NET_TMP=$(mktemp -d)
-trap 'rm -rf "$DUR_TMP" "$NET_TMP"' EXIT
+NET_TMP="$CI_TMP/net"
+mkdir "$NET_TMP"
 cargo run --release --offline -p mris-cli --bin mris -- generate \
   --jobs 60 --out "$NET_TMP/trace.csv" >/dev/null
 # Two tenants so the per-tenant metric families are live; the ephemeral
@@ -176,13 +122,13 @@ done
 
 echo "==> obs bench smoke run + schema check"
 cargo run --release --offline -p mris-bench --bin obs -- \
-  --smoke --out results/BENCH_obs_smoke.json >/dev/null
+  --smoke --out "$CI_TMP/BENCH_obs_smoke.json" >/dev/null
 for key in '"bench": "obs"' '"mode": "smoke"' '"disabled_path"' \
   '"counter_ns_per_op"' '"span_ns_per_op"' '"budget_ns_per_op"' \
   '"trace_replay"' '"metrics_overhead_pct"' '"disabled_repeat_delta_pct"' \
   '"within_budget"' '"instrumented_run"' '"metric_families"' \
   '"snapshot_valid": true'; do
-  grep -qF "$key" results/BENCH_obs_smoke.json \
+  grep -qF "$key" "$CI_TMP/BENCH_obs_smoke.json" \
     || { echo "BENCH_obs_smoke.json is missing $key" >&2; exit 1; }
 done
 # The bench writes its format-validated Prometheus snapshot next to the
@@ -196,15 +142,19 @@ for family in mris_dispatcher_placements_total mris_knapsack_solves_total \
   mris_journal_appends_total \
   mris_journal_bytes_total mris_journal_fsyncs_total mris_snapshot_seconds \
   mris_restore_seconds; do
-  grep -q "^# TYPE $family " results/BENCH_obs_smoke.prom \
+  grep -q "^# TYPE $family " "$CI_TMP/BENCH_obs_smoke.prom" \
     || { echo "BENCH_obs_smoke.prom is missing the $family family" >&2; exit 1; }
 done
 
-# `steady`'s traced run is the one place the benchmark calls batch
-# `Mris::try_schedule` and validates the result; `dag_related` is the DAG
-# batch path on related machines.
-echo "==> job-path benchmark smoke on overload, steady, dag_related (correctness + schema, no timing gate)"
-for workload in overload steady dag_related; do
+# Each workload's smoke run carries its own equivalence check, at sizes the
+# test suites above do not reach: `steady`'s traced run is the one place the
+# benchmark calls batch `Mris::try_schedule` and validates the result;
+# `dag_related` is the DAG batch path on related machines; `wide` holds the
+# pooled scan equal to the sequential scan at 1,024 machines; `frontdoor`
+# holds the TCP schedule equal to the in-process one; `durable` holds
+# journal-off, WAL, WAL + snapshots and the restored run to one schedule.
+echo "==> job-path benchmark smoke on all six workloads (correctness + schema, no timing gate)"
+for workload in overload steady wide dag_related frontdoor durable; do
   benchmark/run.sh --smoke --workload "$workload" >/dev/null
 done
 

@@ -2,11 +2,14 @@
 //! hand-built diamond whose schedule and AWCT are derived by hand below,
 //! on a uniform cluster and again on related-speed machines — plus the
 //! registry's capability gate rejecting the one algorithm that cannot run
-//! DAGs.
+//! DAGs, and a seeded grid (chains, fork-join stages, random DAGs × uniform
+//! and related clusters) on which every capable algorithm must keep every
+//! edge under the cluster's effective times.
 
 use mris::prelude::*;
 use mris::registry::algorithm_for_workload;
 use mris::types::RegistryError;
+use mris_rng::Rng;
 
 /// The diamond `0 -> {1, 2} -> 3` on 1 resource; every demand is 0.6, so
 /// no two jobs ever share a machine.
@@ -99,5 +102,91 @@ fn capability_gate_rejects_capq_on_dags() {
         }
         Err(other) => panic!("expected Unsupported for ca-pq on a DAG, got {other}"),
         Ok(_) => panic!("ca-pq unexpectedly accepted a DAG workload"),
+    }
+}
+
+/// `n` seeded jobs on 2 resources with the precedence structure of
+/// `family`; edges run from lower to higher ids, so every family is acyclic.
+fn family_instance(family: &str, n: u32, rng: &mut Rng) -> Instance {
+    let mut b = InstanceBuilder::new(2);
+    for _ in 0..n {
+        let demands = [rng.gen_range(0.05..=0.9), rng.gen_range(0.05..=0.9)];
+        b.push_job(
+            rng.gen_range(0.0..20.0),
+            rng.gen_range(0.5..6.0),
+            rng.gen_range(0.1..4.0),
+            &demands,
+        );
+    }
+    match family {
+        // Disjoint chains of 4 consecutive ids.
+        "chain" => {
+            for i in (0..n - 1).filter(|i| i % 4 != 3) {
+                b.edge(JobId(i), JobId(i + 1));
+            }
+        }
+        // Stages of 6 consecutive ids: the first forks to four middles,
+        // which all join into the last.
+        "fork-join" => {
+            for first in (0..n / 6).map(|stage| stage * 6) {
+                for mid in first + 1..first + 5 {
+                    b.edge(JobId(first), JobId(mid));
+                    b.edge(JobId(mid), JobId(first + 5));
+                }
+            }
+        }
+        // Each job draws up to two predecessors among earlier ids.
+        "random-dag" => {
+            for succ in 1..n {
+                for _ in 0..2 {
+                    if rng.gen_range(0.0..1.0) < 0.5 {
+                        b.edge(JobId(rng.gen_range(0..succ as usize) as u32), JobId(succ));
+                    }
+                }
+            }
+        }
+        other => panic!("unknown family {other}"),
+    }
+    b.build()
+        .unwrap_or_else(|e| panic!("{family} is acyclic: {e}"))
+}
+
+/// Every algorithm the registry accepts for a DAG workload returns a
+/// schedule that passes spec-aware validation and in which no successor
+/// starts before its predecessor's completion *on the machine it ran on* —
+/// on uniform machines and on related speeds 2 / 1 / 0.5 alike.
+#[test]
+fn every_capable_algorithm_respects_edges_on_uniform_and_related_clusters() {
+    let mut rng = Rng::new(17).substream("dag-grid");
+    let clusters = [
+        ClusterSpec::uniform(4),
+        ClusterSpec::related(4, &[2.0, 1.0, 0.5]),
+    ];
+    for family in ["chain", "fork-join", "random-dag"] {
+        let instance = family_instance(family, 48, &mut rng);
+        assert!(instance.has_precedence(), "{family} drew no edges");
+        for cluster in &clusters {
+            for name in ["mris", "pq-wsjf", "pq-wsvf", "tetris", "bf-exec"] {
+                let what = format!("{name} on {family} x {cluster:?}");
+                let schedule = algorithm_for_workload(name, &instance, cluster)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"))
+                    .try_schedule_on(&instance, cluster)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                schedule
+                    .validate_on(&instance, cluster)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                for &(pred, succ) in instance.edges() {
+                    let p = schedule.get(pred).expect("predecessor scheduled");
+                    let s = schedule.get(succ).expect("successor scheduled");
+                    let end =
+                        p.start + cluster.effective_time(p.machine, instance.job(pred).proc_time);
+                    assert!(
+                        s.start >= end,
+                        "{what}: {succ} starts at {} before {pred} completes at {end}",
+                        s.start
+                    );
+                }
+            }
+        }
     }
 }
