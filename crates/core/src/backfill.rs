@@ -33,13 +33,9 @@ pub fn place_batch(
     batch: &[JobId],
     floor: Time,
 ) -> Vec<(JobId, usize, Time)> {
-    batch
-        .iter()
-        .map(|&id| {
-            let (machine, start) = timelines.place_earliest(instance.job(id), floor);
-            (id, machine, start)
-        })
-        .collect()
+    let mut placements = Vec::with_capacity(batch.len());
+    timelines.place_batch(instance, batch, floor, &mut placements);
+    placements
 }
 
 /// The Lemma 6.3 upper bound on the makespan of a batch placed by

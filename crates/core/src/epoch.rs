@@ -19,11 +19,12 @@
 //!   selection, which `select_batch` extends into the batch and returns.
 //!
 //! Stage timing: when an observability subscriber is installed the epoch
-//! body opens `mris_epoch_{filter,solve,probe,commit}_seconds` spans (the
-//! grid/compaction stage is timed by the caller as
-//! `mris_epoch_grid_seconds`), giving the job-path benchmark
-//! (`benchmark/`, the `core.*` layer) its per-stage breakdown. With no
-//! subscriber each span is one relaxed atomic load.
+//! body opens `mris_epoch_{filter,solve}_seconds` spans and records one
+//! `mris_epoch_{probe,commit}_seconds` sample per epoch from the sums
+//! `ClusterTimelines::place_batch` hands back (the grid/compaction stage is
+//! timed by the caller as `mris_epoch_grid_seconds`), giving the job-path
+//! benchmark (`benchmark/`, the `core.*` layer) its per-stage breakdown.
+//! With no subscriber each span is one relaxed atomic load.
 //!
 //! The `force_rebuild` mode re-derives each epoch the way the
 //! pre-incremental loop did — one flat set, an explicit threshold filter
@@ -218,53 +219,35 @@ impl EpochState {
             return stats;
         }
 
-        // Earliest-fit placement with floor gamma (Section 5.2/5.3); probes
-        // ride the timelines' fit-hint cache, commits follow immediately so
-        // the hint learned by job i prunes the probe for job i+1. Probe and
-        // commit timings are accumulated across the batch and recorded once
-        // per epoch: a per-job histogram insert costs as much as a cheap
-        // probe, which both skewed the distribution and showed up in the
-        // stage breakdown itself. The `mris_epoch_{probe,commit}_seconds`
-        // families keep the same per-epoch sums; only their counts change
-        // (one sample per epoch instead of per job).
+        // Earliest-fit placement with floor gamma (Section 5.2/5.3), handed
+        // to the timelines as one call: commits follow each probe, so what
+        // job i's probes learned is where job i+1's start. Probe and commit
+        // time come back summed over the batch and are recorded once per
+        // epoch — a per-job histogram insert costs as much as a cheap probe.
         let floor = if config.backfill {
             gamma
         } else {
             gamma.max(timelines.horizon())
         };
-        let timed = mris_obs::enabled();
-        let mut probe_time = std::time::Duration::ZERO;
-        let mut commit_time = std::time::Duration::ZERO;
-        for &id in &self.scratch.batch {
+        let first = placements.len();
+        let (probe_time, commit_time) =
+            timelines.place_batch(instance, &self.scratch.batch, floor, placements);
+        if mris_obs::enabled() {
+            mris_obs::histogram_record("mris_epoch_probe_seconds", probe_time.as_secs_f64());
+            mris_obs::histogram_record("mris_epoch_commit_seconds", commit_time.as_secs_f64());
+        }
+        for &(id, machine, start) in &placements[first..] {
             let job = instance.job(id);
-            // `proc_time` is nominal work; the fit probe, `commit_job` and
-            // the completion below all scale it by the chosen machine's
-            // speed (a no-op on unit machines, where `p / 1.0` is bitwise
-            // `p`).
-            let (machine, start) = if timed {
-                let t0 = std::time::Instant::now();
-                let (machine, start) =
-                    timelines.earliest_fit_mut(floor, job.proc_time, &job.demands);
-                let t1 = std::time::Instant::now();
-                timelines.commit_job(machine, start, job.proc_time, &job.demands);
-                probe_time += t1 - t0;
-                commit_time += t1.elapsed();
-                (machine, start)
-            } else {
-                timelines.place_earliest(job, floor)
-            };
-            placements.push((id, machine, start));
             self.frontier.remove(&id);
             stats.scheduled += 1;
             stats.batch_weight += job.weight;
             stats.batch_volume += job.volume();
+            // `proc_time` is nominal work: the probe, the commit and this
+            // completion all scale it by the chosen machine's speed (a
+            // no-op on unit machines, where `p / 1.0` is bitwise `p`).
             stats.batch_end = stats
                 .batch_end
                 .max(start + job.proc_time / timelines.speed(machine));
-        }
-        if timed {
-            mris_obs::histogram_record("mris_epoch_probe_seconds", probe_time.as_secs_f64());
-            mris_obs::histogram_record("mris_epoch_commit_seconds", commit_time.as_secs_f64());
         }
         stats
     }

@@ -45,7 +45,7 @@ use std::thread::JoinHandle;
 
 use mris_types::{Amount, Time};
 
-use crate::timeline::TimelineShard;
+use crate::timeline::{ProbeTally, ShardScan, TimelineShard};
 
 /// Scanners used per query (the caller plus spawned workers), bounded so a
 /// query never oversubscribes the host even on very wide clusters.
@@ -78,7 +78,7 @@ struct Query {
     /// `from.max(0.0)`: no start below it exists, so a shard fitting at the
     /// floor ends the search for every higher-indexed shard.
     floor: Time,
-    results: *mut (usize, Time),
+    results: *mut ShardScan,
     /// The sequence number this descriptor was published under — the claim
     /// epoch scanners must match.
     seq: u64,
@@ -127,7 +127,7 @@ struct Shared {
     floor_shard: AtomicUsize,
     /// Mirror of `state.seq` for the workers' lock-free spin check.
     published_seq: AtomicU64,
-    /// A shard scan panicked (capacity assertion, poisoned hint lock, ...).
+    /// A shard scan panicked (a capacity or duration assertion).
     /// The panic is caught so the completion protocol still runs — a
     /// deadlocked caller would be strictly worse — and re-raised on the
     /// caller's side of the handshake.
@@ -141,7 +141,7 @@ pub(crate) struct ScanPool {
     shared: Arc<Shared>,
     /// Serializes concurrent `scan` callers and doubles as the reusable
     /// per-shard result buffer.
-    scratch: Mutex<Vec<(usize, Time)>>,
+    scratch: Mutex<Vec<ShardScan>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -197,13 +197,14 @@ impl ScanPool {
     /// Earliest `(machine, start)` over `shards` — identical to the
     /// sequential cutoff-pruned scan, including the lowest-machine-index
     /// tie-break. Blocks until every shard has been scanned; concurrent
-    /// callers serialize.
+    /// callers serialize. The scanners' probe counts are added to `tally`.
     pub(crate) fn scan(
         &self,
         shards: &[TimelineShard],
         from: Time,
         dur: Time,
         demands: &[Amount],
+        tally: &mut ProbeTally,
     ) -> (usize, Time) {
         let num_shards = shards.len();
         assert!(
@@ -230,13 +231,14 @@ impl ScanPool {
         let floor = from.max(0.0);
         let inline_best = AtomicU64::new(f64::INFINITY.to_bits());
         let first = shards[0].scan_bounded(from, dur, demands, floor, &inline_best);
-        if first.1 <= floor || num_shards == 1 {
-            return first;
+        if first.best.1 <= floor || num_shards == 1 {
+            tally.add(&first.tally);
+            return first.best;
         }
 
         let mut results = self.scratch.lock().expect("scan pool scratch lock");
         results.clear();
-        results.resize(num_shards, (usize::MAX, f64::INFINITY));
+        results.resize(num_shards, ShardScan::NONE);
         // Shard zero is pre-completed: its result seeds the shared pruning
         // bound, its slot is already written, and the claim counter starts
         // at shard one.
@@ -253,7 +255,7 @@ impl ScanPool {
             // after it, on the epoch.
             shared
                 .shared_best
-                .store(first.1.to_bits(), Ordering::Relaxed);
+                .store(first.best.1.to_bits(), Ordering::Relaxed);
             shared.floor_shard.store(usize::MAX, Ordering::Relaxed);
             shared.shards_done.store(1, Ordering::Relaxed);
             shared
@@ -298,10 +300,11 @@ impl ScanPool {
         // returned its lexicographic minimum — together the exact
         // `(start, machine)` minimum of the sequential scan.
         let mut best = (0usize, f64::INFINITY);
-        for &(m, s) in results.iter() {
-            if s < best.1 {
-                best = (m, s);
+        for scan in results.iter() {
+            if scan.best.1 < best.1 {
+                best = scan.best;
             }
+            tally.add(&scan.tally);
         }
         best
     }
@@ -401,7 +404,7 @@ unsafe fn run_query(query: &Query, shared: &Shared) {
             // A lower shard already fit at the floor; nothing at or above
             // this index can beat it (equal start loses the index
             // tie-break), so complete the shard without scanning.
-            (usize::MAX, f64::INFINITY)
+            ShardScan::NONE
         } else {
             let scanned = catch_unwind(AssertUnwindSafe(|| {
                 shards[i].scan_bounded(
@@ -414,14 +417,14 @@ unsafe fn run_query(query: &Query, shared: &Shared) {
             }));
             match scanned {
                 Ok(r) => {
-                    if r.1 <= query.floor {
+                    if r.best.1 <= query.floor {
                         shared.floor_shard.fetch_min(i, Ordering::Relaxed);
                     }
                     r
                 }
                 Err(_) => {
                     shared.panicked.store(true, Ordering::Relaxed);
-                    (usize::MAX, f64::INFINITY)
+                    ShardScan::NONE
                 }
             }
         };

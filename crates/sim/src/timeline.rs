@@ -23,11 +23,36 @@
 //!   resource consists *only* of violating segments — the candidate start
 //!   jumps past the entire block in `O(R)`.
 //!
-//! On top of that, cluster-level scans are pruned with a best-so-far cutoff
-//! (machines that cannot beat the current best abort early) and answered
-//! from a per-machine hint cache when a batch repeats the same query
-//! (invalidated only by commits that overlap the hinted window — usage is
-//! monotone, so other commits cannot change the answer).
+//! On top of that, cluster-level scans are pruned with a best-so-far cutoff:
+//! a machine that cannot beat the current best aborts its scan early.
+//!
+//! # Floors
+//!
+//! Algorithm 1 places a whole batch at one floor `gamma_k`, so job after job
+//! would re-walk the prefix the same epoch just packed. Each machine
+//! therefore remembers *floors*: facts "a query of this demand class lasting
+//! at least `dur` has no feasible start in `[base, bound)`" (`Floors`). A
+//! fact bounds every at-least-as-hard later query, and it stays true under
+//! everything that can happen to a timeline: commits only add usage,
+//! compaction leaves the step function at or after the watermark alone (and
+//! queries are clamped there), and a reset replaces the timeline, floors
+//! included. Nothing is ever invalidated.
+//!
+//! A probe uses the tightest applicable bound `b` two ways: `b >= cutoff`
+//! rules the machine out without visiting a segment, and otherwise the scan
+//! starts at `b` instead of at `from`. The scan returns its start or a
+//! breakpoint that ends a violating run, whichever is the first feasible
+//! one; the floor says none of those below `b` is feasible, so the first at
+//! or after `b` is the first at or after `from` — the same `f64`.
+//!
+//! Demand classes are the cluster's distinct demand vectors
+//! ([`ClusterTimelines`] resolves a query's class once, so a probe indexes
+//! its machine's floors instead of comparing vectors). Floors are plain
+//! fields: probes read them through `&self` and report what they learned;
+//! the sequential sweep behind [`ClusterTimelines::place_batch`] and the
+//! other `&mut` entry points applies it. Shared-access queries read floors
+//! and learn nothing; the pooled scan (next section) neither reads nor
+//! raises them.
 //!
 //! # Shards and the persistent scan pool
 //!
@@ -39,19 +64,21 @@
 //! claim shards dynamically and share a lock-free best-so-far bound —
 //! threads are created once per cluster, never per query (per-query
 //! [`std::thread::scope`] spawns measured as a 0.93x *slowdown* at 256
-//! machines). Mutations (`commit`, `reset_machine`, `compact_before`) go
-//! through `&mut self` shard ownership, so per-machine fit hints and skip
-//! indexes are only ever touched by one scanner at a time. The sequential
-//! cutoff-pruned scan below the threshold is byte-identical to what it
-//! always was, and the pooled scan reproduces it bit for bit (same
-//! lowest-machine-index tie-break, same one-ulp slack semantics).
+//! machines). Scanners only read, and they probe without floors (see
+//! [`TimelineShard::scan_bounded`]); their probe counts come back in their
+//! shard's result slot. Mutations (`commit`, `reset_machine`,
+//! `compact_before`, raising floors) go through `&mut self`. The pooled
+//! scan reproduces the sequential cutoff-pruned
+//! scan bit for bit (same lowest-machine-index tie-break, same one-ulp
+//! slack semantics).
 //!
 //! [`ClusterState`]: crate::ClusterState
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
-use mris_types::{Amount, ClusterSpec, Job, Time, CAPACITY};
+use mris_types::{Amount, ClusterSpec, Instance, Job, JobId, Time, CAPACITY};
 
 use crate::pool::ScanPool;
 
@@ -78,25 +105,154 @@ pub const PARALLEL_SCAN_THRESHOLD: usize = 512;
 /// suite runs shard sizes 1, 7, and 64).
 pub const SHARD_SIZE: usize = 64;
 
-/// What the last scan of a machine learned, kept for reuse by later probes.
+/// Distinct demand vectors a cluster keeps floors for, in order of first
+/// appearance; later vectors probe without floors. Every benchmark
+/// workload draws from 30 VM types.
+const FLOOR_CLASSES: usize = 32;
+
+/// Facts kept per (machine, demand class): a staircase over duration.
+const FLOOR_STEPS: usize = 2;
+
+/// A demand class: the index of a demand vector in its cluster's table
+/// ([`ClusterTimelines::class_of`]), `None` for vectors the table has no
+/// room for.
+type FloorClass = Option<u8>;
+
+/// One demand class's floors on one machine: up to [`FLOOR_STEPS`] facts
+/// `(dur, bound)` — "a query of this class lasting at least `dur` has no
+/// feasible start in `[base, bound)`" (`base` is the machine's, see
+/// [`Floors`]).
 ///
-/// With `exact == true`, `result` is the full answer to the hinted query —
-/// valid until a commit overlaps the hinted window or the timeline is
-/// compacted/reset. With `exact == false`, the scan was cut off and `result`
-/// is only a proven *lower bound* on the answer ("no feasible start below
-/// `result`") — usage only ever increases, so a bound stays valid across
-/// commits unconditionally.
+/// Kept as a Pareto staircase — `dur` and `bound` both strictly ascending
+/// over the used steps, [`Stair::UNUSED`] steps at the end — so the
+/// tightest bound for a query is the last step whose `dur` it reaches.
+#[derive(Debug, Clone, Copy)]
+struct Stair {
+    steps: [(Time, Time); FLOOR_STEPS],
+}
+
+impl Stair {
+    /// Applies to no query (`dur = INFINITY`) and bounds nothing.
+    const UNUSED: (Time, Time) = (f64::INFINITY, 0.0);
+
+    const EMPTY: Stair = Stair {
+        steps: [Stair::UNUSED; FLOOR_STEPS],
+    };
+
+    /// The tightest stored bound that applies to a query lasting `dur`
+    /// (`0.0` when none does).
+    #[inline]
+    fn bound_for(&self, dur: Time) -> Time {
+        let mut bound = 0.0;
+        for &(d, b) in &self.steps {
+            if d <= dur {
+                bound = b;
+            }
+        }
+        bound
+    }
+
+    /// Adds the fact `(dur, bound)`, dropping the steps it makes redundant.
+    /// When the staircase overflows, the step that adds least over its
+    /// predecessor (over `base` for the first) goes: that is the bound
+    /// later queries lose the least by falling back from.
+    fn raise(&mut self, dur: Time, bound: Time, base: Time) {
+        if self.steps.iter().any(|&(d, b)| d <= dur && b >= bound) {
+            return;
+        }
+        let mut merged = [Stair::UNUSED; FLOOR_STEPS + 1];
+        let mut n = 0;
+        let mut placed = false;
+        for &step in &self.steps {
+            if step.0 >= dur {
+                if !placed {
+                    merged[n] = (dur, bound);
+                    n += 1;
+                    placed = true;
+                }
+                // As long or longer with no later bound (or unused): the
+                // new step says more.
+                if step.1 <= bound {
+                    continue;
+                }
+            }
+            merged[n] = step;
+            n += 1;
+        }
+        if !placed {
+            merged[n] = (dur, bound);
+            n += 1;
+        }
+        if n > FLOOR_STEPS {
+            let gain = |i: usize| merged[i].1 - if i == 0 { base } else { merged[i - 1].1 };
+            let victim = (0..n)
+                .min_by(|&a, &b| gain(a).total_cmp(&gain(b)))
+                .expect("an overflowing staircase is non-empty");
+            merged.copy_within(victim + 1.., victim);
+        }
+        self.steps.copy_from_slice(&merged[..FLOOR_STEPS]);
+    }
+}
+
+/// A machine's floors: for each demand class, how far the machine is known
+/// to be closed to it.
 ///
-/// Either form also bounds every *at-least-as-hard* query (later `from`,
-/// longer `dur`, pointwise-greater `demands`) from below, which lets a
-/// cutoff-pruned cluster sweep rule a machine out without scanning it.
+/// **Invariant.** For every used step `(dur, bound)` of `stairs[c]`: no
+/// start `s` in `[base, bound)` is feasible for class `c`'s demand vector
+/// held for `dur` — and therefore for any query at least as hard (same
+/// demands, `dur' >= dur`, `from' >= base`). Three rules keep it true:
+/// `commit` only adds usage, so a closed start stays closed; compaction
+/// leaves the step function at or after the watermark as it was, and
+/// queries are clamped there; `reset_machine` builds a fresh timeline and
+/// the floors go with the old one.
 #[derive(Debug, Clone)]
-struct FitHint {
-    from: Time,
-    dur: Time,
-    demands: Vec<Amount>,
-    result: Time,
-    exact: bool,
+struct Floors {
+    base: Time,
+    stairs: [Stair; FLOOR_CLASSES],
+}
+
+/// Probe counts gathered locally by a scan, a sweep or a batch and
+/// published with one registry call per family ([`ProbeTally::publish`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ProbeTally {
+    /// `mris_timeline_hint_hits_total`: ruled out by a floor, no segment
+    /// visited.
+    ruled_out: u64,
+    /// `mris_timeline_hint_misses_total`: scanned. Every probe is one or
+    /// the other, so `mris_timeline_probes_total` is their sum.
+    scanned: u64,
+    /// `mris_timeline_block_jumps_total`.
+    block_jumps: u64,
+}
+
+impl ProbeTally {
+    pub(crate) fn add(&mut self, other: &ProbeTally) {
+        self.ruled_out += other.ruled_out;
+        self.scanned += other.scanned;
+        self.block_jumps += other.block_jumps;
+    }
+
+    fn publish(&self) {
+        for (name, v) in [
+            ("mris_timeline_probes_total", self.ruled_out + self.scanned),
+            ("mris_timeline_hint_hits_total", self.ruled_out),
+            ("mris_timeline_hint_misses_total", self.scanned),
+            ("mris_timeline_block_jumps_total", self.block_jumps),
+        ] {
+            if v > 0 {
+                mris_obs::counter_add(name, v);
+            }
+        }
+    }
+}
+
+/// What one probe of one machine found.
+struct Probe {
+    /// The earliest feasible start below the cutoff, if any.
+    start: Option<Time>,
+    /// `Some(b)` when the scan proved more than the floors held: no
+    /// feasible start in `[from, b)`.
+    learned: Option<Time>,
 }
 
 /// Per-machine resource usage over time as a step function.
@@ -111,7 +267,7 @@ struct FitHint {
 /// * `block_max`/`block_min` hold the per-resource max/min usage of each
 ///   [`BLOCK`]-segment block (the skip index);
 /// * queries are only valid at or after [`MachineTimeline::compaction_watermark`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MachineTimeline {
     num_resources: usize,
     /// Per-resource capacity of this machine (all [`CAPACITY`] for the
@@ -131,26 +287,10 @@ pub struct MachineTimeline {
     /// Earliest instant at which queries are still exact (see
     /// [`MachineTimeline::compact_before`]).
     watermark: Time,
-    /// What the last scan learned (answer or lower bound); interior-mutable
-    /// so `&self` queries can maintain it (also from the parallel cluster
-    /// scan).
-    hint: Mutex<Option<FitHint>>,
-}
-
-impl Clone for MachineTimeline {
-    fn clone(&self) -> Self {
-        MachineTimeline {
-            num_resources: self.num_resources,
-            cap: self.cap.clone(),
-            speed: self.speed,
-            times: self.times.clone(),
-            usage: self.usage.clone(),
-            block_max: self.block_max.clone(),
-            block_min: self.block_min.clone(),
-            watermark: self.watermark,
-            hint: Mutex::new(self.hint.lock().expect("timeline hint lock").clone()),
-        }
-    }
+    /// How far this machine is known to be closed to each demand class
+    /// (see [`Floors`]). Read through `&self` by every probe, raised only
+    /// through `&mut self`.
+    floors: Floors,
 }
 
 impl MachineTimeline {
@@ -187,7 +327,10 @@ impl MachineTimeline {
             block_max: vec![0; num_resources],
             block_min: vec![0; num_resources],
             watermark: 0.0,
-            hint: Mutex::new(None),
+            floors: Floors {
+                base: 0.0,
+                stairs: [Stair::EMPTY; FLOOR_CLASSES],
+            },
         }
     }
 
@@ -231,9 +374,9 @@ impl MachineTimeline {
 
     /// Appends a canonical little-endian encoding of the committed step
     /// function (watermark, breakpoints as f64 bit patterns, usage) to
-    /// `out`. The block skip index and the fit-hint cache are derived
-    /// acceleration structures and are excluded, so two timelines with the
-    /// same committed load encode identically.
+    /// `out`. The block skip index and the floors are derived acceleration
+    /// structures and are excluded, so two timelines with the same
+    /// committed load encode identically.
     pub fn durable_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.watermark.to_bits().to_le_bytes());
         out.extend_from_slice(&(self.times.len() as u64).to_le_bytes());
@@ -409,9 +552,12 @@ impl MachineTimeline {
     }
 
     /// Like [`MachineTimeline::earliest_fit`], but gives up as soon as the
-    /// answer provably is `>= cutoff` and returns `None`. Cluster scans use
-    /// this to prune machines that cannot beat the best start found so far.
-    /// A non-finite `cutoff` disables pruning.
+    /// answer provably is `>= cutoff` and returns `None`. A non-finite
+    /// `cutoff` disables pruning.
+    ///
+    /// This is the plain scan: floors are keyed by a cluster's demand
+    /// classes, so only probes that come through [`ClusterTimelines`] read
+    /// and raise them.
     pub fn earliest_fit_bounded(
         &self,
         from: Time,
@@ -419,138 +565,114 @@ impl MachineTimeline {
         demands: &[Amount],
         cutoff: Time,
     ) -> Option<Time> {
-        debug_assert_eq!(demands.len(), self.num_resources);
-        assert!(dur > 0.0, "job duration must be positive");
-        assert!(
-            demands.iter().all(|&d| d <= CAPACITY),
-            "demand exceeds machine capacity; job can never fit"
-        );
-        debug_assert!(
-            from.max(0.0) >= self.watermark,
-            "earliest_fit(from = {from}) queries history compacted away before {}",
-            self.watermark
-        );
-        // Uphold the documented contract in release builds too: below the
-        // watermark the retained step function is approximate (compaction
-        // folded history into the first segment), so an unclamped scan
-        // could return a stale pre-watermark start.
-        let from = from.max(self.watermark);
-        let cutoff = if cutoff.is_finite() {
-            cutoff
-        } else {
-            f64::INFINITY
-        };
-        let mut slot = self.hint.lock().expect("timeline hint lock");
-        self.fit_via_hint(&mut slot, from, dur, demands, cutoff)
+        let mut tally = ProbeTally::default();
+        let probe = self.probe(None, from, dur, demands, cutoff, &mut tally);
+        tally.publish();
+        probe.start
     }
 
-    /// Like [`MachineTimeline::earliest_fit_bounded`], but for exclusive
-    /// access: the hint cache is reached through `Mutex::get_mut`, skipping
-    /// the lock entirely. Batch placement probes every machine once per job,
-    /// so the per-probe lock round-trips add up.
-    pub fn earliest_fit_bounded_mut(
-        &mut self,
-        from: Time,
-        dur: Time,
-        demands: &[Amount],
-        cutoff: Time,
-    ) -> Option<Time> {
-        debug_assert_eq!(demands.len(), self.num_resources);
-        assert!(dur > 0.0, "job duration must be positive");
-        assert!(
-            demands.iter().all(|&d| d <= CAPACITY),
-            "demand exceeds machine capacity; job can never fit"
-        );
-        debug_assert!(
-            from.max(0.0) >= self.watermark,
-            "earliest_fit(from = {from}) queries history compacted away before {}",
-            self.watermark
-        );
-        // Same release-mode watermark clamp as `earliest_fit_bounded`.
-        let from = from.max(self.watermark);
-        let cutoff = if cutoff.is_finite() {
-            cutoff
-        } else {
-            f64::INFINITY
-        };
-        let mut slot = std::mem::take(self.hint.get_mut().expect("timeline hint lock"));
-        let result = self.fit_via_hint(&mut slot, from, dur, demands, cutoff);
-        *self.hint.get_mut().expect("timeline hint lock") = slot;
-        result
+    /// Where a query from `from` really starts. The watermark clamp upholds
+    /// the documented contract in release builds too: below the watermark
+    /// the retained step function is approximate (compaction folded history
+    /// into the first segment), so an unclamped scan could return a stale
+    /// pre-watermark start.
+    #[inline]
+    fn clamp_from(&self, from: Time) -> Time {
+        from.max(self.watermark).max(0.0)
     }
 
-    /// The shared hint-then-scan core of the `earliest_fit_bounded` family,
-    /// with the hint slot already exclusively borrowed by the caller.
-    fn fit_via_hint(
+    /// One probe: the earliest feasible start in `[from, cutoff)` for
+    /// `demands` held for `dur` wall time, reading class `class`'s floors
+    /// but not raising them (see [`MachineTimeline::learn`]).
+    ///
+    /// A floor `b` that applies to the query either rules the machine out
+    /// without visiting a segment (`b >= cutoff`) or moves the scan's start
+    /// from `from` to `b`. The answer is the same `f64` either way: the
+    /// scan returns its start or a breakpoint that ends a violating run,
+    /// whichever is the first feasible one, and the floor says none of
+    /// those below `b` is feasible — so the first feasible one at or after
+    /// `b` is the first at or after `from`.
+    fn probe(
         &self,
-        slot: &mut Option<FitHint>,
+        class: FloorClass,
         from: Time,
         dur: Time,
         demands: &[Amount],
         cutoff: Time,
-    ) -> Option<Time> {
-        mris_obs::counter_add("mris_timeline_probes_total", 1);
-        if let Some(hint) = slot.as_ref() {
-            if hint.exact
-                && hint.dur == dur
-                && hint.from <= from
-                && from <= hint.result
-                && *hint.demands == *demands
-            {
-                mris_obs::counter_add("mris_timeline_hint_hits_total", 1);
-                let hit = hint.result;
-                return if hit < cutoff { Some(hit) } else { None };
-            }
-            // Dominance pruning: answers are monotone in `from`, `dur`, and
-            // every demand, so a query at least as hard as the hinted one has
-            // an answer >= hint.result; when that already reaches the cutoff
-            // the machine is ruled out without scanning.
-            if hint.result >= cutoff
-                && hint.from <= from
-                && hint.dur <= dur
-                && hint.demands.len() == demands.len()
-                && hint.demands.iter().zip(demands).all(|(&h, &d)| h <= d)
-            {
-                mris_obs::counter_add("mris_timeline_hint_hits_total", 1);
-                return None;
-            }
-        }
-        mris_obs::counter_add("mris_timeline_hint_misses_total", 1);
-        let result = self.scan_earliest(from, dur, demands, cutoff);
-        // Remember what the scan learned either way: the answer itself, or —
-        // on a cutoff abort — that this query has no feasible start below
-        // `cutoff` (the scan is exhaustive up to there).
-        let (learned, exact) = match result {
-            Some(t) => (t, true),
-            None => (cutoff, false),
+        tally: &mut ProbeTally,
+    ) -> Probe {
+        debug_assert_eq!(demands.len(), self.num_resources);
+        assert!(dur > 0.0, "job duration must be positive");
+        assert!(
+            demands.iter().all(|&d| d <= CAPACITY),
+            "demand exceeds machine capacity; job can never fit"
+        );
+        debug_assert!(
+            from.max(0.0) >= self.watermark,
+            "earliest_fit(from = {from}) queries history compacted away before {}",
+            self.watermark
+        );
+        let from = self.clamp_from(from);
+        let cutoff = if cutoff.is_finite() {
+            cutoff
+        } else {
+            f64::INFINITY
         };
-        if learned.is_finite() {
-            match slot.as_mut() {
-                // Reuse the existing allocation: batch placement stores a
-                // hint on every probe, so this path is hot.
-                Some(hint) => {
-                    hint.from = from;
-                    hint.dur = dur;
-                    hint.demands.clear();
-                    hint.demands.extend_from_slice(demands);
-                    hint.result = learned;
-                    hint.exact = exact;
-                }
-                None => {
-                    *slot = Some(FitHint {
-                        from,
-                        dur,
-                        demands: demands.to_vec(),
-                        result: learned,
-                        exact,
-                    });
-                }
-            }
+        let floor = match class {
+            Some(c) if from >= self.floors.base => self.floors.stairs[c as usize].bound_for(dur),
+            _ => 0.0,
+        };
+        if floor >= cutoff {
+            tally.ruled_out += 1;
+            return Probe {
+                start: None,
+                learned: None,
+            };
         }
-        result
+        tally.scanned += 1;
+        let scan_from = from.max(floor);
+        let scanned = self.scan_earliest(scan_from, dur, demands, cutoff, tally);
+        // Either way the scan was exhaustive from `scan_from` up to the
+        // instant it returns, and the floor covers `[from, scan_from)`.
+        let (Ok(proven) | Err(proven)) = scanned;
+        Probe {
+            start: scanned.ok(),
+            learned: (proven > scan_from).then_some(proven),
+        }
     }
 
-    /// The cutoff-pruned skip-index scan behind the `earliest_fit` family.
+    /// Raises class `class`'s floors with what a probe of `(from, dur)`
+    /// learned: no feasible start in `[from, bound)`.
+    fn learn(&mut self, class: u8, from: Time, dur: Time, bound: Time) {
+        let from = self.clamp_from(from);
+        // One base for all of a machine's facts: a fact proven from `from`
+        // holds from any later base, and the facts already stored hold on
+        // the sub-range the raised base leaves them.
+        let base = self.floors.base.max(from);
+        self.floors.base = base;
+        self.floors.stairs[class as usize].raise(dur, bound, base);
+    }
+
+    /// [`MachineTimeline::probe`] followed by [`MachineTimeline::learn`].
+    fn probe_mut(
+        &mut self,
+        class: FloorClass,
+        from: Time,
+        dur: Time,
+        demands: &[Amount],
+        cutoff: Time,
+        tally: &mut ProbeTally,
+    ) -> Option<Time> {
+        let probe = self.probe(class, from, dur, demands, cutoff, tally);
+        if let (Some(c), Some(bound)) = (class, probe.learned) {
+            self.learn(c, from, dur, bound);
+        }
+        probe.start
+    }
+
+    /// The cutoff-pruned skip-index scan behind every probe: `Ok(start)`,
+    /// or `Err(bound)` with `bound >= cutoff` when no start below `bound`
+    /// is feasible.
     ///
     /// Dispatches to a core monomorphized on the resource count so the
     /// per-segment feasibility check compiles to straight-line compares —
@@ -562,18 +684,19 @@ impl MachineTimeline {
         dur: Time,
         demands: &[Amount],
         cutoff: Time,
-    ) -> Option<Time> {
+        tally: &mut ProbeTally,
+    ) -> Result<Time, Time> {
         // A demand beyond this machine's own capacity never fits here (other
         // machines may still hold it — the cluster scan just skips this one).
         if demands.iter().zip(&self.cap).any(|(&d, &c)| d > c) {
-            return None;
+            return Err(f64::INFINITY);
         }
         match demands.len() {
-            1 => self.scan_core::<1>(from, dur, demands, cutoff),
-            2 => self.scan_core::<2>(from, dur, demands, cutoff),
-            3 => self.scan_core::<3>(from, dur, demands, cutoff),
-            4 => self.scan_core::<4>(from, dur, demands, cutoff),
-            _ => self.scan_any(from, dur, demands, cutoff),
+            1 => self.scan_core::<1>(from, dur, demands, cutoff, tally),
+            2 => self.scan_core::<2>(from, dur, demands, cutoff, tally),
+            3 => self.scan_core::<3>(from, dur, demands, cutoff, tally),
+            4 => self.scan_core::<4>(from, dur, demands, cutoff, tally),
+            _ => self.scan_any(from, dur, demands, cutoff, tally),
         }
     }
 
@@ -585,7 +708,8 @@ impl MachineTimeline {
         dur: Time,
         demands: &[Amount],
         cutoff: Time,
-    ) -> Option<Time> {
+        tally: &mut ProbeTally,
+    ) -> Result<Time, Time> {
         debug_assert_eq!(demands.len(), R);
         // Free room per resource: `usage + demand > cap` iff `usage > room`
         // (exact in fixed point), saving an add per visit. The caller
@@ -597,9 +721,9 @@ impl MachineTimeline {
         let usage = &self.usage[..n * R];
         let bmax = self.block_max.as_slice();
         let bmin = self.block_min.as_slice();
-        let mut cand = from.max(0.0);
+        let mut cand = from;
         if cand >= cutoff {
-            return None;
+            return Err(cand);
         }
         // `cand` lands on a breakpoint after every jump, so the binary
         // search runs once and the window start `start_k` is carried from
@@ -637,7 +761,7 @@ impl MachineTimeline {
                     loop {
                         debug_assert!(j < n, "tail segment is all-zero and must be feasible");
                         if times[j] >= cutoff {
-                            break 'outer None;
+                            break 'outer Err(times[j]);
                         }
                         if j.is_multiple_of(BLOCK) {
                             let mut saturated = false;
@@ -665,21 +789,26 @@ impl MachineTimeline {
                 }
                 k += 1;
             }
-            break 'outer Some(cand);
+            break 'outer Ok(cand);
         };
-        if block_jumps > 0 {
-            mris_obs::counter_add("mris_timeline_block_jumps_total", block_jumps);
-        }
+        tally.block_jumps += block_jumps;
         result
     }
 
     /// Slice-generic scan for resource counts with no monomorphized core.
     /// Mirrors [`MachineTimeline::scan_core`] exactly — keep the two in sync.
-    fn scan_any(&self, from: Time, dur: Time, demands: &[Amount], cutoff: Time) -> Option<Time> {
+    fn scan_any(
+        &self,
+        from: Time,
+        dur: Time,
+        demands: &[Amount],
+        cutoff: Time,
+        tally: &mut ProbeTally,
+    ) -> Result<Time, Time> {
         let n = self.times.len();
-        let mut cand = from.max(0.0);
+        let mut cand = from;
         if cand >= cutoff {
-            return None;
+            return Err(cand);
         }
         let mut start_k = self.segment_index(cand);
         let mut block_jumps: u64 = 0;
@@ -703,7 +832,7 @@ impl MachineTimeline {
                     loop {
                         debug_assert!(j < n, "tail segment is all-zero and must be feasible");
                         if self.times[j] >= cutoff {
-                            break 'outer None;
+                            break 'outer Err(self.times[j]);
                         }
                         if j.is_multiple_of(BLOCK) && self.block_saturated(j / BLOCK, demands) {
                             j += BLOCK;
@@ -727,34 +856,10 @@ impl MachineTimeline {
                 }
                 k += 1;
             }
-            break 'outer Some(cand);
+            break 'outer Ok(cand);
         };
-        if block_jumps > 0 {
-            mris_obs::counter_add("mris_timeline_block_jumps_total", block_jumps);
-        }
+        tally.block_jumps += block_jumps;
         result
-    }
-
-    /// Drops any memoized query answer; must follow every mutation whose
-    /// effect on the hint cannot be reasoned about more precisely.
-    fn invalidate_hint(&mut self) {
-        *self.hint.get_mut().expect("timeline hint lock") = None;
-    }
-
-    /// Drops the memoized query answer only if adding usage over
-    /// `[start, end)` can change it. Usage only ever *increases*, so a
-    /// commit cannot create a feasible start below `hint.result` (the "no
-    /// earlier fit" half of the hint stays true unconditionally); it can
-    /// only invalidate the "fits at `result`" half of an *exact* hint, and
-    /// only by overlapping the hinted window `[result, result + dur)`.
-    /// Lower-bound hints have no such half and survive every commit.
-    fn invalidate_hint_overlapping(&mut self, start: Time, end: Time) {
-        let guard = self.hint.get_mut().expect("timeline hint lock");
-        if let Some(hint) = guard.as_ref() {
-            if hint.exact && start < hint.result + hint.dur && hint.result < end {
-                *guard = None;
-            }
-        }
     }
 
     /// Splits segment `i` at instant `at` by inserting a breakpoint after
@@ -844,7 +949,6 @@ impl MachineTimeline {
         for b in i0 / BLOCK..=(i1 - 1) / BLOCK {
             self.recompute_block(b);
         }
-        self.invalidate_hint_overlapping(start, start + dur);
     }
 
     /// Drops breakpoints earlier than `horizon` whose removal does not change
@@ -871,7 +975,6 @@ impl MachineTimeline {
         self.block_max.truncate(num_blocks * self.num_resources);
         self.block_min.truncate(num_blocks * self.num_resources);
         self.rebuild_index_from(0);
-        self.invalidate_hint();
     }
 }
 
@@ -888,16 +991,57 @@ pub(crate) struct TimelineShard {
     machines: Vec<MachineTimeline>,
 }
 
+/// One cluster-level query, as the sequential sweeps see it.
+#[derive(Debug, Clone, Copy)]
+struct SweepQuery<'a> {
+    /// The demand vector's class in the cluster's table, if it has one.
+    class: FloorClass,
+    from: Time,
+    /// Nominal work; machine `m` holds the job for `dur / speed_m`.
+    dur: Time,
+    demands: &'a [Amount],
+}
+
+/// What a pool scanner hands back for one shard of one query.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardScan {
+    /// The shard's lexicographic `(start, global machine)` minimum, or
+    /// `(usize::MAX, INFINITY)` when the shared bound ruled every machine
+    /// out.
+    pub(crate) best: (usize, Time),
+    /// The shard's probe counts, so the caller publishes them once.
+    pub(crate) tally: ProbeTally,
+}
+
+impl ShardScan {
+    /// A shard nobody scanned, or one with no machine below the bound.
+    pub(crate) const NONE: ShardScan = ShardScan {
+        best: (usize::MAX, f64::INFINITY),
+        tally: ProbeTally {
+            ruled_out: 0,
+            scanned: 0,
+            block_jumps: 0,
+        },
+    };
+}
+
 impl TimelineShard {
-    /// The cutoff-pruned earliest fit over this shard, in machine order:
-    /// returns the shard's lexicographic `(start, global machine)` minimum,
-    /// or `(usize::MAX, INFINITY)` when the shared bound rules every
-    /// machine out. `shared_best` carries the best start found anywhere in
-    /// the cluster so far; it is read as a pruning bound — with one ulp of
-    /// slack, so an equal start in this shard survives to the in-order
-    /// reduce where shard order decides the tie — and CAS-min published on
-    /// every improvement. `floor` (`from.max(0.0)`) ends the shard scan
-    /// early: within a shard no later machine can beat a fit at the floor.
+    /// The cutoff-pruned earliest fit over this shard, in machine order.
+    /// `shared_best` carries the best start found anywhere in the cluster
+    /// so far; it is read as a pruning bound — with one ulp of slack, so an
+    /// equal start in this shard survives to the in-order reduce where
+    /// shard order decides the tie — and CAS-min published on every
+    /// improvement. `floor` (`from.max(0.0)`) ends the shard scan early:
+    /// within a shard no later machine can beat a fit at the floor.
+    ///
+    /// Pool scanners probe **without floors** (class `None`): every probe
+    /// scans from `from`, and nothing is learned. With floors a pooled
+    /// query is mostly O(1) rule-outs, and what is left of it is the
+    /// pool's per-query claim/complete traffic between CPUs, whose cost
+    /// moves with where the host puts them — `wide` ran faster but its
+    /// runs spread 1.7 times as wide as the ledger's bound allows
+    /// (EXPERIMENTS.md, PR 23). Floors on the pooled path wait for ROADMAP
+    /// item 3's coarser unit of pooled work.
     pub(crate) fn scan_bounded(
         &self,
         from: Time,
@@ -905,9 +1049,10 @@ impl TimelineShard {
         demands: &[Amount],
         floor: Time,
         shared_best: &AtomicU64,
-    ) -> (usize, Time) {
+    ) -> ShardScan {
         let mut local = (usize::MAX, f64::INFINITY);
         let mut probed: u64 = 0;
+        let mut tally = ProbeTally::default();
         for (k, tl) in self.machines.iter().enumerate() {
             let global = f64::from_bits(shared_best.load(Ordering::Relaxed));
             let slack = if global.is_finite() {
@@ -920,7 +1065,8 @@ impl TimelineShard {
             // `dur` is nominal work; this machine occupies it for
             // `dur / speed` wall time (exact `dur / 1.0 == dur` on the
             // reference machine, preserving the uniform path bit for bit).
-            if let Some(s) = tl.earliest_fit_bounded(from, dur / tl.speed(), demands, cutoff) {
+            let probe = tl.probe(None, from, dur / tl.speed(), demands, cutoff, &mut tally);
+            if let Some(s) = probe.start {
                 if s < local.1 {
                     local = (self.base + k, s);
                 }
@@ -942,7 +1088,7 @@ impl TimelineShard {
             }
         }
         mris_obs::counter_add("mris_shard_probes_total", probed);
-        local
+        ShardScan { best: local, tally }
     }
 }
 
@@ -955,11 +1101,16 @@ pub struct ClusterTimelines {
     num_resources: usize,
     shard_size: usize,
     parallel_threshold: usize,
-    /// Machine probed first by [`ClusterTimelines::earliest_fit_mut`] to
-    /// seed the pruning cutoff: one past the previous winner, i.e. the
-    /// machine least recently loaded. Pure probe-order heuristic — the
-    /// returned placement is independent of it.
+    /// Machine probed first by the exclusive sweep to seed the pruning
+    /// cutoff: one past the previous winner, i.e. the machine least
+    /// recently loaded. Pure probe-order heuristic — the returned placement
+    /// is independent of it.
     scan_seed: usize,
+    /// The demand vectors that have a floor class, flattened `class x R`
+    /// in order of first appearance (at most [`FLOOR_CLASSES`]). A class is
+    /// resolved once per query, so a probe indexes its machine's floors
+    /// instead of comparing demand vectors.
+    classes: Vec<Amount>,
     /// The cluster's persistent scan workers, spawned on the first query
     /// that crosses `parallel_threshold` and joined on drop. Never cloned:
     /// a cloned cluster lazily spawns its own.
@@ -975,6 +1126,7 @@ impl Clone for ClusterTimelines {
             shard_size: self.shard_size,
             parallel_threshold: self.parallel_threshold,
             scan_seed: self.scan_seed,
+            classes: self.classes.clone(),
             pool: OnceLock::new(),
         }
     }
@@ -1053,6 +1205,7 @@ impl ClusterTimelines {
             shard_size,
             parallel_threshold: PARALLEL_SCAN_THRESHOLD,
             scan_seed: 0,
+            classes: Vec::new(),
             pool: OnceLock::new(),
         }
     }
@@ -1105,35 +1258,73 @@ impl ClusterTimelines {
         self.parallel_threshold = threshold.max(1);
     }
 
+    /// The floor class of `demands`, if the table already holds the vector.
+    fn class_of(&self, demands: &[Amount]) -> FloorClass {
+        assert_eq!(demands.len(), self.num_resources);
+        self.classes
+            .chunks_exact(self.num_resources)
+            .position(|class| class == demands)
+            .map(|c| c as u8)
+    }
+
+    /// [`ClusterTimelines::class_of`], giving a new vector the next free
+    /// class while the table has room.
+    fn intern_class(&mut self, demands: &[Amount]) -> FloorClass {
+        let known = self.class_of(demands);
+        if known.is_some() || self.classes.len() == FLOOR_CLASSES * self.num_resources {
+            return known;
+        }
+        self.classes.extend_from_slice(demands);
+        Some((self.classes.len() / self.num_resources - 1) as u8)
+    }
+
     /// Earliest `(machine, start)` with `start >= from` at which the job
     /// fits for `dur` units of *nominal work* (machine `m` occupies it for
     /// `dur / speed_m` wall time); ties on start break toward the lower
-    /// machine index.
+    /// machine index. Shared access reads the floors (on the sequential
+    /// path) but cannot raise them.
     ///
     /// # Panics
     ///
-    /// Debug builds panic if no machine can ever hold `demands` (every
-    /// machine's capacity is exceeded on some resource) — the driver
-    /// rejects such jobs up front with
+    /// If no machine can ever hold `demands` (every machine's capacity is
+    /// exceeded on some resource) — the driver rejects such jobs up front
+    /// with
     /// [`SchedulingError::UnplaceableJob`](mris_types::SchedulingError::UnplaceableJob).
     pub fn earliest_fit(&self, from: Time, dur: Time, demands: &[Amount]) -> (usize, Time) {
+        let mut tally = ProbeTally::default();
         let best = if self.num_machines >= self.parallel_threshold {
-            self.earliest_fit_pooled(from, dur, demands)
+            let pool = self.pool.get_or_init(ScanPool::new);
+            pool.scan(&self.shards, from, dur, demands, &mut tally)
         } else {
-            self.earliest_fit_sequential(from, dur, demands)
+            let q = SweepQuery {
+                class: self.class_of(demands),
+                from,
+                dur,
+                demands,
+            };
+            self.sweep_in_order(&q, &mut tally)
         };
-        debug_assert!(best.1.is_finite());
+        tally.publish();
+        assert_placeable(best, demands);
         best
     }
 
     /// The cutoff-pruned sequential scan: each machine only searches below
     /// the best start found so far, and the scan stops outright once some
     /// machine fits at the floor (no later machine can strictly beat it).
-    fn earliest_fit_sequential(&self, from: Time, dur: Time, demands: &[Amount]) -> (usize, Time) {
-        let floor = from.max(0.0);
+    fn sweep_in_order(&self, q: &SweepQuery<'_>, tally: &mut ProbeTally) -> (usize, Time) {
+        let floor = q.from.max(0.0);
         let mut best = (0usize, f64::INFINITY);
         for (m, tl) in self.machines().enumerate() {
-            if let Some(s) = tl.earliest_fit_bounded(from, dur / tl.speed(), demands, best.1) {
+            let probe = tl.probe(
+                q.class,
+                q.from,
+                q.dur / tl.speed(),
+                q.demands,
+                best.1,
+                tally,
+            );
+            if let Some(s) = probe.start {
                 best = (m, s);
                 if s <= floor {
                     break;
@@ -1143,8 +1334,8 @@ impl ClusterTimelines {
         best
     }
 
-    /// The seeded sequential scan over exclusive timelines, probing through
-    /// the lock-free [`MachineTimeline::earliest_fit_bounded_mut`].
+    /// The seeded sequential scan over exclusive timelines, raising each
+    /// machine's floors with what its probe learned.
     ///
     /// The seed machine (one past the previous winner, so the least recently
     /// loaded) is probed first without a cutoff; its answer then prunes the
@@ -1153,22 +1344,19 @@ impl ClusterTimelines {
     /// from a lower index survives to win the tie — the result is the
     /// lexicographic minimum of `(start, machine)` over all machines,
     /// exactly what the unseeded in-order scan returns.
-    fn earliest_fit_seeded_mut(
-        &mut self,
-        from: Time,
-        dur: Time,
-        demands: &[Amount],
-    ) -> (usize, Time) {
-        let floor = from.max(0.0);
+    fn sweep_seeded(&mut self, q: &SweepQuery<'_>, tally: &mut ProbeTally) -> (usize, Time) {
+        let floor = q.from.max(0.0);
         let g = self.scan_seed.min(self.num_machines - 1);
-        let seed_speed = self.machine(g).speed();
+        let seed = self.machine_mut(g);
         // A restricted seed machine can be incapable of ever holding the
         // demand (`None` even unbounded); fall back to an unseeded sweep.
-        let mut best = match self.machine_mut(g).earliest_fit_bounded_mut(
-            from,
-            dur / seed_speed,
-            demands,
+        let mut best = match seed.probe_mut(
+            q.class,
+            q.from,
+            q.dur / seed.speed,
+            q.demands,
             f64::INFINITY,
+            tally,
         ) {
             Some(s_g) => (g, s_g),
             None => (usize::MAX, f64::INFINITY),
@@ -1185,7 +1373,8 @@ impl ClusterTimelines {
                     continue;
                 }
                 let cutoff = if m < best.0 { best.1.next_up() } else { best.1 };
-                if let Some(s) = tl.earliest_fit_bounded_mut(from, dur / tl.speed, demands, cutoff)
+                if let Some(s) =
+                    tl.probe_mut(q.class, q.from, q.dur / tl.speed, q.demands, cutoff, tally)
                 {
                     if s < best.1 || (s == best.1 && m < best.0) {
                         best = (m, s);
@@ -1199,16 +1388,36 @@ impl ClusterTimelines {
         best
     }
 
-    /// The sharded scan for wide clusters, served by the cluster's
-    /// persistent worker pool: scanners claim shards dynamically, share a
-    /// relaxed atomic best-so-far as a pruning bound (with one ulp of slack
-    /// so ties survive), and the caller reduces per-shard minima in shard
-    /// order — reproducing the sequential scan's answers exactly,
-    /// lower-machine-index tie-break included.
-    fn earliest_fit_pooled(&self, from: Time, dur: Time, demands: &[Amount]) -> (usize, Time) {
-        debug_assert_eq!(demands.len(), self.num_resources);
-        let pool = self.pool.get_or_init(ScanPool::new);
-        pool.scan(&self.shards, from, dur, demands)
+    /// The earliest fit over exclusive timelines: below the parallel
+    /// threshold the seeded sweep, floors raised on the way; at or above it
+    /// the sharded scan served by the cluster's persistent worker pool,
+    /// whose scanners claim shards dynamically, share a relaxed atomic
+    /// best-so-far as a pruning bound (with one ulp of slack so ties
+    /// survive) and probe without floors
+    /// ([`TimelineShard::scan_bounded`] says why), and whose per-shard
+    /// minima the caller reduces in shard order. All three scans return
+    /// the lexicographic `(start, machine)` minimum.
+    fn fit_mut(
+        &mut self,
+        from: Time,
+        dur: Time,
+        demands: &[Amount],
+        tally: &mut ProbeTally,
+    ) -> (usize, Time) {
+        let best = if self.num_machines >= self.parallel_threshold {
+            let pool = self.pool.get_or_init(ScanPool::new);
+            pool.scan(&self.shards, from, dur, demands, tally)
+        } else {
+            let q = SweepQuery {
+                class: self.intern_class(demands),
+                from,
+                dur,
+                demands,
+            };
+            self.sweep_seeded(&q, tally)
+        };
+        assert_placeable(best, demands);
+        best
     }
 
     /// Commits a **wall-time** occupation on a machine: `dur` is used as
@@ -1241,16 +1450,13 @@ impl ClusterTimelines {
         self.machine(m).speed()
     }
 
-    /// [`ClusterTimelines::earliest_fit`] over exclusive timelines: the
-    /// sequential scan skips the hint-cache lock on every probe. Same
-    /// answers, including the lower-machine-index tie-break.
+    /// [`ClusterTimelines::earliest_fit`] over exclusive timelines: what
+    /// the sequential sweep's probes learn raises the floors. Same answers,
+    /// including the lower-machine-index tie-break.
     pub fn earliest_fit_mut(&mut self, from: Time, dur: Time, demands: &[Amount]) -> (usize, Time) {
-        let best = if self.num_machines >= self.parallel_threshold {
-            self.earliest_fit_pooled(from, dur, demands)
-        } else {
-            self.earliest_fit_seeded_mut(from, dur, demands)
-        };
-        debug_assert!(best.1.is_finite());
+        let mut tally = ProbeTally::default();
+        let best = self.fit_mut(from, dur, demands, &mut tally);
+        tally.publish();
         best
     }
 
@@ -1260,6 +1466,42 @@ impl ClusterTimelines {
         let (m, s) = self.earliest_fit_mut(from, job.proc_time, &job.demands);
         self.commit_job(m, s, job.proc_time, &job.demands);
         (m, s)
+    }
+
+    /// Places every job of `batch`, in order, at its earliest fit at or
+    /// after `floor`, committing each before probing the next, and appends
+    /// `(job, machine, start)` to `placements`. This is Algorithm 1's
+    /// placement step as one call: the floors a job's probes raise are what
+    /// the next job's probes start from (on the sequential sweep; the
+    /// pooled scan of a wide cluster probes without floors), and the
+    /// `mris_timeline_*` counts are published once for the whole batch. Returns the wall time the
+    /// probes and the commits took, or zeros when no observability
+    /// subscriber is installed (the clock is not read then).
+    pub fn place_batch(
+        &mut self,
+        instance: &Instance,
+        batch: &[JobId],
+        floor: Time,
+        placements: &mut Vec<(JobId, usize, Time)>,
+    ) -> (Duration, Duration) {
+        let timed = mris_obs::enabled();
+        let (mut probe_time, mut commit_time) = (Duration::ZERO, Duration::ZERO);
+        let mut tally = ProbeTally::default();
+        placements.reserve(batch.len());
+        for &id in batch {
+            let job = instance.job(id);
+            let t0 = timed.then(Instant::now);
+            let (machine, start) = self.fit_mut(floor, job.proc_time, &job.demands, &mut tally);
+            let t1 = timed.then(Instant::now);
+            self.commit_job(machine, start, job.proc_time, &job.demands);
+            if let (Some(t0), Some(t1)) = (t0, t1) {
+                probe_time += t1 - t0;
+                commit_time += t1.elapsed();
+            }
+            placements.push((id, machine, start));
+        }
+        tally.publish();
+        (probe_time, commit_time)
     }
 
     /// Compacts every machine's timeline before `horizon` (see
@@ -1306,6 +1548,16 @@ impl ClusterTimelines {
             }
         }
     }
+}
+
+/// A cluster scan that ends without a finite start means no machine's
+/// capacity holds `demands`; committing the sentinel would index out of
+/// bounds in release builds, so this holds in every profile.
+fn assert_placeable(best: (usize, Time), demands: &[Amount]) {
+    assert!(
+        best.1.is_finite(),
+        "no machine can ever hold demand vector {demands:?}"
+    );
 }
 
 #[cfg(test)]
@@ -1491,7 +1743,7 @@ mod tests {
         // exists. The contract says answers never precede the watermark.
         assert_eq!(tl.earliest_fit(0.0, 1.0, &d(&[0.1])), 5.0);
         assert_eq!(
-            tl.earliest_fit_bounded_mut(0.0, 1.0, &d(&[0.1]), f64::INFINITY),
+            tl.earliest_fit_bounded(0.0, 1.0, &d(&[0.1]), f64::INFINITY),
             Some(5.0)
         );
     }
@@ -1524,18 +1776,70 @@ mod tests {
     }
 
     #[test]
-    fn hint_cache_survives_reads_and_dies_on_commit() {
-        let mut tl = MachineTimeline::new(1);
-        tl.commit(0.0, 4.0, &d(&[0.8]));
-        let probe = d(&[0.5]);
-        assert_eq!(tl.earliest_fit(0.0, 2.0, &probe), 4.0);
-        // Cached: same query, and a query whose `from` lies below the
-        // cached result, answer identically.
-        assert_eq!(tl.earliest_fit(0.0, 2.0, &probe), 4.0);
-        assert_eq!(tl.earliest_fit(3.0, 2.0, &probe), 4.0);
-        // A commit invalidates: the same probe must now see the new block.
-        tl.commit(4.0, 2.0, &d(&[0.8]));
-        assert_eq!(tl.earliest_fit(0.0, 2.0, &probe), 6.0);
+    fn floors_outlive_commit_and_compaction_and_die_with_reset() {
+        let mut cl = ClusterTimelines::new(1, 1);
+        cl.commit(0, 0.0, 4.0, &d(&[0.8]));
+        let demand = d(&[0.5]);
+        assert_eq!(cl.earliest_fit_mut(0.0, 2.0, &demand), (0, 4.0));
+        let class = cl.class_of(&demand).expect("the first vector gets a class");
+        let bound = |tl: &MachineTimeline, dur| tl.floors.stairs[class as usize].bound_for(dur);
+        // Learned: nothing at least 2 long starts before 4. Longer queries
+        // inherit the bound, shorter ones do not.
+        assert_eq!(bound(cl.machine(0), 2.0), 4.0);
+        assert_eq!(bound(cl.machine(0), 7.0), 4.0);
+        assert_eq!(bound(cl.machine(0), 1.0), 0.0);
+        // A commit over the old answer's window leaves the bound in place;
+        // the next probe starts there and raises it.
+        cl.commit(0, 4.0, 2.0, &d(&[0.8]));
+        assert_eq!(bound(cl.machine(0), 2.0), 4.0);
+        assert_eq!(cl.earliest_fit_mut(0.0, 2.0, &demand), (0, 6.0));
+        assert_eq!(bound(cl.machine(0), 2.0), 6.0);
+        // Compaction keeps it, and clones carry it.
+        cl.compact_before(5.0);
+        assert_eq!(bound(cl.machine(0), 2.0), 6.0);
+        assert_eq!(bound(cl.clone().machine(0), 2.0), 6.0);
+        assert_eq!(bound(&cl.machine(0).clone(), 2.0), 6.0);
+        // A bound at or past the cutoff rules the machine out unvisited;
+        // shared access reads the floors without raising them.
+        let mut tally = ProbeTally::default();
+        let ruled_out = cl
+            .machine(0)
+            .probe(Some(class), 4.0, 3.0, &demand, 6.0, &mut tally);
+        assert!(ruled_out.start.is_none() && ruled_out.learned.is_none());
+        assert_eq!((tally.ruled_out, tally.scanned), (1, 0));
+        cl.commit(0, 6.0, 1.0, &d(&[0.8]));
+        assert_eq!(cl.earliest_fit(4.0, 2.0, &demand), (0, 7.0));
+        assert_eq!(bound(cl.machine(0), 2.0), 6.0);
+        // A failed machine starts over with no floors.
+        cl.reset_machine(0);
+        assert_eq!(bound(cl.machine(0), 2.0), 0.0);
+        assert_eq!(cl.earliest_fit_mut(0.0, 2.0, &demand), (0, 0.0));
+    }
+
+    #[test]
+    fn staircase_keeps_the_widest_steps() {
+        let mut stair = Stair::EMPTY;
+        stair.raise(4.0, 10.0, 0.0);
+        stair.raise(2.0, 7.0, 0.0);
+        assert_eq!(stair.steps, [(2.0, 7.0), (4.0, 10.0)]);
+        // Already implied by the (2, 7) step: nothing changes.
+        stair.raise(3.0, 5.0, 0.0);
+        assert_eq!(stair.steps, [(2.0, 7.0), (4.0, 10.0)]);
+        // A shorter query with a later bound replaces the step it covers.
+        stair.raise(3.0, 12.0, 0.0);
+        assert_eq!(stair.steps, [(2.0, 7.0), (3.0, 12.0)]);
+        // Overflow: (3, 12) adds 5 over its predecessor, (2, 7) adds 7 over
+        // the base and (8, 30) adds 18, so (3, 12) goes.
+        stair.raise(8.0, 30.0, 0.0);
+        assert_eq!(stair.steps, [(2.0, 7.0), (8.0, 30.0)]);
+        assert_eq!(stair.bound_for(7.0), 7.0);
+        assert_eq!(stair.bound_for(1.0), 0.0);
+        // With the base raised past it, the first step is the cheap one.
+        stair.raise(5.0, 20.0, 6.5);
+        assert_eq!(stair.steps, [(5.0, 20.0), (8.0, 30.0)]);
+        // "Never fits" covers every longer step.
+        stair.raise(1.0, f64::INFINITY, 6.5);
+        assert_eq!(stair.steps, [(1.0, f64::INFINITY), Stair::UNUSED]);
     }
 
     #[test]

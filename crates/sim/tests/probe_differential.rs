@@ -722,21 +722,6 @@ fn to_amounts(fracs: &[f64]) -> Vec<Amount> {
     fracs.iter().map(|&f| amount_from_fraction(f)).collect()
 }
 
-/// The batch call under test: every job of `batch`, in order, at its
-/// earliest fit at or after `floor`, committed as it goes.
-fn place_batch(
-    cluster: &mut ClusterTimelines,
-    instance: &Instance,
-    batch: &[JobId],
-    floor: Time,
-    placements: &mut Vec<(JobId, usize, Time)>,
-) {
-    for &id in batch {
-        let (machine, start) = cluster.place_earliest(instance.job(id), floor);
-        placements.push((id, machine, start));
-    }
-}
-
 fn bits(placements: &[(JobId, usize, Time)]) -> Vec<(u32, usize, u64)> {
     placements
         .iter()
@@ -817,7 +802,7 @@ fn batch_placement_matches_the_per_job_probe() {
                             .collect();
                         for (z, pooled, c) in variants.iter_mut() {
                             let mut got = Vec::new();
-                            place_batch(c, &instance, &batch, floor, &mut got);
+                            c.place_batch(&instance, &batch, floor, &mut got);
                             prop_assert_eq!(
                                 bits(&got),
                                 bits(&expect),

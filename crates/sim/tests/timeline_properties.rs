@@ -242,3 +242,80 @@ fn place_sequences_stay_feasible() {
         },
     );
 }
+
+/// A floor learned from an easier query never changes a harder query's
+/// answer. Queries go through `ClusterTimelines::earliest_fit_mut`, which
+/// raises floors as it probes; each answer must be the lexicographic
+/// `(start, machine)` minimum of the plain per-machine scan
+/// (`MachineTimeline::earliest_fit`, which reads no floors) — across
+/// interleaved commits, a compaction, and probes from below the base the
+/// floors were learned at. Demands come from a two-vector catalog, one
+/// pointwise above the other, and durations from a short ladder, so most
+/// queries are an easier or harder version of an earlier one.
+#[test]
+fn learned_floors_never_change_an_answer() {
+    const DURS: [f64; 4] = [0.5, 1.0, 3.0, 7.0];
+    const CATALOG: [[f64; 2]; 2] = [[0.3, 0.2], [0.6, 0.45]];
+    check(
+        "learned floors never change an answer",
+        &Config::with_cases(192),
+        |rng| {
+            let n = rng.gen_range(1..50usize);
+            (0..n)
+                .map(|_| {
+                    (
+                        rng.gen_range(0..5usize),
+                        rng.gen_range(0.0..3.0),
+                        rng.gen_range(0..DURS.len()),
+                        rng.gen_range(0..CATALOG.len()),
+                    )
+                })
+                .collect::<Vec<(usize, f64, usize, usize)>>()
+        },
+        |script| {
+            use mris_sim::ClusterTimelines;
+            let machines = 3;
+            let mut cl = ClusterTimelines::new(machines, 2);
+            let mut from = 0.0_f64;
+            for &(kind, step, dur, class) in script {
+                let (dur, demands) = (DURS[dur % DURS.len()], to_amounts(&CATALOG[class % 2]));
+                let watermark = (0..machines)
+                    .map(|m| cl.machine(m).compaction_watermark())
+                    .fold(0.0, f64::max);
+                // 0..=2 query and place, the way a batch does (2 moves the
+                // floor first); 3 only queries, from the watermark — below
+                // where floors were learned; 4 compacts.
+                if kind == 4 {
+                    cl.compact_before(from - step);
+                    continue;
+                }
+                if kind == 2 {
+                    from += step;
+                }
+                let at = if kind == 3 {
+                    watermark
+                } else {
+                    from.max(watermark)
+                };
+                let expect = (0..machines)
+                    .map(|m| (m, cl.machine(m).earliest_fit(at, dur, &demands)))
+                    .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                    .unwrap();
+                let got = cl.earliest_fit_mut(at, dur, &demands);
+                prop_assert_eq!(
+                    (got.0, got.1.to_bits()),
+                    (expect.0, expect.1.to_bits()),
+                    "op {}: query from {} dur {} class {}",
+                    kind,
+                    at,
+                    dur,
+                    class
+                );
+                if kind != 3 {
+                    cl.commit(got.0, got.1, dur, &demands);
+                }
+            }
+            Ok(())
+        },
+    );
+}

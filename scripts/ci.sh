@@ -21,7 +21,9 @@ cargo test -q --offline --workspace
 
 # The watermark-clamp regression test is compiled out of debug builds
 # (`#[cfg(not(debug_assertions))]` — the debug path asserts instead of
-# clamping), so the sim suite must also run in release mode.
+# clamping), so the sim suite must also run in release mode. That takes
+# `probe_differential` (floors against the pre-floor per-job probe) along:
+# it runs in both profiles.
 echo "==> cargo test -q --release --offline -p mris-sim"
 cargo test -q --release --offline -p mris-sim
 
@@ -32,9 +34,12 @@ cargo test -q --release --offline -p mris-knapsack
 
 # Batch MRIS is pinned in absolute terms (there is no second loop left to
 # compare it against); the pins must hold in both profiles for the same
-# reason as the DP's.
-echo "==> cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden"
-cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden
+# reason as the DP's. `timeline_hardening`, `dag_golden` and `chaos_golden`
+# ride along: that is where floors meet `reset_machine`, downtime blocks and
+# `p / speed`, and debug and release take different assertion paths there.
+echo "==> cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden --test timeline_hardening --test dag_golden --test chaos_golden"
+cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden \
+  --test timeline_hardening --test dag_golden --test chaos_golden
 
 # Everything the smoke steps below write goes here, so a CI run leaves the
 # work tree as it found it.

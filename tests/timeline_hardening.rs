@@ -123,3 +123,36 @@ fn forced_parallel_scan_places_identically_to_sequential() {
     assert_eq!(sequential.horizon(), parallel.horizon());
     assert_eq!(sequential.total_segments(), parallel.total_segments());
 }
+
+/// A demand no machine's capacity holds used to end the cluster scan on a
+/// `(usize::MAX, INFINITY)` sentinel behind a `debug_assert!`; in release
+/// `place_earliest` then indexed machine `usize::MAX`. The driver rejects
+/// such jobs up front (`SchedulingError::UnplaceableJob`), but a direct
+/// caller must get a panic that names the demand vector — in every
+/// profile, on the sequential and on the pooled scan.
+#[test]
+fn unplaceable_demand_panics_naming_the_vector() {
+    use mris::types::{ClusterSpec, MachineSpec};
+    let spec = ClusterSpec::new(vec![
+        MachineSpec::from_fractions(1.0, &[0.5, 1.0]),
+        MachineSpec::from_fractions(2.0, &[1.0, 0.4]),
+    ]);
+    let job = Job::from_fractions(JobId(0), 0.0, 1.0, 1.0, &[0.6, 0.5]);
+    for threshold in [usize::MAX, 1] {
+        let mut cl = ClusterTimelines::with_spec(&spec, 2);
+        cl.set_parallel_threshold(threshold);
+        let err = catch_unwind(AssertUnwindSafe(|| cl.place_earliest(&job, 0.0)))
+            .expect_err("an unplaceable demand must panic, not index out of bounds");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
+        assert!(
+            msg.contains("no machine can ever hold demand vector [600000, 500000]"),
+            "panic message: {msg}"
+        );
+        // The cluster is still usable: what fits is placed as before.
+        let small = Job::from_fractions(JobId(1), 0.0, 1.0, 1.0, &[0.6, 0.3]);
+        assert_eq!(cl.place_earliest(&small, 0.0), (1, 0.0));
+    }
+}
