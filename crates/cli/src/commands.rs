@@ -795,7 +795,7 @@ fn serve_listen(flags: &Flags, listen: &str) -> Result<String, CliError> {
         (instance, cfg, name, String::new())
     };
     let machines = cfg.num_machines;
-    // Validate the policy name before the worker thread needs it.
+    // Validate the policy name before `serve_net` builds the policy from it.
     let _ = online_policy_by_name(&name, &instance, machines)?;
     let obs = obs_from_flags(flags)?;
     let writer: Box<dyn std::io::Write + Send> = match flags.get("telemetry") {

@@ -130,7 +130,7 @@ pub struct SolveScratch {
 /// folding binary-searches the selection — so custom implementations should
 /// construct results via [`Solution::from_selected`], which sorts and
 /// dedups. The MRIS call site re-checks the invariant in debug builds.
-pub trait KnapsackSolver {
+pub trait KnapsackSolver: Send {
     /// A short human-readable solver name for reports.
     fn name(&self) -> &'static str;
 

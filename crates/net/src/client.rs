@@ -1,6 +1,7 @@
 //! The MRNP client: a blocking, connection-per-client handle mirroring
 //! the in-process [`mris_service::Service`] submission API over TCP.
 
+use std::io::BufReader;
 use std::net::TcpStream;
 
 use mris_service::{JobOutcome, ServiceReport};
@@ -16,7 +17,9 @@ use crate::proto::{
 /// order, so driving a server from one client replays the in-process
 /// admission sequence exactly.
 pub struct NetClient {
-    stream: TcpStream,
+    /// Reads go through the buffer (a reply's header and payload arrive in
+    /// one `read`); writes go straight to the socket underneath it.
+    stream: BufReader<TcpStream>,
     tenant: u32,
     fingerprint: u64,
 }
@@ -32,16 +35,17 @@ impl NetClient {
     /// [`NetError::AuthFailed`], [`NetError::FingerprintMismatch`], or
     /// [`NetError::Remote`] for a version mismatch.
     pub fn connect(addr: &str, token: &str, expected_fingerprint: u64) -> Result<Self, NetError> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| NetError::Io {
+        let stream = TcpStream::connect(addr).map_err(|e| NetError::Io {
             detail: format!("connect {addr}: {e}"),
         })?;
         stream.set_nodelay(true).ok();
+        let mut stream = BufReader::new(stream);
         Hello {
             version: NET_VERSION,
             expected_fingerprint,
             token: token.to_string(),
         }
-        .write_to(&mut stream)?;
+        .write_to(stream.get_mut())?;
         let reply = HelloReply::read_from(&mut stream)?;
         match reply.status {
             HandshakeStatus::Ok => Ok(NetClient {
@@ -71,7 +75,7 @@ impl NetClient {
     }
 
     fn round_trip(&mut self, req: &Request) -> Result<Response, NetError> {
-        write_frame(&mut self.stream, &req.encode())?;
+        write_frame(self.stream.get_mut(), &req.encode())?;
         loop {
             let payload = read_frame(&mut self.stream)?;
             let resp = Response::decode(&payload).map_err(NetError::Codec)?;

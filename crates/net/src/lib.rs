@@ -11,11 +11,11 @@
 //!   fingerprint of the served world. Floats travel as IEEE-754 bits, so
 //!   a drained report crosses the wire bit-identically.
 //! * **Server** ([`serve_net`], [`NetServer`]) — an acceptor plus
-//!   per-connection handler threads relaying requests to a single worker
-//!   thread that owns the service; the admission sequence is the channel
-//!   order, so one client connection replays the in-process driver
-//!   exactly (the `net_conservativity` suite pins TCP ≡ in-process on
-//!   bits).
+//!   per-connection handler threads, each of which runs its requests on
+//!   the one service itself, under one lock, and writes the reply after
+//!   releasing it; the admission sequence is lock-acquisition order, so
+//!   one client connection replays the in-process driver exactly (the
+//!   `net_conservativity` suite pins TCP ≡ in-process on bits).
 //! * **Multi-tenant admission** — connections authenticate to a
 //!   [`mris_service::TenantSpec`] by token during the handshake; every
 //!   submission is offered on that tenant's behalf, subject to the

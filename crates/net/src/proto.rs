@@ -30,7 +30,7 @@
 //! times survive the wire bit-identically — the TCP ≡ in-process
 //! conservativity property is checked on bits, not on epsilons.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use mris_service::{
     crc32, Decoder, Encoder, JobOutcome, ServiceReport, ServiceSummary, TenantStat,
@@ -208,13 +208,28 @@ pub enum Response {
 // Frame transport
 // ---------------------------------------------------------------------------
 
-/// Writes `payload` as one `len | crc | payload` frame.
+/// Bytes of the `len | crc` header in front of every frame's payload.
+const FRAME_HEADER_LEN: usize = 8;
+
+/// Writes `payload` as one `len | crc | payload` frame. Header and payload
+/// leave in one vectored write — one syscall per frame on a socket, and a
+/// large payload is never copied behind its header; whatever a short write
+/// leaves over follows with `write_all`.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), NetError> {
-    let mut head = Encoder::new();
-    head.u32(payload.len() as u32);
-    head.u32(crc32(payload));
-    w.write_all(head.as_bytes()).map_err(io_err)?;
-    w.write_all(payload).map_err(io_err)?;
+    let mut head = [0u8; FRAME_HEADER_LEN];
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    let mut sent = 0usize;
+    while sent < FRAME_HEADER_LEN {
+        match w.write_vectored(&[IoSlice::new(&head[sent..]), IoSlice::new(payload)]) {
+            Ok(0) => return Err(io_err(std::io::ErrorKind::WriteZero.into())),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_err(e)),
+        }
+    }
+    w.write_all(&payload[sent - FRAME_HEADER_LEN..])
+        .map_err(io_err)?;
     w.flush().map_err(io_err)?;
     mris_obs::counter_add("mris_net_frames_tx_total", 1);
     mris_obs::counter_add("mris_net_bytes_tx_total", (payload.len() + 8) as u64);
@@ -225,7 +240,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), NetError> 
 /// closed stream before the first header byte is [`NetError::Closed`];
 /// every other short read or corruption is typed.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, NetError> {
-    let mut head = [0u8; 8];
+    let mut head = [0u8; FRAME_HEADER_LEN];
     read_exact_or_closed(r, &mut head)?;
     let mut d = Decoder::new(&head);
     let len = d.u32().expect("8-byte header holds two u32s");
@@ -838,6 +853,15 @@ fn decode_report(d: &mut Decoder) -> Result<ServiceReport, CodecError> {
 }
 
 impl Response {
+    /// The payload of [`Response::Drained`] from a borrowed report, so the
+    /// server encodes the report it keeps without cloning it first.
+    pub(crate) fn encode_drained(report: &ServiceReport) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.u8(7);
+        encode_report(&mut e, report);
+        e.into_bytes()
+    }
+
     /// Serializes the response to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
@@ -879,10 +903,7 @@ impl Response {
                 e.u8(6);
                 encode_string(&mut e, line);
             }
-            Response::Drained(report) => {
-                e.u8(7);
-                encode_report(&mut e, report);
-            }
+            Response::Drained(report) => return Self::encode_drained(report),
         }
         e.into_bytes()
     }

@@ -1,33 +1,60 @@
-//! The TCP front door: an acceptor, per-connection handler threads, and a
-//! worker thread that owns the [`Service`] event loop.
+//! The TCP front door: an acceptor and per-connection handler threads that
+//! execute requests on the one [`Service`] themselves, under one lock.
 //!
 //! # Threading model
 //!
 //! No async runtime (the workspace is hermetic). The acceptor blocks on
-//! `TcpListener::accept` and spawns one handler thread per connection;
-//! handlers perform the handshake (version, token → tenant, optional
-//! fingerprint check) and then relay decoded [`Request`]s to the worker
-//! over an `mpsc` channel, each carrying its own bounded reply channel.
-//! The worker is the *only* thread touching the service, so the admission
-//! sequence is exactly the order requests leave the channel — a single
-//! client connection therefore replays the same deterministic admission
-//! sequence as the in-process driver (`tests/net_conservativity.rs` pins
-//! TCP ≡ in-process on bits).
+//! `TcpListener::accept` and spawns one handler thread per connection. A
+//! handler owns its connection's read half behind one buffered reader from
+//! byte zero (the handshake included, so a client may pipeline its hello
+//! and first request), performs the handshake (version, token → tenant,
+//! optional fingerprint check), and then, per request: decodes the frame,
+//! takes the service lock, runs the request on the service, releases the
+//! lock, and only then encodes and writes the reply. There is no worker
+//! thread and no queue: a round trip wakes two threads, the handler and
+//! the client.
 //!
-//! `make_policy` runs inside the worker, as in
-//! [`mris_service::spawn_service`]: boxed policies are not `Send`.
+//! The service lock is the only place requests meet, so the admission
+//! sequence is lock-acquisition order. One client waits for each reply
+//! before it sends the next request, so its requests take the lock in send
+//! order and a single connection replays exactly the admission sequence of
+//! the in-process driver (`tests/net_conservativity.rs` pins TCP ≡
+//! in-process on bits). Across clients the lock is not FIFO — whichever
+//! handler gets it goes first — and that is on purpose no more than that:
+//! fairness between tenants is the admission controller's deficit-round-
+//! robin gate, not the order in which a queue would have handed requests
+//! over.
+//!
+//! A connection has one write half behind its own lock, shared by its
+//! handler (replies) and, once it subscribed, by whichever thread runs an
+//! epoch (telemetry pushes), so frames never interleave. Lock order is
+//! service → subscriber list → connection writer; a handler writing a reply
+//! holds only the last.
+//!
+//! `make_policy` runs in [`serve_net`] itself, before it returns: policies
+//! are `Send` (a supertrait of [`OnlinePolicy`]), so the service is built
+//! on the caller's thread and moved behind the lock.
 //!
 //! # Shutdown
 //!
-//! [`Request::Drain`] drains the service on the worker, answers the full
-//! [`ServiceReport`] to the requester, raises the shutdown flag, and
-//! unblocks the acceptor with a loopback self-connect. Handler requests
-//! after drain answer [`Response::Error`].
+//! The serve loop ends exactly once, in the handler that ended it:
+//! [`Request::Drain`] takes the service out of the lock, drains it and
+//! answers the full [`ServiceReport`], encoded once from the report
+//! [`NetServer::wait`] returns; a [`mris_types::SchedulingError`] or a
+//! panic raised by the policy while a handler drove it drops the service
+//! and becomes `wait`'s typed error. That handler stores the outcome,
+//! raises the shutdown flag, closes every subscriber's socket and unblocks
+//! the acceptor with a loopback self-connect; the acceptor hands the
+//! outcome to `wait`. Every later request on any connection answers
+//! [`Response::Error`] — the service is gone from the lock (or the lock is
+//! poisoned), so nothing blocks.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use mris_service::{
@@ -42,16 +69,17 @@ use crate::proto::{
     NET_VERSION,
 };
 
-/// Shared list of subscribed telemetry connections.
-type Subscribers = Arc<Mutex<Vec<TcpStream>>>;
+/// A connection's write half. Its handler and, after `Subscribe`, the
+/// telemetry sink both write whole frames under this lock.
+type ConnWriter = Arc<Mutex<TcpStream>>;
 
-/// Closes every subscriber socket (both halves — the handler threads
-/// holding the read halves see EOF and exit) and empties the list.
-fn close_subscribers(subs: &Subscribers) {
-    let mut subs = subs.lock().expect("subscriber lock");
-    for s in subs.drain(..) {
-        let _ = s.shutdown(std::net::Shutdown::Both);
-    }
+/// Shared list of subscribed telemetry connections.
+type Subscribers = Arc<Mutex<Vec<ConnWriter>>>;
+
+/// Writes one whole frame to a connection under its writer lock.
+fn send(writer: &ConnWriter, payload: &[u8]) -> Result<(), NetError> {
+    let mut stream = writer.lock().expect("a frame write never panics");
+    write_frame(&mut *stream, payload)
 }
 
 /// A [`TelemetrySink`] that forwards every epoch record (and the final
@@ -67,7 +95,7 @@ impl<S> NetSink<S> {
     fn push_line(&self, line: String) {
         let frame = Response::Telemetry { line }.encode();
         let mut subs = self.subs.lock().expect("subscriber lock");
-        subs.retain_mut(|stream| write_frame(stream, &frame).is_ok());
+        subs.retain(|writer| send(writer, &frame).is_ok());
     }
 }
 
@@ -87,40 +115,17 @@ impl<S: TelemetrySink> TelemetrySink for NetSink<S> {
     }
 }
 
-/// One relayed request plus its reply channel.
-enum Op {
-    Submit {
-        job: u32,
-        at: Option<Time>,
-        tenant: TenantId,
-        reply: mpsc::SyncSender<Response>,
-    },
-    Batch {
-        jobs: Vec<(u32, Option<Time>)>,
-        tenant: TenantId,
-        reply: mpsc::SyncSender<Response>,
-    },
-    Query {
-        job: u32,
-        reply: mpsc::SyncSender<Response>,
-    },
-    Stats {
-        reply: mpsc::SyncSender<Response>,
-    },
-    Drain {
-        reply: mpsc::SyncSender<Response>,
-    },
-}
-
 /// Why a network serve run failed (beyond per-connection errors, which
 /// are answered in-band as [`Response::Error`] frames).
 #[derive(Debug)]
 pub enum NetServeError {
     /// The service configuration was rejected at construction.
     Config(mris_types::ConfigError),
-    /// The policy violated a placement rule while the worker drove it.
+    /// The policy violated a placement rule while a handler drove it.
     Scheduling(mris_types::SchedulingError),
-    /// The worker thread panicked.
+    /// A thread panicked while it held the service. There is no worker
+    /// thread: the "worker" is whichever connection's handler was running
+    /// a request on the service at that moment (or the acceptor).
     WorkerPanicked {
         /// Downcast panic payload.
         payload: String,
@@ -141,12 +146,22 @@ impl std::fmt::Display for NetServeError {
 
 impl std::error::Error for NetServeError {}
 
+fn worker_panicked(payload: Box<dyn Any + Send>) -> NetServeError {
+    let payload = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".to_string());
+    NetServeError::WorkerPanicked { payload }
+}
+
+/// What [`NetServer::wait`] returns.
+type Outcome<S> = Result<(ServiceReport, S), NetServeError>;
+
 /// A running TCP service front door.
 pub struct NetServer<S> {
     addr: SocketAddr,
-    worker: std::thread::JoinHandle<Result<(ServiceReport, S), NetServeError>>,
-    acceptor: std::thread::JoinHandle<()>,
-    shutdown: Arc<AtomicBool>,
+    acceptor: std::thread::JoinHandle<Outcome<S>>,
 }
 
 impl<S> NetServer<S> {
@@ -162,36 +177,40 @@ impl<S> NetServer<S> {
     ///
     /// # Errors
     ///
-    /// A typed [`NetServeError`]; a worker panic is captured, not
-    /// propagated.
+    /// A typed [`NetServeError`]; a panic is captured, not propagated.
     pub fn wait(self) -> Result<(ServiceReport, S), NetServeError> {
-        let result = match self.worker.join() {
-            Ok(r) => r,
-            Err(payload) => {
-                let payload = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                Err(NetServeError::WorkerPanicked { payload })
-            }
-        };
-        // The worker raised the flag (or died); unblock and join the
-        // acceptor so no thread outlives the server handle.
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.acceptor.join();
-        result
+        // The acceptor returns once the serve loop ended, so no thread of
+        // the listener outlives the server handle.
+        self.acceptor
+            .join()
+            .unwrap_or_else(|payload| Err(worker_panicked(payload)))
     }
+}
+
+/// Everything the acceptor and the handlers share.
+struct Door<C: Clock, S: TelemetrySink> {
+    /// The one lock requests meet at. `None` once the serve loop ended.
+    service: Mutex<Option<Service<C, NetSink<S>>>>,
+    num_jobs: usize,
+    fingerprint: u64,
+    /// Exact tokens → tenant ids; `None` on the single-tenant door, which
+    /// accepts any token as tenant 0.
+    tokens: Option<HashMap<String, u32>>,
+    subs: Subscribers,
+    /// Stored once, by the handler that ended the serve loop, before it
+    /// raises `shutdown`; taken by the acceptor on its way out.
+    outcome: Mutex<Option<Outcome<S>>>,
+    shutdown: AtomicBool,
+    addr: SocketAddr,
 }
 
 /// Serves `instance` under `cfg` over TCP at `listen` (e.g.
 /// `"127.0.0.1:0"` for an ephemeral loopback port).
 ///
-/// The worker admits requests in channel order against the given clock;
-/// `make_policy` runs inside the worker. Returns once the listener is
-/// bound — connections are accepted in the background until a client
-/// drains the service.
+/// Requests are admitted in the order their handlers take the service
+/// lock, against the given clock; `make_policy` runs here, before the
+/// listener accepts. Returns once the listener is bound — connections are
+/// accepted in the background until a client drains the service.
 ///
 /// # Errors
 ///
@@ -216,179 +235,62 @@ where
         detail: format!("local_addr: {e}"),
     })?;
     let fingerprint = service_fingerprint(&instance, &cfg);
-    // Token table: multi-tenant maps exact tokens to tenant ids; the
-    // single-tenant door accepts any token as tenant 0.
-    let tokens: Arc<HashMap<String, u32>> = Arc::new(
+    let tokens = (!cfg.tenants.is_empty()).then(|| {
         cfg.tenants
             .iter()
             .enumerate()
             .map(|(i, t)| (t.token.clone(), i as u32))
-            .collect(),
-    );
-    let multi_tenant = !cfg.tenants.is_empty();
-    let subs: Subscribers = Arc::new(Mutex::new(Vec::new()));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (op_tx, op_rx) = mpsc::channel::<Op>();
-
-    let worker = {
-        let subs = Arc::clone(&subs);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            let result = run_worker(instance, cfg, clock, sink, make_policy, subs, op_rx);
-            // Whatever ended the worker ends the serve loop.
-            shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            result.map(|(report, sink)| (report, sink.inner))
-        })
-    };
-
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        let subs = Arc::clone(&subs);
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                // Request/response framing with small frames: Nagle's
-                // algorithm against delayed ACKs costs ~40ms per round
-                // trip on loopback, so turn it off.
-                let _ = stream.set_nodelay(true);
-                mris_obs::counter_add("mris_net_connections_total", 1);
-                let op_tx = op_tx.clone();
-                let tokens = Arc::clone(&tokens);
-                let subs = Arc::clone(&subs);
-                std::thread::spawn(move || {
-                    let _ =
-                        handle_connection(stream, fingerprint, multi_tenant, tokens, op_tx, subs);
-                });
-            }
-        })
-    };
-
-    Ok(NetServer {
-        addr,
-        worker,
-        acceptor,
-        shutdown,
-    })
-}
-
-/// The worker loop: the single owner of the service, admitting relayed
-/// requests in channel order until a drain (or channel death).
-fn run_worker<C, S, F>(
-    instance: Instance,
-    cfg: ServiceConfig,
-    clock: C,
-    sink: S,
-    make_policy: F,
-    subs: Subscribers,
-    op_rx: mpsc::Receiver<Op>,
-) -> Result<(ServiceReport, NetSink<S>), NetServeError>
-where
-    C: Clock,
-    S: TelemetrySink,
-    F: FnOnce(&Instance, usize) -> Box<dyn OnlinePolicy>,
-{
-    let policy = make_policy(&instance, cfg.num_machines);
+            .collect()
+    });
+    let subs = Subscribers::default();
     let num_jobs = instance.len();
+    let policy = make_policy(&instance, cfg.num_machines);
     let sink = NetSink {
         inner: sink,
         subs: Arc::clone(&subs),
     };
-    let mut svc =
-        Service::new(instance, policy, cfg, clock, sink).map_err(NetServeError::Config)?;
-    while let Ok(op) = op_rx.recv() {
-        match op {
-            Op::Submit {
-                job,
-                at,
-                tenant,
-                reply,
-            } => match submit_one(&mut svc, num_jobs, job, at, tenant) {
-                SubmitOutcome::Decision(result) => {
-                    let _ = reply.send(Response::Submitted { result });
-                }
-                SubmitOutcome::BadRequest(detail) => {
-                    let _ = reply.send(Response::Error { detail });
-                }
-                SubmitOutcome::Fatal(e) => {
-                    let _ = reply.send(Response::Error {
-                        detail: format!("scheduling failed: {e}"),
-                    });
-                    return Err(NetServeError::Scheduling(e));
-                }
-            },
-            Op::Batch {
-                jobs,
-                tenant,
-                reply,
-            } => {
-                let mut results = Vec::with_capacity(jobs.len());
-                let mut verdict = None;
-                for (job, at) in jobs {
-                    match submit_one(&mut svc, num_jobs, job, at, tenant) {
-                        SubmitOutcome::Decision(result) => results.push(result),
-                        SubmitOutcome::BadRequest(detail) => {
-                            verdict = Some(Response::Error { detail });
-                            break;
-                        }
-                        SubmitOutcome::Fatal(e) => {
-                            let _ = reply.send(Response::Error {
-                                detail: format!("scheduling failed: {e}"),
-                            });
-                            return Err(NetServeError::Scheduling(e));
-                        }
-                    }
-                }
-                let _ = reply.send(verdict.unwrap_or(Response::BatchSubmitted { results }));
+    // A rejected configuration is a serve loop that has already ended.
+    let (service, outcome) = match Service::new(instance, policy, cfg, clock, sink) {
+        Ok(service) => (Some(service), None),
+        Err(e) => (None, Some(Err(NetServeError::Config(e)))),
+    };
+    let door = Arc::new(Door {
+        service: Mutex::new(service),
+        num_jobs,
+        fingerprint,
+        tokens,
+        subs,
+        shutdown: AtomicBool::new(outcome.is_some()),
+        outcome: Mutex::new(outcome),
+        addr,
+    });
+
+    let acceptor = std::thread::spawn(move || {
+        while !door.shutdown.load(Ordering::SeqCst) {
+            let Ok((stream, _)) = listener.accept() else {
+                continue;
+            };
+            if door.shutdown.load(Ordering::SeqCst) {
+                break;
             }
-            Op::Query { job, reply } => {
-                let resp = if (job as usize) < num_jobs {
-                    Response::JobStatus {
-                        outcome: svc.outcome(JobId(job)),
-                    }
-                } else {
-                    Response::Error {
-                        detail: format!("job {job} is out of range for the served instance"),
-                    }
-                };
-                let _ = reply.send(resp);
-            }
-            Op::Stats { reply } => {
-                let _ = reply.send(Response::StatsReply(stats_of(&svc, num_jobs)));
-            }
-            Op::Drain { reply } => {
-                match svc.drain() {
-                    Ok((report, sink)) => {
-                        let _ = reply.send(Response::Drained(Box::new(report.clone())));
-                        // Summary already went to subscribers via the sink;
-                        // close their sockets so both halves see EOF.
-                        close_subscribers(&subs);
-                        return Ok((report, sink));
-                    }
-                    Err(e) => {
-                        let _ = reply.send(Response::Error {
-                            detail: format!("drain failed: {e}"),
-                        });
-                        return Err(NetServeError::Scheduling(e));
-                    }
-                }
-            }
+            // Request/response framing with small frames: Nagle's
+            // algorithm against delayed ACKs costs ~40ms per round
+            // trip on loopback, so turn it off.
+            let _ = stream.set_nodelay(true);
+            mris_obs::counter_add("mris_net_connections_total", 1);
+            let door = Arc::clone(&door);
+            std::thread::spawn(move || {
+                let _ = handle_connection(stream, &door);
+            });
         }
-    }
-    // Every handler hung up without a drain; drain so accepted jobs are
-    // never stranded and the report is still recoverable via `wait`.
-    svc.drain()
-        .map(|(report, sink)| {
-            close_subscribers(&subs);
-            (report, sink)
-        })
-        .map_err(NetServeError::Scheduling)
+        let outcome = door.outcome.lock().expect("outcome lock").take();
+        outcome.expect("shutdown is raised only after the outcome is stored")
+    });
+
+    Ok(NetServer { addr, acceptor })
 }
 
-/// The worker-side result of one admission offer.
+/// The result of one admission offer.
 enum SubmitOutcome {
     /// The admission decision (rejections are normal operation).
     Decision(Result<(), mris_types::AdmissionError>),
@@ -422,51 +324,144 @@ fn submit_one<C: Clock, S: TelemetrySink>(
     }
 }
 
-fn stats_of<C: Clock, S: TelemetrySink>(svc: &Service<C, S>, num_jobs: usize) -> NetStats {
-    let mut submitted = 0u64;
-    let mut accepted = 0u64;
-    let mut rejected = 0u64;
-    let mut completed = 0u64;
-    for i in 0..num_jobs {
-        match svc.outcome(JobId(i as u32)) {
-            JobOutcome::NotSubmitted => {}
-            JobOutcome::Rejected(_) => {
-                submitted += 1;
-                rejected += 1;
-            }
-            JobOutcome::Accepted => {
-                submitted += 1;
-                accepted += 1;
-            }
-            JobOutcome::Completed => {
-                submitted += 1;
-                accepted += 1;
-                completed += 1;
-            }
-        }
-    }
+fn stats_of<C: Clock, S: TelemetrySink>(svc: &Service<C, S>) -> NetStats {
+    let counts = svc.counts();
     NetStats {
         now: svc.now(),
         queue_depth: svc.queue_depth() as u64,
-        submitted,
-        accepted,
-        rejected,
-        completed,
+        submitted: counts.submitted as u64,
+        accepted: counts.accepted as u64,
+        rejected: counts.rejected as u64,
+        completed: counts.completed as u64,
         tenants: svc.tenant_stats(),
     }
 }
 
+/// What every request is answered once the serve loop has ended.
+fn gone() -> Response {
+    Response::Error {
+        detail: "service drained".to_string(),
+    }
+}
+
+impl<C: Clock, S: TelemetrySink> Door<C, S> {
+    /// Ends the serve loop with `outcome`; the first caller's stands.
+    /// `own` is the calling handler's connection, which still has a reply
+    /// to carry.
+    fn finish(&self, outcome: Outcome<S>, own: &ConnWriter) {
+        self.outcome
+            .lock()
+            .expect("outcome lock")
+            .get_or_insert(outcome);
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Both halves of every other subscriber socket, so its handler
+        // and its client see EOF. After the flag: a `Subscribe` that still
+        // gets in is in the list before this lock is taken, or refused.
+        for writer in self.subs.lock().expect("subscriber lock").drain(..) {
+            if Arc::ptr_eq(&writer, own) {
+                continue;
+            }
+            if let Ok(stream) = writer.lock() {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            }
+        }
+        let _ = TcpStream::connect(self.addr);
+    }
+
+    /// Runs one request on the service, under the lock, and returns the
+    /// reply's payload, encoded after the lock is released.
+    fn execute(&self, request: Request, tenant: TenantId, own: &ConnWriter) -> Vec<u8> {
+        match request {
+            Request::Drain => self.drain(own),
+            request => self.answer(request, tenant, own).encode(),
+        }
+    }
+
+    fn answer(&self, request: Request, tenant: TenantId, own: &ConnWriter) -> Response {
+        // A poisoned lock is a handler that panicked inside the service.
+        let Ok(mut guard) = self.service.lock() else {
+            return gone();
+        };
+        let Some(svc) = guard.as_mut() else {
+            return gone();
+        };
+        let fatal = match request {
+            Request::Submit { job, at } => match submit_one(svc, self.num_jobs, job, at, tenant) {
+                SubmitOutcome::Decision(result) => return Response::Submitted { result },
+                SubmitOutcome::BadRequest(detail) => return Response::Error { detail },
+                SubmitOutcome::Fatal(e) => e,
+            },
+            Request::SubmitBatch { jobs } => {
+                let mut results = Vec::with_capacity(jobs.len());
+                let mut fatal = None;
+                for (job, at) in jobs {
+                    match submit_one(svc, self.num_jobs, job, at, tenant) {
+                        SubmitOutcome::Decision(result) => results.push(result),
+                        SubmitOutcome::BadRequest(detail) => return Response::Error { detail },
+                        SubmitOutcome::Fatal(e) => {
+                            fatal = Some(e);
+                            break;
+                        }
+                    }
+                }
+                match fatal {
+                    Some(e) => e,
+                    None => return Response::BatchSubmitted { results },
+                }
+            }
+            Request::Query { job } if (job as usize) < self.num_jobs => {
+                return Response::JobStatus {
+                    outcome: svc.outcome(JobId(job)),
+                }
+            }
+            Request::Query { job } => {
+                return Response::Error {
+                    detail: format!("job {job} is out of range for the served instance"),
+                }
+            }
+            Request::Stats => return Response::StatsReply(stats_of(svc)),
+            Request::Subscribe | Request::Drain => unreachable!("handled by the caller"),
+        };
+        *guard = None;
+        drop(guard);
+        let detail = format!("scheduling failed: {fatal}");
+        self.finish(Err(NetServeError::Scheduling(fatal)), own);
+        Response::Error { detail }
+    }
+
+    /// Takes the service out of the lock and drains it. The report is
+    /// encoded by reference into the reply, then handed to `wait`.
+    fn drain(&self, own: &ConnWriter) -> Vec<u8> {
+        let taken = self.service.lock().ok().and_then(|mut guard| guard.take());
+        let Some(svc) = taken else {
+            return gone().encode();
+        };
+        match svc.drain() {
+            Ok((report, sink)) => {
+                let reply = Response::encode_drained(&report);
+                self.finish(Ok((report, sink.inner)), own);
+                reply
+            }
+            Err(e) => {
+                let detail = format!("drain failed: {e}");
+                self.finish(Err(NetServeError::Scheduling(e)), own);
+                Response::Error { detail }.encode()
+            }
+        }
+    }
+}
+
 /// Per-connection protocol loop: handshake, then request/response frames
-/// until the peer hangs up (or the service drains).
-fn handle_connection(
+/// until the peer hangs up.
+fn handle_connection<C: Clock, S: TelemetrySink>(
     mut stream: TcpStream,
-    fingerprint: u64,
-    multi_tenant: bool,
-    tokens: Arc<HashMap<String, u32>>,
-    op_tx: mpsc::Sender<Op>,
-    subs: Subscribers,
+    door: &Door<C, S>,
 ) -> Result<(), NetError> {
-    let hello = match Hello::read_from(&mut stream) {
+    let fingerprint = door.fingerprint;
+    let mut reader = BufReader::new(stream.try_clone().map_err(|e| NetError::Io {
+        detail: format!("clone connection: {e}"),
+    })?);
+    let hello = match Hello::read_from(&mut reader) {
         Ok(h) => h,
         Err(e) => {
             mris_obs::counter_add("mris_net_handshake_failures_total", 1);
@@ -505,8 +500,9 @@ fn handle_connection(
         );
         return Ok(());
     }
-    let tenant = if multi_tenant {
-        match tokens.get(&hello.token) {
+    let tenant = match &door.tokens {
+        None => TenantId::DEFAULT,
+        Some(tokens) => match tokens.get(&hello.token) {
             Some(&t) => TenantId(t),
             None => {
                 refuse(
@@ -516,9 +512,7 @@ fn handle_connection(
                 );
                 return Ok(());
             }
-        }
-    } else {
-        TenantId::DEFAULT
+        },
     };
     HelloReply {
         status: HandshakeStatus::Ok,
@@ -528,66 +522,43 @@ fn handle_connection(
     }
     .write_to(&mut stream)?;
 
+    let writer: ConnWriter = Arc::new(Mutex::new(stream));
     loop {
-        let payload = match read_frame(&mut stream) {
+        let payload = match read_frame(&mut reader) {
             Ok(p) => p,
             Err(NetError::Closed) => return Ok(()),
             Err(e) => return Err(e),
         };
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                // A malformed frame is answered, not fatal: the framing
-                // layer already resynchronized on the length prefix.
-                let resp = Response::Error {
-                    detail: format!("malformed request: {e}"),
-                };
-                write_frame(&mut stream, &resp.encode())?;
-                continue;
+        let reply = match Request::decode(&payload) {
+            // A malformed frame is answered, not fatal: the framing
+            // layer already resynchronized on the length prefix.
+            Err(e) => Response::Error {
+                detail: format!("malformed request: {e}"),
+            }
+            .encode(),
+            Ok(Request::Subscribe) => {
+                let mut subs = door.subs.lock().expect("subscriber lock");
+                if door.shutdown.load(Ordering::SeqCst) {
+                    gone().encode()
+                } else {
+                    subs.push(Arc::clone(&writer));
+                    Response::Subscribed.encode()
+                }
+            }
+            // A panic in the policy must end the serve loop typed, not
+            // strand `wait` and this client: the unwound guard poisons
+            // the service lock, which every later request reads as gone.
+            Ok(request) => {
+                catch_unwind(AssertUnwindSafe(|| door.execute(request, tenant, &writer)))
+                    .unwrap_or_else(|payload| {
+                        door.finish(Err(worker_panicked(payload)), &writer);
+                        Response::Error {
+                            detail: "service panicked".to_string(),
+                        }
+                        .encode()
+                    })
             }
         };
-        if let Request::Subscribe = request {
-            let clone = stream.try_clone().map_err(|e| NetError::Io {
-                detail: format!("clone subscriber stream: {e}"),
-            })?;
-            subs.lock().expect("subscriber lock").push(clone);
-            write_frame(&mut stream, &Response::Subscribed.encode())?;
-            continue;
-        }
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
-        let op = match request {
-            Request::Submit { job, at } => Op::Submit {
-                job,
-                at,
-                tenant,
-                reply: reply_tx,
-            },
-            Request::SubmitBatch { jobs } => Op::Batch {
-                jobs,
-                tenant,
-                reply: reply_tx,
-            },
-            Request::Query { job } => Op::Query {
-                job,
-                reply: reply_tx,
-            },
-            Request::Stats => Op::Stats { reply: reply_tx },
-            Request::Drain => Op::Drain { reply: reply_tx },
-            Request::Subscribe => unreachable!("handled above"),
-        };
-        let response = if op_tx.send(op).is_err() {
-            Response::Error {
-                detail: "service drained".to_string(),
-            }
-        } else {
-            reply_rx.recv().unwrap_or(Response::Error {
-                detail: "service drained".to_string(),
-            })
-        };
-        let done = matches!(response, Response::Drained(_));
-        write_frame(&mut stream, &response.encode())?;
-        if done {
-            return Ok(());
-        }
+        send(&writer, &reply)?;
     }
 }

@@ -254,11 +254,27 @@ pub struct ServiceReport {
     pub tenants: Vec<TenantStat>,
 }
 
+/// How many jobs are in each ledger state, mid-run ([`Service::counts`]).
+/// `submitted == accepted + rejected`; `completed` of the `accepted` have
+/// run to completion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LedgerCounts {
+    /// Jobs offered so far.
+    pub submitted: usize,
+    /// Offers admitted (queued, running, or completed).
+    pub accepted: usize,
+    /// Offers shed by admission control, whatever the reason.
+    pub rejected: usize,
+    /// Jobs run to completion.
+    pub completed: usize,
+}
+
 /// The service's side of the kernel's report: the per-job outcome ledger
 /// and, when durability is on, the journal. Record order within an event
 /// is the kernel's call order.
 struct Ledger<'s> {
     outcomes: &'s mut [JobOutcome],
+    completed: &'s mut usize,
     dur: Option<&'s mut Durability>,
 }
 
@@ -274,6 +290,7 @@ impl Ledger<'_> {
 impl EventSink for Ledger<'_> {
     fn completed(&mut self, job: JobId, machine: usize) {
         self.outcomes[job.index()] = JobOutcome::Completed;
+        *self.completed += 1;
         self.emit(|| JournalRecord::Complete {
             job: job.0,
             machine: machine as u32,
@@ -360,6 +377,9 @@ pub struct Service<C: Clock, S: TelemetrySink> {
     rejected_queue_full: usize,
     rejected_infeasible: usize,
     rejected_tenant: usize,
+    /// Jobs whose outcome is [`JobOutcome::Completed`]; a killed job was
+    /// running, never completed, so this only grows.
+    completed: usize,
     max_queue_depth: usize,
     epochs: usize,
     decision_ns: Vec<u64>,
@@ -425,6 +445,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             rejected_queue_full: 0,
             rejected_infeasible: 0,
             rejected_tenant: 0,
+            completed: 0,
             max_queue_depth: 0,
             epochs: 0,
             decision_ns: Vec::new(),
@@ -507,6 +528,17 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
     /// The current outcome of `job`.
     pub fn outcome(&self, job: JobId) -> JobOutcome {
         self.outcomes[job.index()]
+    }
+
+    /// The ledger's running counts — how many jobs sit in each
+    /// [`JobOutcome`] right now, kept by the loop instead of walked.
+    pub fn counts(&self) -> LedgerCounts {
+        LedgerCounts {
+            submitted: self.submitted,
+            accepted: self.accepted,
+            rejected: self.rejected_queue_full + self.rejected_infeasible + self.rejected_tenant,
+            completed: self.completed,
+        }
     }
 
     /// Per-tenant accounting so far — the mid-run view of
@@ -833,6 +865,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         let policy = &mut *self.policy;
         let mut ledger = Ledger {
             outcomes: &mut self.outcomes,
+            completed: &mut self.completed,
             dur: self.dur.as_deref_mut(),
         };
         ledger.emit(|| JournalRecord::Event { at: now });
@@ -1094,11 +1127,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             let now = self.clock.advance_to(next);
             self.process_event(now)?;
         }
-        let stranded = self
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o, JobOutcome::Accepted))
-            .count();
+        let stranded = self.accepted - self.completed;
         if stranded > 0 {
             return Err(SchedulingError::StrandedJobs { unplaced: stranded });
         }
@@ -1108,11 +1137,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             d.emit(JournalRecord::Close { at });
             d.flush();
         }
-        let completed = self
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o, JobOutcome::Completed))
-            .count();
+        let completed = self.completed;
         let wall_seconds = self.started.elapsed().as_secs_f64();
         let awct = if completed > 0 {
             schedule.total_weighted_completion(&self.original) / completed as f64

@@ -54,7 +54,9 @@ mod tenant;
 
 pub use clock::{Clock, SimClock, WallClock};
 pub use codec::{crc32, fnv64, Decoder, Encoder};
-pub use core::{JobOutcome, Service, ServiceConfig, ServiceConfigBuilder, ServiceReport};
+pub use core::{
+    JobOutcome, LedgerCounts, Service, ServiceConfig, ServiceConfigBuilder, ServiceReport,
+};
 pub use crash::{truncate_at_event, CrashPlan};
 pub use journal::{
     config_fingerprint, parse_journal, read_valid_prefix, service_fingerprint, DurabilityConfig,

@@ -134,8 +134,9 @@ impl<S> ServiceHandle<S> {
 /// Spawns a [`Service`] on a worker thread behind a bounded channel of
 /// `transport_capacity` submissions.
 ///
-/// `make_policy` runs *inside* the worker (boxed policies are not `Send`),
-/// receiving the instance and machine count. Submissions are admitted at
+/// `make_policy` runs *inside* the worker, receiving the instance and
+/// machine count (policies are `Send` — `mris_net::serve_net` builds its
+/// service on the caller's thread — so this is a choice here, not a need). Submissions are admitted at
 /// the clock's now when the worker picks them up; between submissions the
 /// worker advances the event loop, sleeping per [`Clock::wait_hint`].
 pub fn spawn_service<C, S, F>(

@@ -130,6 +130,27 @@ fn no_silent_drops_and_watermark_consistent_rejections() {
                     .submit_at(instance.job(job).release, job)
                     .map_err(|e| format!("{name} service: {e}"))?;
                 live_results.push((job, admission));
+                // The running counts are the ledger walk they replaced,
+                // at every step — kills put jobs back to `Accepted`.
+                let mut walked = [0usize; 4];
+                for j in 0..instance.len() {
+                    match service.outcome(JobId(j as u32)) {
+                        JobOutcome::NotSubmitted => continue,
+                        JobOutcome::Rejected(_) => walked[2] += 1,
+                        JobOutcome::Accepted => walked[1] += 1,
+                        JobOutcome::Completed => {
+                            walked[1] += 1;
+                            walked[3] += 1;
+                        }
+                    }
+                    walked[0] += 1;
+                }
+                let c = service.counts();
+                prop_assert_eq!(
+                    [c.submitted, c.accepted, c.rejected, c.completed],
+                    walked,
+                    "counts vs walk after {job}"
+                );
             }
             let (report, sink) = service.drain().map_err(|e| format!("{name} drain: {e}"))?;
 
@@ -202,6 +223,7 @@ fn no_silent_drops_and_watermark_consistent_rejections() {
             let s = &report.summary;
             prop_assert_eq!(s.submitted, instance.len(), "submitted");
             prop_assert_eq!(s.accepted, completed, "accepted == completed");
+            prop_assert_eq!(s.completed, completed, "completed counter vs ledger");
             prop_assert_eq!(
                 s.rejected_queue_full + s.rejected_infeasible,
                 rejected,

@@ -151,7 +151,7 @@ impl<'a> Dispatcher<'a> {
 /// arrivals, and at every event (arrival and/or completion) asks the policy
 /// to dispatch. Jobs the policy places must be removed from its own pending
 /// structures.
-pub trait OnlinePolicy {
+pub trait OnlinePolicy: Send {
     /// Called when jobs arrive (release time reached), before `dispatch` at
     /// the same event. `arrived` is ordered by release, ties by id.
     fn on_arrivals(&mut self, now: Time, arrived: &[JobId], instance: &Instance);

@@ -56,12 +56,15 @@ for key in '"bench": "chaos"' '"mode": "smoke"' '"restart"' '"rates"' \
     || { echo "BENCH_chaos_smoke.json is missing $key" >&2; exit 1; }
 done
 
-echo "==> durability suites in release (crash-restart equivalence + codec fuzz)"
+echo "==> durability suites in release (crash-restart equivalence + codec fuzz + CRC differential)"
 cargo test -q --release --offline -p mris-service \
   --test crash_restart --test durability_codec
+# Its own invocation: a name filter would apply to the two suites above too.
+# The sliced CRC loop is the code that ships, so its differential runs here.
+cargo test -q --release --offline -p mris-service --lib codec
 
-echo "==> net + tenancy suites in release (TCP ≡ in-process, frame fuzz, DRR split)"
-cargo test -q --release --offline -p mris-net --test net_conservativity
+echo "==> net + tenancy suites in release (TCP ≡ in-process, frame layer, concurrent doors, DRR split)"
+cargo test -q --release --offline -p mris-net
 cargo test -q --release --offline -p mris-service --test tenant_fairness
 
 echo "==> CLI crash-restart smoke (serve --journal, torn tail, restore)"
