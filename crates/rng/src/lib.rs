@@ -17,6 +17,8 @@
 //! floating-point operations involved in generation are exact power-of-two
 //! scalings, and the distributions use plain `f64` arithmetic.
 
+#![forbid(unsafe_code)]
+
 pub mod prop;
 
 /// SplitMix64 step: the standard seed-expansion generator.

@@ -2,7 +2,7 @@
 //!
 //! A snapshot is a checksummed, version-tagged container around the
 //! service's canonical state bytes (committed timelines with compaction
-//! watermarks and shard layout, admission ledger, pending fault queue,
+//! watermarks and a frozen layout word, admission ledger, pending fault queue,
 //! cluster state, and the policy's durable state — see
 //! `Service::durable_state_bytes`):
 //!

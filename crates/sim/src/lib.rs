@@ -26,10 +26,7 @@
 //!
 //! All resource arithmetic is exact fixed-point (`mris_types::Amount`).
 
-// `deny`, not `forbid`: the scan-pool module below needs one scoped
-// `allow` for its raw-pointer query descriptor. Everything else in the
-// crate still refuses `unsafe`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cluster;
@@ -37,8 +34,6 @@ mod driver;
 mod fault;
 mod kernel;
 mod online;
-#[allow(unsafe_code)]
-mod pool;
 mod precedence;
 mod timeline;
 
@@ -51,7 +46,7 @@ pub use fault::{
 pub use kernel::{Decided, EventKernel, EventSink};
 pub use online::{run_online, run_online_observed, Dispatcher, EventSnapshot, OnlinePolicy};
 pub use precedence::PrecedenceGate;
-pub use timeline::{ClusterTimelines, MachineTimeline, PARALLEL_SCAN_THRESHOLD, SHARD_SIZE};
+pub use timeline::{ClusterTimelines, MachineTimeline};
 
 use mris_types::Time;
 

@@ -51,59 +51,19 @@
 //! fields: probes read them through `&self` and report what they learned;
 //! the sequential sweep behind [`ClusterTimelines::place_batch`] and the
 //! other `&mut` entry points applies it. Shared-access queries read floors
-//! and learn nothing; the pooled scan (next section) neither reads nor
-//! raises them.
-//!
-//! # Shards and the persistent scan pool
-//!
-//! A [`ClusterTimelines`] stores its machines in fixed-size
-//! [`TimelineShard`]s of [`SHARD_SIZE`] machines. Shards are the unit of
-//! parallel work: once the machine count reaches
-//! [`PARALLEL_SCAN_THRESHOLD`], `earliest_fit` queries are served by a
-//! **persistent** per-cluster worker pool ([`crate::pool`]) whose scanners
-//! claim shards dynamically and share a lock-free best-so-far bound —
-//! threads are created once per cluster, never per query (per-query
-//! [`std::thread::scope`] spawns measured as a 0.93x *slowdown* at 256
-//! machines). Scanners only read, and they probe without floors (see
-//! [`TimelineShard::scan_bounded`]); their probe counts come back in their
-//! shard's result slot. Mutations (`commit`, `reset_machine`,
-//! `compact_before`, raising floors) go through `&mut self`. The pooled
-//! scan reproduces the sequential cutoff-pruned
-//! scan bit for bit (same lowest-machine-index tie-break, same one-ulp
-//! slack semantics).
+//! and learn nothing.
 //!
 //! [`ClusterState`]: crate::ClusterState
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use mris_types::{Amount, ClusterSpec, Instance, Job, JobId, Time, CAPACITY};
-
-use crate::pool::ScanPool;
 
 /// Segments per skip-index block. 16 is small enough that a block is often
 /// uniformly saturated (so the min-skip fires inside packed prefixes) while
 /// keeping the index under 10% of segment storage; larger blocks straddle the
 /// packed/idle boundary and lose most skip opportunities.
 pub const BLOCK: usize = 16;
-
-/// Machine count at which [`ClusterTimelines::earliest_fit`] switches from
-/// the sequential cutoff-pruned scan to the persistent sharded scan pool.
-/// The sequential scan's cutoff pruning already skips most machines, so
-/// parallelism only pays for itself on wide clusters; below this threshold
-/// the pool is never even spawned.
-/// [`ClusterTimelines::set_parallel_threshold`] overrides it.
-pub const PARALLEL_SCAN_THRESHOLD: usize = 512;
-
-/// Machines per [`TimelineShard`] — the unit of work one pool scanner
-/// claims at a time. 64 machines is coarse enough that the claim CAS and
-/// the shared-bound traffic are amortized over thousands of probed
-/// segments, while still splitting a 1k-machine cluster into ~16 claims,
-/// plenty for dynamic load balancing across at most 8 scanners.
-/// [`ClusterTimelines::with_shard_size`] overrides it (the differential
-/// suite runs shard sizes 1, 7, and 64).
-pub const SHARD_SIZE: usize = 64;
 
 /// Distinct demand vectors a cluster keeps floors for, in order of first
 /// appearance; later vectors probe without floors. Every benchmark
@@ -213,8 +173,8 @@ struct Floors {
 
 /// Probe counts gathered locally by a scan, a sweep or a batch and
 /// published with one registry call per family ([`ProbeTally::publish`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ProbeTally {
+#[derive(Debug, Default)]
+struct ProbeTally {
     /// `mris_timeline_hint_hits_total`: ruled out by a floor, no segment
     /// visited.
     ruled_out: u64,
@@ -226,12 +186,6 @@ pub(crate) struct ProbeTally {
 }
 
 impl ProbeTally {
-    pub(crate) fn add(&mut self, other: &ProbeTally) {
-        self.ruled_out += other.ruled_out;
-        self.scanned += other.scanned;
-        self.block_jumps += other.block_jumps;
-    }
-
     fn publish(&self) {
         for (name, v) in [
             ("mris_timeline_probes_total", self.ruled_out + self.scanned),
@@ -978,19 +932,6 @@ impl MachineTimeline {
     }
 }
 
-/// A fixed-size run of consecutive machines — the unit of work one pool
-/// scanner claims at a time, and the unit the cross-shard reduce folds
-/// over. Shard `i` of a cluster with shard size `Z` holds machines
-/// `[i * Z, min((i + 1) * Z, M))`, so concatenating shards in order
-/// recovers machine order — which is what keeps the in-order reduce's
-/// tie-break identical to the sequential scan's.
-#[derive(Debug, Clone)]
-pub(crate) struct TimelineShard {
-    /// Global index of this shard's first machine.
-    base: usize,
-    machines: Vec<MachineTimeline>,
-}
-
 /// One cluster-level query, as the sequential sweeps see it.
 #[derive(Debug, Clone, Copy)]
 struct SweepQuery<'a> {
@@ -1002,105 +943,16 @@ struct SweepQuery<'a> {
     demands: &'a [Amount],
 }
 
-/// What a pool scanner hands back for one shard of one query.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardScan {
-    /// The shard's lexicographic `(start, global machine)` minimum, or
-    /// `(usize::MAX, INFINITY)` when the shared bound ruled every machine
-    /// out.
-    pub(crate) best: (usize, Time),
-    /// The shard's probe counts, so the caller publishes them once.
-    pub(crate) tally: ProbeTally,
-}
-
-impl ShardScan {
-    /// A shard nobody scanned, or one with no machine below the bound.
-    pub(crate) const NONE: ShardScan = ShardScan {
-        best: (usize::MAX, f64::INFINITY),
-        tally: ProbeTally {
-            ruled_out: 0,
-            scanned: 0,
-            block_jumps: 0,
-        },
-    };
-}
-
-impl TimelineShard {
-    /// The cutoff-pruned earliest fit over this shard, in machine order.
-    /// `shared_best` carries the best start found anywhere in the cluster
-    /// so far; it is read as a pruning bound — with one ulp of slack, so an
-    /// equal start in this shard survives to the in-order reduce where
-    /// shard order decides the tie — and CAS-min published on every
-    /// improvement. `floor` (`from.max(0.0)`) ends the shard scan early:
-    /// within a shard no later machine can beat a fit at the floor.
-    ///
-    /// Pool scanners probe **without floors** (class `None`): every probe
-    /// scans from `from`, and nothing is learned. With floors a pooled
-    /// query is mostly O(1) rule-outs, and what is left of it is the
-    /// pool's per-query claim/complete traffic between CPUs, whose cost
-    /// moves with where the host puts them — `wide` ran faster but its
-    /// runs spread 1.7 times as wide as the ledger's bound allows
-    /// (EXPERIMENTS.md, PR 23). Floors on the pooled path wait for ROADMAP
-    /// item 3's coarser unit of pooled work.
-    pub(crate) fn scan_bounded(
-        &self,
-        from: Time,
-        dur: Time,
-        demands: &[Amount],
-        floor: Time,
-        shared_best: &AtomicU64,
-    ) -> ShardScan {
-        let mut local = (usize::MAX, f64::INFINITY);
-        let mut probed: u64 = 0;
-        let mut tally = ProbeTally::default();
-        for (k, tl) in self.machines.iter().enumerate() {
-            let global = f64::from_bits(shared_best.load(Ordering::Relaxed));
-            let slack = if global.is_finite() {
-                global.next_up()
-            } else {
-                f64::INFINITY
-            };
-            let cutoff = local.1.min(slack);
-            probed += 1;
-            // `dur` is nominal work; this machine occupies it for
-            // `dur / speed` wall time (exact `dur / 1.0 == dur` on the
-            // reference machine, preserving the uniform path bit for bit).
-            let probe = tl.probe(None, from, dur / tl.speed(), demands, cutoff, &mut tally);
-            if let Some(s) = probe.start {
-                if s < local.1 {
-                    local = (self.base + k, s);
-                }
-                let mut cur = shared_best.load(Ordering::Relaxed);
-                while f64::from_bits(cur) > s {
-                    match shared_best.compare_exchange_weak(
-                        cur,
-                        s.to_bits(),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(observed) => cur = observed,
-                    }
-                }
-                if s <= floor {
-                    break;
-                }
-            }
-        }
-        mris_obs::counter_add("mris_shard_probes_total", probed);
-        ShardScan { best: local, tally }
-    }
-}
-
-/// Timelines for a cluster of `M` identical machines, stored in
-/// [`SHARD_SIZE`]-machine shards served by a lazily-spawned persistent
-/// scan pool (see the module docs).
+/// Timelines for a cluster of `M` machines, one [`MachineTimeline`] each,
+/// placed through one sequential cutoff-pruned sweep. Placement is a chain
+/// of earliest-fit commits — each answer depends on the previous commit —
+/// and floors turn most probes into O(1) rule-outs, so there is no
+/// parallel scan: a pooled one measured slower than this sweep even at
+/// 1,024 machines (DESIGN.md §13).
+#[derive(Debug, Clone)]
 pub struct ClusterTimelines {
-    shards: Vec<TimelineShard>,
-    num_machines: usize,
+    machines: Vec<MachineTimeline>,
     num_resources: usize,
-    shard_size: usize,
-    parallel_threshold: usize,
     /// Machine probed first by the exclusive sweep to seed the pruning
     /// cutoff: one past the previous winner, i.e. the machine least
     /// recently loaded. Pure probe-order heuristic — the returned placement
@@ -1111,57 +963,13 @@ pub struct ClusterTimelines {
     /// resolved once per query, so a probe indexes its machine's floors
     /// instead of comparing demand vectors.
     classes: Vec<Amount>,
-    /// The cluster's persistent scan workers, spawned on the first query
-    /// that crosses `parallel_threshold` and joined on drop. Never cloned:
-    /// a cloned cluster lazily spawns its own.
-    pool: OnceLock<ScanPool>,
-}
-
-impl Clone for ClusterTimelines {
-    fn clone(&self) -> Self {
-        ClusterTimelines {
-            shards: self.shards.clone(),
-            num_machines: self.num_machines,
-            num_resources: self.num_resources,
-            shard_size: self.shard_size,
-            parallel_threshold: self.parallel_threshold,
-            scan_seed: self.scan_seed,
-            classes: self.classes.clone(),
-            pool: OnceLock::new(),
-        }
-    }
-}
-
-impl std::fmt::Debug for ClusterTimelines {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterTimelines")
-            .field("shards", &self.shards)
-            .field("num_machines", &self.num_machines)
-            .field("shard_size", &self.shard_size)
-            .field("parallel_threshold", &self.parallel_threshold)
-            .field("scan_seed", &self.scan_seed)
-            .field("pool", &self.pool.get())
-            .finish()
-    }
 }
 
 impl ClusterTimelines {
-    /// Empty timelines for `num_machines` machines with `num_resources`
-    /// resources each, sharded at the default [`SHARD_SIZE`].
+    /// Empty timelines for `num_machines` reference machines with
+    /// `num_resources` resources each.
     pub fn new(num_machines: usize, num_resources: usize) -> Self {
-        Self::with_shard_size(num_machines, num_resources, SHARD_SIZE)
-    }
-
-    /// Like [`ClusterTimelines::new`] with an explicit shard size (clamped
-    /// to at least 1). Placements are independent of the shard size — the
-    /// differential suite pins this for sizes 1, 7, and 64 — so this only
-    /// exists for tests and experiments; production callers use `new`.
-    pub fn with_shard_size(num_machines: usize, num_resources: usize, shard_size: usize) -> Self {
-        Self::with_spec_shard_size(
-            &ClusterSpec::uniform(num_machines),
-            num_resources,
-            shard_size,
-        )
+        Self::with_spec(&ClusterSpec::uniform(num_machines), num_resources)
     }
 
     /// Empty timelines following `spec`: machine `m` carries `spec`'s
@@ -1171,66 +979,33 @@ impl ClusterTimelines {
     /// wall-time for occupations that do not shrink on faster machines
     /// (e.g. downtime blocks).
     pub fn with_spec(spec: &ClusterSpec, num_resources: usize) -> Self {
-        Self::with_spec_shard_size(spec, num_resources, SHARD_SIZE)
-    }
-
-    /// [`ClusterTimelines::with_spec`] with an explicit shard size.
-    pub fn with_spec_shard_size(
-        spec: &ClusterSpec,
-        num_resources: usize,
-        shard_size: usize,
-    ) -> Self {
-        let num_machines = spec.len();
-        assert!(num_machines > 0);
-        let shard_size = shard_size.max(1);
-        let shards = (0..num_machines)
-            .step_by(shard_size)
-            .map(|base| TimelineShard {
-                base,
-                machines: (base..(base + shard_size).min(num_machines))
-                    .map(|m| {
-                        MachineTimeline::with_limits(
-                            num_resources,
-                            spec.capacity_vec(m, num_resources).into_vec(),
-                            spec.speed(m),
-                        )
-                    })
-                    .collect(),
-            })
-            .collect();
+        assert!(!spec.is_empty());
         ClusterTimelines {
-            shards,
-            num_machines,
+            machines: (0..spec.len())
+                .map(|m| {
+                    MachineTimeline::with_limits(
+                        num_resources,
+                        spec.capacity_vec(m, num_resources).into_vec(),
+                        spec.speed(m),
+                    )
+                })
+                .collect(),
             num_resources,
-            shard_size,
-            parallel_threshold: PARALLEL_SCAN_THRESHOLD,
             scan_seed: 0,
             classes: Vec::new(),
-            pool: OnceLock::new(),
         }
     }
 
     /// Number of machines `M`.
     #[inline]
     pub fn num_machines(&self) -> usize {
-        self.num_machines
-    }
-
-    /// All machines in index order (shards hold consecutive machine runs).
-    #[inline]
-    fn machines(&self) -> impl Iterator<Item = &MachineTimeline> {
-        self.shards.iter().flat_map(|s| s.machines.iter())
+        self.machines.len()
     }
 
     /// Access a single machine's timeline.
     #[inline]
     pub fn machine(&self, m: usize) -> &MachineTimeline {
-        &self.shards[m / self.shard_size].machines[m % self.shard_size]
-    }
-
-    #[inline]
-    fn machine_mut(&mut self, m: usize) -> &mut MachineTimeline {
-        &mut self.shards[m / self.shard_size].machines[m % self.shard_size]
+        &self.machines[m]
     }
 
     /// Replaces machine `m`'s timeline with a fresh, empty one — keeping
@@ -1239,24 +1014,20 @@ impl ClusterTimelines {
     /// invalidated at once, and the caller re-commits what should survive
     /// (e.g. a full-capacity block covering the downtime).
     pub fn reset_machine(&mut self, m: usize) {
-        let num_resources = self.num_resources;
-        let tl = self.machine_mut(m);
-        *tl = MachineTimeline::with_limits(num_resources, tl.cap.clone(), tl.speed);
+        let tl = &mut self.machines[m];
+        *tl = MachineTimeline::with_limits(self.num_resources, tl.cap.clone(), tl.speed);
     }
 
     /// Total segments across all machines (for diagnostics and benches).
     pub fn total_segments(&self) -> usize {
-        self.machines().map(|tl| tl.num_segments()).sum()
+        self.machines.iter().map(|tl| tl.num_segments()).sum()
     }
 
-    /// Overrides the machine count at which [`ClusterTimelines::earliest_fit`]
-    /// switches to the pooled sharded scan (default
-    /// [`PARALLEL_SCAN_THRESHOLD`]). `usize::MAX` forces the sequential
-    /// path, small values force the pooled one — the results are
-    /// identical either way, including the lower-machine-index tie-break.
-    pub fn set_parallel_threshold(&mut self, threshold: usize) {
-        self.parallel_threshold = threshold.max(1);
-    }
+    /// Does nothing: there is no parallel scan left to switch to. Kept only
+    /// because the benchmark's `scan_probe` (under `benchmark/`, which is
+    /// frozen until its next PR) still calls it; nothing else may.
+    #[doc(hidden)]
+    pub fn set_parallel_threshold(&mut self, _: usize) {}
 
     /// The floor class of `demands`, if the table already holds the vector.
     fn class_of(&self, demands: &[Amount]) -> FloorClass {
@@ -1281,8 +1052,7 @@ impl ClusterTimelines {
     /// Earliest `(machine, start)` with `start >= from` at which the job
     /// fits for `dur` units of *nominal work* (machine `m` occupies it for
     /// `dur / speed_m` wall time); ties on start break toward the lower
-    /// machine index. Shared access reads the floors (on the sequential
-    /// path) but cannot raise them.
+    /// machine index. Shared access reads the floors but cannot raise them.
     ///
     /// # Panics
     ///
@@ -1292,18 +1062,13 @@ impl ClusterTimelines {
     /// [`SchedulingError::UnplaceableJob`](mris_types::SchedulingError::UnplaceableJob).
     pub fn earliest_fit(&self, from: Time, dur: Time, demands: &[Amount]) -> (usize, Time) {
         let mut tally = ProbeTally::default();
-        let best = if self.num_machines >= self.parallel_threshold {
-            let pool = self.pool.get_or_init(ScanPool::new);
-            pool.scan(&self.shards, from, dur, demands, &mut tally)
-        } else {
-            let q = SweepQuery {
-                class: self.class_of(demands),
-                from,
-                dur,
-                demands,
-            };
-            self.sweep_in_order(&q, &mut tally)
+        let q = SweepQuery {
+            class: self.class_of(demands),
+            from,
+            dur,
+            demands,
         };
+        let best = self.sweep_in_order(&q, &mut tally);
         tally.publish();
         assert_placeable(best, demands);
         best
@@ -1315,7 +1080,7 @@ impl ClusterTimelines {
     fn sweep_in_order(&self, q: &SweepQuery<'_>, tally: &mut ProbeTally) -> (usize, Time) {
         let floor = q.from.max(0.0);
         let mut best = (0usize, f64::INFINITY);
-        for (m, tl) in self.machines().enumerate() {
+        for (m, tl) in self.machines.iter().enumerate() {
             let probe = tl.probe(
                 q.class,
                 q.from,
@@ -1346,8 +1111,9 @@ impl ClusterTimelines {
     /// exactly what the unseeded in-order scan returns.
     fn sweep_seeded(&mut self, q: &SweepQuery<'_>, tally: &mut ProbeTally) -> (usize, Time) {
         let floor = q.from.max(0.0);
-        let g = self.scan_seed.min(self.num_machines - 1);
-        let seed = self.machine_mut(g);
+        let num_machines = self.machines.len();
+        let g = self.scan_seed.min(num_machines - 1);
+        let seed = &mut self.machines[g];
         // A restricted seed machine can be incapable of ever holding the
         // demand (`None` even unbounded); fall back to an unseeded sweep.
         let mut best = match seed.probe_mut(
@@ -1361,42 +1127,32 @@ impl ClusterTimelines {
             Some(s_g) => (g, s_g),
             None => (usize::MAX, f64::INFINITY),
         };
-        'shards: for shard in self.shards.iter_mut() {
-            for (k, tl) in shard.machines.iter_mut().enumerate() {
-                let m = shard.base + k;
-                // Every machine below best.0 has been probed, and no machine
-                // at or above m can beat a fit at the floor (ties go lower).
-                if best.1 <= floor && best.0 <= m {
-                    break 'shards;
-                }
-                if m == g {
-                    continue;
-                }
-                let cutoff = if m < best.0 { best.1.next_up() } else { best.1 };
-                if let Some(s) =
-                    tl.probe_mut(q.class, q.from, q.dur / tl.speed, q.demands, cutoff, tally)
-                {
-                    if s < best.1 || (s == best.1 && m < best.0) {
-                        best = (m, s);
-                    }
+        for (m, tl) in self.machines.iter_mut().enumerate() {
+            // Every machine below best.0 has been probed, and no machine at
+            // or above m can beat a fit at the floor (ties go lower).
+            if best.1 <= floor && best.0 <= m {
+                break;
+            }
+            if m == g {
+                continue;
+            }
+            let cutoff = if m < best.0 { best.1.next_up() } else { best.1 };
+            if let Some(s) =
+                tl.probe_mut(q.class, q.from, q.dur / tl.speed, q.demands, cutoff, tally)
+            {
+                if s < best.1 || (s == best.1 && m < best.0) {
+                    best = (m, s);
                 }
             }
         }
-        if best.0 < self.num_machines {
-            self.scan_seed = (best.0 + 1) % self.num_machines;
+        if best.0 < num_machines {
+            self.scan_seed = (best.0 + 1) % num_machines;
         }
         best
     }
 
-    /// The earliest fit over exclusive timelines: below the parallel
-    /// threshold the seeded sweep, floors raised on the way; at or above it
-    /// the sharded scan served by the cluster's persistent worker pool,
-    /// whose scanners claim shards dynamically, share a relaxed atomic
-    /// best-so-far as a pruning bound (with one ulp of slack so ties
-    /// survive) and probe without floors
-    /// ([`TimelineShard::scan_bounded`] says why), and whose per-shard
-    /// minima the caller reduces in shard order. All three scans return
-    /// the lexicographic `(start, machine)` minimum.
+    /// The earliest fit over exclusive timelines: the seeded sweep, floors
+    /// raised on the way.
     fn fit_mut(
         &mut self,
         from: Time,
@@ -1404,18 +1160,13 @@ impl ClusterTimelines {
         demands: &[Amount],
         tally: &mut ProbeTally,
     ) -> (usize, Time) {
-        let best = if self.num_machines >= self.parallel_threshold {
-            let pool = self.pool.get_or_init(ScanPool::new);
-            pool.scan(&self.shards, from, dur, demands, tally)
-        } else {
-            let q = SweepQuery {
-                class: self.intern_class(demands),
-                from,
-                dur,
-                demands,
-            };
-            self.sweep_seeded(&q, tally)
+        let q = SweepQuery {
+            class: self.intern_class(demands),
+            from,
+            dur,
+            demands,
         };
+        let best = self.sweep_seeded(&q, tally);
         assert_placeable(best, demands);
         best
     }
@@ -1425,7 +1176,7 @@ impl ClusterTimelines {
     /// occupations whose length is not job work. Job commitments go through
     /// [`ClusterTimelines::commit_job`].
     pub fn commit(&mut self, machine: usize, start: Time, dur: Time, demands: &[Amount]) {
-        self.machine_mut(machine).commit(start, dur, demands);
+        self.machines[machine].commit(start, dur, demands);
     }
 
     /// Commits `work` units of nominal job work on `machine`, occupying it
@@ -1433,7 +1184,7 @@ impl ClusterTimelines {
     /// nominal-work `earliest_fit` family. Exact (`work / 1.0 == work`) on
     /// reference machines.
     pub fn commit_job(&mut self, machine: usize, start: Time, work: Time, demands: &[Amount]) {
-        let tl = self.machine_mut(machine);
+        let tl = &mut self.machines[machine];
         let dur = work / tl.speed;
         tl.commit(start, dur, demands);
     }
@@ -1472,9 +1223,8 @@ impl ClusterTimelines {
     /// after `floor`, committing each before probing the next, and appends
     /// `(job, machine, start)` to `placements`. This is Algorithm 1's
     /// placement step as one call: the floors a job's probes raise are what
-    /// the next job's probes start from (on the sequential sweep; the
-    /// pooled scan of a wide cluster probes without floors), and the
-    /// `mris_timeline_*` counts are published once for the whole batch. Returns the wall time the
+    /// the next job's probes start from, and the `mris_timeline_*` counts
+    /// are published once for the whole batch. Returns the wall time the
     /// probes and the commits took, or zeros when no observability
     /// subscriber is installed (the clock is not read then).
     pub fn place_batch(
@@ -1510,37 +1260,38 @@ impl ClusterTimelines {
     /// only ever happen at or after the current grid point `gamma_k`, which
     /// is monotone.
     pub fn compact_before(&mut self, horizon: Time) {
-        for shard in &mut self.shards {
-            for tl in &mut shard.machines {
-                tl.compact_before(horizon);
-            }
+        for tl in &mut self.machines {
+            tl.compact_before(horizon);
         }
     }
 
     /// The latest committed breakpoint across machines — an upper bound on
     /// the makespan of everything committed so far.
     pub fn horizon(&self) -> Time {
-        self.machines()
+        self.machines
+            .iter()
             .map(|tl| *tl.times.last().unwrap())
             .fold(0.0, f64::max)
     }
 
     /// Appends a canonical encoding of every machine's committed timeline
-    /// (including shard layout, since the differential suite treats shard
-    /// size as part of the configured identity) to `out`. Scan-seed, pool,
-    /// and parallel-threshold are runtime heuristics and are excluded. The
-    /// machine table (capacities and speed bits) is appended **only for
-    /// non-uniform clusters**, so uniform fingerprints are unchanged from
-    /// before heterogeneity existed.
+    /// to `out`. The scan seed and the floors steer probes without changing
+    /// an answer, so they are excluded. The machine table (capacities and
+    /// speed bits) is appended **only for non-uniform clusters**, so
+    /// uniform fingerprints are unchanged from before heterogeneity existed.
     pub fn durable_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.num_machines as u64).to_le_bytes());
+        out.extend_from_slice(&(self.machines.len() as u64).to_le_bytes());
         out.extend_from_slice(&(self.num_resources as u64).to_le_bytes());
-        out.extend_from_slice(&(self.shard_size as u64).to_le_bytes());
-        for tl in self.machines() {
+        // Frozen layout word: machines were once stored in shards of 64 and
+        // this word recorded the shard size. It stays `64` so snapshots and
+        // fingerprints stay byte-identical and `SNAPSHOT_VERSION` need not
+        // change.
+        out.extend_from_slice(&64u64.to_le_bytes());
+        for tl in &self.machines {
             tl.durable_bytes(out);
         }
-        if !self.machines().all(MachineTimeline::is_unit_machine) {
-            for tl in self.machines() {
+        if !self.machines.iter().all(MachineTimeline::is_unit_machine) {
+            for tl in &self.machines {
                 for &c in &tl.cap {
                     out.extend_from_slice(&c.to_le_bytes());
                 }
@@ -1855,36 +1606,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_cluster_scans_agree() {
-        use mris_types::{Job, JobId};
-        let mut cl = ClusterTimelines::new(9, 2);
-        for i in 0..40u32 {
-            let j = Job::from_fractions(
-                JobId(i),
-                0.0,
-                1.0 + (i % 5) as f64,
-                1.0,
-                &[0.2 + 0.1 * (i % 7) as f64, 0.3],
-            );
-            cl.place_earliest(&j, (i % 3) as f64);
-        }
-        let probe = d(&[0.6, 0.6]);
-        let mut parallel = cl.clone();
-        parallel.set_parallel_threshold(1);
-        let mut sequential = cl.clone();
-        sequential.set_parallel_threshold(usize::MAX);
-        for from in [0.0, 1.5, 7.0, 30.0] {
-            for dur in [0.5, 2.0, 9.0] {
-                assert_eq!(
-                    parallel.earliest_fit(from, dur, &probe),
-                    sequential.earliest_fit(from, dur, &probe),
-                    "from {from}, dur {dur}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fast_machine_wins_long_jobs() {
         use mris_types::{ClusterSpec, Job, JobId};
         // Machine 1 runs at speed 2: nominal work 4 occupies 2 wall time.
@@ -1938,45 +1659,6 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_pooled_matches_sequential() {
-        use mris_types::{ClusterSpec, Job, JobId, MachineSpec};
-        let spec = ClusterSpec::new(
-            (0..11)
-                .map(|m| {
-                    MachineSpec::from_fractions(1.0 + (m % 3) as f64, &[1.0 - 0.1 * (m % 4) as f64])
-                })
-                .collect(),
-        );
-        let mut cl = ClusterTimelines::with_spec_shard_size(&spec, 1, 3);
-        for i in 0..50u32 {
-            let j = Job::from_fractions(
-                JobId(i),
-                0.0,
-                1.0 + (i % 4) as f64,
-                1.0,
-                &[0.3 + 0.1 * (i % 4) as f64],
-            );
-            cl.place_earliest(&j, (i % 5) as f64);
-        }
-        let mut pooled = cl.clone();
-        pooled.set_parallel_threshold(1);
-        let mut sequential = cl.clone();
-        sequential.set_parallel_threshold(usize::MAX);
-        for from in [0.0, 2.5, 11.0] {
-            for dur in [0.75, 3.0] {
-                for demand in [0.3, 0.55, 0.65] {
-                    let probe = d(&[demand]);
-                    assert_eq!(
-                        pooled.earliest_fit(from, dur, &probe),
-                        sequential.earliest_fit(from, dur, &probe),
-                        "from {from}, dur {dur}, demand {demand}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn uniform_durable_bytes_have_no_machine_table() {
         use mris_types::ClusterSpec;
         let mut via_new = Vec::new();
@@ -1987,44 +1669,5 @@ mod tests {
         let mut het = Vec::new();
         ClusterTimelines::with_spec(&ClusterSpec::related(3, &[2.0]), 2).durable_bytes(&mut het);
         assert!(het.len() > via_new.len());
-    }
-
-    #[test]
-    fn pooled_scan_spans_shard_boundaries() {
-        use mris_types::{Job, JobId};
-        // 13 machines in shards of 3: the last shard is ragged, and winners
-        // land on either side of shard boundaries across the probes.
-        let mut cl = ClusterTimelines::with_shard_size(13, 1, 3);
-        for i in 0..60u32 {
-            let j = Job::from_fractions(
-                JobId(i),
-                0.0,
-                1.0 + (i % 4) as f64,
-                1.0,
-                &[0.4 + 0.1 * (i % 6) as f64],
-            );
-            cl.place_earliest(&j, (i % 5) as f64);
-        }
-        let mut pooled = cl.clone();
-        pooled.set_parallel_threshold(1);
-        let mut sequential = cl.clone();
-        sequential.set_parallel_threshold(usize::MAX);
-        for from in [0.0, 2.5, 11.0] {
-            for dur in [0.75, 3.0] {
-                for demand in [0.3, 0.55, 0.9] {
-                    let probe = d(&[demand]);
-                    assert_eq!(
-                        pooled.earliest_fit(from, dur, &probe),
-                        sequential.earliest_fit(from, dur, &probe),
-                        "earliest_fit from {from}, dur {dur}, demand {demand}"
-                    );
-                    assert_eq!(
-                        pooled.earliest_fit_mut(from, dur, &probe),
-                        sequential.earliest_fit_mut(from, dur, &probe),
-                        "earliest_fit_mut from {from}, dur {dur}, demand {demand}"
-                    );
-                }
-            }
-        }
     }
 }

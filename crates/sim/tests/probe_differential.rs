@@ -9,12 +9,12 @@
 //! invalidate the hint — minus the hint's `Mutex`, which a single-threaded
 //! reference does not need. Random scripts of batch placements, wall-time
 //! commits, compactions and machine failures (reset + downtime block) are
-//! replayed into it and into six clusters under test: shard sizes 1, 7 and
-//! 64, each with the pooled scan forced off and forced on. Demand vectors
-//! are drawn mostly from a small per-case catalog (the shape of every
-//! benchmark workload, and what keys any per-demand acceleration state),
-//! with continuous ones mixed in; clusters are uniform, related, and
-//! related + restricted.
+//! replayed into it and into one cluster under test. Demand vectors are
+//! drawn mostly from a small per-case catalog (the shape of every benchmark
+//! workload, and what keys any per-demand acceleration state), with
+//! continuous ones mixed in; clusters are uniform, related, and related +
+//! restricted, and one case in eight is as wide as the `wide` workload
+//! (512 to 1,100 machines).
 
 use mris_rng::prop::{check, Config};
 use mris_rng::{prop_assert, prop_assert_eq, Rng};
@@ -597,8 +597,6 @@ mod reference {
     }
 }
 
-const SHARD_SIZES: [usize; 3] = [1, 7, 64];
-
 /// Durations that recur within a case, so repeated `(dur, demands)` queries
 /// (the reference's exact-hit path) happen often.
 const COMMON_DURS: [f64; 4] = [0.5, 1.0, 2.5, 6.0];
@@ -631,10 +629,10 @@ type Case = (usize, usize, usize, u64, Vec<Op>);
 
 fn gen_case(rng: &mut Rng) -> Case {
     let kind = rng.gen_range(0..3usize);
-    let machines = if rng.gen_range(0..4usize) == 0 {
-        rng.gen_range(60..80usize)
-    } else {
-        rng.gen_range(2..12usize)
+    let machines = match rng.gen_range(0..8usize) {
+        0 => rng.gen_range(512..=1_100usize),
+        1 | 2 => rng.gen_range(60..80usize),
+        _ => rng.gen_range(2..12usize),
     };
     let resources = [2usize, 4, 5][rng.gen_range(0..3usize)];
     let spec_seed = rng.gen_range(0..u64::MAX);
@@ -736,7 +734,7 @@ fn batch_placement_matches_the_per_job_probe() {
         &Config::with_cases(128),
         gen_case,
         |(kind, machines, resources, spec_seed, ops)| {
-            let (machines, resources) = ((*machines).clamp(2, 128), *resources);
+            let (machines, resources) = ((*machines).clamp(2, 1_100), *resources);
             // Shrinking may cut a demand vector loose from its case.
             if ops.iter().any(|op| match op {
                 Op::Batch { jobs, .. } => jobs.iter().any(|(_, f)| f.len() != resources),
@@ -762,15 +760,7 @@ fn batch_placement_matches_the_per_job_probe() {
             let instance = Instance::new(jobs, resources).expect("generated jobs are valid");
 
             let mut reference = reference::ClusterTimelines::with_spec(&spec, resources);
-            let mut variants: Vec<(usize, bool, ClusterTimelines)> = SHARD_SIZES
-                .iter()
-                .flat_map(|&z| [(z, false), (z, true)])
-                .map(|(z, pooled)| {
-                    let mut c = ClusterTimelines::with_spec_shard_size(&spec, resources, z);
-                    c.set_parallel_threshold(if pooled { 1 } else { usize::MAX });
-                    (z, pooled, c)
-                })
-                .collect();
+            let mut cluster = ClusterTimelines::with_spec(&spec, resources);
 
             let mut gamma = 0.0_f64;
             let mut next_job = 0usize;
@@ -800,19 +790,15 @@ fn batch_placement_matches_the_per_job_probe() {
                                 (id, m, s)
                             })
                             .collect();
-                        for (z, pooled, c) in variants.iter_mut() {
-                            let mut got = Vec::new();
-                            c.place_batch(&instance, &batch, floor, &mut got);
-                            prop_assert_eq!(
-                                bits(&got),
-                                bits(&expect),
-                                "step {}: batch at floor {}, shard size {}, pooled {}",
-                                step,
-                                floor,
-                                z,
-                                pooled
-                            );
-                        }
+                        let mut got = Vec::new();
+                        cluster.place_batch(&instance, &batch, floor, &mut got);
+                        prop_assert_eq!(
+                            bits(&got),
+                            bits(&expect),
+                            "step {}: batch at floor {}",
+                            step,
+                            floor
+                        );
                     }
                     Op::Wall {
                         pick,
@@ -827,17 +813,13 @@ fn batch_placement_matches_the_per_job_probe() {
                         let holds = demands.iter().zip(tl.capacity()).all(|(&d, &c)| d <= c);
                         if holds && tl.is_feasible(start, *dur, &demands) {
                             reference.commit(m, start, *dur, &demands);
-                            for (_, _, c) in variants.iter_mut() {
-                                c.commit(m, start, *dur, &demands);
-                            }
+                            cluster.commit(m, start, *dur, &demands);
                         }
                     }
                     Op::Compact { back } => {
                         let horizon = gamma - back;
                         reference.compact_before(horizon);
-                        for (_, _, c) in variants.iter_mut() {
-                            c.compact_before(horizon);
-                        }
+                        cluster.compact_before(horizon);
                     }
                     Op::Down { pick, at_off, dur } => {
                         let m = pick % machines;
@@ -845,32 +827,24 @@ fn batch_placement_matches_the_per_job_probe() {
                         let full = reference.machine(m).capacity().to_vec();
                         reference.reset_machine(m);
                         reference.commit(m, at, *dur, &full);
-                        for (_, _, c) in variants.iter_mut() {
-                            c.reset_machine(m);
-                            c.commit(m, at, *dur, &full);
-                        }
+                        cluster.reset_machine(m);
+                        cluster.commit(m, at, *dur, &full);
                     }
                 }
-                for (z, pooled, c) in variants.iter() {
-                    let (mut got, mut expect) = (Vec::new(), Vec::new());
-                    c.durable_bytes(&mut got);
-                    reference.durable_bytes(*z, &mut expect);
-                    prop_assert!(
-                        got == expect,
-                        "step {}: durable_bytes differ at shard size {}, pooled {}",
+                // The reference encodes the layout word it is given; the
+                // cluster writes the frozen `64` (see `durable_bytes`).
+                let (mut got, mut expect) = (Vec::new(), Vec::new());
+                cluster.durable_bytes(&mut got);
+                reference.durable_bytes(64, &mut expect);
+                prop_assert!(got == expect, "step {}: durable_bytes differ", step);
+                for m in 0..machines {
+                    prop_assert_eq!(
+                        cluster.machine(m).compaction_watermark().to_bits(),
+                        reference.machine(m).compaction_watermark().to_bits(),
+                        "step {}: watermark of machine {}",
                         step,
-                        z,
-                        pooled
+                        m
                     );
-                    for m in 0..machines {
-                        prop_assert_eq!(
-                            c.machine(m).compaction_watermark().to_bits(),
-                            reference.machine(m).compaction_watermark().to_bits(),
-                            "step {}: watermark of machine {}",
-                            step,
-                            m
-                        );
-                    }
                 }
             }
             Ok(())

@@ -6,12 +6,11 @@
 //! linear scans). Random scripts of commits, compactions, and queries are
 //! replayed into both; every answer — usage, feasibility, earliest fit, and
 //! segment count — must agree exactly. A second suite drives whole clusters
-//! and checks the cutoff-pruned sequential scan, the hint cache, and the
-//! scoped-thread parallel scan against the brute per-machine loop,
-//! including the lower-machine-index tie-break.
+//! and checks the cutoff-pruned cluster sweep against the brute per-machine
+//! loop, including the lower-machine-index tie-break.
 
 use mris_rng::prop::{check, Config};
-use mris_rng::{prop_assert, prop_assert_eq, Rng};
+use mris_rng::{prop_assert_eq, Rng};
 use mris_sim::{ClusterTimelines, MachineTimeline};
 use mris_types::{amount_from_fraction, Amount, CAPACITY};
 
@@ -262,10 +261,10 @@ fn indexed_timeline_matches_brute_force_reference() {
     );
 }
 
-/// Cluster-level differential: sequential cutoff-pruned scan, forced
-/// parallel scan, and the brute per-machine loop all place identical
-/// `(machine, start)` sequences — pruning, caching, and threading must not
-/// disturb results or the lower-machine-index tie-break.
+/// Cluster-level differential: the cutoff-pruned cluster sweep and the
+/// brute per-machine loop place identical `(machine, start)` sequences —
+/// pruning and floors must not disturb results or the lower-machine-index
+/// tie-break.
 #[test]
 fn cluster_scans_match_brute_force_reference() {
     check(
@@ -287,10 +286,7 @@ fn cluster_scans_match_brute_force_reference() {
         },
         |(machines, jobs)| {
             let machines = (*machines).clamp(2, 8);
-            let mut sequential = ClusterTimelines::new(machines, RESOURCES);
-            sequential.set_parallel_threshold(usize::MAX);
-            let mut parallel = ClusterTimelines::new(machines, RESOURCES);
-            parallel.set_parallel_threshold(1);
+            let mut cluster = ClusterTimelines::new(machines, RESOURCES);
             let mut brute: Vec<BruteTimeline> = (0..machines)
                 .map(|_| BruteTimeline::new(RESOURCES))
                 .collect();
@@ -307,14 +303,10 @@ fn cluster_scans_match_brute_force_reference() {
                         expect = (m, s);
                     }
                 }
-                let got_seq = sequential.earliest_fit(*from, *dur, &demands);
-                let got_par = parallel.earliest_fit(*from, *dur, &demands);
-                prop_assert_eq!(got_seq, expect, "sequential scan from {}", from);
-                prop_assert_eq!(got_par, expect, "parallel scan from {}", from);
+                let got = cluster.earliest_fit(*from, *dur, &demands);
+                prop_assert_eq!(got, expect, "cluster scan from {}", from);
                 brute[expect.0].commit(expect.1, *dur, &demands);
-                sequential.commit(expect.0, expect.1, *dur, &demands);
-                parallel.commit(expect.0, expect.1, *dur, &demands);
-                prop_assert!(sequential.horizon() == parallel.horizon());
+                cluster.commit(expect.0, expect.1, *dur, &demands);
             }
             Ok(())
         },

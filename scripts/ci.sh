@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> every library crate forbids unsafe code"
+for lib in crates/*/src/lib.rs src/lib.rs; do
+  grep -qx '#!\[forbid(unsafe_code)\]' "$lib" \
+    || { echo "$lib lacks #![forbid(unsafe_code)]" >&2; exit 1; }
+done
+
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -157,8 +163,10 @@ done
 # Each workload's smoke run carries its own equivalence check, at sizes the
 # test suites above do not reach: `steady`'s traced run is the one place the
 # benchmark calls batch `Mris::try_schedule` and validates the result;
-# `dag_related` is the DAG batch path on related machines; `wide` holds the
-# pooled scan equal to the sequential scan at 1,024 machines; `frontdoor`
+# `dag_related` is the DAG batch path on related machines; `wide` validates
+# a schedule placed by the one cluster sweep at 1,024 machines (its
+# pooled-vs-sequential check now compares that sweep with itself, stale
+# until the next `benchmark` PR, ROADMAP item 3); `frontdoor`
 # holds the TCP schedule equal to the in-process one; `durable` holds
 # journal-off, WAL, WAL + snapshots and the restored run to one schedule.
 echo "==> job-path benchmark smoke on all six workloads (correctness + schema, no timing gate)"

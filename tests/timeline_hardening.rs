@@ -1,7 +1,7 @@
 //! Hardening regressions for the committed-timeline hot path: release-build
 //! capacity enforcement, compaction watermarks, typed machine-index errors,
-//! and sequential/parallel cluster-scan agreement — all through the public
-//! facade, the way downstream policies consume the crate.
+//! and unplaceable demands — all through the public facade, the way
+//! downstream policies consume the crate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -91,45 +91,12 @@ fn online_driver_reports_invalid_machine_as_typed_error() {
     assert!(err.to_string().contains("machine 3"));
 }
 
-/// The threaded cluster scan is an internal optimization: forcing it on and
-/// off over an identically-committed cluster must give bit-identical
-/// placements, including machine tie-breaks.
-#[test]
-fn forced_parallel_scan_places_identically_to_sequential() {
-    let jobs: Vec<Job> = (0..120)
-        .map(|i| {
-            Job::from_fractions(
-                JobId(i),
-                (i % 7) as f64 * 0.5,
-                0.5 + (i % 9) as f64,
-                1.0,
-                &[
-                    0.1 + 0.11 * (i % 8) as f64,
-                    0.05 * (i % 13) as f64,
-                    0.25 + 0.15 * (i % 5) as f64,
-                ],
-            )
-        })
-        .collect();
-    let mut sequential = ClusterTimelines::new(12, 3);
-    sequential.set_parallel_threshold(usize::MAX);
-    let mut parallel = ClusterTimelines::new(12, 3);
-    parallel.set_parallel_threshold(1);
-    for job in &jobs {
-        let got_seq = sequential.place_earliest(job, job.release);
-        let got_par = parallel.place_earliest(job, job.release);
-        assert_eq!(got_seq, got_par, "job {}", job.id);
-    }
-    assert_eq!(sequential.horizon(), parallel.horizon());
-    assert_eq!(sequential.total_segments(), parallel.total_segments());
-}
-
 /// A demand no machine's capacity holds used to end the cluster scan on a
 /// `(usize::MAX, INFINITY)` sentinel behind a `debug_assert!`; in release
 /// `place_earliest` then indexed machine `usize::MAX`. The driver rejects
 /// such jobs up front (`SchedulingError::UnplaceableJob`), but a direct
 /// caller must get a panic that names the demand vector — in every
-/// profile, on the sequential and on the pooled scan.
+/// profile.
 #[test]
 fn unplaceable_demand_panics_naming_the_vector() {
     use mris::types::{ClusterSpec, MachineSpec};
@@ -138,21 +105,18 @@ fn unplaceable_demand_panics_naming_the_vector() {
         MachineSpec::from_fractions(2.0, &[1.0, 0.4]),
     ]);
     let job = Job::from_fractions(JobId(0), 0.0, 1.0, 1.0, &[0.6, 0.5]);
-    for threshold in [usize::MAX, 1] {
-        let mut cl = ClusterTimelines::with_spec(&spec, 2);
-        cl.set_parallel_threshold(threshold);
-        let err = catch_unwind(AssertUnwindSafe(|| cl.place_earliest(&job, 0.0)))
-            .expect_err("an unplaceable demand must panic, not index out of bounds");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
-        assert!(
-            msg.contains("no machine can ever hold demand vector [600000, 500000]"),
-            "panic message: {msg}"
-        );
-        // The cluster is still usable: what fits is placed as before.
-        let small = Job::from_fractions(JobId(1), 0.0, 1.0, 1.0, &[0.6, 0.3]);
-        assert_eq!(cl.place_earliest(&small, 0.0), (1, 0.0));
-    }
+    let mut cl = ClusterTimelines::with_spec(&spec, 2);
+    let err = catch_unwind(AssertUnwindSafe(|| cl.place_earliest(&job, 0.0)))
+        .expect_err("an unplaceable demand must panic, not index out of bounds");
+    let msg = err
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
+    assert!(
+        msg.contains("no machine can ever hold demand vector [600000, 500000]"),
+        "panic message: {msg}"
+    );
+    // The cluster is still usable: what fits is placed as before.
+    let small = Job::from_fractions(JobId(1), 0.0, 1.0, 1.0, &[0.6, 0.3]);
+    assert_eq!(cl.place_earliest(&small, 0.0), (1, 0.0));
 }
