@@ -1,26 +1,8 @@
 //! Library backing the `mris` command-line tool.
 //!
-//! Subcommands:
-//!
-//! * `mris generate` — write an Azure-like synthetic trace to CSV.
-//! * `mris schedule` — schedule a CSV trace with any algorithm in the
-//!   library and write the resulting assignments to CSV.
-//! * `mris compare` — run several algorithms on a trace and print an
-//!   AWCT/makespan/delay comparison table.
-//! * `mris validate` — check a schedule CSV against its trace for
-//!   feasibility and report its objective values.
-//! * `mris chaos` — replay a fault plan (machine failures + repairs)
-//!   against each algorithm and report AWCT inflation.
-//! * `mris serve` — run a trace through the `mris-service` daemon loop
-//!   (admission control, epoch batching, JSONL telemetry), optionally
-//!   journaling every state-mutating event (`--journal`) and writing
-//!   periodic snapshots (`--snapshot-dir`).
-//! * `mris restore` — rebuild a crashed `serve` from its journal (and
-//!   optional snapshot), finish the run, and report both the replay and
-//!   the final summary.
-//! * `mris loadgen` — synthesize an open-loop arrival stream (Poisson or
-//!   bursts), optionally replay a fault plan against the live service,
-//!   and report the drained summary.
+//! `mris help` is the one list of its commands and their flags: it is
+//! rendered from the same per-command flag declarations that parsing
+//! checks, so a flag a command does not declare is refused, never ignored.
 //!
 //! The logic lives here (testable); `main.rs` is a thin wrapper.
 

@@ -6,10 +6,9 @@
 //! [`EventKernel`]'s, the same one [`mris_sim::run_driver`] runs; the
 //! service owns only what surrounds it: admission and tenant accounting,
 //! the delivery queue with its epoch quantisation, the clock, telemetry,
-//! and the durability boundary. Under a lag-free [`crate::SimClock`] a
-//! drained service therefore reproduces the batch driver bit-for-bit (the
-//! conservativity suite pins this); under a [`crate::WallClock`] the
-//! identical code runs as a daemon. Submissions admitted at the same
+//! and the durability boundary. Under its [`crate::SimClock`] a drained
+//! service therefore reproduces the batch driver bit-for-bit (the
+//! conservativity suite pins this). Submissions admitted at the same
 //! delivery instant coalesce into one arrival batch.
 
 use std::borrow::Cow;
@@ -831,12 +830,6 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         let delivery = self.queue.peek().map(|&Reverse((t, _, _))| t.0);
         self.kernel
             .next_event_time(delivery, self.policy.next_wakeup())
-    }
-
-    /// How long a wall-clock caller should sleep before the next event is
-    /// due; `None` when there is no pending event or no waiting is needed.
-    pub fn wait_hint(&self) -> Option<std::time::Duration> {
-        self.next_event_time().and_then(|t| self.clock.wait_hint(t))
     }
 
     /// Advances the clock to the next pending event and processes it.

@@ -3,9 +3,10 @@
 //! This crate turns any registered [`mris_sim::OnlinePolicy`] into a
 //! long-running scheduling daemon:
 //!
-//! * **Clock abstraction** ([`Clock`], [`SimClock`], [`WallClock`]) — the
-//!   same event loop is property-testable under deterministic virtual time
-//!   and runnable in real time with a replay speedup.
+//! * **Clock** ([`Clock`], [`SimClock`]) — the event loop advances
+//!   deterministic virtual time, so a run is a pure function of its inputs.
+//!   The loop runs on its caller's thread; `mris_net::serve_net` is the
+//!   network front end.
 //! * **Admission control** ([`Service`], [`ServiceConfig`]) — a bounded
 //!   submission queue with explicit depth and resource-load watermarks;
 //!   shedding is always a typed [`mris_types::AdmissionError`], never a
@@ -21,9 +22,6 @@
 //! * **Telemetry** ([`TelemetrySink`], [`JsonlSink`]) — per-epoch JSONL
 //!   events plus an end-of-run [`ServiceSummary`] with decision-latency
 //!   percentiles from [`mris_metrics::Percentiles`].
-//! * **Threaded front-end** ([`spawn_service`], [`ServiceHandle`]) — a
-//!   bounded `std::mpsc` transport into a worker thread that drains
-//!   gracefully when the handle is dropped or drained.
 //! * **Open-loop load generation** ([`Workload`], [`generate_workload`],
 //!   [`run_workload`]) — Poisson and burst arrival processes over
 //!   Azure-derived job shapes, seeded by `mris-rng`.
@@ -47,12 +45,11 @@ mod crash;
 mod journal;
 mod loadgen;
 mod restore;
-mod server;
 mod snapshot;
 mod telemetry;
 mod tenant;
 
-pub use clock::{Clock, SimClock, WallClock};
+pub use clock::{Clock, SimClock};
 pub use codec::{crc32, fnv64, Decoder, Encoder};
 pub use core::{
     JobOutcome, LedgerCounts, Service, ServiceConfig, ServiceConfigBuilder, ServiceReport,
@@ -68,7 +65,6 @@ pub use loadgen::{
     Workload,
 };
 pub use restore::{Outage, RestoreOptions, RestoreReport};
-pub use server::{spawn_service, ServiceError, ServiceHandle, SubmitError};
 pub use snapshot::{
     DirSnapshots, MemorySnapshots, NullSnapshots, Snapshot, SnapshotStore, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,

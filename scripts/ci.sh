@@ -16,6 +16,13 @@ for lib in crates/*/src/lib.rs src/lib.rs; do
     || { echo "$lib lacks #![forbid(unsafe_code)]" >&2; exit 1; }
 done
 
+# `mris-net` is the one front end: the service loop runs on its caller's
+# thread.
+echo "==> mris-service spawns no thread and holds no channel"
+if git grep -nE "std::thread|mpsc" crates/service/src; then
+  echo "crates/service/src uses a thread or a channel" >&2; exit 1
+fi
+
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -93,6 +100,24 @@ grep -q 'shutdown    = crash' "$DUR_TMP/restore.txt" \
 SERVE_AWCT=$(grep '^AWCT' "$DUR_TMP/serve.txt")
 grep -qF "$SERVE_AWCT" "$DUR_TMP/restore.txt" \
   || { echo "crash-restart AWCT diverged from the uncrashed serve" >&2; exit 1; }
+
+echo "==> CLI refusals (a misspelled flag; a journal on the TCP door)"
+if cargo run --release --offline -q -p mris-cli --bin mris -- serve \
+  --trace "$DUR_TMP/trace.csv" --algo pq-wsjf --machines 3 \
+  --jurnal "$DUR_TMP/typo.mrjl" > /dev/null 2> "$DUR_TMP/typo.txt"; then
+  echo "serve accepted the misspelled --jurnal" >&2; exit 1
+fi
+grep -q 'did you mean --journal' "$DUR_TMP/typo.txt" \
+  || { echo "serve --jurnal gave no did-you-mean" >&2; exit 1; }
+# The door keeps no journal yet: refused before it binds, so no port file.
+if timeout 30 cargo run --release --offline -q -p mris-cli --bin mris -- serve \
+  --listen 127.0.0.1:0 --port-file "$DUR_TMP/port.txt" \
+  --trace "$DUR_TMP/trace.csv" --algo pq-wsjf --machines 3 \
+  --journal "$DUR_TMP/door.mrjl" > /dev/null 2>&1; then
+  echo "serve --listen accepted --journal" >&2; exit 1
+fi
+[ ! -e "$DUR_TMP/port.txt" ] \
+  || { echo "serve --listen opened its door before refusing --journal" >&2; exit 1; }
 
 echo "==> CLI loopback smoke (serve --listen, client submit, drain, AWCT grep)"
 NET_TMP="$CI_TMP/net"
