@@ -172,8 +172,107 @@ fn gen_case(rng: &mut Rng) -> Case {
     (sizes, weights, cap)
 }
 
+/// The shape of the solves `overload` sends to CADP: about two thirds of the
+/// items have scaled size 0, every weight is 1, 2 or 3 (the trace's integer
+/// priorities), and the capacity is near `2n` (`floor(n / eps)` at
+/// `eps = 0.5`) or anywhere up to the total.
+fn gen_cadp_case(rng: &mut Rng) -> Case {
+    let n = rng.gen_range(0..=300usize);
+    let sizes: Vec<u64> = (0..n)
+        .map(|_| {
+            if rng.gen_range(0..3usize) < 2 {
+                0
+            } else {
+                rng.gen_range(1..=12u64)
+            }
+        })
+        .collect();
+    let weights: Vec<f64> = (0..n).map(|_| *rng.choose(&[1.0, 2.0, 3.0])).collect();
+    let total: u64 = sizes.iter().sum();
+    let cap = match rng.gen_range(0..3usize) {
+        0 => 2 * n as u64,
+        1 => (2 * n as u64).saturating_sub(1),
+        _ => rng.gen_range(0..=total),
+    };
+    (sizes, weights, cap)
+}
+
+/// Small instances whose weight sums sit on `2^53`, the largest total at
+/// which every partial sum a DP forms is exact: integer weights summing to
+/// exactly `2^53`, to `2^53 + 2`, or a few weights near `1e16` beside `1.0`
+/// weights. Half the sizes are 0, so zero-size items sit in both halves of
+/// most splits; a zero-size weight that is absorbed into one side's partial
+/// sum and not the other's moves the split scan's first maximum.
+fn gen_boundary_case(rng: &mut Rng) -> Case {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    let n = rng.gen_range(2..=16usize);
+    let sizes: Vec<u64> = (0..n)
+        .map(|_| {
+            if rng.gen_bool() {
+                0
+            } else {
+                rng.gen_range(1..=3u64)
+            }
+        })
+        .collect();
+    let mut weights: Vec<f64>;
+    match rng.gen_range(0..3usize) {
+        // Integer weights summing to exactly 2^53 or 2^53 + 2: small ones,
+        // at most one 2^52, and one item that tops them up to the target.
+        mode @ (0 | 1) => {
+            weights = (0..n - 1)
+                .map(|_| rng.gen_range(0..=3usize) as f64)
+                .collect();
+            if rng.gen_bool() {
+                weights[rng.gen_range(0..n - 1)] = (1u64 << 52) as f64;
+            }
+            let target = if mode == 0 { EXACT } else { EXACT + 2.0 };
+            let rest: f64 = weights.iter().sum();
+            weights.push(target - rest);
+            let last = rng.gen_range(0..n);
+            weights.swap(last, n - 1);
+        }
+        _ => {
+            weights = (0..n)
+                .map(|_| *rng.choose(&[1.0, 1.0, 1.0, 1e16, 1e16 + 2.0, 1e16 + 4.0]))
+                .collect();
+        }
+    }
+    let total: u64 = sizes.iter().sum();
+    let cap = rng.gen_range(0..=total);
+    (sizes, weights, cap)
+}
+
 fn bits(row: &[f64]) -> Vec<u64> {
     row.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `solve_integer` returns the reference's selection, and every value row
+/// the reference's recursion computes is `to_bits`-equal to
+/// `value_row_integer` over the same items and capacity.
+fn matches_reference((sizes, weights, cap): &Case) -> Result<(), String> {
+    // Shrinking halves the vectors independently.
+    let n = sizes.len().min(weights.len());
+    let (sizes, weights) = (&sizes[..n], &weights[..n]);
+    let mut row_error = None;
+    let want = reference::solve_integer(sizes, weights, *cap, &mut |lo, hi, c, row| {
+        let got = value_row_integer(&sizes[lo..hi], &weights[lo..hi], c);
+        if row_error.is_none() && bits(&got) != bits(row) {
+            row_error = Some(format!(
+                "value row of items {lo}..{hi} at capacity {c} differs:\n\
+                 kernel    {got:?}\nreference {row:?}"
+            ));
+        }
+    });
+    if let Some(e) = row_error {
+        return Err(e);
+    }
+    prop_assert_eq!(solve_integer(sizes, weights, *cap), want);
+    prop_assert_eq!(
+        max_weight_integer(sizes, weights, *cap).to_bits(),
+        reference::max_weight_integer(sizes, weights, *cap).to_bits()
+    );
+    Ok(())
 }
 
 #[test]
@@ -182,30 +281,27 @@ fn kernel_matches_scalar_reference() {
         "streaming DP == scalar in-place DP",
         &Config::with_cases(2048),
         gen_case,
-        |(sizes, weights, cap)| {
-            // Shrinking halves the vectors independently.
-            let n = sizes.len().min(weights.len());
-            let (sizes, weights) = (&sizes[..n], &weights[..n]);
-            let mut row_error = None;
-            let want = reference::solve_integer(sizes, weights, *cap, &mut |lo, hi, c, row| {
-                let got = value_row_integer(&sizes[lo..hi], &weights[lo..hi], c);
-                if row_error.is_none() && bits(&got) != bits(row) {
-                    row_error = Some(format!(
-                        "value row of items {lo}..{hi} at capacity {c} differs:\n\
-                         kernel    {got:?}\nreference {row:?}"
-                    ));
-                }
-            });
-            if let Some(e) = row_error {
-                return Err(e);
-            }
-            prop_assert_eq!(solve_integer(sizes, weights, *cap), want);
-            prop_assert_eq!(
-                max_weight_integer(sizes, weights, *cap).to_bits(),
-                reference::max_weight_integer(sizes, weights, *cap).to_bits()
-            );
-            Ok(())
-        },
+        matches_reference,
+    );
+}
+
+#[test]
+fn cadp_shaped_solves_match_scalar_reference() {
+    check(
+        "streaming DP == scalar in-place DP on CADP-shaped solves",
+        &Config::with_cases(256),
+        gen_cadp_case,
+        matches_reference,
+    );
+}
+
+#[test]
+fn weight_sums_at_2_pow_53_match_scalar_reference() {
+    check(
+        "streaming DP == scalar in-place DP with weight sums at 2^53",
+        &Config::with_cases(2048),
+        gen_boundary_case,
+        matches_reference,
     );
 }
 
@@ -221,6 +317,25 @@ fn unclamped_row_is_flat_past_the_total() {
     let got = value_row_integer(&sizes, &weights, cap as u64);
     assert_eq!(bits(&got), bits(&want));
     assert!(got[20..].iter().all(|v| v.to_bits() == got[20].to_bits()));
+}
+
+/// `solve_integer` takes any finite weights and never selects a
+/// non-positive one: a zero-size item of weight `-1`, `0` or `-0` leaves
+/// every column of the row alone.
+#[test]
+fn zero_size_items_without_positive_weight_change_no_column() {
+    let sizes = [0, 2, 0, 1, 0, 0];
+    let weights = [-1.0, 3.0, 0.0, 0.5, -0.0, 2.0];
+    for cap in 0..=4u64 {
+        let mut want = vec![0.0; cap as usize + 1];
+        reference::dp_values(&sizes, &weights, 0, sizes.len(), cap, &mut want);
+        let got = value_row_integer(&sizes, &weights, cap);
+        assert_eq!(bits(&got), bits(&want), "capacity {cap}");
+        assert_eq!(
+            solve_integer(&sizes, &weights, cap),
+            reference::solve_integer(&sizes, &weights, cap, &mut |_, _, _, _| {})
+        );
+    }
 }
 
 /// One `SolveScratch` reused across solves of different sizes and through

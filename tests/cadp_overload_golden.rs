@@ -70,6 +70,34 @@ fn offline_mris_schedule_is_pinned() {
     );
 }
 
+/// The same instance with weight `w_j + 0.1 * (j mod 7)`: no weight is an
+/// integer, so the DP's partial sums round and its zero-size items cannot
+/// be lifted out of the passes as an exact shift. Captured at the commit
+/// before zero-size items were special-cased in the DP.
+const FRACTIONAL_SCHEDULE_HASH: u64 = 0xf552_fced_0baf_12f5;
+
+#[test]
+fn fractional_weights_schedule_is_pinned() {
+    let instance = overload_instance();
+    let jobs = instance
+        .jobs()
+        .iter()
+        .map(|job| {
+            let mut job = job.clone();
+            job.weight += 0.1 * (job.id.0 % 7) as f64;
+            job
+        })
+        .collect();
+    let instance = Instance::new(jobs, instance.num_resources()).unwrap();
+    let schedule = Mris::default().schedule(&instance, MACHINES);
+    schedule.validate(&instance).unwrap();
+    let hash = schedule_hash(&schedule);
+    assert_eq!(
+        hash, FRACTIONAL_SCHEDULE_HASH,
+        "MRIS (CADP) with fractional weights placed some job differently: {hash:#018x}"
+    );
+}
+
 #[test]
 fn online_mris_schedule_is_pinned() {
     let instance = overload_instance();
