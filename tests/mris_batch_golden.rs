@@ -71,14 +71,18 @@ fn log_hash(log: &[mris::core::IterationStats], with_batch_end: bool) -> u64 {
 
 /// `(schedule hash, log hash)` per case, in the order [`uniform_matrix`]
 /// walks it: knapsack (outer) x backfill x heuristic x machines (inner).
+/// The four CADP rows at M = 1 were re-pinned when CADP's scaled capacity
+/// became `floor(n / eps)` computed from `n` and `eps` (it had been
+/// `floor(capacity / K)`, one column short for some epochs); no other row
+/// moved.
 const UNIFORM: [(u64, u64); 32] = [
-    (0x8f9e4f7e5e48d15e, 0xd352d7ecb0a02472), // Cadp/backfill=true/WSJF/M=1
+    (0xf64cc0ab8c397b8e, 0x4994377c5ab0fbe2), // Cadp/backfill=true/WSJF/M=1
     (0xbd47dcbe37e276f4, 0xba7faf576fd186cb), // Cadp/backfill=true/WSJF/M=3
-    (0x7f75d5714c43e2d5, 0x818e928a2e283da5), // Cadp/backfill=true/WSVF/M=1
+    (0x9c292d4e7d9620bb, 0x87bb524a49575708), // Cadp/backfill=true/WSVF/M=1
     (0x6e508e8d91395eee, 0x95bf981d15793349), // Cadp/backfill=true/WSVF/M=3
-    (0x4d29822d59991ac5, 0xda82d131d2c0a89b), // Cadp/backfill=false/WSJF/M=1
+    (0x004c4792849c1bb6, 0x812a6cb01e9c9ecb), // Cadp/backfill=false/WSJF/M=1
     (0x5e7413a72e9d2d9d, 0xc2de2d2d40db6c9b), // Cadp/backfill=false/WSJF/M=3
-    (0x58681e9a58659e0f, 0x7a43daba73695b15), // Cadp/backfill=false/WSVF/M=1
+    (0xa87611bfcf01b033, 0xef7f8df2530d964f), // Cadp/backfill=false/WSVF/M=1
     (0xffdce0ffa2a21652, 0x7bfb21854a7cca83), // Cadp/backfill=false/WSVF/M=3
     (0x974d9bd9e69fd7cb, 0x3c6b85ce65a0912c), // Greedy/backfill=true/WSJF/M=1
     (0xae6112b0179942a0, 0x4b3029eebddf7a07), // Greedy/backfill=true/WSJF/M=3
