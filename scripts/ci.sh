@@ -16,6 +16,13 @@ for lib in crates/*/src/lib.rs src/lib.rs; do
     || { echo "$lib lacks #![forbid(unsafe_code)]" >&2; exit 1; }
 done
 
+# A knapsack solve is a pure function of its arguments: what the DP may
+# skip is decided per solve and passed down, never kept between solves.
+echo "==> mris-knapsack keeps no global state and reads no environment"
+if git grep -nE "thread_local!|static mut|OnceLock|std::env" crates/knapsack/src; then
+  echo "crates/knapsack/src holds global state or reads the environment" >&2; exit 1
+fi
+
 # `mris-net` is the one front end: the service loop runs on its caller's
 # thread.
 echo "==> mris-service spawns no thread and holds no channel"
