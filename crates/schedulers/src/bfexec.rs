@@ -8,13 +8,15 @@
 //!
 //! The scheduler thereby "gives preference to jobs that have recently
 //! arrived" — a newly arrived job is tried immediately, ahead of older
-//! queued jobs — while draining the queue in SJF order.
-
-use std::collections::BTreeSet;
+//! queued jobs — while draining the queue in SJF order. The queue is the
+//! demand-class index of [`crate::pending`] keyed by processing time, so a
+//! departure compares one head per demand class that fits the freed
+//! machine instead of every queued job.
 
 use mris_sim::{Dispatcher, OnlinePolicy, OrdTime};
 use mris_types::{fraction, Amount, ClusterSpec, Instance, JobId, SchedulingError, Time};
 
+use crate::pending::PendingIndex;
 use crate::Scheduler;
 
 /// The BF-EXEC online policy. Use through [`BfExec`] unless composing your
@@ -22,7 +24,7 @@ use crate::Scheduler;
 #[derive(Debug, Clone, Default)]
 pub struct BfExecPolicy {
     /// Queue ordered by (processing time, id): SJF draining.
-    pending: BTreeSet<(OrdTime, JobId)>,
+    pending: PendingIndex,
     fresh: Vec<JobId>,
 }
 
@@ -55,16 +57,7 @@ impl OnlinePolicy for BfExecPolicy {
         let instance = d.instance();
         // Departure rule first: backfill each freed machine in SJF order.
         for &m in freed {
-            loop {
-                let next = self
-                    .pending
-                    .iter()
-                    .find(|&&(_, j)| d.cluster().fits(m, &instance.job(j).demands))
-                    .copied();
-                let Some(entry) = next else { break };
-                d.place(m, entry.1)?;
-                self.pending.remove(&entry);
-            }
+            self.pending.backfill(d, m)?;
         }
         // Arrival rule: best-fit each fresh job, else queue it.
         for &j in &std::mem::take(&mut self.fresh) {
@@ -78,9 +71,9 @@ impl OnlinePolicy for BfExecPolicy {
                 });
             match best {
                 Some(m) => d.place(m, j)?,
-                None => {
-                    self.pending.insert((OrdTime(job.proc_time), j));
-                }
+                None => self
+                    .pending
+                    .insert((OrdTime(job.proc_time), j), &job.demands),
             }
         }
         Ok(())
