@@ -18,9 +18,10 @@ done
 
 # A knapsack solve is a pure function of its arguments: what the DP may
 # skip is decided per solve and passed down, never kept between solves.
-echo "==> mris-knapsack keeps no global state and reads no environment"
-if git grep -nE "thread_local!|static mut|OnceLock|std::env" crates/knapsack/src; then
-  echo "crates/knapsack/src holds global state or reads the environment" >&2; exit 1
+# Likewise a baseline policy's pending index lives in the policy value.
+echo "==> mris-knapsack and mris-schedulers keep no global state and read no environment"
+if git grep -nE "thread_local!|static mut|OnceLock|std::env" crates/knapsack/src crates/schedulers/src; then
+  echo "crates/knapsack/src or crates/schedulers/src holds global state or reads the environment" >&2; exit 1
 fi
 
 # `mris-net` is the one front end: the service loop runs on its caller's
@@ -75,6 +76,12 @@ for key in '"bench": "chaos"' '"mode": "smoke"' '"restart"' '"rates"' \
   grep -qF "$key" "$CI_TMP/BENCH_chaos_smoke.json" \
     || { echo "BENCH_chaos_smoke.json is missing $key" >&2; exit 1; }
 done
+
+# The baselines' demand-class index against the full-rescan references,
+# and PQ-WSJF's durable bytes, at the deep-queue sizes release reaches.
+echo "==> cargo test -q --release --offline -p mris-schedulers --test pending_differential + -p mris-service --test pq_durable_golden"
+cargo test -q --release --offline -p mris-schedulers --test pending_differential
+cargo test -q --release --offline -p mris-service --test pq_durable_golden
 
 echo "==> durability suites in release (crash-restart equivalence + codec fuzz + CRC differential)"
 cargo test -q --release --offline -p mris-service \
