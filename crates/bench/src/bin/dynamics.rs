@@ -11,8 +11,8 @@
 use mris_bench::{default_trace, Args, Scale};
 use mris_core::Mris;
 use mris_metrics::render_utilization;
-use mris_schedulers::{PqPolicy, Scheduler, SortHeuristic, TetrisPolicy};
-use mris_sim::{run_online_observed, EventSnapshot};
+use mris_schedulers::{BfExecPolicy, PqPolicy, Scheduler, SortHeuristic, TetrisPolicy};
+use mris_sim::{run_driver_observed, EventSnapshot, OnlinePolicy, RunOptions};
 use mris_types::Instance;
 
 /// Samples `snapshots` (running counts) into `buckets` buckets over
@@ -42,29 +42,25 @@ fn main() {
     let pool = default_trace(&scale);
     let instance = pool.instances_for(scale.n_fixed, 1).remove(0);
 
-    // Event-driven schedulers through the observed engine.
+    // Event-driven schedulers through the observed driver.
     let mut series: Vec<(String, Vec<EventSnapshot>, f64)> = Vec::new();
-    let mut record = |name: String, snaps: Vec<EventSnapshot>, makespan: f64| {
-        series.push((name, snaps, makespan));
-    };
-
-    let mut snaps = Vec::new();
-    let mut pq = PqPolicy::new(SortHeuristic::Wsjf);
-    let s = run_online_observed(&instance, scale.machines, &mut pq, |e| snaps.push(*e))
-        .expect("PQ is work-conserving");
-    record("PQ-WSJF".into(), snaps, s.makespan(&instance));
-
-    let mut snaps = Vec::new();
-    let mut tetris = TetrisPolicy::new(1.0);
-    let s = run_online_observed(&instance, scale.machines, &mut tetris, |e| snaps.push(*e))
-        .expect("Tetris is work-conserving");
-    record("TETRIS".into(), snaps, s.makespan(&instance));
-
-    let mut snaps = Vec::new();
-    let mut bf = mris_schedulers::BfExecPolicy::new();
-    let s = run_online_observed(&instance, scale.machines, &mut bf, |e| snaps.push(*e))
-        .expect("BF-EXEC is work-conserving");
-    record("BF-EXEC".into(), snaps, s.makespan(&instance));
+    let event_driven: [(&str, Box<dyn OnlinePolicy>); 3] = [
+        ("PQ-WSJF", Box::new(PqPolicy::new(SortHeuristic::Wsjf))),
+        ("TETRIS", Box::new(TetrisPolicy::new(1.0))),
+        ("BF-EXEC", Box::new(BfExecPolicy::new())),
+    ];
+    for (name, mut policy) in event_driven {
+        let mut snaps = Vec::new();
+        let outcome = run_driver_observed(
+            &instance,
+            scale.machines,
+            policy.as_mut(),
+            RunOptions::new(),
+            |e| snaps.push(*e),
+        )
+        .unwrap_or_else(|e| panic!("{name} is work-conserving: {e}"));
+        series.push((name.into(), snaps, outcome.schedule.makespan(&instance)));
+    }
 
     // MRIS is not event-driven; derive its running-count series from the
     // final schedule's start/end events.

@@ -29,8 +29,8 @@ use mris_bench::Args;
 use mris_core::registry::online_policy_by_name;
 use mris_obs::{check_disabled_overhead, validate_exposition, Obs, ObsReport};
 use mris_service::{
-    DurabilityConfig, MemorySink, NullSink, NullSnapshots, ObsBridge, RestoreOptions, Service,
-    ServiceConfig, SharedBuf, SimClock,
+    DurabilityConfig, MemorySink, NullSink, NullSnapshots, RestoreOptions, Service, ServiceConfig,
+    SharedBuf, SimClock,
 };
 use mris_sim::ClusterTimelines;
 use mris_trace::{AzureTrace, AzureTraceConfig};
@@ -118,7 +118,7 @@ fn drive_service(instance: &Instance, machines: usize) {
         policy,
         cfg.clone(),
         SimClock::new(),
-        ObsBridge::new(MemorySink::default()),
+        MemorySink::default(),
     )
     .expect("default service config is valid");
     let journal = SharedBuf::new();

@@ -111,7 +111,8 @@ fn obs_epilogue(flags: &Flags, obs: &ObsScope) -> Result<String, CliError> {
     let Some((obs, _guard)) = obs else {
         return Ok(String::new());
     };
-    obs.flush();
+    obs.flush()
+        .map_err(|e| CliError(format!("obs events write failed: {e}")))?;
     let report = mris_obs::ObsReport::from_registry(obs.registry());
     let text = obs.registry().render_prometheus();
     mris_obs::validate_exposition(&text)

@@ -6,8 +6,8 @@ use std::io::Write;
 use mris_core::registry::online_policy_by_name;
 use mris_service::{
     service_fingerprint, DirSnapshots, DurabilityConfig, JobOutcome, JsonlSink, NullSink,
-    NullSnapshots, ObsBridge, Outage, RestoreOptions, Service, ServiceConfig, ServiceReport,
-    SimClock, SnapshotStore, TenantSpec,
+    NullSnapshots, Outage, RestoreOptions, Service, ServiceConfig, ServiceReport, SimClock,
+    SnapshotStore, TenantSpec,
 };
 use mris_types::Instance;
 
@@ -112,10 +112,9 @@ fn durability_setup(flags: &Flags) -> Result<Option<DurabilitySetup>, CliError> 
     }))
 }
 
-/// The `--telemetry` JSONL sink (discarding when the flag is absent). The
-/// bridge leaves the JSONL bytes untouched and mirrors records into the
-/// obs layer when a subscriber is installed.
-type Telemetry = ObsBridge<JsonlSink<Box<dyn Write + Send>>>;
+/// The `--telemetry` JSONL sink (discarding when the flag is absent): the
+/// run's one per-epoch JSONL. `--obs-events` carries span closes only.
+type Telemetry = JsonlSink<Box<dyn Write + Send>>;
 
 fn telemetry_from_flags(flags: &Flags) -> Result<Telemetry, CliError> {
     let writer: Box<dyn Write + Send> = match flags.get("telemetry") {
@@ -125,13 +124,12 @@ fn telemetry_from_flags(flags: &Flags) -> Result<Telemetry, CliError> {
         ),
         None => Box::new(std::io::sink()),
     };
-    Ok(ObsBridge::new(JsonlSink::new(writer)))
+    Ok(JsonlSink::new(writer))
 }
 
 /// Flushes the telemetry sink and verifies the drained run's fault log.
 fn finish_run(name: &str, report: &ServiceReport, sink: Telemetry) -> Result<(), CliError> {
-    sink.into_inner()
-        .finish()
+    sink.finish()
         .map_err(|e| CliError(format!("telemetry write failed: {e}")))?;
     report
         .log

@@ -475,6 +475,8 @@ fn run_alias_and_obs_flag() {
 fn serve_writes_prometheus_metrics() {
     let trace_path = tmp("serve_prom_trace.csv");
     let prom_path = tmp("serve_metrics.prom");
+    let telemetry_path = tmp("serve_prom_telemetry.jsonl");
+    let events_path = tmp("serve_prom_events.jsonl");
     run(&s(&[
         "generate",
         "--jobs",
@@ -493,8 +495,27 @@ fn serve_writes_prometheus_metrics() {
         "3",
         "--metrics-path",
         prom_path.to_str().unwrap(),
+        "--telemetry",
+        telemetry_path.to_str().unwrap(),
+        "--obs-events",
+        events_path.to_str().unwrap(),
     ]))
     .unwrap();
+    // `--telemetry` is the one per-epoch JSONL: a line per processed event
+    // and the summary. `--obs-events` carries span closes only.
+    let epochs: usize = out
+        .lines()
+        .find_map(|l| l.strip_prefix("epochs      = "))
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+        .expect("serve reports its epochs");
+    let lines_with = |text: &str, key: &str| text.lines().filter(|l| l.contains(key)).count();
+    let telemetry = std::fs::read_to_string(&telemetry_path).unwrap();
+    assert_eq!(lines_with(&telemetry, "\"event\": \"epoch\""), epochs);
+    assert_eq!(lines_with(&telemetry, "\"event\": \"summary\""), 1);
+    let events = std::fs::read_to_string(&events_path).unwrap();
+    assert!(events.contains("mris_epoch_solve_seconds"), "{events}");
+    assert_eq!(lines_with(&events, "service_epoch"), 0, "{events}");
+    assert_eq!(lines_with(&events, "service_summary"), 0, "{events}");
     assert!(out.contains("wrote Prometheus metrics"), "{out}");
     let prom = std::fs::read_to_string(&prom_path).unwrap();
     mris_obs::validate_exposition(&prom).unwrap();
@@ -508,6 +529,23 @@ fn serve_writes_prometheus_metrics() {
     ] {
         assert!(prom.contains(family), "missing {family} in:\n{prom}");
     }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn obs_events_write_failure_is_an_error() {
+    let trace_path = tmp("obs_full_trace.csv");
+    run(&words(&format!(
+        "generate --jobs 60 --out {}",
+        trace_path.display()
+    )))
+    .unwrap();
+    let err = run(&words(&format!(
+        "schedule --trace {} --algo mris --machines 3 --obs-events /dev/full",
+        trace_path.display()
+    )))
+    .unwrap_err();
+    assert!(err.0.contains("obs events write failed"), "{err}");
 }
 
 #[test]

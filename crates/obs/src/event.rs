@@ -61,34 +61,23 @@ pub struct Event {
     pub duration_seconds: Option<f64>,
 }
 
-impl Event {
-    /// A point event (no duration) with no fields yet.
-    pub fn new(name: &'static str) -> Self {
-        Event {
-            name,
-            fields: Vec::new(),
-            duration_seconds: None,
-        }
-    }
-
-    /// Appends one field.
-    pub fn push(&mut self, key: &'static str, value: FieldValue) {
-        self.fields.push((key, value));
-    }
-}
-
-/// Receives structured [`Event`]s from the installed subscriber.
-pub trait EventSink: Send {
+/// Receives the installed subscriber's [`Event`]s: in this workspace, span
+/// closes only. What a run did is recorded by `mris_sim::EventSink`, not
+/// here.
+pub trait SpanSink: Send {
     /// Handles one event.
     fn event(&mut self, event: &Event);
-    /// Flushes buffered output, if any.
-    fn flush(&mut self) {}
+    /// Flushes buffered output, if any, reporting the first write error the
+    /// sink has met.
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
-/// The subscriber: one [`MetricsRegistry`] plus an optional event sink.
+/// The subscriber: one [`MetricsRegistry`] plus an optional span sink.
 pub struct Obs {
     registry: MetricsRegistry,
-    sink: Mutex<Option<Box<dyn EventSink>>>,
+    sink: Mutex<Option<Box<dyn SpanSink>>>,
 }
 
 impl Default for Obs {
@@ -106,8 +95,8 @@ impl Obs {
         }
     }
 
-    /// A subscriber that also forwards events to `sink`.
-    pub fn with_sink(sink: Box<dyn EventSink>) -> Self {
+    /// A subscriber that also forwards span events to `sink`.
+    pub fn with_sink(sink: Box<dyn SpanSink>) -> Self {
         Obs {
             registry: MetricsRegistry::new(),
             sink: Mutex::new(Some(sink)),
@@ -128,10 +117,16 @@ impl Obs {
     }
 
     /// Flushes the attached sink.
-    pub fn flush(&self) {
+    ///
+    /// # Errors
+    ///
+    /// The first I/O error the sink met on an earlier write, or this
+    /// flush's own.
+    pub fn flush(&self) -> std::io::Result<()> {
         let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(sink) = sink.as_mut() {
-            sink.flush();
+        match sink.as_mut() {
+            Some(sink) => sink.flush(),
+            None => Ok(()),
         }
     }
 }
@@ -381,7 +376,7 @@ mod tests {
     #[test]
     fn sink_receives_span_close_events() {
         struct Capture(Arc<Mutex<Vec<Event>>>);
-        impl EventSink for Capture {
+        impl SpanSink for Capture {
             fn event(&mut self, event: &Event) {
                 self.0.lock().unwrap().push(event.clone());
             }

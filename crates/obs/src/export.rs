@@ -3,20 +3,26 @@
 
 use std::io::Write;
 
-use crate::event::{Event, EventSink, FieldValue};
+use crate::event::{Event, FieldValue, SpanSink};
 use crate::registry::{MetricEntry, MetricValue, MetricsRegistry};
 
 /// Writes one JSON object per [`Event`] to the wrapped writer:
 /// `{"event":"dispatch_seconds","duration_s":1.2e-5,"machine":3}`.
-/// Fields are flattened into the object after the reserved keys.
+/// Fields are flattened into the object after the reserved keys. The first
+/// write error stops the output and is reported by every later
+/// [`SpanSink::flush`].
 pub struct JsonlEventSink<W: Write + Send> {
     writer: W,
+    error: Option<std::io::Error>,
 }
 
 impl<W: Write + Send> JsonlEventSink<W> {
     /// A sink writing to `writer`.
     pub fn new(writer: W) -> Self {
-        JsonlEventSink { writer }
+        JsonlEventSink {
+            writer,
+            error: None,
+        }
     }
 
     /// Consumes the sink, returning the writer.
@@ -52,8 +58,11 @@ fn field_json(v: &FieldValue) -> String {
     }
 }
 
-impl<W: Write + Send> EventSink for JsonlEventSink<W> {
+impl<W: Write + Send> SpanSink for JsonlEventSink<W> {
     fn event(&mut self, event: &Event) {
+        if self.error.is_some() {
+            return;
+        }
         let mut line = format!("{{\"event\":\"{}\"", escape_json(event.name));
         if let Some(d) = event.duration_seconds {
             line.push_str(&format!(",\"duration_s\":{d:e}"));
@@ -62,11 +71,14 @@ impl<W: Write + Send> EventSink for JsonlEventSink<W> {
             line.push_str(&format!(",\"{}\":{}", escape_json(key), field_json(value)));
         }
         line.push('}');
-        let _ = writeln!(self.writer, "{line}");
+        self.error = writeln!(self.writer, "{line}").err();
     }
 
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
+    fn flush(&mut self) -> std::io::Result<()> {
+        match &self.error {
+            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
+            None => self.writer.flush(),
+        }
     }
 }
 

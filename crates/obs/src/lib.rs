@@ -7,13 +7,14 @@
 //!   static label pair (enough for `{solver="cadp"}`-style families without
 //!   any dynamic string allocation on the hot path).
 //! * **A process-wide subscriber** ([`install`]/[`uninstall`]) holding one
-//!   registry and an optional boxed [`EventSink`]. Every instrumentation
+//!   registry and an optional boxed [`SpanSink`]. Every instrumentation
 //!   entry point — the free functions [`counter_add`], [`gauge_set`],
 //!   [`histogram_record`] and the [`span!`] macro — first checks a single
 //!   relaxed atomic ([`enabled`]); with no subscriber installed the entire
 //!   instrumented build costs one relaxed load per call site, a budget the
 //!   `obs` bench bin verifies (see [`check_disabled_overhead`]).
-//! * **Exporters**: a [`JsonlEventSink`] for structured span events, a
+//! * **Exporters**: a [`JsonlEventSink`] for structured span events (it
+//!   keeps the first write error for [`Obs::flush`] to report), a
 //!   Prometheus text-format snapshot ([`MetricsRegistry::render_prometheus`],
 //!   format-checked by [`validate_exposition`]), and an end-of-run
 //!   [`ObsReport`].
@@ -45,8 +46,8 @@ mod registry;
 
 pub use event::{
     counter_add, counter_add_labeled, enabled, gauge_set, gauge_set_labeled, histogram_record,
-    histogram_record_labeled, install, install_guard, uninstall, with, Event, EventSink,
-    FieldValue, InstallGuard, Obs, SpanGuard,
+    histogram_record_labeled, install, install_guard, uninstall, with, Event, FieldValue,
+    InstallGuard, Obs, SpanGuard, SpanSink,
 };
 pub use export::{check_disabled_overhead, validate_exposition, JsonlEventSink, ObsReport};
 pub use registry::{HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry};

@@ -268,13 +268,16 @@ pub struct LedgerCounts {
     pub completed: usize,
 }
 
-/// The service's side of the kernel's report: the per-job outcome ledger
-/// and, when durability is on, the journal. Record order within an event
-/// is the kernel's call order.
+/// The service's fold over the kernel's record of one instant: the per-job
+/// outcome ledger, the instant's counts for its [`EpochRecord`] and, when
+/// durability is on, the journal. Record order within an event is the
+/// kernel's call order.
 struct Ledger<'s> {
     outcomes: &'s mut [JobOutcome],
-    completed: &'s mut usize,
     dur: Option<&'s mut Durability>,
+    completions: usize,
+    re_releases: usize,
+    placements: usize,
 }
 
 impl Ledger<'_> {
@@ -289,7 +292,7 @@ impl Ledger<'_> {
 impl EventSink for Ledger<'_> {
     fn completed(&mut self, job: JobId, machine: usize) {
         self.outcomes[job.index()] = JobOutcome::Completed;
-        *self.completed += 1;
+        self.completions += 1;
         self.emit(|| JournalRecord::Complete {
             job: job.0,
             machine: machine as u32,
@@ -313,6 +316,7 @@ impl EventSink for Ledger<'_> {
             at: now,
             recover_at,
         });
+        self.re_releases += killed.len();
         for &job in killed {
             self.outcomes[job.index()] = JobOutcome::Accepted;
             self.emit(|| JournalRecord::ReRelease { job: job.0 });
@@ -320,6 +324,7 @@ impl EventSink for Ledger<'_> {
     }
 
     fn placed(&mut self, job: JobId, machine: u32, start: Time) {
+        self.placements += 1;
         self.emit(|| JournalRecord::Place {
             job: job.0,
             machine,
@@ -802,9 +807,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
     }
 
     /// Replays one decision event at the recorded time `at` — the restore
-    /// driver's stepper. The recorded time is used verbatim (the original
-    /// run's clock may have lagged or been wall-driven; replay must not
-    /// re-quantize it).
+    /// driver's stepper. The recorded time is used verbatim, as the original
+    /// run's `SimClock` read it; replay must not re-quantize it.
     pub(crate) fn replay_event(&mut self, at: Time) -> Result<(), SchedulingError> {
         self.clock.advance_to(at);
         self.process_event(at)
@@ -851,18 +855,20 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
 
     /// One decision event at `now`: the kernel settles (completions, fault
     /// events), the deliveries due are popped off the queue, the kernel
-    /// decides (arrivals, re-releases, a single dispatch), then telemetry.
-    /// Everything due at or before `now` is handled (a lagging clock may
-    /// overshoot the event that scheduled this call).
+    /// decides (arrivals, re-releases, a single dispatch), then telemetry,
+    /// whose counts the [`Ledger`] folded from the kernel's record.
+    /// Everything due at or before `now` is handled.
     fn process_event(&mut self, now: Time) -> Result<(), SchedulingError> {
         let policy = &mut *self.policy;
         let mut ledger = Ledger {
             outcomes: &mut self.outcomes,
-            completed: &mut self.completed,
             dur: self.dur.as_deref_mut(),
+            completions: 0,
+            re_releases: 0,
+            placements: 0,
         };
         ledger.emit(|| JournalRecord::Event { at: now });
-        let completions = self.kernel.settle(now, policy, &mut ledger)?;
+        self.kernel.settle(now, policy, &mut ledger)?;
         // Held jobs whose last predecessor just completed re-enter the
         // delivery queue at this instant (epoch-quantized, like admission)
         // under their original sequence, so they are delivered in
@@ -935,10 +941,16 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         // in the summary are over the sampled events.
         let timed = mris_obs::enabled() || self.epochs.is_multiple_of(4);
         let decision_started = timed.then(std::time::Instant::now);
-        let decided = self
-            .kernel
+        self.kernel
             .decide(now, &self.deliver_buf, policy, &mut ledger)?;
         let decision_ns = decision_started.map(|t| t.elapsed().as_nanos() as u64);
+        let Ledger {
+            completions,
+            re_releases,
+            placements,
+            ..
+        } = ledger;
+        self.completed += completions;
         if let Some(ns) = decision_ns {
             self.decision_ns.push(ns);
         }
@@ -946,7 +958,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             mris_obs::counter_add("mris_service_epochs_total", 1);
             mris_obs::histogram_record(
                 "mris_service_epoch_batch_size",
-                (arrivals + decided.re_releases) as f64,
+                (arrivals + re_releases) as f64,
             );
             mris_obs::histogram_record(
                 "mris_service_decision_latency_seconds",
@@ -960,8 +972,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             time: now,
             queue_depth: self.queue.len(),
             arrivals,
-            re_releases: decided.re_releases,
-            placements: decided.placements,
+            re_releases,
+            placements,
             completions,
             running: self.kernel.cluster().num_running(),
             rejections_total: self.rejected_queue_full

@@ -19,8 +19,14 @@
 //! * **Fault replay** — a [`mris_sim::FaultPlan`] runs against the live
 //!   service through the same [`mris_sim::EventKernel`] as the batch
 //!   driver: one event ordering, one audit log.
-//! * **Telemetry** ([`TelemetrySink`], [`JsonlSink`]) — per-epoch JSONL
-//!   events plus an end-of-run [`ServiceSummary`] with decision-latency
+//! * **One record stream** — the kernel reports every instant through its
+//!   [`mris_sim::EventSink`], and the service's sink (its outcome ledger)
+//!   is the one consumer: it sets job outcomes, writes the journal's
+//!   derived records, and counts the instant's completions, re-releases
+//!   and placements.
+//! * **Telemetry** ([`TelemetrySink`], [`JsonlSink`]) — one
+//!   [`EpochRecord`] per event, filled from those counts and the loop's own
+//!   state, plus an end-of-run [`ServiceSummary`] with decision-latency
 //!   percentiles from [`mris_metrics::Percentiles`].
 //! * **Open-loop load generation** ([`Workload`], [`generate_workload`],
 //!   [`run_workload`]) — Poisson and burst arrival processes over
@@ -28,12 +34,14 @@
 //! * **Durability** ([`Service::attach_journal`], [`Service::restore`]) —
 //!   a length-prefixed, checksummed write-ahead journal of every
 //!   state-mutating event plus periodic full-state snapshots, both over
-//!   the in-tree zero-dependency codec ([`Encoder`], [`Decoder`]).
-//!   Restore replays the journal from genesis through a fresh policy and
-//!   verifies every derived record and snapshot byte-for-byte, so a
-//!   crash-restarted service is bit-identical to the uncrashed run (the
-//!   crash-restart suite pins this); journal loss after a snapshot
-//!   degrades to machine-failure semantics via [`RestoreOptions::outage`].
+//!   the in-tree zero-dependency codec ([`Encoder`], [`Decoder`]). The
+//!   journal's derived records are the stream's durable encoding, in the
+//!   kernel's call order. Restore replays the journal from genesis through
+//!   a fresh policy and verifies every derived record and snapshot
+//!   byte-for-byte, so a crash-restarted service is bit-identical to the
+//!   uncrashed run (the crash-restart suite pins this); journal loss after
+//!   a snapshot degrades to machine-failure semantics via
+//!   [`RestoreOptions::outage`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,7 +77,5 @@ pub use snapshot::{
     DirSnapshots, MemorySnapshots, NullSnapshots, Snapshot, SnapshotStore, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
-pub use telemetry::{
-    EpochRecord, JsonlSink, MemorySink, NullSink, ObsBridge, ServiceSummary, TelemetrySink,
-};
+pub use telemetry::{EpochRecord, JsonlSink, MemorySink, NullSink, ServiceSummary, TelemetrySink};
 pub use tenant::{TenantSpec, TenantStat};

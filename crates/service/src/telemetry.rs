@@ -1,10 +1,15 @@
 //! Structured service telemetry: one JSONL record per decision event plus
 //! an end-of-run summary.
 //!
-//! The event loop reports through the [`TelemetrySink`] trait so the hot
-//! path never formats strings unless a sink asks for them:
-//! [`JsonlSink`] streams newline-delimited JSON to any writer,
-//! [`MemorySink`] retains records for tests, and [`NullSink`] discards.
+//! An [`EpochRecord`] is a view of one instant, not a second record of it:
+//! its completion, re-release and placement counts are the service's fold
+//! over the kernel's `mris_sim::EventSink` calls, and the rest (queue depth,
+//! arrivals, rejections, decision latency) is the service's own state. The
+//! event loop reports through the [`TelemetrySink`] trait so the hot path
+//! never formats strings unless a sink asks for them: [`JsonlSink`] streams
+//! newline-delimited JSON to any writer (`mris serve --telemetry`, the only
+//! per-epoch JSONL), [`MemorySink`] retains records for tests, and
+//! [`NullSink`] discards.
 
 use std::io::Write;
 
@@ -217,97 +222,6 @@ impl<W: Write> TelemetrySink for JsonlSink<W> {
 
     fn summary(&mut self, summary: &ServiceSummary) {
         self.write_line(&summary.to_json());
-    }
-}
-
-/// Mirrors telemetry into the process-wide observability layer while
-/// forwarding every record **unchanged** to the wrapped sink.
-///
-/// This is how the service's legacy JSONL telemetry is re-homed onto
-/// `mris-obs`: wrap the existing sink (`JsonlSink`, `MemorySink`, …) in an
-/// `ObsBridge` and each epoch/summary also becomes a structured event on
-/// the installed [`mris_obs::EventSink`]. The wrapped sink sees exactly the
-/// bytes it would have seen without the bridge, and when no obs subscriber
-/// is installed the bridge costs one relaxed atomic load per record.
-#[derive(Debug)]
-pub struct ObsBridge<S> {
-    inner: S,
-}
-
-impl<S: TelemetrySink> ObsBridge<S> {
-    /// Wraps `inner`, leaving its output byte-identical.
-    pub fn new(inner: S) -> Self {
-        ObsBridge { inner }
-    }
-
-    /// Unwraps the bridge, returning the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TelemetrySink> TelemetrySink for ObsBridge<S> {
-    fn epoch(&mut self, record: &EpochRecord) {
-        self.inner.epoch(record);
-        if !mris_obs::enabled() {
-            return;
-        }
-        mris_obs::with(|obs| {
-            let mut event = mris_obs::Event::new("service_epoch");
-            event.push("epoch", mris_obs::FieldValue::from(record.epoch));
-            event.push("t", mris_obs::FieldValue::from(record.time));
-            event.push(
-                "queue_depth",
-                mris_obs::FieldValue::from(record.queue_depth),
-            );
-            event.push("arrivals", mris_obs::FieldValue::from(record.arrivals));
-            event.push(
-                "re_releases",
-                mris_obs::FieldValue::from(record.re_releases),
-            );
-            event.push("placements", mris_obs::FieldValue::from(record.placements));
-            event.push(
-                "completions",
-                mris_obs::FieldValue::from(record.completions),
-            );
-            event.push("running", mris_obs::FieldValue::from(record.running));
-            event.push(
-                "rejections_total",
-                mris_obs::FieldValue::from(record.rejections_total),
-            );
-            event.push(
-                "decision_ns",
-                mris_obs::FieldValue::from(record.decision_ns),
-            );
-            obs.emit(&event);
-        });
-    }
-
-    fn summary(&mut self, summary: &ServiceSummary) {
-        self.inner.summary(summary);
-        if !mris_obs::enabled() {
-            return;
-        }
-        mris_obs::with(|obs| {
-            let mut event = mris_obs::Event::new("service_summary");
-            event.push("submitted", mris_obs::FieldValue::from(summary.submitted));
-            event.push("accepted", mris_obs::FieldValue::from(summary.accepted));
-            event.push(
-                "rejected_queue_full",
-                mris_obs::FieldValue::from(summary.rejected_queue_full),
-            );
-            event.push(
-                "rejected_infeasible",
-                mris_obs::FieldValue::from(summary.rejected_infeasible),
-            );
-            event.push("completed", mris_obs::FieldValue::from(summary.completed));
-            event.push("epochs", mris_obs::FieldValue::from(summary.epochs));
-            event.push("failures", mris_obs::FieldValue::from(summary.failures));
-            event.push("awct", mris_obs::FieldValue::from(summary.awct));
-            event.push("makespan", mris_obs::FieldValue::from(summary.makespan));
-            obs.emit(&event);
-            obs.flush();
-        });
     }
 }
 

@@ -5,8 +5,7 @@
 //! policy wakeup, and at each instant lets the kernel settle, hands it the
 //! jobs released by then, and lets it decide — see [`EventKernel`] for what
 //! happens, and in which order, within the instant.
-//! [`run_online`](crate::run_online),
-//! [`run_online_observed`](crate::run_online_observed) and
+//! [`run_online`](crate::run_online) and
 //! [`run_online_chaos`](crate::run_online_chaos) are thin wrappers,
 //! configured through [`RunOptions`]:
 //!
@@ -16,11 +15,10 @@
 
 use std::borrow::Cow;
 
-use mris_types::{ClusterSpec, Instance, JobId, RestartSemantics, Schedule, SchedulingError};
+use mris_types::{ClusterSpec, Instance, JobId, RestartSemantics, Schedule, SchedulingError, Time};
 
 use crate::fault::{ChaosOutcome, FaultLog, FaultPlan};
-use crate::kernel::EventKernel;
-use crate::online::EventSnapshot;
+use crate::kernel::{EventKernel, EventSink};
 use crate::OnlinePolicy;
 
 /// Configuration for one [`run_driver`] run, built fluently:
@@ -93,9 +91,34 @@ impl<'a> RunOptions<'a> {
     }
 }
 
+/// The run after one processed event, as [`run_driver_observed`] reports
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventSnapshot {
+    /// Event time.
+    pub time: Time,
+    /// Jobs currently running across the cluster.
+    pub running: usize,
+    /// Placements so far (cumulative; a killed job placed again counts
+    /// twice).
+    pub placed: usize,
+    /// Jobs released so far (cumulative).
+    pub released: usize,
+}
+
+/// The driver's fold over the kernel's record: placements so far.
+struct Placements(usize);
+
+impl EventSink for Placements {
+    fn placed(&mut self, _job: JobId, _machine: u32, _start: Time) {
+        self.0 += 1;
+    }
+}
+
 /// Runs `policy` over `instance` on the machines described by `cluster`
 /// under `options`, calling `observer` with an [`EventSnapshot`] after
-/// every processed event.
+/// every processed event. The snapshot's placement count is folded from
+/// the kernel's [`EventSink`] record, like every per-event count.
 ///
 /// `cluster` is anything convertible to a [`ClusterSpec`]: a bare machine
 /// count gives the historical uniform cluster; an explicit spec gives each
@@ -103,11 +126,10 @@ impl<'a> RunOptions<'a> {
 /// completes after `p_j / speed_m` wall time, and fit checks use `m`'s own
 /// capacity vector).
 ///
-/// This is the single batch loop behind [`run_online`](crate::run_online),
-/// [`run_online_observed`](crate::run_online_observed), and
-/// [`run_online_chaos`](crate::run_online_chaos). It advances the simulated
-/// clock to the earliest of: the next arrival, the next completion, the
-/// next fault event (failure or recovery), and the policy's
+/// This is the single batch loop behind [`run_online`](crate::run_online)
+/// and [`run_online_chaos`](crate::run_online_chaos). It advances the
+/// simulated clock to the earliest of: the next arrival, the next
+/// completion, the next fault event (failure or recovery), and the policy's
 /// [`next_wakeup`](OnlinePolicy::next_wakeup); what happens at that instant
 /// is the [`EventKernel`]'s.
 ///
@@ -170,22 +192,22 @@ pub fn run_driver_observed<P: OnlinePolicy + ?Sized>(
     let mut kernel = EventKernel::new(Cow::Borrowed(instance), &spec, plan_events, options.restart);
     let gated = kernel.gate().is_active();
     let mut deliver: Vec<JobId> = Vec::new();
-    let mut placed_total = 0usize;
+    let mut placed = Placements(0);
 
     loop {
         let arr_t = arrivals.get(next_arrival).map(|&j| instance.job(j).release);
         let Some(now) = kernel.next_event_time(arr_t, policy.next_wakeup()) else {
             break;
         };
-        kernel.settle(now, policy, &mut ())?;
+        kernel.settle(now, policy, &mut placed)?;
 
         let first = next_arrival;
         while next_arrival < arrivals.len() && instance.job(arrivals[next_arrival]).release <= now {
             next_arrival += 1;
         }
         let released = &arrivals[first..next_arrival];
-        let decided = if !gated {
-            kernel.decide(now, released, policy, &mut ())?
+        if !gated {
+            kernel.decide(now, released, policy, &mut placed)?;
         } else {
             // Gated delivery: withhold released jobs with incomplete
             // predecessors; deliver the ones whose gates this event's
@@ -207,13 +229,12 @@ pub fn run_driver_observed<P: OnlinePolicy + ?Sized>(
                     .filter(|&&j| instance.job(j).release <= now),
             );
             deliver.sort_by(by_release);
-            kernel.decide(now, &deliver, policy, &mut ())?
-        };
-        placed_total += decided.placements;
+            kernel.decide(now, &deliver, policy, &mut placed)?;
+        }
         observer(&EventSnapshot {
             time: now,
             running: kernel.cluster().num_running(),
-            placed: placed_total,
+            placed: placed.0,
             released: next_arrival,
         });
     }

@@ -20,9 +20,12 @@
 //! What happens at one instant is defined once, by [`EventKernel`];
 //! [`run_driver`] (configured through [`RunOptions`]: fault plan, restart
 //! semantics) feeds it the release-sorted jobs of an instance, and
-//! `mris-service` feeds it an admission-controlled queue. The classic entry
-//! points [`run_online`], [`run_online_observed`], and [`run_online_chaos`]
-//! are thin wrappers over [`run_driver`].
+//! `mris-service` feeds it an admission-controlled queue. The kernel
+//! reports every instant through one [`EventSink`]; the driver's
+//! [`EventSnapshot`]s and the service's telemetry and journal are folds over
+//! it. The classic entry points [`run_online`] and [`run_online_chaos`] are
+//! thin wrappers over [`run_driver`]; [`run_driver_observed`] adds a
+//! per-event observer.
 //!
 //! All resource arithmetic is exact fixed-point (`mris_types::Amount`).
 
@@ -38,13 +41,13 @@ mod precedence;
 mod timeline;
 
 pub use cluster::ClusterState;
-pub use driver::{run_driver, run_driver_observed, RunOptions};
+pub use driver::{run_driver, run_driver_observed, EventSnapshot, RunOptions};
 pub use fault::{
     run_online_chaos, suggested_horizon, ChaosOutcome, ChaosViolation, CompletionRecord,
     FailureRecord, FaultLog, FaultPlan, PoissonFaultConfig, RackBurstConfig,
 };
-pub use kernel::{Decided, EventKernel, EventSink};
-pub use online::{run_online, run_online_observed, Dispatcher, EventSnapshot, OnlinePolicy};
+pub use kernel::{EventKernel, EventSink};
+pub use online::{run_online, Dispatcher, OnlinePolicy};
 pub use precedence::PrecedenceGate;
 pub use timeline::{ClusterTimelines, MachineTimeline};
 

@@ -218,20 +218,6 @@ pub trait OnlinePolicy: Send {
     }
 }
 
-/// A snapshot of the simulation taken after each event was processed,
-/// delivered to the observer of [`run_online_observed`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventSnapshot {
-    /// Event time.
-    pub time: Time,
-    /// Jobs currently running across the cluster.
-    pub running: usize,
-    /// Jobs placed so far (cumulative).
-    pub placed: usize,
-    /// Jobs released so far (cumulative).
-    pub released: usize,
-}
-
 /// Runs `policy` over `instance` on the cluster described by `cluster` —
 /// a bare machine count (the historical uniform cluster) or an explicit
 /// [`ClusterSpec`] with per-machine speeds and capacities — and returns the
@@ -252,26 +238,8 @@ pub fn run_online<P: OnlinePolicy + ?Sized>(
     cluster: impl Into<ClusterSpec>,
     policy: &mut P,
 ) -> Result<Schedule, SchedulingError> {
-    run_online_observed(instance, cluster, policy, |_| {})
-}
-
-/// Like [`run_online`], additionally invoking `observer` with an
-/// [`EventSnapshot`] after every processed event — for queue-dynamics
-/// experiments and diagnostics.
-pub fn run_online_observed<P: OnlinePolicy + ?Sized>(
-    instance: &Instance,
-    cluster: impl Into<ClusterSpec>,
-    policy: &mut P,
-    observer: impl FnMut(&EventSnapshot),
-) -> Result<Schedule, SchedulingError> {
-    crate::driver::run_driver_observed(
-        instance,
-        cluster,
-        policy,
-        crate::driver::RunOptions::new(),
-        observer,
-    )
-    .map(|outcome| outcome.schedule)
+    crate::run_driver(instance, cluster, policy, crate::RunOptions::new())
+        .map(|outcome| outcome.schedule)
 }
 
 #[cfg(test)]
@@ -357,10 +325,15 @@ mod tests {
             1,
         );
         let mut snapshots = Vec::new();
-        let s = run_online_observed(&instance, 2, &mut Fifo { pending: vec![] }, |snap| {
-            snapshots.push(*snap)
-        })
-        .unwrap();
+        let s = crate::run_driver_observed(
+            &instance,
+            2,
+            &mut Fifo { pending: vec![] },
+            crate::RunOptions::new(),
+            |snap| snapshots.push(*snap),
+        )
+        .unwrap()
+        .schedule;
         s.validate(&instance).unwrap();
         assert!(!snapshots.is_empty());
         for w in snapshots.windows(2) {

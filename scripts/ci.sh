@@ -31,6 +31,14 @@ if git grep -nE "std::thread|mpsc" crates/service/src; then
   echo "crates/service/src uses a thread or a channel" >&2; exit 1
 fi
 
+# The kernel's `EventSink` is the one per-event record of a run; the
+# service's telemetry and journal and the driver's snapshots fold it.
+echo "==> one EventSink trait; no ObsBridge, no Decided"
+if [ "$(git grep -n 'trait EventSink' -- crates/*/src | wc -l)" -ne 1 ] \
+  || git grep -nwE 'ObsBridge|Decided' -- crates/*/src; then
+  echo "crates/*/src reports events outside the kernel's one EventSink" >&2; exit 1
+fi
+
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -83,10 +91,10 @@ echo "==> cargo test -q --release --offline -p mris-schedulers --test pending_di
 cargo test -q --release --offline -p mris-schedulers --test pending_differential
 cargo test -q --release --offline -p mris-service --test pq_durable_golden
 
-echo "==> durability suites in release (crash-restart equivalence + codec fuzz + CRC differential)"
+echo "==> durability suites in release (crash-restart equivalence + codec fuzz + record stream golden + CRC differential)"
 cargo test -q --release --offline -p mris-service \
-  --test crash_restart --test durability_codec
-# Its own invocation: a name filter would apply to the two suites above too.
+  --test crash_restart --test durability_codec --test record_stream_golden
+# Its own invocation: a name filter would apply to the three suites above too.
 # The sliced CRC loop is the code that ships, so its differential runs here.
 cargo test -q --release --offline -p mris-service --lib codec
 
