@@ -8,8 +8,8 @@
 //! telemetry — must not change a single placement. Pinned here, over
 //! randomized instances:
 //!
-//! 1. A permissive service under a lag-free `SimClock` (jobs submitted at
-//!    their release times, per-event delivery) produces a bit-identical
+//! 1. A permissive service under `SimClock` (jobs submitted at their
+//!    release times, per-event delivery) produces a bit-identical
 //!    schedule and AWCT to the batch scheduler resolved from the registry,
 //!    for **every** comparison algorithm — including MRIS, whose `gamma_k`
 //!    wakeups both configurations honor.
