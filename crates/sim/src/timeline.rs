@@ -29,29 +29,32 @@
 //! # Floors
 //!
 //! Algorithm 1 places a whole batch at one floor `gamma_k`, so job after job
-//! would re-walk the prefix the same epoch just packed. Each machine
-//! therefore remembers *floors*: facts "a query of this demand class lasting
-//! at least `dur` has no feasible start in `[base, bound)`" (`Floors`). A
+//! would re-walk the prefix the same epoch just packed. The cluster
+//! therefore remembers *floors* per machine: facts "a query of this demand
+//! class lasting at least `dur` has no feasible start in `[base, bound)`". A
 //! fact bounds every at-least-as-hard later query, and it stays true under
 //! everything that can happen to a timeline: commits only add usage,
 //! compaction leaves the step function at or after the watermark alone (and
-//! queries are clamped there), and a reset replaces the timeline, floors
-//! included. Nothing is ever invalidated.
+//! queries are clamped there), and a reset clears the machine's floors with
+//! its timeline. Nothing is ever invalidated.
 //!
-//! A probe uses the tightest applicable bound `b` two ways: `b >= cutoff`
+//! The sweep uses the tightest applicable bound `b` two ways: `b >= cutoff`
 //! rules the machine out without visiting a segment, and otherwise the scan
 //! starts at `b` instead of at `from`. The scan returns its start or a
 //! breakpoint that ends a violating run, whichever is the first feasible
 //! one; the floor says none of those below `b` is feasible, so the first at
 //! or after `b` is the first at or after `from` — the same `f64`.
 //!
-//! Demand classes are the cluster's distinct demand vectors
-//! ([`ClusterTimelines`] resolves a query's class once, so a probe indexes
-//! its machine's floors instead of comparing vectors). Floors are plain
-//! fields: probes read them through `&self` and report what they learned;
-//! the sequential sweep behind [`ClusterTimelines::place_batch`] and the
-//! other `&mut` entry points applies it. Shared-access queries read floors
-//! and learn nothing.
+//! Demand classes are the cluster's distinct demand vectors, resolved once
+//! per query. [`ClusterTimelines`] keeps the floors as class-major columns
+//! — one [`Stair`] per machine for each class, beside contiguous per-machine
+//! bases and speeds — so the sweep rules a machine out from its class's
+//! column without touching its [`MachineTimeline`]; only the machines that
+//! need a real scan do. A timeline is a plain step function with its skip
+//! index and knows nothing of classes: [`MachineTimeline::probe`] is handed
+//! its floor. The sequential sweep behind [`ClusterTimelines::place_batch`]
+//! and the other `&mut` entry points raises floors with what each scan
+//! proved; shared-access queries read floors and learn nothing.
 //!
 //! [`ClusterState`]: crate::ClusterState
 
@@ -80,8 +83,8 @@ type FloorClass = Option<u8>;
 
 /// One demand class's floors on one machine: up to [`FLOOR_STEPS`] facts
 /// `(dur, bound)` — "a query of this class lasting at least `dur` has no
-/// feasible start in `[base, bound)`" (`base` is the machine's, see
-/// [`Floors`]).
+/// feasible start in `[base, bound)`", with the machine's `base` (see
+/// [`ClusterTimelines`]'s floor columns).
 ///
 /// Kept as a Pareto staircase — `dur` and `bound` both strictly ascending
 /// over the used steps, [`Stair::UNUSED`] steps at the end — so the
@@ -154,23 +157,6 @@ impl Stair {
     }
 }
 
-/// A machine's floors: for each demand class, how far the machine is known
-/// to be closed to it.
-///
-/// **Invariant.** For every used step `(dur, bound)` of `stairs[c]`: no
-/// start `s` in `[base, bound)` is feasible for class `c`'s demand vector
-/// held for `dur` — and therefore for any query at least as hard (same
-/// demands, `dur' >= dur`, `from' >= base`). Three rules keep it true:
-/// `commit` only adds usage, so a closed start stays closed; compaction
-/// leaves the step function at or after the watermark as it was, and
-/// queries are clamped there; `reset_machine` builds a fresh timeline and
-/// the floors go with the old one.
-#[derive(Debug, Clone)]
-struct Floors {
-    base: Time,
-    stairs: [Stair; FLOOR_CLASSES],
-}
-
 /// Probe counts gathered locally by a scan, a sweep or a batch and
 /// published with one registry call per family ([`ProbeTally::publish`]).
 #[derive(Debug, Default)]
@@ -241,10 +227,6 @@ pub struct MachineTimeline {
     /// Earliest instant at which queries are still exact (see
     /// [`MachineTimeline::compact_before`]).
     watermark: Time,
-    /// How far this machine is known to be closed to each demand class
-    /// (see [`Floors`]). Read through `&self` by every probe, raised only
-    /// through `&mut self`.
-    floors: Floors,
 }
 
 impl MachineTimeline {
@@ -281,10 +263,6 @@ impl MachineTimeline {
             block_max: vec![0; num_resources],
             block_min: vec![0; num_resources],
             watermark: 0.0,
-            floors: Floors {
-                base: 0.0,
-                stairs: [Stair::EMPTY; FLOOR_CLASSES],
-            },
         }
     }
 
@@ -328,9 +306,9 @@ impl MachineTimeline {
 
     /// Appends a canonical little-endian encoding of the committed step
     /// function (watermark, breakpoints as f64 bit patterns, usage) to
-    /// `out`. The block skip index and the floors are derived acceleration
-    /// structures and are excluded, so two timelines with the same
-    /// committed load encode identically.
+    /// `out`. The block skip index is a derived acceleration structure and
+    /// is excluded, so two timelines with the same committed load encode
+    /// identically.
     pub fn durable_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.watermark.to_bits().to_le_bytes());
         out.extend_from_slice(&(self.times.len() as u64).to_le_bytes());
@@ -519,8 +497,9 @@ impl MachineTimeline {
         demands: &[Amount],
         cutoff: Time,
     ) -> Option<Time> {
+        assert_query(dur, demands);
         let mut tally = ProbeTally::default();
-        let probe = self.probe(None, from, dur, demands, cutoff, &mut tally);
+        let probe = self.probe(0.0, from, dur, demands, cutoff, &mut tally);
         tally.publish();
         probe.start
     }
@@ -536,19 +515,19 @@ impl MachineTimeline {
     }
 
     /// One probe: the earliest feasible start in `[from, cutoff)` for
-    /// `demands` held for `dur` wall time, reading class `class`'s floors
-    /// but not raising them (see [`MachineTimeline::learn`]).
+    /// `demands` held for `dur` wall time, given a `floor` — no start in
+    /// `[from, floor)` is feasible (`0.0` when nothing is known). The caller
+    /// has checked the query ([`assert_query`]) and has already ruled the
+    /// machine out if the floor reaches the cutoff.
     ///
-    /// A floor `b` that applies to the query either rules the machine out
-    /// without visiting a segment (`b >= cutoff`) or moves the scan's start
-    /// from `from` to `b`. The answer is the same `f64` either way: the
-    /// scan returns its start or a breakpoint that ends a violating run,
-    /// whichever is the first feasible one, and the floor says none of
-    /// those below `b` is feasible — so the first feasible one at or after
-    /// `b` is the first at or after `from`.
+    /// The scan starts at `floor` instead of at `from`, and the answer is
+    /// the same `f64`: the scan returns its start or a breakpoint that ends
+    /// a violating run, whichever is the first feasible one, and the floor
+    /// says none of those below it is feasible — so the first feasible one
+    /// at or after `floor` is the first at or after `from`.
     fn probe(
         &self,
-        class: FloorClass,
+        floor: Time,
         from: Time,
         dur: Time,
         demands: &[Amount],
@@ -556,11 +535,7 @@ impl MachineTimeline {
         tally: &mut ProbeTally,
     ) -> Probe {
         debug_assert_eq!(demands.len(), self.num_resources);
-        assert!(dur > 0.0, "job duration must be positive");
-        assert!(
-            demands.iter().all(|&d| d <= CAPACITY),
-            "demand exceeds machine capacity; job can never fit"
-        );
+        debug_assert!(dur > 0.0 && demands.iter().all(|&d| d <= CAPACITY));
         debug_assert!(
             from.max(0.0) >= self.watermark,
             "earliest_fit(from = {from}) queries history compacted away before {}",
@@ -572,17 +547,6 @@ impl MachineTimeline {
         } else {
             f64::INFINITY
         };
-        let floor = match class {
-            Some(c) if from >= self.floors.base => self.floors.stairs[c as usize].bound_for(dur),
-            _ => 0.0,
-        };
-        if floor >= cutoff {
-            tally.ruled_out += 1;
-            return Probe {
-                start: None,
-                learned: None,
-            };
-        }
         tally.scanned += 1;
         let scan_from = from.max(floor);
         let scanned = self.scan_earliest(scan_from, dur, demands, cutoff, tally);
@@ -593,35 +557,6 @@ impl MachineTimeline {
             start: scanned.ok(),
             learned: (proven > scan_from).then_some(proven),
         }
-    }
-
-    /// Raises class `class`'s floors with what a probe of `(from, dur)`
-    /// learned: no feasible start in `[from, bound)`.
-    fn learn(&mut self, class: u8, from: Time, dur: Time, bound: Time) {
-        let from = self.clamp_from(from);
-        // One base for all of a machine's facts: a fact proven from `from`
-        // holds from any later base, and the facts already stored hold on
-        // the sub-range the raised base leaves them.
-        let base = self.floors.base.max(from);
-        self.floors.base = base;
-        self.floors.stairs[class as usize].raise(dur, bound, base);
-    }
-
-    /// [`MachineTimeline::probe`] followed by [`MachineTimeline::learn`].
-    fn probe_mut(
-        &mut self,
-        class: FloorClass,
-        from: Time,
-        dur: Time,
-        demands: &[Amount],
-        cutoff: Time,
-        tally: &mut ProbeTally,
-    ) -> Option<Time> {
-        let probe = self.probe(class, from, dur, demands, cutoff, tally);
-        if let (Some(c), Some(bound)) = (class, probe.learned) {
-            self.learn(c, from, dur, bound);
-        }
-        probe.start
     }
 
     /// The cutoff-pruned skip-index scan behind every probe: `Ok(start)`,
@@ -935,8 +870,9 @@ impl MachineTimeline {
 /// One cluster-level query, as the sequential sweeps see it.
 #[derive(Debug, Clone, Copy)]
 struct SweepQuery<'a> {
-    /// The demand vector's class in the cluster's table, if it has one.
-    class: FloorClass,
+    /// Where the demand class's floor column starts in `stairs`, if the
+    /// vector has a class ([`ClusterTimelines::column`]).
+    column: Option<usize>,
     from: Time,
     /// Nominal work; machine `m` holds the job for `dur / speed_m`.
     dur: Time,
@@ -949,6 +885,20 @@ struct SweepQuery<'a> {
 /// and floors turn most probes into O(1) rule-outs, so there is no
 /// parallel scan: a pooled one measured slower than this sweep even at
 /// 1,024 machines (DESIGN.md §13).
+///
+/// **Floor columns.** The floors live here, laid out for the sweep:
+/// `speeds[m]` and `floor_base[m]` are contiguous, and class `c` owns the
+/// column `stairs[c * M..(c + 1) * M]`, one [`Stair`] per machine. Ruling
+/// machine `m` out reads those three entries and nothing of its timeline.
+///
+/// **Invariant.** For every used step `(dur, bound)` of `stairs[c * M + m]`:
+/// no start in `[floor_base[m], bound)` is feasible on machine `m` for class
+/// `c`'s demand vector held for `dur` wall time — and therefore for any
+/// query at least as hard (same demands, `dur' >= dur`,
+/// `from' >= floor_base[m]`). Three rules keep it true: `commit` only adds
+/// usage, so a closed start stays closed; compaction leaves the step
+/// function at or after the watermark as it was, and queries are clamped
+/// there; `reset_machine` clears machine `m`'s entry in every column.
 #[derive(Debug, Clone)]
 pub struct ClusterTimelines {
     machines: Vec<MachineTimeline>,
@@ -960,9 +910,19 @@ pub struct ClusterTimelines {
     scan_seed: usize,
     /// The demand vectors that have a floor class, flattened `class x R`
     /// in order of first appearance (at most [`FLOOR_CLASSES`]). A class is
-    /// resolved once per query, so a probe indexes its machine's floors
-    /// instead of comparing demand vectors.
+    /// resolved once per query, so the sweep indexes its column instead of
+    /// comparing demand vectors.
     classes: Vec<Amount>,
+    /// Machine `m`'s relative speed (its timeline's), so the sweep scales a
+    /// duration without touching the timeline.
+    speeds: Vec<f64>,
+    /// The one base all of machine `m`'s floors hold from; it only rises.
+    floor_base: Vec<Time>,
+    /// Class-major floor columns: `stairs[c * M + m]` is class `c`'s
+    /// staircase on machine `m`. A class's column is filled, empty, when
+    /// the class is interned; room for all [`FLOOR_CLASSES`] is reserved
+    /// up front, so no column is ever copied to grow the vector.
+    stairs: Vec<Stair>,
 }
 
 impl ClusterTimelines {
@@ -980,16 +940,20 @@ impl ClusterTimelines {
     /// (e.g. downtime blocks).
     pub fn with_spec(spec: &ClusterSpec, num_resources: usize) -> Self {
         assert!(!spec.is_empty());
+        let machines: Vec<MachineTimeline> = (0..spec.len())
+            .map(|m| {
+                MachineTimeline::with_limits(
+                    num_resources,
+                    spec.capacity_vec(m, num_resources).into_vec(),
+                    spec.speed(m),
+                )
+            })
+            .collect();
         ClusterTimelines {
-            machines: (0..spec.len())
-                .map(|m| {
-                    MachineTimeline::with_limits(
-                        num_resources,
-                        spec.capacity_vec(m, num_resources).into_vec(),
-                        spec.speed(m),
-                    )
-                })
-                .collect(),
+            speeds: machines.iter().map(MachineTimeline::speed).collect(),
+            floor_base: vec![0.0; machines.len()],
+            stairs: Vec::with_capacity(FLOOR_CLASSES * machines.len()),
+            machines,
             num_resources,
             scan_seed: 0,
             classes: Vec::new(),
@@ -1009,13 +973,18 @@ impl ClusterTimelines {
     }
 
     /// Replaces machine `m`'s timeline with a fresh, empty one — keeping
-    /// the machine's capacity and speed. Used by the fault layer when a
-    /// machine fails: every commitment on it (running and planned) is
-    /// invalidated at once, and the caller re-commits what should survive
-    /// (e.g. a full-capacity block covering the downtime).
+    /// the machine's capacity and speed — and clears its entry in every
+    /// floor column. Used by the fault layer when a machine fails: every
+    /// commitment on it (running and planned) is invalidated at once, and
+    /// the caller re-commits what should survive (e.g. a full-capacity
+    /// block covering the downtime).
     pub fn reset_machine(&mut self, m: usize) {
         let tl = &mut self.machines[m];
         *tl = MachineTimeline::with_limits(self.num_resources, tl.cap.clone(), tl.speed);
+        self.floor_base[m] = 0.0;
+        for stair in self.stairs.iter_mut().skip(m).step_by(self.machines.len()) {
+            *stair = Stair::EMPTY;
+        }
     }
 
     /// Total segments across all machines (for diagnostics and benches).
@@ -1039,14 +1008,60 @@ impl ClusterTimelines {
     }
 
     /// [`ClusterTimelines::class_of`], giving a new vector the next free
-    /// class while the table has room.
+    /// class, and an empty floor column, while the table has room.
     fn intern_class(&mut self, demands: &[Amount]) -> FloorClass {
         let known = self.class_of(demands);
         if known.is_some() || self.classes.len() == FLOOR_CLASSES * self.num_resources {
             return known;
         }
         self.classes.extend_from_slice(demands);
+        self.stairs
+            .resize(self.stairs.len() + self.machines.len(), Stair::EMPTY);
         Some((self.classes.len() / self.num_resources - 1) as u8)
+    }
+
+    /// Where class `class`'s floor column starts in `stairs`.
+    #[inline]
+    fn column(&self, class: FloorClass) -> Option<usize> {
+        class.map(|c| usize::from(c) * self.machines.len())
+    }
+
+    /// The floor column `col` holds for machine `m` against a query from
+    /// `from` (clamped at zero) lasting `dur` wall time: no start in
+    /// `[from, bound)` is feasible, `0.0` when nothing is known. Reads no
+    /// timeline, so the sweeps call it on every machine and rule out those
+    /// whose bound reaches the cutoff.
+    #[inline(always)]
+    fn floor_for(&self, col: Option<usize>, m: usize, from: Time, dur: Time) -> Time {
+        match col {
+            Some(col) if from >= self.floor_base[m] => self.stairs[col + m].bound_for(dur),
+            _ => 0.0,
+        }
+    }
+
+    /// Machine `m`'s probe for `q`, held `dur` wall time above `floor`,
+    /// then raises the machine's floors with what the scan proved: no
+    /// feasible start in `[from, bound)`.
+    fn probe_mut(
+        &mut self,
+        m: usize,
+        q: &SweepQuery<'_>,
+        floor: Time,
+        dur: Time,
+        cutoff: Time,
+        tally: &mut ProbeTally,
+    ) -> Option<Time> {
+        let tl = &self.machines[m];
+        let probe = tl.probe(floor, q.from, dur, q.demands, cutoff, tally);
+        if let (Some(col), Some(bound)) = (q.column, probe.learned) {
+            // One base for all of a machine's facts: a fact proven from
+            // `from` holds from any later base, and the facts already
+            // stored hold on the sub-range the raised base leaves them.
+            let base = self.floor_base[m].max(tl.clamp_from(q.from));
+            self.floor_base[m] = base;
+            self.stairs[col + m].raise(dur, bound, base);
+        }
+        probe.start
     }
 
     /// Earliest `(machine, start)` with `start >= from` at which the job
@@ -1056,18 +1071,20 @@ impl ClusterTimelines {
     ///
     /// # Panics
     ///
-    /// If no machine can ever hold `demands` (every machine's capacity is
+    /// If `dur` is not positive, if a demand exceeds [`CAPACITY`], or if no
+    /// machine can ever hold `demands` (every machine's capacity is
     /// exceeded on some resource) — the driver rejects such jobs up front
     /// with
     /// [`SchedulingError::UnplaceableJob`](mris_types::SchedulingError::UnplaceableJob).
     pub fn earliest_fit(&self, from: Time, dur: Time, demands: &[Amount]) -> (usize, Time) {
         let mut tally = ProbeTally::default();
         let q = SweepQuery {
-            class: self.class_of(demands),
+            column: self.column(self.class_of(demands)),
             from,
             dur,
             demands,
         };
+        assert_query(dur, demands);
         let best = self.sweep_in_order(&q, &mut tally);
         tally.publish();
         assert_placeable(best, demands);
@@ -1081,15 +1098,13 @@ impl ClusterTimelines {
         let floor = q.from.max(0.0);
         let mut best = (0usize, f64::INFINITY);
         for (m, tl) in self.machines.iter().enumerate() {
-            let probe = tl.probe(
-                q.class,
-                q.from,
-                q.dur / tl.speed(),
-                q.demands,
-                best.1,
-                tally,
-            );
-            if let Some(s) = probe.start {
+            let dur = q.dur / self.speeds[m];
+            let bound = self.floor_for(q.column, m, floor, dur);
+            if bound >= best.1 {
+                tally.ruled_out += 1;
+                continue;
+            }
+            if let Some(s) = tl.probe(bound, q.from, dur, q.demands, best.1, tally).start {
                 best = (m, s);
                 if s <= floor {
                     break;
@@ -1113,21 +1128,18 @@ impl ClusterTimelines {
         let floor = q.from.max(0.0);
         let num_machines = self.machines.len();
         let g = self.scan_seed.min(num_machines - 1);
-        let seed = &mut self.machines[g];
+        let dur_g = q.dur / self.speeds[g];
+        let floor_g = self.floor_for(q.column, g, floor, dur_g);
         // A restricted seed machine can be incapable of ever holding the
-        // demand (`None` even unbounded); fall back to an unseeded sweep.
-        let mut best = match seed.probe_mut(
-            q.class,
-            q.from,
-            q.dur / seed.speed,
-            q.demands,
-            f64::INFINITY,
-            tally,
-        ) {
-            Some(s_g) => (g, s_g),
-            None => (usize::MAX, f64::INFINITY),
-        };
-        for (m, tl) in self.machines.iter_mut().enumerate() {
+        // demand (a floor at infinity, or `None` even unbounded); fall back
+        // to an unseeded sweep.
+        let mut best = (usize::MAX, f64::INFINITY);
+        if floor_g == f64::INFINITY {
+            tally.ruled_out += 1;
+        } else if let Some(s_g) = self.probe_mut(g, q, floor_g, dur_g, f64::INFINITY, tally) {
+            best = (g, s_g);
+        }
+        for m in 0..num_machines {
             // Every machine below best.0 has been probed, and no machine at
             // or above m can beat a fit at the floor (ties go lower).
             if best.1 <= floor && best.0 <= m {
@@ -1137,9 +1149,13 @@ impl ClusterTimelines {
                 continue;
             }
             let cutoff = if m < best.0 { best.1.next_up() } else { best.1 };
-            if let Some(s) =
-                tl.probe_mut(q.class, q.from, q.dur / tl.speed, q.demands, cutoff, tally)
-            {
+            let dur = q.dur / self.speeds[m];
+            let bound = self.floor_for(q.column, m, floor, dur);
+            if bound >= cutoff {
+                tally.ruled_out += 1;
+                continue;
+            }
+            if let Some(s) = self.probe_mut(m, q, bound, dur, cutoff, tally) {
                 if s < best.1 || (s == best.1 && m < best.0) {
                     best = (m, s);
                 }
@@ -1160,12 +1176,14 @@ impl ClusterTimelines {
         demands: &[Amount],
         tally: &mut ProbeTally,
     ) -> (usize, Time) {
+        let class = self.intern_class(demands);
         let q = SweepQuery {
-            class: self.intern_class(demands),
+            column: self.column(class),
             from,
             dur,
             demands,
         };
+        assert_query(dur, demands);
         let best = self.sweep_seeded(&q, tally);
         assert_placeable(best, demands);
         best
@@ -1299,6 +1317,17 @@ impl ClusterTimelines {
             }
         }
     }
+}
+
+/// The checks every query gets in every build profile, once, before any
+/// machine is ruled out or scanned: a job of no length, or one that no
+/// machine of any capacity can hold, has no earliest fit.
+fn assert_query(dur: Time, demands: &[Amount]) {
+    assert!(dur > 0.0, "job duration must be positive");
+    assert!(
+        demands.iter().all(|&d| d <= CAPACITY),
+        "demand exceeds machine capacity; job can never fit"
+    );
 }
 
 /// A cluster scan that ends without a finite start means no machine's
@@ -1526,45 +1555,90 @@ mod tests {
         assert_eq!(tl.earliest_fit(0.6, 1.5, &d(&[0.5, 0.5])), last_end);
     }
 
+    /// Class `class`'s stored bound for a query lasting `dur` on machine
+    /// `m`, read straight from its floor column.
+    fn bound(cl: &ClusterTimelines, class: FloorClass, m: usize, dur: Time) -> Time {
+        let col = cl.column(class).expect("the vector has a class");
+        cl.stairs[col + m].bound_for(dur)
+    }
+
     #[test]
     fn floors_outlive_commit_and_compaction_and_die_with_reset() {
         let mut cl = ClusterTimelines::new(1, 1);
         cl.commit(0, 0.0, 4.0, &d(&[0.8]));
         let demand = d(&[0.5]);
         assert_eq!(cl.earliest_fit_mut(0.0, 2.0, &demand), (0, 4.0));
-        let class = cl.class_of(&demand).expect("the first vector gets a class");
-        let bound = |tl: &MachineTimeline, dur| tl.floors.stairs[class as usize].bound_for(dur);
+        let class = cl.class_of(&demand);
+        assert_eq!(class, Some(0), "the first vector gets the first class");
+        assert_eq!(cl.stairs.len(), cl.num_machines(), "one column");
         // Learned: nothing at least 2 long starts before 4. Longer queries
         // inherit the bound, shorter ones do not.
-        assert_eq!(bound(cl.machine(0), 2.0), 4.0);
-        assert_eq!(bound(cl.machine(0), 7.0), 4.0);
-        assert_eq!(bound(cl.machine(0), 1.0), 0.0);
+        assert_eq!(bound(&cl, class, 0, 2.0), 4.0);
+        assert_eq!(bound(&cl, class, 0, 7.0), 4.0);
+        assert_eq!(bound(&cl, class, 0, 1.0), 0.0);
         // A commit over the old answer's window leaves the bound in place;
         // the next probe starts there and raises it.
         cl.commit(0, 4.0, 2.0, &d(&[0.8]));
-        assert_eq!(bound(cl.machine(0), 2.0), 4.0);
+        assert_eq!(bound(&cl, class, 0, 2.0), 4.0);
         assert_eq!(cl.earliest_fit_mut(0.0, 2.0, &demand), (0, 6.0));
-        assert_eq!(bound(cl.machine(0), 2.0), 6.0);
-        // Compaction keeps it, and clones carry it.
+        assert_eq!(bound(&cl, class, 0, 2.0), 6.0);
+        // Compaction keeps it, and clones carry the columns.
         cl.compact_before(5.0);
-        assert_eq!(bound(cl.machine(0), 2.0), 6.0);
-        assert_eq!(bound(cl.clone().machine(0), 2.0), 6.0);
-        assert_eq!(bound(&cl.machine(0).clone(), 2.0), 6.0);
-        // A bound at or past the cutoff rules the machine out unvisited;
-        // shared access reads the floors without raising them.
+        assert_eq!(bound(&cl, class, 0, 2.0), 6.0);
+        assert_eq!(bound(&cl.clone(), class, 0, 2.0), 6.0);
+        // The sweep reads the floor from the column (a query at least as
+        // hard gets it, an easier one or one without a class does not) and
+        // hands it to the timeline's probe, which scans from there.
+        assert_eq!(cl.floor_for(cl.column(class), 0, 4.0, 3.0), 6.0);
+        assert_eq!(cl.floor_for(cl.column(class), 0, 4.0, 1.0), 0.0);
+        assert_eq!(cl.floor_for(None, 0, 4.0, 3.0), 0.0);
         let mut tally = ProbeTally::default();
-        let ruled_out = cl
-            .machine(0)
-            .probe(Some(class), 4.0, 3.0, &demand, 6.0, &mut tally);
-        assert!(ruled_out.start.is_none() && ruled_out.learned.is_none());
-        assert_eq!((tally.ruled_out, tally.scanned), (1, 0));
+        let probe = cl.machine(0).probe(6.0, 4.0, 3.0, &demand, 9.0, &mut tally);
+        assert_eq!((probe.start, probe.learned), (Some(6.0), None));
+        assert_eq!((tally.ruled_out, tally.scanned), (0, 1));
+        // Shared access reads the floors without raising them.
         cl.commit(0, 6.0, 1.0, &d(&[0.8]));
         assert_eq!(cl.earliest_fit(4.0, 2.0, &demand), (0, 7.0));
-        assert_eq!(bound(cl.machine(0), 2.0), 6.0);
+        assert_eq!(bound(&cl, class, 0, 2.0), 6.0);
         // A failed machine starts over with no floors.
         cl.reset_machine(0);
-        assert_eq!(bound(cl.machine(0), 2.0), 0.0);
+        assert_eq!(bound(&cl, class, 0, 2.0), 0.0);
+        assert_eq!(cl.floor_base[0], 0.0);
         assert_eq!(cl.earliest_fit_mut(0.0, 2.0, &demand), (0, 0.0));
+    }
+
+    #[test]
+    fn reset_clears_only_that_machines_floors() {
+        let mut cl = ClusterTimelines::new(3, 1);
+        let (a, b) = (d(&[0.5]), d(&[0.7]));
+        for m in 0..3 {
+            cl.commit(m, 0.0, 4.0 + m as f64, &d(&[0.6]));
+        }
+        // Two classes, and floors for both on every machine: each machine
+        // is probed (the earliest fit is on machine 0, found last).
+        assert_eq!(cl.earliest_fit_mut(0.0, 2.0, &a), (0, 4.0));
+        assert_eq!(cl.earliest_fit_mut(0.0, 2.0, &b), (0, 4.0));
+        let (ca, cb) = (cl.class_of(&a), cl.class_of(&b));
+        assert_eq!((ca, cb), (Some(0), Some(1)));
+        assert_eq!(cl.stairs.len(), 2 * cl.num_machines(), "two columns");
+        let bounds = |cl: &ClusterTimelines, class| -> Vec<Time> {
+            (0..3).map(|m| bound(cl, class, m, 2.0)).collect()
+        };
+        assert_eq!(bounds(&cl, ca), [4.0, 5.0, 6.0]);
+        assert_eq!(bounds(&cl, cb), [4.0, 5.0, 6.0]);
+        // Machine 1 fails: its entry goes in both columns, machines 0 and 2
+        // keep theirs.
+        cl.reset_machine(1);
+        assert_eq!(bounds(&cl, ca), [4.0, 0.0, 6.0]);
+        assert_eq!(bounds(&cl, cb), [4.0, 0.0, 6.0]);
+        assert_eq!(cl.floor_base, [0.0; 3]);
+        // A class interned after the reset starts empty on every machine.
+        let c = d(&[0.2]);
+        assert_eq!(cl.earliest_fit_mut(0.0, 1.0, &c), (0, 0.0));
+        let cc = cl.class_of(&c);
+        assert_eq!(cc, Some(2));
+        assert_eq!(bounds(&cl, cc), [0.0; 3]);
+        assert_eq!(cl.stairs.len(), 3 * cl.num_machines());
     }
 
     #[test]

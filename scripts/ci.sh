@@ -31,6 +31,15 @@ if git grep -nE "std::thread|mpsc" crates/service/src; then
   echo "crates/service/src uses a thread or a channel" >&2; exit 1
 fi
 
+# A cluster is placed by one sequential sweep on the calling thread: a
+# pooled scan measured slower than it at 1,024 machines and was deleted
+# (DESIGN.md §13). The crate's one permitted hit is its `forbid` line.
+echo "==> mris-sim spawns no thread and holds no atomic, lock or unsafe block"
+if git grep -nE "std::thread|Atomic|Condvar|Mutex|unsafe" crates/sim/src \
+  | grep -vE '^crates/sim/src/lib\.rs:[0-9]+:#!\[forbid\(unsafe_code\)\]$'; then
+  echo "crates/sim/src uses a thread, an atomic, a lock or unsafe code" >&2; exit 1
+fi
+
 # The kernel's `EventSink` is the one per-event record of a run; the
 # service's telemetry and journal and the driver's snapshots fold it.
 echo "==> one EventSink trait; no ObsBridge, no Decided"
@@ -51,8 +60,9 @@ cargo test -q --offline --workspace
 # The watermark-clamp regression test is compiled out of debug builds
 # (`#[cfg(not(debug_assertions))]` — the debug path asserts instead of
 # clamping), so the sim suite must also run in release mode. That takes
-# `probe_differential` (floors against the pre-floor per-job probe) along:
-# it runs in both profiles.
+# `probe_differential` (floors against the pre-floor per-job probe) and
+# `probe_counts_golden` (the exact rule-out, scan and block-jump counts of
+# seeded scripts) along: both run in both profiles.
 echo "==> cargo test -q --release --offline -p mris-sim"
 cargo test -q --release --offline -p mris-sim
 

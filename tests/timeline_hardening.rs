@@ -91,6 +91,46 @@ fn online_driver_reports_invalid_machine_as_typed_error() {
     assert!(err.to_string().contains("machine 3"));
 }
 
+/// A query of no length has no earliest fit, and says so in every profile.
+/// The cluster sweep rules most machines out from their floor columns
+/// without probing a timeline, so the check cannot live in the per-machine
+/// probe: it runs once per query, before the sweep. Here every machine
+/// already carries a floor for the query's demand class.
+#[test]
+fn zero_duration_panics_even_when_every_machine_is_ruled_out() {
+    let machines = 4;
+    let demand = d(&[0.5, 0.5]);
+    let mut cl = ClusterTimelines::new(machines, 2);
+    for m in 0..machines {
+        cl.commit(m, 0.0, 10.0, &d(&[1.0, 1.0]));
+    }
+    // Every machine learns that nothing of this class lasting 1 or more
+    // starts before 10.
+    assert_eq!(cl.earliest_fit_mut(0.0, 1.0, &demand), (0, 10.0));
+    for dur in [0.0, -1.0, f64::NAN] {
+        for shared in [true, false] {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                if shared {
+                    cl.earliest_fit(0.0, dur, &demand)
+                } else {
+                    cl.earliest_fit_mut(0.0, dur, &demand)
+                }
+            }))
+            .expect_err("a query of no length must panic, not answer");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
+            assert!(
+                msg.contains("job duration must be positive"),
+                "dur {dur}, shared {shared}: panic message: {msg}"
+            );
+        }
+    }
+    // The cluster still answers what has a length.
+    assert_eq!(cl.earliest_fit(0.0, 2.0, &demand), (0, 10.0));
+}
+
 /// A demand no machine's capacity holds used to end the cluster scan on a
 /// `(usize::MAX, INFINITY)` sentinel behind a `debug_assert!`; in release
 /// `place_earliest` then indexed machine `usize::MAX`. The driver rejects
