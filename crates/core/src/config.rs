@@ -52,13 +52,6 @@ pub struct MrisConfig {
     /// Theorem 6.8 analysis, where each iteration's schedule strictly
     /// follows the previous one; exposed for the ablation bench.
     pub backfill: bool,
-    /// Testing-only: disables the incremental epoch state (the monotone
-    /// eligibility frontier) and re-derives each epoch from
-    /// scratch, as the pre-incremental loop did. The equivalence property
-    /// suite pins the two modes bit-identical; there is no reason to enable
-    /// this in production.
-    #[doc(hidden)]
-    pub force_epoch_rebuild: bool,
 }
 
 impl Default for MrisConfig {
@@ -69,7 +62,6 @@ impl Default for MrisConfig {
             heuristic: SortHeuristic::Wsjf,
             knapsack: KnapsackChoice::Cadp,
             backfill: true,
-            force_epoch_rebuild: false,
         }
     }
 }

@@ -26,11 +26,10 @@
 //! benchmark (`benchmark/`, the `core.*` layer) its per-stage breakdown.
 //! With no subscriber each span is one relaxed atomic load.
 //!
-//! The `force_rebuild` mode re-derives each epoch the way the
-//! pre-incremental loop did — one flat set, an explicit threshold filter
-//! per epoch — and exists solely as the reference for the
-//! equivalence property suite (`tests/epoch_equivalence.rs`), which pins
-//! both modes bit-identical.
+//! The state holds no per-job vector: it grows with the announced jobs,
+//! not with the instance. `tests/epoch_equivalence.rs` pins it
+//! bit-identical to a flat reference that re-filters every announced job
+//! at every epoch, as Algorithm 1 reads.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -58,48 +57,27 @@ struct EpochScratch {
 }
 
 /// The carried state described in the [module docs](self).
+#[derive(Default)]
 pub(crate) struct EpochState {
     /// Announced jobs not yet eligible, keyed by eligibility threshold
     /// `max(p_j, available_from_j)`. Ties carry the id so the pop order is
-    /// total. Unused in `force_rebuild` mode.
+    /// total.
     waiting: BinaryHeap<Reverse<(OrdTime, JobId)>>,
-    /// Eligible-but-unscheduled jobs. In `force_rebuild` mode this holds
-    /// *every* unscheduled job and the threshold filter runs per epoch.
+    /// Eligible-but-unscheduled jobs.
     frontier: BTreeSet<JobId>,
-    /// Eligibility threshold per job, indexed by `JobId::index()`. Source
-    /// of truth for the `force_rebuild` filter; in incremental mode it only
-    /// backs debug assertions.
-    threshold: Vec<Time>,
     scratch: EpochScratch,
-    force_rebuild: bool,
 }
 
 impl EpochState {
-    /// State for a run over an instance of `num_jobs` jobs.
-    pub(crate) fn new(num_jobs: usize, force_rebuild: bool) -> Self {
-        EpochState {
-            waiting: BinaryHeap::new(),
-            frontier: BTreeSet::new(),
-            threshold: vec![0.0; num_jobs],
-            scratch: EpochScratch::default(),
-            force_rebuild,
-        }
-    }
-
     /// Announces a job (original arrival or chaos re-release): it becomes
     /// eligible once `gamma >= max(proc_time, available_from)`.
     pub(crate) fn insert(&mut self, job: JobId, proc_time: Time, available_from: Time) {
+        debug_assert!(
+            !self.frontier.contains(&job),
+            "job {job:?} announced while already eligible"
+        );
         let key = proc_time.max(available_from);
-        self.threshold[job.index()] = key;
-        if self.force_rebuild {
-            self.frontier.insert(job);
-        } else {
-            debug_assert!(
-                !self.frontier.contains(&job),
-                "job {job:?} announced while already eligible"
-            );
-            self.waiting.push(Reverse((OrdTime(key), job)));
-        }
+        self.waiting.push(Reverse((OrdTime(key), job)));
     }
 
     /// True when no announced job remains unscheduled.
@@ -108,9 +86,9 @@ impl EpochState {
     }
 
     /// Appends a canonical encoding of the replay-relevant state to `out`:
-    /// the waiting heap (sorted — heap layout is history-dependent), the
-    /// frontier, the thresholds, and the rebuild mode. The scratch arena
-    /// carries nothing across epochs and is excluded.
+    /// the waiting heap (sorted — heap layout is history-dependent) and the
+    /// frontier. The scratch arena carries nothing across epochs and is
+    /// excluded.
     pub(crate) fn durable_bytes(&self, out: &mut Vec<u8>) {
         let mut waiting: Vec<(u64, u32)> = self
             .waiting
@@ -127,11 +105,6 @@ impl EpochState {
         for job in &self.frontier {
             out.extend_from_slice(&job.0.to_le_bytes());
         }
-        out.extend_from_slice(&(self.threshold.len() as u64).to_le_bytes());
-        for &t in &self.threshold {
-            out.extend_from_slice(&t.to_bits().to_le_bytes());
-        }
-        out.push(self.force_rebuild as u8);
     }
 
     /// Promotes every job whose threshold has been reached into the
@@ -173,20 +146,8 @@ impl EpochState {
         {
             let _s = mris_obs::span!("mris_epoch_filter_seconds");
             self.scratch.eligible.clear();
-            if self.force_rebuild {
-                // Reference path: explicit threshold filter over the whole
-                // unscheduled set, exactly as the pre-incremental loop did.
-                let threshold = &self.threshold;
-                self.scratch.eligible.extend(
-                    self.frontier
-                        .iter()
-                        .copied()
-                        .filter(|&j| threshold[j.index()] <= gamma),
-                );
-            } else {
-                self.advance_frontier(gamma);
-                self.scratch.eligible.extend(self.frontier.iter().copied());
-            }
+            self.advance_frontier(gamma);
+            self.scratch.eligible.extend(self.frontier.iter().copied());
         }
         stats.eligible = self.scratch.eligible.len();
         if stats.eligible == 0 {
@@ -259,7 +220,7 @@ mod tests {
 
     #[test]
     fn frontier_promotion_is_monotone_and_single_shot() {
-        let mut state = EpochState::new(3, false);
+        let mut state = EpochState::default();
         state.insert(JobId(0), 1.0, 0.0); // threshold 1
         state.insert(JobId(1), 4.0, 0.0); // threshold 4
         state.insert(JobId(2), 1.0, 6.0); // threshold 6
@@ -273,7 +234,7 @@ mod tests {
 
     #[test]
     fn empty_state_reports_empty() {
-        let mut state = EpochState::new(1, false);
+        let mut state = EpochState::default();
         assert!(state.is_empty());
         state.insert(JobId(0), 1.0, 0.0);
         assert!(!state.is_empty());

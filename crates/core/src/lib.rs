@@ -27,20 +27,14 @@
 mod algorithm;
 mod backfill;
 mod config;
-mod deadline;
 mod epoch;
-mod ffd;
 pub mod online;
-mod oracle;
 pub mod registry;
 
 pub use algorithm::{IterationStats, Mris};
 pub use backfill::{batch_makespan_bound, place_batch};
 pub use config::{KnapsackChoice, MrisConfig};
-pub use deadline::{max_weight_by_deadline, DeadlineSelection};
-pub use ffd::place_batch_ffd;
 pub use online::MrisOnline;
-pub use oracle::{best_list_schedule, list_schedule};
 pub use registry::{
     algorithm_by_name, algorithm_for_workload, algorithms_by_names, comparison_algorithms,
     known_algorithms, online_policy_by_name, online_policy_for_workload, online_policy_on,

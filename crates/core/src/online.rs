@@ -88,7 +88,7 @@ impl MrisOnline {
             gamma0,
             gamma: gamma0,
             k: 0,
-            state: EpochState::new(instance.len(), config.force_epoch_rebuild),
+            state: EpochState::default(),
             pending: BinaryHeap::new(),
             placements: Vec::new(),
             log: None,

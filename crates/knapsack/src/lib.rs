@@ -19,7 +19,7 @@
 //!   can fall short of the optimal weight) but included as a baseline.
 //!
 //! [`ExactDp`] solves the integer-size knapsack exactly (pseudo-polynomial)
-//! and backs both [`Cadp`] and the test oracles. Solution reconstruction uses
+//! and backs [`Cadp`]. Solution reconstruction uses
 //! a Hirschberg-style divide-and-conquer, so memory stays `O(capacity)` while
 //! time is about 1.6 times the value-only recurrence (children reuse a row
 //! their parent's pass kept), and less when zero-size items can leave the
@@ -28,12 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod brute;
 mod cadp;
 mod dp;
 mod greedy;
 
-pub use brute::brute_force;
 pub use cadp::Cadp;
 pub use dp::{max_weight_integer, solve_integer, value_row_integer, ExactDp};
 pub use greedy::{GreedyConstraint, GreedyHalf};

@@ -1,9 +1,64 @@
 //! Property-based tests pinning the paper's knapsack guarantees
 //! (Lemma 6.1 and Remark 1) against a brute-force oracle.
 
-use mris_knapsack::{brute_force, Cadp, GreedyConstraint, GreedyHalf, Item, KnapsackSolver};
+use mris_knapsack::{Cadp, GreedyConstraint, GreedyHalf, Item, KnapsackSolver, Solution};
 use mris_rng::prop::{check, Config};
 use mris_rng::{prop_assert, Rng};
+
+/// Exhaustively finds an optimal selection at `capacity`. Ties are broken
+/// toward smaller total size, then lexicographically smaller index sets.
+/// Panics if `items.len() > 25`.
+fn brute_force(items: &[Item], capacity: f64) -> Solution {
+    assert!(items.len() <= 25, "brute force limited to 25 items");
+    let n = items.len();
+    let mut best_mask = 0usize;
+    let mut best_weight = 0.0;
+    let mut best_size = 0.0;
+    for mask in 0..(1usize << n) {
+        let mut weight = 0.0;
+        let mut size = 0.0;
+        for (i, item) in items.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                weight += item.weight;
+                size += item.size;
+            }
+        }
+        if size <= capacity + 1e-12
+            && (weight > best_weight + 1e-12
+                || ((weight - best_weight).abs() <= 1e-12 && size < best_size - 1e-12))
+        {
+            best_mask = mask;
+            best_weight = weight;
+            best_size = size;
+        }
+    }
+    let selected = (0..n).filter(|i| best_mask & (1 << i) != 0).collect();
+    Solution {
+        selected,
+        weight: best_weight,
+        size: best_size,
+    }
+}
+
+#[test]
+fn brute_force_finds_optimum() {
+    let items = vec![
+        Item::new(60.0, 5.0),
+        Item::new(50.0, 4.0),
+        Item::new(40.0, 6.0),
+        Item::new(10.0, 3.0),
+    ];
+    let sol = brute_force(&items, 10.0);
+    assert_eq!(sol.selected, vec![0, 1]);
+    assert_eq!(sol.weight, 110.0);
+}
+
+#[test]
+fn brute_force_on_empty_input_gives_empty_solution() {
+    let sol = brute_force(&[], 10.0);
+    assert!(sol.selected.is_empty());
+    assert_eq!(sol.weight, 0.0);
+}
 
 fn gen_items(rng: &mut Rng) -> Vec<Item> {
     let n = rng.gen_range(0..12usize);

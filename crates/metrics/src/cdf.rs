@@ -45,22 +45,6 @@ impl Cdf {
         self.sorted[rank - 1]
     }
 
-    /// `(value, cumulative fraction)` pairs at `k` evenly spaced quantiles,
-    /// suitable for plotting the CDF curve. Always includes the endpoints.
-    pub fn curve(&self, k: usize) -> Vec<(f64, f64)> {
-        assert!(k >= 2 && !self.sorted.is_empty());
-        (0..k)
-            .map(|i| {
-                let q = i as f64 / (k - 1) as f64;
-                let idx = ((q * (self.sorted.len() - 1) as f64).round()) as usize;
-                (
-                    self.sorted[idx],
-                    (idx + 1) as f64 / self.sorted.len() as f64,
-                )
-            })
-            .collect()
-    }
-
     /// Fraction of samples equal to the minimum (used to report "share of
     /// jobs with zero queuing delay").
     pub fn fraction_zero(&self) -> f64 {
@@ -147,17 +131,6 @@ mod tests {
     fn zero_fraction() {
         let cdf = Cdf::new(vec![0.0, 0.0, 5.0, 1.0]);
         assert_eq!(cdf.fraction_zero(), 0.5);
-    }
-
-    #[test]
-    fn curve_spans_range() {
-        let cdf = Cdf::new((0..100).map(f64::from).collect());
-        let curve = cdf.curve(11);
-        assert_eq!(curve.len(), 11);
-        assert_eq!(curve[0].0, 0.0);
-        assert_eq!(curve[10].0, 99.0);
-        assert!((curve[10].1 - 1.0).abs() < 1e-12);
-        assert!(curve.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]

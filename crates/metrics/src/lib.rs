@@ -14,8 +14,6 @@
 //!   time for schedule visualizations (Figure 7).
 //! * [`awct_lower_bound`] / [`makespan_lower_bound`] — provable lower
 //!   bounds on the optimum, for empirical competitive-ratio estimates.
-//! * [`render_gantt`] — textual per-machine Gantt charts for small
-//!   schedules.
 //! * [`fairness_report`] / [`jains_index`] — slowdown-fairness metrics
 //!   (Section 7.5.2 reads the delay CDF as a fairness story).
 
@@ -25,7 +23,6 @@
 mod bounds;
 mod cdf;
 mod fairness;
-mod gantt;
 mod render;
 mod summary;
 mod table;
@@ -33,7 +30,6 @@ mod table;
 pub use bounds::{awct_lower_bound, makespan_lower_bound, total_weighted_completion_lower_bound};
 pub use cdf::{Cdf, Percentiles};
 pub use fairness::{fairness_report, jains_index, slowdowns, FairnessReport};
-pub use gantt::{gantt_lanes, render_gantt, GanttLane};
 pub use render::{render_utilization, utilization_profile};
 pub use summary::Summary;
 pub use table::Table;

@@ -25,11 +25,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders as GitHub-flavored markdown.
     pub fn to_markdown(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -82,7 +77,6 @@ mod tests {
         let md = t.to_markdown();
         assert!(md.contains("|    N | MRIS |"));
         assert!(md.contains("| 1000 | 1.25 |"));
-        assert_eq!(t.num_rows(), 1);
     }
 
     #[test]

@@ -166,11 +166,6 @@ impl Rng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal draw with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Log-normal draw: `exp(N(mu, sigma))`.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.normal()).exp()

@@ -503,14 +503,6 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         self.dur.as_ref().and_then(|d| d.error.clone())
     }
 
-    /// `(appends, bytes, flushes)` written to the attached journal so far.
-    pub fn journal_stats(&self) -> Option<(u64, u64, u64)> {
-        self.dur.as_ref().and_then(|d| match &d.sink {
-            DurabilitySink::Journal { writer, .. } => Some(writer.stats()),
-            DurabilitySink::Verify(_) => None,
-        })
-    }
-
     /// Emits one record into the attached journal/verifier, if any.
     #[inline]
     fn emit(&mut self, make: impl FnOnce() -> JournalRecord) {

@@ -30,8 +30,9 @@ use crate::codec::{crc32, Decoder, Encoder};
 
 /// Snapshot file magic bytes.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MRSN";
-/// Newest snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// The one snapshot format version this build reads and writes (DESIGN.md
+/// §14 says what each version changed).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// One decoded (or to-be-encoded) snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +65,9 @@ impl Snapshot {
         e.into_bytes()
     }
 
-    /// Strictly decodes a container: bad magic, unsupported version, short
-    /// input, trailing bytes, and checksum mismatches are all typed errors.
+    /// Strictly decodes a container: bad magic, any version other than
+    /// [`SNAPSHOT_VERSION`], short input, trailing bytes, and checksum
+    /// mismatches are all typed errors.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
         let mut d = Decoder::new(bytes);
         let magic = d.bytes(4)?;
@@ -75,7 +77,7 @@ impl Snapshot {
             });
         }
         let version = d.u32()?;
-        if version == 0 || version > SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(CodecError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,

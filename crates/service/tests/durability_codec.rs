@@ -259,6 +259,46 @@ fn other_journal_versions_are_refused_whole() {
     }
 }
 
+/// A snapshot whose header is well formed but names any version other than
+/// the one this build writes — the retired v1 included — is refused whole,
+/// by `Snapshot::decode` and by `Service::restore`: a typed
+/// `UnsupportedVersion`, not a state mismatch found later in replay.
+#[test]
+fn other_snapshot_versions_are_refused_whole() {
+    let (instance, cfg, dcfg, journal) = real_journal();
+    assert_eq!(SNAPSHOT_VERSION, 2);
+    let snapshot = Snapshot {
+        version: SNAPSHOT_VERSION,
+        fingerprint: config_fingerprint(&instance, &cfg, &dcfg),
+        lsn: 0,
+        at: 0.0,
+        state: Vec::new(),
+    }
+    .encode();
+    for found in [0u32, 1, 3] {
+        let mut other = snapshot.clone();
+        other[4..8].copy_from_slice(&found.to_le_bytes());
+        let refused = CodecError::UnsupportedVersion {
+            found,
+            supported: 2,
+        };
+        assert_eq!(Snapshot::decode(&other), Err(refused.clone()));
+        let policy = online_policy_by_name("pq-wsjf", &instance, cfg.num_machines).expect("known");
+        let restored = Service::restore(
+            instance.clone(),
+            policy,
+            cfg.clone(),
+            dcfg,
+            SimClock::new(),
+            MemorySink::default(),
+            &journal,
+            Some(&other),
+            RestoreOptions::default(),
+        );
+        assert_eq!(restored.err(), Some(RestoreError::Snapshot(refused)));
+    }
+}
+
 /// Seeded bit-flip fuzzing: parsing and restoring a corrupted journal
 /// never panics — every outcome is `Ok` or a typed error.
 #[test]

@@ -94,47 +94,9 @@ pub fn patience_instance(config: &PatienceConfig) -> Instance {
     Instance::from_unnumbered(jobs, config.num_resources).expect("patience jobs are valid")
 }
 
-/// A batch of `n` **unit-processing-time** jobs with independent uniform
-/// demands in `[lo, hi]` per resource, all released at time zero — the
-/// Remark 3 regime where the makespan subproblem is vector bin packing and
-/// shelf-FFD outperforms PQ's `2R` bound.
-pub fn unit_job_batch(
-    n: usize,
-    num_resources: usize,
-    demand_range: (f64, f64),
-    seed: u64,
-) -> Instance {
-    assert!(n >= 1 && num_resources >= 1);
-    let (lo, hi) = demand_range;
-    assert!(0.0 <= lo && lo <= hi && hi <= 1.0);
-    let mut rng = Rng::new(seed);
-    let jobs = (0..n)
-        .map(|_| {
-            let demands: Vec<f64> = (0..num_resources).map(|_| rng.gen_range(lo..=hi)).collect();
-            Job::from_fractions(JobId(0), 0.0, 1.0, 1.0, &demands)
-        })
-        .collect();
-    Instance::from_unnumbered(jobs, num_resources).expect("unit jobs are valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unit_batch_shape() {
-        let inst = unit_job_batch(50, 3, (0.2, 0.6), 5);
-        assert_eq!(inst.len(), 50);
-        for j in inst.jobs() {
-            assert_eq!(j.proc_time, 1.0);
-            assert_eq!(j.release, 0.0);
-            for &d in j.demands.iter() {
-                let f = mris_types::fraction(d);
-                assert!((0.2..=0.6).contains(&f), "{f}");
-            }
-        }
-        assert_eq!(unit_job_batch(50, 3, (0.2, 0.6), 5), inst);
-    }
 
     #[test]
     fn lemma41_shape() {

@@ -13,7 +13,7 @@
 //! is not numeric), demands as capacity fractions in `[0, 1]`, and `R`
 //! inferred from the first row. Comments start with `#`.
 
-use std::io::{BufRead, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use mris_types::{fraction, Instance, Job, JobId};
@@ -194,13 +194,6 @@ pub fn write_instance_csv(instance: &Instance, path: &Path) -> Result<(), CsvErr
     w.write_all(instance_to_csv(instance).as_bytes())?;
     w.flush()?;
     Ok(())
-}
-
-/// Convenience: reads any `BufRead` as instance CSV.
-pub fn read_instance<R: BufRead>(mut reader: R) -> Result<Instance, CsvError> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    parse_instance_csv(&text)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ mod azure;
 pub mod io;
 
 pub use adversarial::{
-    lemma41_instance, lemma41_reference_awct, patience_instance, unit_job_batch, PatienceConfig,
+    lemma41_instance, lemma41_reference_awct, patience_instance, PatienceConfig,
 };
 pub use augment::augment_resources;
 pub use azure::{ArrivalPattern, AzureTrace, AzureTraceConfig, VmCatalog, VmType};

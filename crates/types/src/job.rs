@@ -88,13 +88,6 @@ impl Job {
     pub fn volume(&self) -> f64 {
         self.proc_time * self.total_demand_frac()
     }
-
-    /// Whether this job could ever run alone on an empty machine with `R`
-    /// unit-capacity resources: every per-resource demand is at most the
-    /// capacity.
-    pub fn fits_empty_machine(&self) -> bool {
-        self.demands.iter().all(|&d| d <= crate::CAPACITY)
-    }
 }
 
 #[cfg(test)]
@@ -118,14 +111,6 @@ mod tests {
     fn zero_demand_job_has_zero_volume() {
         let j = job(&[0.0, 0.0], 5.0);
         assert_eq!(j.volume(), 0.0);
-    }
-
-    #[test]
-    fn fits_empty_machine_checks_each_resource() {
-        assert!(job(&[1.0, 0.3], 1.0).fits_empty_machine());
-        let mut j = job(&[1.0, 0.3], 1.0);
-        j.demands[0] = CAPACITY + 1;
-        assert!(!j.fits_empty_machine());
     }
 
     #[test]

@@ -235,24 +235,6 @@ impl ClusterSpec {
     pub fn effective_time(&self, m: usize, p: Time) -> Time {
         p / self.machines[m].speed
     }
-
-    /// Appends a canonical encoding to `out` **only when non-uniform**, so
-    /// durable fingerprints of uniform clusters are unchanged from before
-    /// heterogeneity existed. Layout: machine count, then per machine the
-    /// speed bits and a length-prefixed capacity list.
-    pub fn durable_bytes_if_nonuniform(&self, out: &mut Vec<u8>) {
-        if self.uniform {
-            return;
-        }
-        out.extend_from_slice(&(self.machines.len() as u64).to_le_bytes());
-        for m in &self.machines {
-            out.extend_from_slice(&m.speed.to_bits().to_le_bytes());
-            out.extend_from_slice(&(m.capacities.len() as u64).to_le_bytes());
-            for &c in m.capacities.iter() {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-    }
 }
 
 impl From<usize> for ClusterSpec {
@@ -311,15 +293,6 @@ mod tests {
         assert_eq!(spec.capacity(0, 0), CAPACITY);
         assert_eq!(spec.capacity(1, 0), CAPACITY / 2);
         assert_eq!(*spec.capacity_vec(1, 2), [CAPACITY / 2, CAPACITY]);
-    }
-
-    #[test]
-    fn durable_bytes_empty_for_uniform() {
-        let mut out = Vec::new();
-        ClusterSpec::uniform(8).durable_bytes_if_nonuniform(&mut out);
-        assert!(out.is_empty());
-        ClusterSpec::related(2, &[2.0]).durable_bytes_if_nonuniform(&mut out);
-        assert!(!out.is_empty());
     }
 
     #[test]

@@ -197,20 +197,6 @@ impl Schedule {
         self.get(job).map(|a| a.start + instance.job(job).proc_time)
     }
 
-    /// `C_j = S_j + p_j / s_m` for an assigned job on a heterogeneous
-    /// cluster: the job's wall-clock completion given its machine's speed.
-    /// Identical to [`completion_time`](Self::completion_time) on uniform
-    /// clusters.
-    pub fn completion_time_on(
-        &self,
-        instance: &Instance,
-        spec: &ClusterSpec,
-        job: JobId,
-    ) -> Option<Time> {
-        self.get(job)
-            .map(|a| a.start + spec.effective_time(a.machine, instance.job(job).proc_time))
-    }
-
     /// Total weighted completion time `sum_j w_j C_j` over assigned jobs.
     pub fn total_weighted_completion(&self, instance: &Instance) -> f64 {
         self.assignments()
@@ -266,59 +252,6 @@ impl Schedule {
         self.assignments()
             .map(|a| a.start - instance.job(a.job).release)
             .collect()
-    }
-
-    /// Total weighted flow time `sum_j w_j (C_j - r_j)` over assigned jobs —
-    /// the related objective several of the paper's cited works optimize.
-    pub fn total_weighted_flow(&self, instance: &Instance) -> f64 {
-        self.assignments()
-            .map(|a| {
-                let j = instance.job(a.job);
-                j.weight * (a.start + j.proc_time - j.release)
-            })
-            .sum()
-    }
-
-    /// Average weighted flow time `(1/N) sum_j w_j (C_j - r_j)`.
-    pub fn awft(&self, instance: &Instance) -> f64 {
-        if instance.is_empty() {
-            return 0.0;
-        }
-        self.total_weighted_flow(instance) / instance.len() as f64
-    }
-
-    /// Per-machine busy volume: for each machine, the total volume
-    /// `sum v_j` of jobs assigned to it. Useful for load-balance
-    /// diagnostics.
-    pub fn machine_volumes(&self, instance: &Instance) -> Vec<f64> {
-        let mut volumes = vec![0.0; self.num_machines];
-        for a in self.assignments() {
-            volumes[a.machine] += instance.job(a.job).volume();
-        }
-        volumes
-    }
-
-    /// Time-averaged utilization of one resource on one machine over
-    /// `[0, horizon)`: total demand-time of assigned jobs divided by
-    /// `horizon` (a fraction of capacity; can exceed what a snapshot shows
-    /// but never 1.0 for feasible schedules with `horizon >=` makespan).
-    pub fn resource_utilization(
-        &self,
-        instance: &Instance,
-        machine: usize,
-        resource: usize,
-        horizon: Time,
-    ) -> f64 {
-        assert!(horizon > 0.0);
-        let demand_time: f64 = self
-            .assignments()
-            .filter(|a| a.machine == machine)
-            .map(|a| {
-                let j = instance.job(a.job);
-                crate::resource::fraction(j.demands[resource]) * j.proc_time
-            })
-            .sum();
-        demand_time / horizon
     }
 
     /// Validates the schedule against the paper's model:
@@ -463,24 +396,6 @@ mod tests {
         assert!((s.awct(&inst) - 16.0 / 3.0).abs() < 1e-9);
         assert!((s.makespan(&inst) - 4.0).abs() < 1e-9);
         assert_eq!(s.queuing_delays(&inst), vec![0.0, 2.0, 0.0]);
-    }
-
-    #[test]
-    fn flow_time_and_machine_stats() {
-        let inst = instance();
-        let mut s = Schedule::new(3, 1);
-        s.assign(JobId(0), 0, 0.0).unwrap();
-        s.assign(JobId(1), 0, 2.0).unwrap();
-        s.assign(JobId(2), 0, 1.0).unwrap();
-        // Flows: C - r = [2-0, 4-0, 2-1]; weights [1, 3, 1] -> 2 + 12 + 1.
-        assert!((s.total_weighted_flow(&inst) - 15.0).abs() < 1e-9);
-        assert!((s.awft(&inst) - 5.0).abs() < 1e-9);
-        // Volumes: 2*0.6 + 2*0.6 + 1*0.4 = 2.8 on machine 0.
-        let volumes = s.machine_volumes(&inst);
-        assert_eq!(volumes.len(), 1);
-        assert!((volumes[0] - 2.8).abs() < 1e-9);
-        // Utilization of resource 0 over [0, 4): 2.8 / 4.
-        assert!((s.resource_utilization(&inst, 0, 0, 4.0) - 0.7).abs() < 1e-9);
     }
 
     #[test]

@@ -100,7 +100,7 @@ fn validator_matches_naive_reference() {
 }
 
 /// Objective decompositions are consistent: AWCT * N = total weighted
-/// completion; flow = completion - weighted release mass.
+/// completion.
 #[test]
 fn metric_identities() {
     check(
@@ -118,10 +118,6 @@ fn metric_identities() {
             let n = instance.len() as f64;
             let twc = schedule.total_weighted_completion(&instance);
             prop_assert!((schedule.awct(&instance) * n - twc).abs() < 1e-6);
-            let weighted_release: f64 = instance.jobs().iter().map(|j| j.weight * j.release).sum();
-            prop_assert!(
-                (schedule.total_weighted_flow(&instance) - (twc - weighted_release)).abs() < 1e-6
-            );
             // Makespan dominates every completion time.
             let mk = schedule.makespan(&instance);
             for job in instance.jobs() {

@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use mris::metrics::render_gantt;
 use mris::prelude::*;
 
 fn main() {
@@ -45,7 +44,6 @@ fn main() {
                 job.weight,
             );
         }
-        print!("{}", render_gantt(&instance, &schedule));
         println!();
     }
 
