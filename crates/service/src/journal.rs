@@ -432,9 +432,6 @@ fn encode_fault_plan(e: &mut Encoder, plan: &FaultPlan) {
 pub struct JournalWriter {
     out: Box<dyn Write + Send>,
     buf: Encoder,
-    appends: u64,
-    bytes: u64,
-    fsyncs: u64,
     // Obs counters are batched and published at flush so the per-record
     // hot path stays allocation- and lookup-free.
     pending_appends: u64,
@@ -451,9 +448,6 @@ impl JournalWriter {
         JournalWriter {
             out,
             buf: e,
-            appends: 0,
-            bytes: HEADER_LEN as u64,
-            fsyncs: 0,
             pending_appends: 0,
             pending_bytes: 0,
         }
@@ -471,11 +465,8 @@ impl JournalWriter {
         let crc = crc32(&self.buf.as_bytes()[frame_start + FRAME_OVERHEAD..]);
         self.buf.patch_u32(frame_start, payload_len as u32);
         self.buf.patch_u32(frame_start + 4, crc);
-        let frame_len = (FRAME_OVERHEAD + payload_len) as u64;
-        self.appends += 1;
-        self.bytes += frame_len;
         self.pending_appends += 1;
-        self.pending_bytes += frame_len;
+        self.pending_bytes += (FRAME_OVERHEAD + payload_len) as u64;
     }
 
     /// Writes every buffered frame to the sink and flushes it.
@@ -485,18 +476,12 @@ impl JournalWriter {
             self.buf.clear();
         }
         self.out.flush()?;
-        self.fsyncs += 1;
         mris_obs::counter_add("mris_journal_appends_total", self.pending_appends);
         mris_obs::counter_add("mris_journal_bytes_total", self.pending_bytes);
         mris_obs::counter_add("mris_journal_fsyncs_total", 1);
         self.pending_appends = 0;
         self.pending_bytes = 0;
         Ok(())
-    }
-
-    /// `(appends, bytes, flushes)` written so far, for telemetry.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.appends, self.bytes, self.fsyncs)
     }
 }
 
