@@ -1,11 +1,11 @@
 //! `mris loadgen`: an open-loop generated workload, optionally with a
 //! fault plan, driven in-process or with `--connect` over TCP.
 
-use mris_service::{
-    generate_workload, poisson_rate_for_utilization, service_fingerprint, ArrivalProcess,
-    LoadGenConfig, ServiceConfig,
-};
+use std::num::NonZeroUsize;
+
+use mris_service::{service_fingerprint, ServiceConfig};
 use mris_sim::{suggested_horizon, FaultPlan, PoissonFaultConfig, RackBurstConfig};
+use mris_trace::{poisson_rate_for_utilization, Arrivals, AzureTrace, AzureTraceConfig};
 use mris_types::Instance;
 
 use super::client::{connect, drain_door, submit_all};
@@ -42,19 +42,17 @@ pub(crate) fn loadgen_plan(flags: &Flags) -> Result<LoadgenPlan, CliError> {
     }
     let mut cfg = service_cfg_from_flags(flags, machines)?;
 
-    // Shapes are arrival-process independent for a fixed seed: probe once
-    // to calibrate the Poisson rate against the target utilization.
-    let probe = generate_workload(&LoadGenConfig {
+    // Azure-derived job shapes, drawn once: they calibrate the Poisson rate
+    // against the target utilization, then the process redraws releases.
+    let shapes = AzureTrace::generate(&AzureTraceConfig {
         num_jobs: jobs,
         seed,
-        arrivals: ArrivalProcess::Bursts {
-            period: 1.0,
-            size: 1,
-        },
-    });
+        ..Default::default()
+    })
+    .sample_instance(1, 0);
     let rate = match flags.get("rate") {
         Some(_) => flags.get_parsed("rate", 0.0)?,
-        None => poisson_rate_for_utilization(&probe.instance, machines, utilization),
+        None => poisson_rate_for_utilization(&shapes, machines, utilization),
     };
     if !rate.is_finite() || rate <= 0.0 {
         return Err(CliError(format!(
@@ -63,14 +61,14 @@ pub(crate) fn loadgen_plan(flags: &Flags) -> Result<LoadgenPlan, CliError> {
     }
     let process = flags.get("process").unwrap_or("poisson");
     let arrivals = match process {
-        "poisson" => ArrivalProcess::Poisson { rate },
+        "poisson" => Arrivals::Poisson { rate },
         "bursts" => {
             let size: usize = flags.get_parsed("burst-size", (jobs / 20).max(1))?;
-            if size == 0 {
+            let Some(size) = NonZeroUsize::new(size) else {
                 return Err(CliError("--burst-size must be at least 1".into()));
-            }
-            ArrivalProcess::Bursts {
-                period: size as f64 / rate,
+            };
+            Arrivals::Bursts {
+                period: size.get() as f64 / rate,
                 size,
             }
         }
@@ -80,11 +78,10 @@ pub(crate) fn loadgen_plan(flags: &Flags) -> Result<LoadgenPlan, CliError> {
             )))
         }
     };
-    let workload = generate_workload(&LoadGenConfig {
-        num_jobs: jobs,
-        seed,
-        arrivals,
-    });
+    // A positive rate can still be too small to draw a finite release.
+    let instance = arrivals
+        .rewrite(&shapes, seed)
+        .map_err(|e| CliError(format!("--rate {rate:e}: {e}")))?;
 
     // Optional fault layer, replayed against the live service.
     let plan_name = flags.get("fault-plan").unwrap_or("none");
@@ -101,7 +98,7 @@ pub(crate) fn loadgen_plan(flags: &Flags) -> Result<LoadgenPlan, CliError> {
             "--fault-plan must be one of none|poisson|racks|adversarial, got '{plan_name}'"
         )));
     }
-    let horizon = suggested_horizon(&workload.instance, machines);
+    let horizon = suggested_horizon(&instance, machines);
     let plan = if plan_name == "none" || fault_rate == 0.0 {
         FaultPlan::none()
     } else {
@@ -141,7 +138,7 @@ pub(crate) fn loadgen_plan(flags: &Flags) -> Result<LoadgenPlan, CliError> {
          restart = {restart_label}"
     );
     Ok(LoadgenPlan {
-        instance: workload.instance,
+        instance,
         cfg,
         name: name.to_string(),
         header,

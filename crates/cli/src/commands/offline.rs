@@ -15,12 +15,15 @@ pub(crate) fn generate(flags: &Flags) -> Result<String, CliError> {
     let seed: u64 = flags.get_parsed("seed", 0xA207_2024)?;
     let factor: usize = flags.get_parsed("factor", 1)?;
     let offset: usize = flags.get_parsed("offset", 0)?;
+    if factor == 0 {
+        return Err(CliError("--factor must be at least 1".into()));
+    }
     let trace = AzureTrace::generate(&AzureTraceConfig {
         num_jobs: jobs * factor,
         seed,
         ..Default::default()
     });
-    let instance = trace.sample_instance(factor, offset.min(factor.saturating_sub(1)));
+    let instance = trace.sample_instance(factor, offset.min(factor - 1));
     let csv = instance_to_csv(&instance);
     match flags.get("out") {
         Some(path) => {

@@ -18,21 +18,23 @@ use std::time::Duration;
 
 use mris_core::registry::online_policy_by_name;
 use mris_net::{serve_net, NetClient, NetServeError, NetServer};
-use mris_service::{
-    generate_workload, ArrivalProcess, JobOutcome, LoadGenConfig, NullSink, ServiceConfig,
-    SimClock, Workload,
-};
+use mris_service::{JobOutcome, NullSink, ServiceConfig, SimClock};
 use mris_sim::{Dispatcher, OnlinePolicy};
+use mris_trace::{Arrivals, AzureTrace, AzureTraceConfig};
 use mris_types::{Instance, JobId, NetError, SchedulingError, Time};
 
 const MACHINES: usize = 2;
 
-fn workload(seed: u64, jobs: usize) -> Workload {
-    generate_workload(&LoadGenConfig {
+fn workload(seed: u64, jobs: usize) -> Instance {
+    let shapes = AzureTrace::generate(&AzureTraceConfig {
         num_jobs: jobs,
         seed,
-        arrivals: ArrivalProcess::Poisson { rate: 4.0 },
+        ..Default::default()
     })
+    .sample_instance(1, 0);
+    Arrivals::Poisson { rate: 4.0 }
+        .rewrite(&shapes, seed)
+        .unwrap()
 }
 
 /// Runs `scenario` on its own thread and fails the test if it has not
@@ -44,9 +46,9 @@ fn within_timeout<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'stat
         .expect("the scenario hung (or panicked) instead of ending typed")
 }
 
-fn pq_door(w: &Workload) -> NetServer<NullSink> {
+fn pq_door(w: &Instance) -> NetServer<NullSink> {
     serve_net(
-        w.instance.clone(),
+        w.clone(),
         ServiceConfig::new(MACHINES),
         SimClock::new(),
         NullSink,
@@ -67,7 +69,7 @@ fn replies_and_telemetry_never_interleave() {
     const ROUND_TRIPS: usize = 2_000;
     within_timeout(|| {
         let w = workload(0x5EB5, 6_000);
-        let n = w.instance.len();
+        let n = w.len();
         let server = pq_door(&w);
         let addr = server.addr().to_string();
         let mut sub = NetClient::connect(&addr, "", 0).expect("subscriber");
@@ -78,7 +80,7 @@ fn replies_and_telemetry_never_interleave() {
         let (asked_tx, asked_rx) = mpsc::channel::<()>();
         let submitter = {
             let start = Arc::clone(&start);
-            let instance = w.instance.clone();
+            let instance = w.clone();
             std::thread::spawn(move || {
                 start.wait();
                 for job in instance.jobs() {
@@ -146,13 +148,13 @@ fn a_subscribed_connection_can_drain() {
         other.subscribe().expect("subscribe");
         let mut client = NetClient::connect(&addr, "", 0).expect("client");
         client.subscribe().expect("subscribe");
-        for job in w.instance.jobs() {
+        for job in w.jobs() {
             let _ = client.submit_at(job.release, job.id).expect("transport");
         }
         let report = client
             .drain()
             .expect("the subscriber's own drain is answered");
-        assert_eq!(report.summary.completed, w.instance.len());
+        assert_eq!(report.summary.completed, w.len());
         while other.next_telemetry().is_ok() {}
         server.wait().expect("clean serve");
     });
@@ -166,14 +168,14 @@ fn four_clients_submit_disjoint_quarters() {
     const CLIENTS: usize = 4;
     within_timeout(|| {
         let w = workload(0xA11, 2_000);
-        let n = w.instance.len();
+        let n = w.len();
         let server = pq_door(&w);
         let addr = server.addr().to_string();
         let start = Arc::new(Barrier::new(CLIENTS));
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let start = Arc::clone(&start);
-                let instance = w.instance.clone();
+                let instance = w.clone();
                 let mut client = NetClient::connect(&addr, "", 0).expect("handshake");
                 std::thread::spawn(move || {
                     start.wait();
@@ -205,10 +207,7 @@ fn four_clients_submit_disjoint_quarters() {
         let report = first.drain().expect("drain");
         assert_eq!(report.summary.submitted, n);
         assert_eq!(report.summary.completed, n);
-        report
-            .schedule
-            .validate(&w.instance)
-            .expect("feasible schedule");
+        report.schedule.validate(&w).expect("feasible schedule");
         report.log.verify().expect("fault-log audit");
         assert!(report
             .outcomes
@@ -265,7 +264,7 @@ fn sabotage(panics: bool) -> (NetError, Vec<NetError>, NetServeError) {
     let w = workload(9, 20);
     let trigger = JobId(7);
     let server = serve_net(
-        w.instance.clone(),
+        w.clone(),
         ServiceConfig::new(MACHINES),
         SimClock::new(),
         NullSink,
@@ -285,7 +284,7 @@ fn sabotage(panics: bool) -> (NetError, Vec<NetError>, NetServeError) {
     assert!(bystander.stats().is_ok(), "the door works before the fault");
 
     let mut failure = None;
-    for job in w.instance.jobs() {
+    for job in w.jobs() {
         // A job is delivered to the policy by the event that follows its
         // submit, so the fault surfaces a request or two after the trigger.
         if let Err(e) = requester.submit_at(job.release, job.id) {

@@ -14,9 +14,8 @@ use std::net::TcpStream;
 use mris_core::registry::online_policy_by_name;
 use mris_net::{read_frame, write_frame, Hello, HelloReply, Request, Response, NET_VERSION};
 use mris_rng::Rng;
-use mris_service::{
-    generate_workload, ArrivalProcess, LoadGenConfig, NullSink, ServiceConfig, SimClock,
-};
+use mris_service::{NullSink, ServiceConfig, SimClock};
+use mris_trace::{Arrivals, AzureTrace, AzureTraceConfig};
 use mris_types::{CodecError, NetError};
 
 /// A `Read` that hands out between 1 and `max` bytes per call, however
@@ -170,13 +169,15 @@ fn truncation_stays_typed_under_short_reads() {
 /// the hello are the first frame, not lost in a handshake-only buffer.
 #[test]
 fn pipelined_hello_and_first_submit_are_both_answered() {
-    let w = generate_workload(&LoadGenConfig {
+    let shapes = AzureTrace::generate(&AzureTraceConfig {
         num_jobs: 4,
         seed: 5,
-        arrivals: ArrivalProcess::Poisson { rate: 4.0 },
-    });
+        ..Default::default()
+    })
+    .sample_instance(1, 0);
+    let w = Arrivals::Poisson { rate: 4.0 }.rewrite(&shapes, 5).unwrap();
     let server = mris_net::serve_net(
-        w.instance.clone(),
+        w.clone(),
         ServiceConfig::new(2),
         SimClock::new(),
         NullSink,
@@ -193,7 +194,7 @@ fn pipelined_hello_and_first_submit_are_both_answered() {
     .encode();
     let submit = Request::Submit {
         job: 0,
-        at: Some(w.instance.jobs()[0].release),
+        at: Some(w.jobs()[0].release),
     };
     write_frame(&mut segment, &submit.encode()).expect("write to vec");
     write_frame(&mut segment, &Request::Stats.encode()).expect("write to vec");

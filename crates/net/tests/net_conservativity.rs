@@ -18,48 +18,45 @@ use mris_core::registry::online_policy_by_name;
 use mris_net::{read_frame, write_frame, NetClient, Request, Response};
 use mris_rng::Rng;
 use mris_service::{
-    generate_workload, run_workload, service_fingerprint, ArrivalProcess, JobOutcome,
-    LoadGenConfig, MemorySink, NullSink, Service, ServiceConfig, ServiceReport, SimClock,
-    TenantSpec,
+    service_fingerprint, JobOutcome, MemorySink, NullSink, Service, ServiceConfig, ServiceReport,
+    SimClock, TenantSpec,
 };
-use mris_types::{AdmissionError, JobId, NetError, TenantId, TenantQuotaKind};
+use mris_trace::{Arrivals, AzureTrace, AzureTraceConfig};
+use mris_types::{AdmissionError, Instance, JobId, NetError, TenantId, TenantQuotaKind};
 
 const MACHINES: usize = 2;
 
-fn workload(seed: u64, jobs: usize) -> mris_service::Workload {
-    generate_workload(&LoadGenConfig {
+fn workload(seed: u64, jobs: usize) -> Instance {
+    let shapes = AzureTrace::generate(&AzureTraceConfig {
         num_jobs: jobs,
         seed,
-        arrivals: ArrivalProcess::Poisson { rate: 4.0 },
+        ..Default::default()
     })
+    .sample_instance(1, 0);
+    Arrivals::Poisson { rate: 4.0 }
+        .rewrite(&shapes, seed)
+        .unwrap()
 }
 
-fn in_process_report(
-    w: &mris_service::Workload,
-    policy: &str,
-    cfg: &ServiceConfig,
-) -> ServiceReport {
-    let p = online_policy_by_name(policy, &w.instance, cfg.num_machines).expect("known policy");
-    let svc = Service::new(
-        w.instance.clone(),
-        p,
-        cfg.clone(),
-        SimClock::new(),
-        NullSink,
-    )
-    .expect("valid config");
-    let (report, _) = run_workload(svc, w).expect("no policy violation");
+fn in_process_report(w: &Instance, policy: &str, cfg: &ServiceConfig) -> ServiceReport {
+    let p = online_policy_by_name(policy, w, cfg.num_machines).expect("known policy");
+    let mut svc =
+        Service::new(w.clone(), p, cfg.clone(), SimClock::new(), NullSink).expect("valid config");
+    // Every job at its release time, then drain; rejections land in the
+    // outcome ledger.
+    for job in w.jobs() {
+        let _admission = svc
+            .submit_at(job.release, job.id)
+            .expect("no policy violation");
+    }
+    let (report, _) = svc.drain().expect("no policy violation");
     report
 }
 
-fn tcp_report(
-    w: &mris_service::Workload,
-    policy: &'static str,
-    cfg: &ServiceConfig,
-) -> ServiceReport {
-    let fp = service_fingerprint(&w.instance, cfg);
+fn tcp_report(w: &Instance, policy: &'static str, cfg: &ServiceConfig) -> ServiceReport {
+    let fp = service_fingerprint(w, cfg);
     let server = mris_net::serve_net(
-        w.instance.clone(),
+        w.clone(),
         cfg.clone(),
         SimClock::new(),
         NullSink,
@@ -69,7 +66,7 @@ fn tcp_report(
     .expect("bind loopback");
     let addr = server.addr().to_string();
     let mut client = NetClient::connect(&addr, "", fp).expect("handshake");
-    for job in w.instance.jobs() {
+    for job in w.jobs() {
         let _ = client.submit_at(job.release, job.id).expect("transport ok");
     }
     let report = client.drain().expect("drain over wire");
@@ -135,23 +132,17 @@ fn tcp_preserves_rejection_ledgers() {
         .build()
         .expect("valid");
 
-    let p = online_policy_by_name("pq-wsjf", &w.instance, MACHINES).expect("known policy");
-    let mut svc = Service::new(
-        w.instance.clone(),
-        p,
-        cfg.clone(),
-        SimClock::new(),
-        NullSink,
-    )
-    .expect("valid config");
-    for job in w.instance.jobs() {
+    let p = online_policy_by_name("pq-wsjf", &w, MACHINES).expect("known policy");
+    let mut svc =
+        Service::new(w.clone(), p, cfg.clone(), SimClock::new(), NullSink).expect("valid config");
+    for job in w.jobs() {
         let _ = svc.submit_at(0.0, job.id).expect("no policy violation");
     }
     let (local, _) = svc.drain().expect("drain");
 
-    let fp = service_fingerprint(&w.instance, &cfg);
+    let fp = service_fingerprint(&w, &cfg);
     let server = mris_net::serve_net(
-        w.instance.clone(),
+        w.clone(),
         cfg,
         SimClock::new(),
         NullSink,
@@ -161,7 +152,7 @@ fn tcp_preserves_rejection_ledgers() {
     .expect("bind loopback");
     let addr = server.addr().to_string();
     let mut client = NetClient::connect(&addr, "", fp).expect("handshake");
-    for job in w.instance.jobs() {
+    for job in w.jobs() {
         let _ = client.submit_at(0.0, job.id).expect("transport ok");
     }
     let wire = client.drain().expect("drain over wire");
@@ -190,9 +181,9 @@ fn handshake_refuses_typed() {
         ])
         .build()
         .expect("valid");
-    let fp = service_fingerprint(&w.instance, &cfg);
+    let fp = service_fingerprint(&w, &cfg);
     let server = mris_net::serve_net(
-        w.instance.clone(),
+        w.clone(),
         cfg.clone(),
         SimClock::new(),
         NullSink,
@@ -224,7 +215,7 @@ fn handshake_refuses_typed() {
     // tenant table carries the split.
     let mut alpha = NetClient::connect(&addr, "alpha-token", fp).expect("alpha handshake");
     let mut beta = beta;
-    for job in w.instance.jobs() {
+    for job in w.jobs() {
         let client = if job.id.0 % 2 == 0 {
             &mut alpha
         } else {
@@ -236,7 +227,7 @@ fn handshake_refuses_typed() {
     assert_eq!(report.tenants.len(), 2);
     assert_eq!(report.tenants[0].name, "alpha");
     let offered: u64 = report.tenants.iter().map(|t| t.admitted + t.rejected).sum();
-    assert_eq!(offered as usize, w.instance.len());
+    assert_eq!(offered as usize, w.len());
     let _ = server.wait().expect("clean serve");
 }
 
@@ -245,9 +236,9 @@ fn handshake_refuses_typed() {
 fn query_stats_subscribe_roundtrip() {
     let w = workload(21, 10);
     let cfg = ServiceConfig::new(MACHINES);
-    let fp = service_fingerprint(&w.instance, &cfg);
+    let fp = service_fingerprint(&w, &cfg);
     let server = mris_net::serve_net(
-        w.instance.clone(),
+        w.clone(),
         cfg,
         SimClock::new(),
         MemorySink::default(),
@@ -264,11 +255,11 @@ fn query_stats_subscribe_roundtrip() {
         client.query(JobId(0)).expect("query"),
         JobOutcome::NotSubmitted
     ));
-    for job in w.instance.jobs() {
+    for job in w.jobs() {
         let _ = client.submit_at(job.release, job.id).expect("transport");
     }
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.submitted as usize, w.instance.len());
+    assert_eq!(stats.submitted as usize, w.len());
     assert_eq!(stats.submitted, stats.accepted + stats.rejected);
     // Unknown jobs are in-band errors, not panics or hangs.
     match client.query(JobId(9999)) {
@@ -294,7 +285,7 @@ fn drained_server_answers_errors() {
     let w = workload(3, 4);
     let cfg = ServiceConfig::new(1);
     let server = mris_net::serve_net(
-        w.instance.clone(),
+        w.clone(),
         cfg,
         SimClock::new(),
         NullSink,

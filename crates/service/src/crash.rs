@@ -8,40 +8,8 @@
 //! or mid-frame (a kill inside `write(2)`) by slicing arbitrary byte
 //! counts off the tail, which exercises the lenient torn-tail parser.
 
-use mris_rng::Rng;
-
 use crate::codec::Decoder;
 use crate::journal::{parse_frame, parse_header, JournalRecord};
-
-/// Seeded selection of crash points for one golden run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrashPlan {
-    /// Event indices (0-based) after whose record group the journal is
-    /// cut, sorted and deduplicated.
-    pub kill_after_events: Vec<usize>,
-}
-
-impl CrashPlan {
-    /// Picks up to `count` distinct kill points over a run of
-    /// `num_events` events, deterministically from `seed`.
-    pub fn seeded(seed: u64, num_events: usize, count: usize) -> Self {
-        let mut rng = Rng::new(seed).substream("crash-plan");
-        let mut kill_after_events: Vec<usize> = Vec::new();
-        if num_events > 0 {
-            for _ in 0..count.max(1) * 4 {
-                if kill_after_events.len() >= count {
-                    break;
-                }
-                let e = rng.next_u64_below(num_events as u64) as usize;
-                if !kill_after_events.contains(&e) {
-                    kill_after_events.push(e);
-                }
-            }
-        }
-        kill_after_events.sort_unstable();
-        CrashPlan { kill_after_events }
-    }
-}
 
 /// Byte offset at which to cut `journal` so it ends exactly after the
 /// record group of the `event_index`-th (0-based) `Event` record — the
@@ -88,23 +56,6 @@ pub fn truncate_at_event(journal: &[u8], event_index: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_bounded() {
-        let a = CrashPlan::seeded(7, 100, 8);
-        let b = CrashPlan::seeded(7, 100, 8);
-        assert_eq!(a, b);
-        assert!(a.kill_after_events.len() <= 8);
-        assert!(a.kill_after_events.iter().all(|&e| e < 100));
-        assert!(a.kill_after_events.windows(2).all(|w| w[0] < w[1]));
-        let c = CrashPlan::seeded(8, 100, 8);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn empty_run_yields_no_kill_points() {
-        assert!(CrashPlan::seeded(1, 0, 4).kill_after_events.is_empty());
-    }
 
     #[test]
     fn truncate_rejects_garbage() {

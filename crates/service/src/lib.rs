@@ -28,9 +28,6 @@
 //!   [`EpochRecord`] per event, filled from those counts and the loop's own
 //!   state, plus an end-of-run [`ServiceSummary`] with decision-latency
 //!   percentiles from [`mris_metrics::Percentiles`].
-//! * **Open-loop load generation** ([`Workload`], [`generate_workload`],
-//!   [`run_workload`]) — Poisson and burst arrival processes over
-//!   Azure-derived job shapes, seeded by `mris-rng`.
 //! * **Durability** ([`Service::attach_journal`], [`Service::restore`]) —
 //!   a length-prefixed, checksummed write-ahead journal of every
 //!   state-mutating event plus periodic full-state snapshots, both over
@@ -51,7 +48,6 @@ mod codec;
 mod core;
 mod crash;
 mod journal;
-mod loadgen;
 mod restore;
 mod snapshot;
 mod telemetry;
@@ -62,16 +58,14 @@ pub use codec::{crc32, fnv64, Decoder, Encoder};
 pub use core::{
     JobOutcome, LedgerCounts, Service, ServiceConfig, ServiceConfigBuilder, ServiceReport,
 };
-pub use crash::{truncate_at_event, CrashPlan};
+pub use crash::truncate_at_event;
 pub use journal::{
     config_fingerprint, parse_journal, read_valid_prefix, service_fingerprint, DurabilityConfig,
     JournalRecord, JournalWriter, ParsedJournal, RejectReason, SharedBuf, HEADER_LEN,
     JOURNAL_MAGIC, JOURNAL_VERSION,
 };
-pub use loadgen::{
-    generate_workload, poisson_rate_for_utilization, run_workload, ArrivalProcess, LoadGenConfig,
-    Workload,
-};
+// The job-path benchmark still imports it from here (ROADMAP item 1(a)).
+pub use mris_trace::poisson_rate_for_utilization;
 pub use restore::{Outage, RestoreOptions, RestoreReport};
 pub use snapshot::{
     DirSnapshots, MemorySnapshots, NullSnapshots, Snapshot, SnapshotStore, SNAPSHOT_MAGIC,

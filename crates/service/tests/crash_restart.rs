@@ -29,9 +29,9 @@
 use mris_core::registry::online_policy_by_name;
 use mris_rng::Rng;
 use mris_service::{
-    parse_journal, truncate_at_event, CrashPlan, DurabilityConfig, JobOutcome, MemorySink,
-    MemorySnapshots, Outage, RestoreOptions, RestoreReport, Service, ServiceConfig, ServiceReport,
-    SharedBuf, SimClock, Snapshot, HEADER_LEN,
+    parse_journal, truncate_at_event, DurabilityConfig, JobOutcome, MemorySink, MemorySnapshots,
+    Outage, RestoreOptions, RestoreReport, Service, ServiceConfig, ServiceReport, SharedBuf,
+    SimClock, Snapshot, HEADER_LEN,
 };
 use mris_sim::{suggested_horizon, FaultPlan, PoissonFaultConfig};
 use mris_types::{FaultEvent, FaultTarget, Instance, Job, JobId, RestartSemantics};
@@ -42,6 +42,53 @@ const DCFG: DurabilityConfig = DurabilityConfig {
     flush_every: 1,
     snapshot_every: 8,
 };
+
+/// Seeded selection of crash points for one golden run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct CrashPlan {
+    /// Event indices (0-based) after whose record group the journal is
+    /// cut, sorted and deduplicated.
+    kill_after_events: Vec<usize>,
+}
+
+impl CrashPlan {
+    /// Picks up to `count` distinct kill points over a run of
+    /// `num_events` events, deterministically from `seed`.
+    fn seeded(seed: u64, num_events: usize, count: usize) -> Self {
+        let mut rng = Rng::new(seed).substream("crash-plan");
+        let mut kill_after_events: Vec<usize> = Vec::new();
+        if num_events > 0 {
+            for _ in 0..count.max(1) * 4 {
+                if kill_after_events.len() >= count {
+                    break;
+                }
+                let e = rng.next_u64_below(num_events as u64) as usize;
+                if !kill_after_events.contains(&e) {
+                    kill_after_events.push(e);
+                }
+            }
+        }
+        kill_after_events.sort_unstable();
+        CrashPlan { kill_after_events }
+    }
+}
+
+#[test]
+fn seeded_plans_are_deterministic_and_bounded() {
+    let a = CrashPlan::seeded(7, 100, 8);
+    let b = CrashPlan::seeded(7, 100, 8);
+    assert_eq!(a, b);
+    assert!(a.kill_after_events.len() <= 8);
+    assert!(a.kill_after_events.iter().all(|&e| e < 100));
+    assert!(a.kill_after_events.windows(2).all(|w| w[0] < w[1]));
+    let c = CrashPlan::seeded(8, 100, 8);
+    assert_ne!(a, c);
+}
+
+#[test]
+fn empty_run_yields_no_kill_points() {
+    assert!(CrashPlan::seeded(1, 0, 4).kill_after_events.is_empty());
+}
 
 /// One golden (uncrashed) run: its inputs, its artifacts, its results.
 struct Golden {

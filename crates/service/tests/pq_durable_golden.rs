@@ -13,11 +13,9 @@
 use std::sync::{Arc, Mutex};
 
 use mris_schedulers::{PqPolicy, SortHeuristic};
-use mris_service::{
-    fnv64, generate_workload, poisson_rate_for_utilization, ArrivalProcess, LoadGenConfig,
-    NullSink, Service, ServiceConfig, SimClock,
-};
+use mris_service::{fnv64, NullSink, Service, ServiceConfig, SimClock};
 use mris_sim::{suggested_horizon, Dispatcher, FaultPlan, OnlinePolicy, RackBurstConfig};
+use mris_trace::{poisson_rate_for_utilization, Arrivals, AzureTrace, AzureTraceConfig};
 use mris_types::{Instance, Job, JobId, RestartSemantics, SchedulingError, Time};
 
 const MACHINES: usize = 8;
@@ -40,18 +38,16 @@ fn with_tied_keys(instance: Instance) -> Instance {
 }
 
 fn deep_queue_instance() -> Instance {
-    let draw = |rate| {
-        with_tied_keys(
-            generate_workload(&LoadGenConfig {
-                num_jobs: JOBS,
-                seed: SEED,
-                arrivals: ArrivalProcess::Poisson { rate },
-            })
-            .instance,
-        )
-    };
-    let rate = poisson_rate_for_utilization(&draw(1.0), MACHINES, LOAD);
-    draw(rate)
+    let shapes = with_tied_keys(
+        AzureTrace::generate(&AzureTraceConfig {
+            num_jobs: JOBS,
+            seed: SEED,
+            ..Default::default()
+        })
+        .sample_instance(1, 0),
+    );
+    let rate = poisson_rate_for_utilization(&shapes, MACHINES, LOAD);
+    Arrivals::Poisson { rate }.rewrite(&shapes, SEED).unwrap()
 }
 
 /// What the recorder saw: one hash per capture, and the deepest queue.

@@ -89,35 +89,6 @@ impl VmCatalog {
     }
 }
 
-/// The arrival process shaping job release times over the window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalPattern {
-    /// Homogeneous: releases uniform over the window.
-    Uniform,
-    /// Diurnal modulation `1 + amplitude * sin(2 pi t / day)` — the default,
-    /// mimicking the day/night cycle of production traces. `amplitude` in
-    /// `[0, 1)`.
-    Diurnal {
-        /// Relative intensity swing (0 = uniform, 0.35 default).
-        amplitude: f64,
-    },
-    /// Diurnal base plus `spikes` short bursts at deterministic (seeded)
-    /// offsets, each concentrating ~`spike_mass` of the total arrivals into
-    /// ~1% of the window — stress-tests backlog recovery.
-    Bursty {
-        /// Number of burst windows.
-        spikes: usize,
-        /// Fraction of all arrivals landing in bursts, in `(0, 1)`.
-        spike_mass: f64,
-    },
-}
-
-impl Default for ArrivalPattern {
-    fn default() -> Self {
-        ArrivalPattern::Diurnal { amplitude: 0.35 }
-    }
-}
-
 /// Configuration of the synthetic trace generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AzureTraceConfig {
@@ -132,8 +103,6 @@ pub struct AzureTraceConfig {
     /// Number of priority levels; priorities `0..levels` map to weights
     /// `1..=levels`. The Azure trace has a small priority range.
     pub priority_levels: u8,
-    /// Arrival process (default: diurnal, like production traces).
-    pub arrivals: ArrivalPattern,
 }
 
 impl Default for AzureTraceConfig {
@@ -143,7 +112,6 @@ impl Default for AzureTraceConfig {
             window_days: 12.5,
             seed: 0xA207_2024,
             priority_levels: 3,
-            arrivals: ArrivalPattern::default(),
         }
     }
 }
@@ -181,9 +149,9 @@ impl AzureTrace {
     /// like arrivals over the window, mixture-lognormal durations clamped to
     /// `[5 s, 90 days]`, catalog-sampled demands, and priority weights.
     ///
-    /// Each generator section (catalog, burst centers, arrivals, durations,
-    /// VM choice, priorities) draws from its own seed-derived sub-stream, so
-    /// changing how many values one section consumes cannot shift any other
+    /// Each generator section (catalog, arrivals, durations, VM choice,
+    /// priorities) draws from its own seed-derived sub-stream, so changing
+    /// how many values one section consumes cannot shift any other
     /// section's output.
     pub fn generate(config: &AzureTraceConfig) -> Self {
         assert!(config.window_days > 0.0 && config.priority_levels >= 1);
@@ -197,38 +165,13 @@ impl AzureTrace {
             .map(|p| 1.0 / (1.0 + p as f64))
             .collect();
 
-        // Pre-sample burst centers for the bursty pattern.
-        let burst_centers: Vec<f64> = match config.arrivals {
-            ArrivalPattern::Bursty { spikes, .. } => {
-                let mut burst_rng = root.substream("burst-centers");
-                (0..spikes)
-                    .map(|_| burst_rng.gen_f64() * window_seconds)
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
-
         let mut arrival_rng = root.substream("arrivals");
         let mut duration_rng = root.substream("durations");
         let mut vm_rng = root.substream("vm-types");
         let mut prio_rng = root.substream("priorities");
         let mut jobs = Vec::with_capacity(config.num_jobs);
         for _ in 0..config.num_jobs {
-            let release = match config.arrivals {
-                ArrivalPattern::Uniform => arrival_rng.gen_f64() * window_seconds,
-                ArrivalPattern::Diurnal { amplitude } => {
-                    sample_diurnal_arrival(&mut arrival_rng, window_seconds, amplitude)
-                }
-                ArrivalPattern::Bursty { spike_mass, .. } => {
-                    if !burst_centers.is_empty() && arrival_rng.gen_f64() < spike_mass {
-                        let center = *arrival_rng.choose(&burst_centers);
-                        let width = window_seconds * 0.01;
-                        (center + (arrival_rng.gen_f64() - 0.5) * width).clamp(0.0, window_seconds)
-                    } else {
-                        sample_diurnal_arrival(&mut arrival_rng, window_seconds, 0.35)
-                    }
-                }
-            };
+            let release = sample_diurnal_arrival(&mut arrival_rng, window_seconds, 0.35);
             let comp = DURATION_MIX[duration_rng.weighted_choice(&mix_weights)];
             let duration = duration_rng
                 .lognormal(comp.1.ln(), comp.2)
@@ -342,7 +285,6 @@ mod tests {
             window_days: 2.0,
             seed: 42,
             priority_levels: 3,
-            arrivals: ArrivalPattern::default(),
         }
     }
 
@@ -409,48 +351,6 @@ mod tests {
         // multisets differ.
         for w in instances.windows(2) {
             assert_ne!(w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn arrival_patterns_shape_releases() {
-        let base = AzureTraceConfig {
-            num_jobs: 6000,
-            window_days: 4.0,
-            seed: 9,
-            priority_levels: 2,
-            arrivals: ArrivalPattern::Uniform,
-        };
-        let uniform = AzureTrace::generate(&base);
-        let bursty = AzureTrace::generate(&AzureTraceConfig {
-            arrivals: ArrivalPattern::Bursty {
-                spikes: 2,
-                spike_mass: 0.6,
-            },
-            ..base
-        });
-        // Bursty concentrates mass: the largest 2%-of-window bucket holds
-        // far more arrivals than under the uniform pattern.
-        let bucket_peak = |trace: &AzureTrace| -> usize {
-            let w = trace.window_seconds();
-            let mut counts = vec![0usize; 50];
-            for j in &trace.jobs {
-                counts[((j.release / w * 50.0) as usize).min(49)] += 1;
-            }
-            counts.into_iter().max().unwrap()
-        };
-        assert!(
-            bucket_peak(&bursty) > 2 * bucket_peak(&uniform),
-            "bursty peak {} vs uniform peak {}",
-            bucket_peak(&bursty),
-            bucket_peak(&uniform)
-        );
-        // All patterns stay within the window and sorted (checked by the
-        // invariant below for the bursty case too).
-        let mut last = 0.0;
-        for j in &bursty.jobs {
-            assert!(j.release >= last && j.release <= bursty.window_seconds());
-            last = j.release;
         }
     }
 

@@ -7,8 +7,9 @@
 //! trace's documented statistical structure — a VM-type catalog with
 //! heterogeneous fractional demands over five resources (CPU, memory, HDD,
 //! SSD, network; SSD and HDD mutually exclusive), heavy-tailed durations
-//! from seconds to 90 days, bursty diurnal arrivals over a 12.5-day window,
-//! and small-range integer priorities used as weights.
+//! from seconds to 90 days, diurnal arrivals over a 12.5-day window, and
+//! small-range integer priorities used as weights. [`Arrivals`] redraws an
+//! instance's releases as Poisson or burst arrivals at a chosen load.
 //!
 //! Section 7.1's experimental protocol is implemented faithfully:
 //! downsampling by a factor `f` at offsets `Delta` drawn without replacement
@@ -24,6 +25,7 @@
 #![warn(missing_docs)]
 
 mod adversarial;
+mod arrivals;
 mod augment;
 mod azure;
 pub mod io;
@@ -31,8 +33,9 @@ pub mod io;
 pub use adversarial::{
     lemma41_instance, lemma41_reference_awct, patience_instance, PatienceConfig,
 };
+pub use arrivals::{poisson_rate_for_utilization, Arrivals};
 pub use augment::augment_resources;
-pub use azure::{ArrivalPattern, AzureTrace, AzureTraceConfig, VmCatalog, VmType};
+pub use azure::{AzureTrace, AzureTraceConfig, VmCatalog, VmType};
 pub use io::{
     instance_to_csv, parse_instance_csv, read_instance_csv, write_instance_csv, CsvError,
     TraceError,

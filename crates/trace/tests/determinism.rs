@@ -32,7 +32,6 @@ fn small_trace(seed: u64) -> Instance {
         window_days: 2.0,
         seed,
         priority_levels: 3,
-        arrivals: Default::default(),
     });
     // factor 8 at offset 0: 200 jobs, the paper's downsampling protocol.
     trace.sample_instance(8, 0)

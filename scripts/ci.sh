@@ -60,11 +60,22 @@ for cite in $(grep -oE '[A-Za-z0-9_]+\.rs::[A-Za-z0-9_]+' DESIGN.md | sort -u); 
     || { echo "DESIGN.md cites $cite, which names no fn in that file" >&2; exit 1; }
 done
 
-# Product crates keep only what runs: test oracles live in the tests that
-# use them, and code no scheduler, bin or workload calls was deleted.
-echo "==> no test-only mode or unused extra in product crates"
-if git grep -nwE 'force_epoch_rebuild|place_batch_ffd|max_weight_by_deadline|render_gantt|best_list_schedule|brute_force' -- crates/*/src src; then
-  echo "crates/*/src or src/ names a deleted test-only mode, extra or oracle" >&2; exit 1
+# Product crates keep only what runs: test oracles and crash plans live in
+# the tests that use them, code no scheduler, bin or workload calls was
+# deleted, and arrival processes have one vocabulary, `mris_trace::Arrivals`.
+echo "==> no test-only mode, unused extra or second arrival vocabulary in product crates"
+if git grep -nwE 'force_epoch_rebuild|place_batch_ffd|max_weight_by_deadline|render_gantt|best_list_schedule|brute_force|ArrivalProcess|ArrivalPattern|generate_workload|LoadGenConfig|run_workload|CrashPlan' -- crates/*/src src; then
+  echo "crates/*/src or src/ names a deleted test-only mode, extra, oracle or arrival type" >&2; exit 1
+fi
+
+# Release times are drawn in one place, `mris_trace::Arrivals`. The service
+# re-exports one function of it for the job-path benchmark and draws no
+# random number of its own: `mris-rng` is only a dev-dependency there.
+echo "==> mris-service names mris_trace once and takes mris-rng only for its tests"
+if [ "$(git grep -nw 'mris_trace' -- crates/service/src | wc -l)" -ne 1 ] \
+  || awk '/^\[/ { section = $0 } /^mris-rng/ && section != "[dev-dependencies]" { bad = 1 }
+      END { exit !bad }' crates/service/Cargo.toml; then
+  echo "crates/service/src names mris_trace more than once, or mris-service depends on mris-rng" >&2; exit 1
 fi
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
@@ -242,7 +253,7 @@ done
 # `dag_related` is the DAG batch path on related machines; `wide` validates
 # a schedule placed by the one cluster sweep at 1,024 machines (its
 # pooled-vs-sequential check now compares that sweep with itself, stale
-# until the next `benchmark` PR, ROADMAP item 3); `frontdoor`
+# until the next `benchmark` PR, ROADMAP item 1(a)); `frontdoor`
 # holds the TCP schedule equal to the in-process one; `durable` holds
 # journal-off, WAL, WAL + snapshots and the restored run to one schedule.
 echo "==> job-path benchmark smoke on all six workloads (correctness + schema, no timing gate)"

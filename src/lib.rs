@@ -21,12 +21,12 @@
 //!   and [CA-PQ](mris_schedulers::CaPq);
 //! * the substrates: exact fixed-point types ([`mris_types`]), a
 //!   discrete-event cluster simulator ([`mris_sim`]), knapsack solvers
-//!   ([`mris_knapsack`]), an Azure-like trace generator ([`mris_trace`]),
-//!   and experiment metrics ([`mris_metrics`]);
+//!   ([`mris_knapsack`]), an Azure-like trace and arrival generator
+//!   ([`mris_trace`]), and experiment metrics ([`mris_metrics`]);
 //! * a long-running scheduling daemon ([`mris_service`]) wrapping any
 //!   registered policy behind admission control (including multi-tenant
 //!   quotas and weighted-fair sharing), epoch batching, pluggable clocks,
-//!   and per-epoch telemetry, plus an open-loop load generator;
+//!   and per-epoch telemetry;
 //! * a TCP front door ([`mris_net`]) exposing the daemon over a
 //!   length-prefixed CRC-framed wire protocol with token-authenticated
 //!   tenants — bit-identical to the in-process service.

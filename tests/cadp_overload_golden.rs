@@ -12,10 +12,9 @@
 
 use mris::core::{Mris, MrisConfig, MrisOnline};
 use mris::schedulers::Scheduler;
-use mris::service::{
-    fnv64, generate_workload, poisson_rate_for_utilization, ArrivalProcess, LoadGenConfig,
-};
+use mris::service::fnv64;
 use mris::sim::{run_driver, RunOptions};
+use mris::trace::{poisson_rate_for_utilization, Arrivals, AzureTrace, AzureTraceConfig};
 use mris::types::{Instance, Schedule};
 
 const MACHINES: usize = 8;
@@ -24,19 +23,16 @@ const LOAD: f64 = 16.0;
 const SEED: u64 = 13;
 
 /// Azure-derived shapes arriving as a Poisson process at nominal load
-/// [`LOAD`]; the shape stream does not depend on the arrival process, so
-/// the first draw only sizes the rate.
+/// [`LOAD`].
 fn overload_instance() -> Instance {
-    let draw = |rate| {
-        generate_workload(&LoadGenConfig {
-            num_jobs: JOBS,
-            seed: SEED,
-            arrivals: ArrivalProcess::Poisson { rate },
-        })
-        .instance
-    };
-    let rate = poisson_rate_for_utilization(&draw(1.0), MACHINES, LOAD);
-    draw(rate)
+    let shapes = AzureTrace::generate(&AzureTraceConfig {
+        num_jobs: JOBS,
+        seed: SEED,
+        ..Default::default()
+    })
+    .sample_instance(1, 0);
+    let rate = poisson_rate_for_utilization(&shapes, MACHINES, LOAD);
+    Arrivals::Poisson { rate }.rewrite(&shapes, SEED).unwrap()
 }
 
 /// FNV-1a over `(job, machine, start.to_bits())` in job order.

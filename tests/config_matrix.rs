@@ -1,34 +1,39 @@
 //! Exercises the full MRIS configuration matrix and every workload
 //! generator: all heuristics x all knapsack choices x backfill on/off, on
-//! diurnal, uniform, and bursty traces — every combination must produce a
-//! feasible, complete schedule within its configuration's guarantees.
+//! the diurnal trace and on its shapes under Poisson and burst arrivals —
+//! every combination must produce a feasible, complete schedule within its
+//! configuration's guarantees.
+
+use std::num::NonZeroUsize;
 
 use mris::prelude::*;
-use mris::trace::{ArrivalPattern, AzureTrace, AzureTraceConfig};
+use mris::trace::{poisson_rate_for_utilization, Arrivals, AzureTrace, AzureTraceConfig};
+
+const SEED: u64 = 77;
 
 fn workloads() -> Vec<(&'static str, Instance)> {
-    let mut out = Vec::new();
-    for (name, arrivals) in [
-        ("diurnal", ArrivalPattern::default()),
-        ("uniform", ArrivalPattern::Uniform),
-        (
-            "bursty",
-            ArrivalPattern::Bursty {
-                spikes: 3,
-                spike_mass: 0.5,
-            },
-        ),
-    ] {
-        let trace = AzureTrace::generate(&AzureTraceConfig {
-            num_jobs: 1200,
-            window_days: 2.0,
-            seed: 77,
-            priority_levels: 3,
-            arrivals,
-        });
-        out.push((name, trace.sample_instance(4, 1)));
+    let diurnal = AzureTrace::generate(&AzureTraceConfig {
+        num_jobs: 1200,
+        window_days: 2.0,
+        seed: SEED,
+        priority_levels: 3,
+    })
+    .sample_instance(4, 1);
+    // Full load on the tests' three machines, arriving one by one or in
+    // bursts of 30 at the same mean rate.
+    let rate = poisson_rate_for_utilization(&diurnal, 3, 1.0);
+    let poisson = Arrivals::Poisson { rate }.rewrite(&diurnal, SEED).unwrap();
+    let bursts = Arrivals::Bursts {
+        period: 30.0 / rate,
+        size: NonZeroUsize::new(30).unwrap(),
     }
-    out
+    .rewrite(&diurnal, SEED)
+    .unwrap();
+    vec![
+        ("diurnal", diurnal),
+        ("poisson", poisson),
+        ("bursts", bursts),
+    ]
 }
 
 #[test]
