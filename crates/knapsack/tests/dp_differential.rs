@@ -243,6 +243,49 @@ fn gen_boundary_case(rng: &mut Rng) -> Case {
     (sizes, weights, cap)
 }
 
+/// CADP-shaped solves whose positive weight total lands on 32,766, 32,767,
+/// 32,768 or 32,769, the edge of what 16-bit cells hold (`i16::MAX` is
+/// 32,767). Two thirds of the sizes are 0; weights are 0, −0, 1–3 or a
+/// share of the total, and one item tops the total up to its target. That
+/// item has a positive size three times in four, so the passes that leave
+/// zero-size items out still form sums near the total.
+fn gen_i16_boundary_case(rng: &mut Rng) -> Case {
+    let target = *rng.choose(&[32_766u64, 32_767, 32_768, 32_769]);
+    let n = rng.gen_range(2..=40usize);
+    let share = target / n as u64;
+    let mut sizes: Vec<u64> = (0..n)
+        .map(|_| {
+            if rng.gen_range(0..3usize) < 2 {
+                0
+            } else {
+                rng.gen_range(1..=12u64)
+            }
+        })
+        .collect();
+    let mut weights: Vec<f64> = (0..n - 1)
+        .map(|_| match rng.gen_range(0..4usize) {
+            0 => *rng.choose(&[0.0, -0.0]),
+            1 => rng.gen_range(1..=3u64) as f64,
+            _ => rng.gen_range(0..=share) as f64,
+        })
+        .collect();
+    let rest: u64 = weights.iter().map(|&w| w as u64).sum();
+    weights.push((target - rest) as f64);
+    if rng.gen_range(0..4usize) != 0 {
+        sizes[n - 1] = rng.gen_range(1..=12u64);
+    }
+    let last = rng.gen_range(0..n);
+    weights.swap(last, n - 1);
+    sizes.swap(last, n - 1);
+    let total: u64 = sizes.iter().sum();
+    let cap = match rng.gen_range(0..3usize) {
+        0 => 2 * n as u64,
+        1 => total,
+        _ => rng.gen_range(0..=total),
+    };
+    (sizes, weights, cap)
+}
+
 fn bits(row: &[f64]) -> Vec<u64> {
     row.iter().map(|v| v.to_bits()).collect()
 }
@@ -305,6 +348,16 @@ fn weight_sums_at_2_pow_53_match_scalar_reference() {
     );
 }
 
+#[test]
+fn weight_sums_at_i16_max_match_scalar_reference() {
+    check(
+        "streaming DP == scalar in-place DP with weight sums at i16::MAX",
+        &Config::with_cases(1024),
+        gen_i16_boundary_case,
+        matches_reference,
+    );
+}
+
 /// A capacity far above the total: the flat region covers almost the whole
 /// row, and the unclamped row must still match column for column.
 #[test]
@@ -338,9 +391,24 @@ fn zero_size_items_without_positive_weight_change_no_column() {
     }
 }
 
-/// One `SolveScratch` reused across solves of different sizes and through
-/// both DP-backed solvers: every result equals the fresh-scratch result,
-/// so nothing a larger solve leaves in the arena leaks into a smaller one.
+/// A CADP-shaped solve whose integer weights sum past `i16::MAX` (each
+/// positive weight alone is at least 40,000), or one whose weights are all
+/// fractional: the two kinds of input 16-bit cells cannot hold.
+fn gen_wide_case(rng: &mut Rng) -> Case {
+    let (sizes, mut weights, cap) = gen_cadp_case(rng);
+    let fractional = rng.gen_bool();
+    for w in &mut weights {
+        *w = if fractional { *w + 0.25 } else { *w * 40_000.0 };
+    }
+    (sizes, weights, cap)
+}
+
+/// One `SolveScratch` reused across solves of different sizes, through
+/// both DP-backed solvers, and alternating between solves 16-bit cells
+/// hold (weights 1–3, or anything [`gen_case`] draws) and ones they do not
+/// (integer totals past `i16::MAX`, fractional weights): every result
+/// equals the fresh-scratch result, so nothing a larger solve or the other
+/// cell type leaves in the arena leaks into a later solve.
 #[test]
 fn dirty_scratch_does_not_change_results() {
     check(
@@ -348,7 +416,13 @@ fn dirty_scratch_does_not_change_results() {
         &Config::with_cases(48),
         |rng| {
             let rounds = rng.gen_range(3..=6usize);
-            (0..rounds).map(|_| gen_case(rng)).collect::<Vec<Case>>()
+            (0..rounds)
+                .map(|round| match round % 3 {
+                    0 => gen_cadp_case(rng),
+                    1 => gen_wide_case(rng),
+                    _ => gen_case(rng),
+                })
+                .collect::<Vec<Case>>()
         },
         |rounds| {
             let mut scratch = SolveScratch::default();

@@ -94,6 +94,37 @@ fn fractional_weights_schedule_is_pinned() {
     );
 }
 
+/// The same instance with every weight multiplied by 24: still integers,
+/// but the positive weight totals of the run's three DP solves are now
+/// 7,128, 19,200 and 35,184, on both sides of `i16::MAX` (32,767). One run,
+/// and one `SolveScratch`, takes both the 16-bit and the `f64` lane.
+///
+/// Captured at the commit before the 16-bit lane, where it read
+/// [`SCHEDULE_HASH`]: scaling every weight by 24 moved no job.
+const WEIGHT_SCALE: f64 = 24.0;
+
+#[test]
+fn scaled_weights_schedule_is_pinned() {
+    let instance = overload_instance();
+    let jobs = instance
+        .jobs()
+        .iter()
+        .map(|job| {
+            let mut job = job.clone();
+            job.weight *= WEIGHT_SCALE;
+            job
+        })
+        .collect();
+    let instance = Instance::new(jobs, instance.num_resources()).unwrap();
+    let schedule = Mris::default().schedule(&instance, MACHINES);
+    schedule.validate(&instance).unwrap();
+    let hash = schedule_hash(&schedule);
+    assert_eq!(
+        hash, SCHEDULE_HASH,
+        "MRIS (CADP) with scaled integer weights placed some job differently: {hash:#018x}"
+    );
+}
+
 #[test]
 fn online_mris_schedule_is_pinned() {
     let instance = overload_instance();
