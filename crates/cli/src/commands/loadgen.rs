@@ -11,7 +11,7 @@ use mris_types::Instance;
 use super::client::{connect, drain_door, submit_all};
 use super::offline::repair_from_flags;
 use super::service::{drive_service, service_cfg_from_flags, service_summary_text};
-use super::{obs_epilogue, obs_from_flags, CliError, Flags};
+use super::{machines_from_flags, obs_epilogue, obs_from_flags, CliError, Flags};
 
 /// Everything `loadgen` derives from its flags before driving a service:
 /// the generated instance, the service config (fault plan and restart
@@ -29,7 +29,7 @@ pub(crate) struct LoadgenPlan {
 pub(crate) fn loadgen_plan(flags: &Flags) -> Result<LoadgenPlan, CliError> {
     let jobs: usize = flags.get_parsed("jobs", 500)?;
     let seed: u64 = flags.get_parsed("seed", 0x10AD)?;
-    let machines: usize = flags.get_parsed("machines", 8)?;
+    let machines = machines_from_flags(flags, 8)?;
     let name = flags.get("algo").unwrap_or("mris");
     let utilization: f64 = flags.get_parsed("utilization", 0.7)?;
     if jobs == 0 {

@@ -132,6 +132,16 @@ fn obs_epilogue(flags: &Flags, obs: &ObsScope) -> Result<String, CliError> {
     }
 }
 
+/// `--machines`, or `default` when it is absent. Every command reads it
+/// here, so a count of 0 is refused before any of them builds a cluster.
+fn machines_from_flags(flags: &Flags, default: usize) -> Result<usize, CliError> {
+    let machines: usize = flags.get_parsed("machines", default)?;
+    if machines == 0 {
+        return Err(CliError("--machines must be at least 1".into()));
+    }
+    Ok(machines)
+}
+
 fn load_instance(path: &str) -> Result<Instance, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;

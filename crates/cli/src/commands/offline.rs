@@ -7,7 +7,7 @@ use mris_sim::{run_online_chaos, suggested_horizon, FaultPlan, PoissonFaultConfi
 use mris_trace::{instance_to_csv, AzureTrace, AzureTraceConfig};
 use mris_types::{ClusterSpec, Instance, RestartSemantics, Schedule};
 
-use super::{load_instance, obs_epilogue, obs_from_flags, CliError, Flags};
+use super::{load_instance, machines_from_flags, obs_epilogue, obs_from_flags, CliError, Flags};
 use crate::schedule_io::{parse_schedule_csv, schedule_to_csv};
 
 pub(crate) fn generate(flags: &Flags) -> Result<String, CliError> {
@@ -77,7 +77,7 @@ fn makespan_on(schedule: &Schedule, instance: &Instance, spec: &ClusterSpec) -> 
 
 pub(crate) fn schedule(flags: &Flags) -> Result<String, CliError> {
     let instance = load_instance(flags.require("trace")?)?;
-    let machines: usize = flags.get_parsed("machines", 20)?;
+    let machines = machines_from_flags(flags, 20)?;
     let cluster = cluster_from_flags(flags, machines)?;
     let algo = algorithm_for_workload(flags.require("algo")?, &instance, &cluster)?;
     let obs = obs_from_flags(flags)?;
@@ -119,7 +119,7 @@ pub(crate) fn schedule(flags: &Flags) -> Result<String, CliError> {
 
 pub(crate) fn compare(flags: &Flags) -> Result<String, CliError> {
     let instance = load_instance(flags.require("trace")?)?;
-    let machines: usize = flags.get_parsed("machines", 20)?;
+    let machines = machines_from_flags(flags, 20)?;
     let cluster = cluster_from_flags(flags, machines)?;
     let names = flags
         .get("algos")
@@ -176,7 +176,7 @@ pub(crate) fn compare(flags: &Flags) -> Result<String, CliError> {
 /// it.
 pub(crate) fn validate(flags: &Flags) -> Result<String, CliError> {
     let instance = load_instance(flags.require("trace")?)?;
-    let machines: usize = flags.get_parsed("machines", 20)?;
+    let machines = machines_from_flags(flags, 20)?;
     let cluster = cluster_from_flags(flags, machines)?;
     let path = flags.require("schedule")?;
     let text =
@@ -220,7 +220,7 @@ pub(crate) fn repair_from_flags(flags: &Flags) -> Result<(f64, RestartSemantics)
 
 pub(crate) fn chaos(flags: &Flags) -> Result<String, CliError> {
     let instance = load_instance(flags.require("trace")?)?;
-    let machines: usize = flags.get_parsed("machines", 20)?;
+    let machines = machines_from_flags(flags, 20)?;
     let rate: f64 = flags.get_parsed("rate", 1.0)?;
     let seed: u64 = flags.get_parsed("seed", 0xC4A05)?;
     if !rate.is_finite() || rate < 0.0 {

@@ -13,7 +13,7 @@ use mris_types::Instance;
 
 use super::loadgen::loadgen_plan;
 use super::{load_instance, obs_epilogue, obs_from_flags, offer_in_release_order};
-use super::{CliError, Flags};
+use super::{machines_from_flags, CliError, Flags};
 
 /// Parses `--tenants "name:token:weight[,name:token:weight...]"` into a
 /// tenant table. An empty/absent flag means single-tenant.
@@ -42,9 +42,6 @@ pub(crate) fn service_cfg_from_flags(
     flags: &Flags,
     machines: usize,
 ) -> Result<ServiceConfig, CliError> {
-    if machines == 0 {
-        return Err(CliError("--machines must be at least 1".into()));
-    }
     let epoch: f64 = flags.get_parsed("epoch", 0.0)?;
     let queue_watermark: usize = flags.get_parsed("queue-watermark", usize::MAX)?;
     let load_watermark: f64 = flags.get_parsed("load-watermark", f64::INFINITY)?;
@@ -230,7 +227,7 @@ pub(crate) fn service_summary_text(report: &ServiceReport) -> String {
 /// `mris serve`: a trace through the service loop, in-process.
 pub(crate) fn serve(flags: &Flags) -> Result<String, CliError> {
     let instance = load_instance(flags.require("trace")?)?;
-    let machines: usize = flags.get_parsed("machines", 20)?;
+    let machines = machines_from_flags(flags, 20)?;
     let name = flags.get("algo").unwrap_or("mris");
     let cfg = service_cfg_from_flags(flags, machines)?;
     let epoch = cfg.epoch;
@@ -275,7 +272,7 @@ pub(crate) fn serve_listen(flags: &Flags, loadgen: bool) -> Result<String, CliEr
         let text = format!("workload: {}\n", plan.header.replace('\n', "\n          "));
         (plan.instance, plan.cfg, plan.name, text)
     } else {
-        let machines: usize = flags.get_parsed("machines", 20)?;
+        let machines = machines_from_flags(flags, 20)?;
         let name = flags.get("algo").unwrap_or("mris").to_string();
         let instance = load_instance(flags.require("trace")?)?;
         let cfg = service_cfg_from_flags(flags, machines)?;
@@ -342,7 +339,7 @@ pub(crate) fn serve_listen(flags: &Flags, loadgen: bool) -> Result<String, CliEr
 /// must be given; the journal's configuration fingerprint enforces it.
 pub(crate) fn restore(flags: &Flags) -> Result<String, CliError> {
     let instance = load_instance(flags.require("trace")?)?;
-    let machines: usize = flags.get_parsed("machines", 20)?;
+    let machines = machines_from_flags(flags, 20)?;
     let name = flags.get("algo").unwrap_or("mris");
     let cfg = service_cfg_from_flags(flags, machines)?;
     let dcfg = durability_cfg_from_flags(flags)?;

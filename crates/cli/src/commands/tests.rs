@@ -438,6 +438,54 @@ fn loadgen_refuses_a_burst_period_that_overflows() {
     );
 }
 
+/// A small trace on disk, and a schedule of it on two machines.
+fn trace_and_schedule(name: &str) -> (String, String) {
+    let trace = tmp(&format!("{name}_trace.csv"));
+    let schedule = tmp(&format!("{name}_schedule.csv"));
+    let (trace, schedule) = (trace.to_str().unwrap(), schedule.to_str().unwrap());
+    run(&words(&format!("generate --jobs 20 --out {trace}"))).unwrap();
+    run(&words(&format!(
+        "schedule --trace {trace} --algo mris --machines 2 --out {schedule}"
+    )))
+    .unwrap();
+    (trace.to_string(), schedule.to_string())
+}
+
+/// `--machines 0` is a typed refusal that names the flag, not a panic in
+/// the cluster or fault-plan constructor.
+fn assert_refuses_zero_machines(line: &str) {
+    let err = run(&words(line)).unwrap_err();
+    assert_eq!(err.0, "--machines must be at least 1", "{line}");
+}
+
+#[test]
+fn schedule_refuses_zero_machines() {
+    let (trace, _) = trace_and_schedule("zero_machines_schedule");
+    assert_refuses_zero_machines(&format!(
+        "schedule --trace {trace} --algo mris --machines 0"
+    ));
+}
+
+#[test]
+fn validate_refuses_zero_machines() {
+    let (trace, schedule) = trace_and_schedule("zero_machines_validate");
+    assert_refuses_zero_machines(&format!(
+        "validate --trace {trace} --schedule {schedule} --machines 0"
+    ));
+}
+
+#[test]
+fn compare_refuses_zero_machines() {
+    let (trace, _) = trace_and_schedule("zero_machines_compare");
+    assert_refuses_zero_machines(&format!("compare --trace {trace} --machines 0"));
+}
+
+#[test]
+fn chaos_refuses_zero_machines() {
+    let (trace, _) = trace_and_schedule("zero_machines_chaos");
+    assert_refuses_zero_machines(&format!("chaos --trace {trace} --machines 0"));
+}
+
 /// `--factor 0` keeps no request; it is refused by name.
 #[test]
 fn generate_refuses_a_zero_factor() {

@@ -13,7 +13,7 @@
 //!   advances — never becomes ineligible again. Jobs wait in a min-heap
 //!   keyed by that threshold and are promoted into the `frontier` set at
 //!   most once; an epoch whose frontier is empty costs `O(1)`.
-//! * **Scratch arena.** The eligible list, item list, batch vector, and the
+//! * **Scratch arena.** The eligible list, item list, batch vectors, and the
 //!   solver's [`SolveScratch`] live in an [`EpochScratch`] reused across
 //!   epochs, so a steady-state epoch allocates one vector: the solver's
 //!   selection, which `select_batch` extends into the batch and returns.
@@ -50,6 +50,8 @@ struct EpochScratch {
     eligible: Vec<JobId>,
     /// `(weight, volume)` items, parallel to `eligible`.
     items: Vec<Item>,
+    /// The selected batch paired with its heuristic keys, for the sort.
+    keyed: Vec<(OrdTime, JobId)>,
     /// The selected batch `B_k`, heuristic-sorted before placement.
     batch: Vec<JobId>,
     /// The knapsack solver's temporary buffers.
@@ -165,16 +167,19 @@ impl EpochState {
                 }));
             let selection =
                 select_batch(solver, &mut self.scratch.solve, &self.scratch.items, zeta);
+            // Each key is computed once; ids are unique, so the pairs sort
+            // into one total order and an unstable sort is exact.
+            let heuristic = config.heuristic;
+            self.scratch.keyed.clear();
+            self.scratch.keyed.extend(selection.iter().map(|&i| {
+                let id = self.scratch.eligible[i];
+                (OrdTime(heuristic.key(instance.job(id))), id)
+            }));
+            self.scratch.keyed.sort_unstable();
             self.scratch.batch.clear();
             self.scratch
                 .batch
-                .extend(selection.iter().map(|&i| self.scratch.eligible[i]));
-            let heuristic = config.heuristic;
-            self.scratch.batch.sort_by(|&a, &b| {
-                OrdTime(heuristic.key(instance.job(a)))
-                    .cmp(&OrdTime(heuristic.key(instance.job(b))))
-                    .then(a.cmp(&b))
-            });
+                .extend(self.scratch.keyed.iter().map(|&(_, id)| id));
         }
         if self.scratch.batch.is_empty() {
             return stats;

@@ -11,12 +11,48 @@
 //! the child's left row, so a child that inherits one runs only its right
 //! pass, and a solve costs about `1.6 * n * capacity` cell updates where
 //! recomputing every row would cost `2 * n * capacity`. When every sum the
-//! DP forms is exact ([`sums_are_exact`]), the reconstruction also leaves
-//! zero-size items out of the passes. Every node works in prefixes of one
-//! set of rows held by [`SolveScratch`], so a solve allocates nothing but
-//! its result.
+//! DP forms is exact ([`exact_total`]), the reconstruction also leaves
+//! zero-size items out of the passes, and when those sums also fit 16 bits
+//! the kernel runs on `i16` cells instead of `f64` ([`Lane`]). Every node
+//! works in prefixes of one set of rows held by [`SolveScratch`], so a
+//! solve allocates nothing but its result.
+
+use std::ops::Add;
 
 use crate::{assert_valid_items, Item, KnapsackSolver, Solution, SolveScratch};
+
+/// The type of a DP cell: `f64` for any input, or `i16` when every weight
+/// the DP relaxes is an integer and they sum to at most `i16::MAX`
+/// ([`exact_total`]). Then every cell, and every `left + right` of the
+/// split scan, is an integer no larger than that total, which both types
+/// hold exactly: the `i16` kernel forms the same values and makes the same
+/// strict `>` comparisons as the `f64` one, eight cells to a 128-bit
+/// register instead of two. Debug builds check the bound on every `+`.
+pub(crate) trait Lane: Copy + PartialOrd + Add<Output = Self> {
+    /// The empty knapsack's value.
+    const ZERO: Self;
+    /// Below every value a cell or a split sum can hold.
+    const LOWEST: Self;
+    /// A positive weight, which the caller has checked this type holds.
+    fn from_weight(w: f64) -> Self;
+}
+
+impl Lane for f64 {
+    const ZERO: f64 = 0.0;
+    const LOWEST: f64 = f64::NEG_INFINITY;
+    fn from_weight(w: f64) -> f64 {
+        w
+    }
+}
+
+impl Lane for i16 {
+    const ZERO: i16 = 0;
+    const LOWEST: i16 = i16::MIN;
+    fn from_weight(w: f64) -> i16 {
+        debug_assert!(w.fract() == 0.0 && w <= i16::MAX as f64, "weight {w}");
+        w as i16
+    }
+}
 
 /// One item of size `s` and weight `w`: `next[c] = max(cur[c], cur[c-s] + w)`
 /// for `c >= s`, `next[c] = cur[c]` below.
@@ -28,7 +64,7 @@ use crate::{assert_valid_items, Item, KnapsackSolver, Solution, SolveScratch};
 /// keeps it scalar with a data-dependent branch (DESIGN.md §18 has the
 /// measurements). The comparison is the strict `>` on `cur[c-s] + w`, not
 /// `f64::max`.
-fn relax(cur: &[f64], next: &mut [f64], s: usize, w: f64) {
+fn relax<L: Lane>(cur: &[L], next: &mut [L], s: usize, w: L) {
     debug_assert_eq!(cur.len(), next.len());
     let shifted = cur.len() - s;
     next[..s].copy_from_slice(&cur[..s]);
@@ -38,27 +74,46 @@ fn relax(cur: &[f64], next: &mut [f64], s: usize, w: f64) {
     }
 }
 
-/// Whether every sum the DP can form over `weights` is exact: each weight
-/// it relaxes (every one not `<= 0`) is an integer, and together they sum
-/// to at most `2^53`. Then every partial sum, and every `left + right` of
-/// the split scan, is an integer of at most `2^53` and so a float.
-fn sums_are_exact(weights: &[f64]) -> bool {
+/// The total of the weights the DP relaxes (every one not `<= 0`), if they
+/// are all integers summing to at most `2^53`; `None` otherwise. Then every
+/// partial sum, and every `left + right` of the split scan, is an integer
+/// no larger than the total and so a float, and an `i16` when the total is
+/// at most `i16::MAX`. The sum is kept in a `u64`, so it cannot round down
+/// to the limit along the way.
+fn exact_total(weights: &[f64]) -> Option<u64> {
     const LIMIT: u64 = 1 << 53;
     let mut total = 0u64;
     for &w in weights {
         if w <= 0.0 {
             continue;
         }
-        // Also false for NaN and infinity.
+        // Also `None` for NaN and infinity.
         if !(w <= LIMIT as f64 && w.fract() == 0.0) {
-            return false;
+            return None;
         }
         total += w as u64;
         if total > LIMIT {
-            return false;
+            return None;
         }
     }
-    true
+    Some(total)
+}
+
+/// Whether 16-bit cells hold every sum a DP over weights of this
+/// [`exact_total`] forms.
+fn fits_i16(total: Option<u64>) -> bool {
+    total.is_some_and(|t| t <= i16::MAX as u64)
+}
+
+/// The DP rows of one cell type: two value rows and the out-of-place
+/// relaxation spare, sized for the top-level capacity (every Hirschberg
+/// node works in prefixes of them), and the stack of rows a node keeps for
+/// its children: each half's row after half its items, which is that
+/// child's left row.
+#[derive(Debug, Default)]
+pub(crate) struct Arena<L> {
+    rows: [Vec<L>; 3],
+    kept: Vec<L>,
 }
 
 /// Best achievable weight for each capacity `0..=cap` over the given items,
@@ -77,27 +132,27 @@ fn sums_are_exact(weights: &[f64]) -> bool {
 ///
 /// **Zero-size items.** For `s = 0` and `w > 0`, [`relax`] writes
 /// `row[c] + w` in every column. With `fold_zero` the item is skipped
-/// instead; the caller has checked [`sums_are_exact`], so the row comes out
+/// instead; the caller has checked [`exact_total`], so the row comes out
 /// lower by the exact total of the skipped weights in every column.
 ///
 /// **The kept row.** With `keep = Some((k, kept))`, the row after the
 /// first `k` items is pushed onto `kept`, widened to `cap + 1` columns by
 /// the flat-region fill.
-fn dp_values(
+fn dp_values<L: Lane>(
     sizes: &[u64],
     weights: &[f64],
     cap: u64,
     fold_zero: bool,
-    out: &mut [f64],
-    spare: &mut [f64],
-    mut keep: Option<(usize, &mut Vec<f64>)>,
+    out: &mut [L],
+    spare: &mut [L],
+    mut keep: Option<(usize, &mut Vec<L>)>,
 ) {
     let cap = cap as usize;
     debug_assert_eq!(out.len(), cap + 1);
     debug_assert_eq!(spare.len(), cap + 1);
     let (mut cur, mut next) = (out, spare);
     let mut result_in_out = true;
-    cur[0] = 0.0;
+    cur[0] = L::ZERO;
     let mut reach = 0usize;
     for (i, (&s, &w)) in sizes.iter().zip(weights).enumerate() {
         if let Some((_, kept)) = keep.as_mut().filter(|(k, _)| *k == i) {
@@ -112,7 +167,7 @@ fn dp_values(
         let flat = cur[reach];
         cur[reach + 1..=grown].fill(flat);
         reach = grown;
-        relax(&cur[..=reach], &mut next[..=reach], s, w);
+        relax(&cur[..=reach], &mut next[..=reach], s, L::from_weight(w));
         std::mem::swap(&mut cur, &mut next);
         result_in_out = !result_in_out;
     }
@@ -127,24 +182,22 @@ fn dp_values(
 
 /// One solve's divide and conquer: the staged instance, the arena, and the
 /// selection being built.
-struct Reconstruction<'a> {
+struct Reconstruction<'a, L> {
     sizes: &'a [u64],
     weights: &'a [f64],
-    /// Zero-size items are left out of every pass ([`sums_are_exact`]
-    /// holds); the leaf rules still select them.
+    /// Zero-size items are left out of every pass ([`exact_total`] is
+    /// `Some`); the leaf rules still select them.
     fold_zero: bool,
-    /// Two value rows and the relaxation spare, each at least the root's
-    /// `cap + 1` long. A node is done with them once it has chosen the
-    /// split, so its children reuse them as shorter prefixes.
-    rows: &'a mut [Vec<f64>; 3],
-    /// A stack of rows kept for children, each `cap + 1` wide at the node
-    /// that kept it.
-    kept: &'a mut Vec<f64>,
+    /// Each row at least the root's `cap + 1` long. A node is done with its
+    /// rows once it has chosen the split, so its children reuse them as
+    /// shorter prefixes; kept rows are `cap + 1` wide at the node that kept
+    /// them.
+    arena: &'a mut Arena<L>,
     /// Selected indices, pushed in increasing order.
     selected: &'a mut Vec<usize>,
 }
 
-impl Reconstruction<'_> {
+impl<L: Lane> Reconstruction<'_, L> {
     /// Selects one optimal subset of items `lo..hi` at capacity `cap`.
     /// `inherited` is the offset in `kept` of this node's left row (items
     /// `lo..mid` at capacity `cap`), if its parent's pass kept one.
@@ -157,7 +210,7 @@ impl Reconstruction<'_> {
     /// are the flat region at both capacities.
     ///
     /// **Why a folded pass chooses the same split.** Under
-    /// [`sums_are_exact`], a zero-size item of weight `z` raises every
+    /// [`exact_total`], a zero-size item of weight `z` raises every
     /// column of a row by exactly `z` and changes no comparison after it,
     /// so a row without the node's zero-size items is the full row minus
     /// one exact constant. Every `left[c] + right[cap - c]` of the split
@@ -183,12 +236,13 @@ impl Reconstruction<'_> {
         }
         let mid = lo + (hi - lo) / 2;
         let width = cap as usize + 1;
-        let base = self.kept.len();
-        let [left, right, spare] = &mut *self.rows;
+        let Arena { rows, kept } = &mut *self.arena;
+        let base = kept.len();
+        let [left, right, spare] = rows;
         let (left, right, spare) = (&mut left[..width], &mut right[..width], &mut spare[..width]);
         // A half of two or more items is a child with passes of its own:
         // keep its left row, at the stack's current top.
-        let right_kept = (hi - mid >= 2).then_some(self.kept.len());
+        let right_kept = (hi - mid >= 2).then_some(kept.len());
         dp_values(
             &sizes[mid..hi],
             &weights[mid..hi],
@@ -196,12 +250,12 @@ impl Reconstruction<'_> {
             self.fold_zero,
             right,
             spare,
-            right_kept.map(|_| ((hi - mid) / 2, &mut *self.kept)),
+            right_kept.map(|_| ((hi - mid) / 2, &mut *kept)),
         );
-        let (left, left_kept): (&[f64], _) = match inherited {
-            Some(at) => (&self.kept[at..at + width], None),
+        let (left, left_kept): (&[L], _) = match inherited {
+            Some(at) => (&kept[at..at + width], None),
             None => {
-                let left_kept = (mid - lo >= 2).then_some(self.kept.len());
+                let left_kept = (mid - lo >= 2).then_some(kept.len());
                 dp_values(
                     &sizes[lo..mid],
                     &weights[lo..mid],
@@ -209,13 +263,13 @@ impl Reconstruction<'_> {
                     self.fold_zero,
                     left,
                     spare,
-                    left_kept.map(|_| ((mid - lo) / 2, &mut *self.kept)),
+                    left_kept.map(|_| ((mid - lo) / 2, &mut *kept)),
                 );
                 (left, left_kept)
             }
         };
         let mut best_c = 0usize;
-        let mut best = f64::NEG_INFINITY;
+        let mut best = L::LOWEST;
         for c in 0..width {
             let v = left[c] + right[cap as usize - c];
             if v > best {
@@ -225,7 +279,7 @@ impl Reconstruction<'_> {
         }
         self.node(lo, mid, best_c as u64, left_kept);
         self.node(mid, hi, cap - best_c as u64, right_kept);
-        self.kept.truncate(base);
+        self.arena.kept.truncate(base);
     }
 }
 
@@ -239,35 +293,55 @@ fn clamp_to_total(sizes: &[u64], cap: u64) -> u64 {
 /// `scratch.weights`, drawing the DP rows and the index staging from
 /// `scratch`; the returned vector is the only allocation once the scratch
 /// has grown to the instance.
+///
+/// The cell type is chosen once per solve: `i16` when [`fits_i16`] holds,
+/// `f64` otherwise, each in its own arena.
 pub(crate) fn solve_integer_into(scratch: &mut SolveScratch, cap: u64) -> Vec<usize> {
     let SolveScratch {
         sizes,
         weights,
         indices,
-        rows,
-        kept,
+        narrow,
+        wide,
     } = scratch;
     assert_eq!(sizes.len(), weights.len());
     let cap = clamp_to_total(sizes, cap);
-    for row in rows.iter_mut() {
+    let total = exact_total(weights);
+    indices.clear();
+    if fits_i16(total) {
+        reconstruct(sizes, weights, cap, true, narrow, indices);
+    } else {
+        reconstruct(sizes, weights, cap, total.is_some(), wide, indices);
+    }
+    debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
+    indices.clone()
+}
+
+/// Runs the divide and conquer over all items at `cap` in `arena`'s cell
+/// type, pushing the selection onto the empty `selected`.
+fn reconstruct<L: Lane>(
+    sizes: &[u64],
+    weights: &[f64],
+    cap: u64,
+    fold_zero: bool,
+    arena: &mut Arena<L>,
+    selected: &mut Vec<usize>,
+) {
+    for row in arena.rows.iter_mut() {
         // Contents are overwritten by every `dp_values`; only length matters.
         if row.len() <= cap as usize {
-            row.resize(cap as usize + 1, 0.0);
+            row.resize(cap as usize + 1, L::ZERO);
         }
     }
-    indices.clear();
-    kept.clear();
+    arena.kept.clear();
     Reconstruction {
         sizes,
         weights,
-        fold_zero: sums_are_exact(weights),
-        rows,
-        kept,
-        selected: indices,
+        fold_zero,
+        arena,
+        selected,
     }
     .node(0, sizes.len(), cap, None);
-    debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
-    indices.clone()
 }
 
 /// Solves the 0/1 knapsack with integer sizes exactly.
@@ -290,10 +364,24 @@ pub fn solve_integer(sizes: &[u64], weights: &[f64], cap: u64) -> Vec<usize> {
 
 /// Best achievable total weight at every integer capacity `0..=cap` (value
 /// only): entry `c` is the optimum of the knapsack with capacity `c`.
+///
+/// Runs on the cell type [`solve_integer`] would choose for these weights,
+/// and never leaves zero-size items out; `i16` cells widen to `f64`
+/// exactly.
 pub fn value_row_integer(sizes: &[u64], weights: &[f64], cap: u64) -> Vec<f64> {
     assert_eq!(sizes.len(), weights.len());
+    if fits_i16(exact_total(weights)) {
+        let row: Vec<i16> = value_row(sizes, weights, cap);
+        row.into_iter().map(f64::from).collect()
+    } else {
+        value_row(sizes, weights, cap)
+    }
+}
+
+/// [`value_row_integer`] in one cell type.
+fn value_row<L: Lane>(sizes: &[u64], weights: &[f64], cap: u64) -> Vec<L> {
     let width = cap as usize + 1;
-    let (mut out, mut spare) = (vec![0.0; width], vec![0.0; width]);
+    let (mut out, mut spare) = (vec![L::ZERO; width], vec![L::ZERO; width]);
     dp_values(sizes, weights, cap, false, &mut out, &mut spare, None);
     out
 }

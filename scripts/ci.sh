@@ -24,6 +24,15 @@ if git grep -nE "thread_local!|static mut|OnceLock|std::env" crates/knapsack/src
   echo "crates/knapsack/src or crates/schedulers/src holds global state or reads the environment" >&2; exit 1
 fi
 
+# The DP's speed comes from the baseline SSE2 packed ops the compiler
+# emits for its `f64` and `i16` cells; there is no runtime CPU dispatch
+# and no explicit vector intrinsic to keep in step with the scalar
+# reference (DESIGN.md §18).
+echo "==> mris-knapsack names no CPU-specific vector code"
+if git grep -nE "std::arch|target_feature|is_x86_feature_detected" crates/knapsack/src; then
+  echo "crates/knapsack/src dispatches on CPU features or uses vector intrinsics" >&2; exit 1
+fi
+
 # `mris-net` is the one front end: the service loop runs on its caller's
 # thread.
 echo "==> mris-service spawns no thread and holds no channel"
@@ -96,14 +105,17 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --release --offline -p mris-sim"
 cargo test -q --release --offline -p mris-sim
 
-# The knapsack DP kernel compiles to packed compare/select in release and to
-# a scalar loop in debug; its differential test must hold in both profiles.
+# The knapsack DP kernel, on `i16` cells and on `f64` cells, compiles to
+# packed add/compare/select in release and to a scalar loop in debug, where
+# the `i16` adds are also overflow-checked; its differential test must hold
+# in both profiles.
 echo "==> cargo test -q --release --offline -p mris-knapsack"
 cargo test -q --release --offline -p mris-knapsack
 
 # Batch MRIS is pinned in absolute terms (there is no second loop left to
 # compare it against); the pins must hold in both profiles for the same
-# reason as the DP's. `timeline_hardening`, `dag_golden` and `chaos_golden`
+# reason as the DP's, and `cadp_overload_golden` runs solves on both of the
+# DP's cell types, `i16` and `f64`. `timeline_hardening`, `dag_golden` and `chaos_golden`
 # ride along: that is where floors meet `reset_machine`, downtime blocks and
 # `p / speed`, and debug and release take different assertion paths there.
 echo "==> cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden --test timeline_hardening --test dag_golden --test chaos_golden"
