@@ -5,9 +5,9 @@ use std::io::Write;
 
 use mris_core::registry::online_policy_by_name;
 use mris_service::{
-    service_fingerprint, DirSnapshots, DurabilityConfig, JobOutcome, JsonlSink, NullSink,
-    NullSnapshots, Outage, RestoreOptions, Service, ServiceConfig, ServiceReport, SimClock,
-    SnapshotStore, TenantSpec,
+    read_valid_prefix, service_fingerprint, DirSnapshots, DurabilityConfig, JobOutcome, JsonlSink,
+    NullSink, NullSnapshots, Outage, RestoreOptions, Service, ServiceConfig, ServiceReport,
+    SimClock, SnapshotStore, TenantSpec,
 };
 use mris_types::Instance;
 
@@ -350,8 +350,13 @@ pub(crate) fn restore(flags: &Flags) -> Result<String, CliError> {
         (Some(path), _) => {
             Some(std::fs::read(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?)
         }
-        (None, Some(dir)) => DirSnapshots::latest(std::path::Path::new(dir))
-            .map_err(|e| CliError(format!("cannot read snapshots in {dir}: {e}")))?,
+        (None, Some(dir)) => {
+            // The newest snapshot the surviving journal reaches; an
+            // unreadable journal is left for `restore` to report.
+            let records = read_valid_prefix(&journal).map_or(0, |(p, _, _)| p.records.len());
+            DirSnapshots::latest_within(std::path::Path::new(dir), records as u64)
+                .map_err(|e| CliError(format!("cannot read snapshots in {dir}: {e}")))?
+        }
         (None, None) => None,
     };
     let outage = match flags.get("outage-at") {
@@ -401,9 +406,8 @@ pub(crate) fn restore(flags: &Flags) -> Result<String, CliError> {
         .map_err(|v| CliError(format!("{name}: fault-log violation: {v}")))?;
 
     let snapshot_text = match restore.snapshot_verified {
-        Some(lsn) => format!("verified at lsn {lsn}"),
-        None if snapshot.is_some() => "supplied but not reached".to_string(),
-        None => "none".to_string(),
+        Some(lsn) => format!("restored from the snapshot at lsn {lsn}"),
+        None => "none (replayed from genesis)".to_string(),
     };
     let tail_text = match &restore.tail_error {
         Some(e) => format!(" ({e})"),
@@ -411,13 +415,14 @@ pub(crate) fn restore(flags: &Flags) -> Result<String, CliError> {
     };
     Ok(format!(
         "restore: {} jobs, {machines} machines, algo = {name}\n\n\
-         records     = {} replayed ({} regenerated past the journal end)\n\
+         records     = {} in the journal, {} replayed ({} regenerated past the journal end)\n\
          torn tail   = {} bytes dropped{tail_text}\n\
          snapshot    = {snapshot_text}\n\
          shutdown    = {}\n\
          resumed at t = {:.3} ({:.3}s wall); resubmitted {resubmitted} jobs\n\n{}",
         instance.len(),
         restore.records,
+        restore.replayed,
         restore.regenerated,
         restore.torn_tail_bytes,
         if restore.clean_shutdown {

@@ -370,6 +370,87 @@ fn serve_journal_then_restore_round_trips() {
     assert!(err.0.contains("fingerprint"), "{err}");
 }
 
+/// The crash `--snapshot-dir` exists for: the journal is torn back past
+/// the newest snapshots. Restore starts from the newest snapshot the
+/// surviving journal reaches, replays only the records after it, and ends
+/// where the uncrashed serve ended.
+#[test]
+fn restore_from_snapshot_dir_after_a_torn_journal() {
+    let trace = tmp("torn_snaps_trace.csv");
+    let journal = tmp("torn_snaps.mrjl");
+    let torn = tmp("torn_snaps_torn.mrjl");
+    let snaps = tmp("torn_snaps_dir");
+    let path = |p: &std::path::PathBuf| p.to_str().unwrap().to_string();
+    run(&s(&["generate", "--jobs", "80", "--out", &path(&trace)])).unwrap();
+    let knobs = [
+        "--trace",
+        &path(&trace),
+        "--algo",
+        "pq-wsjf",
+        "--machines",
+        "3",
+        "--snapshot-every",
+        "16",
+    ]
+    .map(str::to_string);
+    let mut serve = s(&[
+        "serve",
+        "--journal",
+        &path(&journal),
+        "--snapshot-dir",
+        &path(&snaps),
+    ]);
+    serve.extend(knobs.iter().cloned());
+    let serve_out = run(&serve).unwrap();
+    let bytes = std::fs::read(&journal).unwrap();
+    std::fs::write(&torn, &bytes[..bytes.len() * 2 / 3]).unwrap();
+
+    let mut restore = s(&[
+        "restore",
+        "--journal",
+        &path(&torn),
+        "--snapshot-dir",
+        &path(&snaps),
+    ]);
+    restore.extend(knobs.iter().cloned());
+    let out = run(&restore).unwrap();
+    assert!(out.contains("shutdown    = crash"), "{out}");
+    let awct = serve_out.lines().find(|l| l.starts_with("AWCT")).unwrap();
+    assert!(out.contains(awct), "{out}");
+    let lsn: u64 = out
+        .split("restored from the snapshot at lsn ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no snapshot named: {out}"));
+    let counts: Vec<u64> = out
+        .lines()
+        .find(|l| l.starts_with("records"))
+        .unwrap()
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|n| n.parse().ok())
+        .collect();
+    let (records, replayed) = (counts[0], counts[1]);
+    assert_eq!(replayed, records - lsn - 1, "{out}");
+    // The crash tore the journal back past newer snapshots, which were
+    // skipped.
+    let newest = std::fs::read_dir(&snaps)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            name.strip_prefix("snapshot-")?
+                .strip_suffix(".bin")?
+                .parse::<u64>()
+                .ok()
+        })
+        .max()
+        .unwrap();
+    assert!(
+        newest > records,
+        "no snapshot lies past the torn journal: {out}"
+    );
+}
+
 #[test]
 fn loadgen_replays_fault_plan_against_live_service() {
     let out = run(&s(&[

@@ -36,7 +36,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 use mris_knapsack::{Item, KnapsackSolver, SolveScratch};
 use mris_sim::{ClusterTimelines, OrdTime};
-use mris_types::{Instance, JobId, Time};
+use mris_types::{CodecError, Decoder, Instance, JobId, Time};
 
 use crate::algorithm::{select_batch, IterationStats};
 use crate::config::MrisConfig;
@@ -107,6 +107,43 @@ impl EpochState {
         for job in &self.frontier {
             out.extend_from_slice(&job.0.to_le_bytes());
         }
+    }
+
+    /// The inverse of [`EpochState::durable_bytes`]: replaces the waiting
+    /// heap and the frontier with the decoded ones. Every job must be in
+    /// range for `seen` (one flag per job of the instance), and appear
+    /// once across both and whatever `seen` already marks; each is marked.
+    /// The entries must be in the encoding's canonical order.
+    pub(crate) fn load_durable(
+        &mut self,
+        d: &mut Decoder<'_>,
+        seen: &mut [bool],
+    ) -> Result<(), CodecError> {
+        let count = d.count(12)?;
+        let mut waiting = Vec::with_capacity(count);
+        let mut prev = None;
+        for _ in 0..count {
+            let key = d.u64()?;
+            let job = d.unique_job(seen)?;
+            if prev.is_some_and(|p| p >= (key, job)) {
+                return Err(d.malformed("waiting jobs out of canonical order"));
+            }
+            prev = Some((key, job));
+            waiting.push(Reverse((OrdTime(f64::from_bits(key)), job)));
+        }
+        let mut frontier = BTreeSet::new();
+        let mut prev = None;
+        for _ in 0..d.count(4)? {
+            let job = d.unique_job(seen)?;
+            if prev.is_some_and(|p| p >= job) {
+                return Err(d.malformed("frontier out of id order"));
+            }
+            prev = Some(job);
+            frontier.insert(job);
+        }
+        self.waiting = BinaryHeap::from(waiting);
+        self.frontier = frontier;
+        Ok(())
     }
 
     /// Promotes every job whose threshold has been reached into the

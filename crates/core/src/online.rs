@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 
 use mris_knapsack::KnapsackSolver;
 use mris_sim::{ClusterTimelines, Dispatcher, OnlinePolicy, OrdTime};
-use mris_types::{ClusterSpec, Instance, JobId, SchedulingError, Time};
+use mris_types::{ClusterSpec, CodecError, Decoder, Instance, JobId, SchedulingError, Time};
 
 use crate::algorithm::IterationStats;
 use crate::config::MrisConfig;
@@ -249,6 +249,52 @@ impl OnlinePolicy for MrisOnline {
         self.state.durable_bytes(out);
         self.timelines.durable_bytes(out);
         true
+    }
+
+    fn decode_durable_state(
+        &mut self,
+        bytes: &[u8],
+        instance: &Instance,
+    ) -> Result<bool, CodecError> {
+        let mut d = Decoder::new(bytes);
+        if d.f64()?.to_bits() != self.gamma0.to_bits() {
+            return Err(d.malformed("MRIS state written for another grid origin"));
+        }
+        let gamma = d.f64()?;
+        let k = d.u64()?;
+        // `gamma` is a function of `k`, exactly as `run_iteration` computes it.
+        let grid = i32::try_from(k)
+            .ok()
+            .map(|k| self.gamma0 * self.config.alpha.powi(k));
+        if grid.map(f64::to_bits) != Some(gamma.to_bits()) {
+            return Err(d.malformed(format!("MRIS grid point {gamma} is not gamma_{k}")));
+        }
+        let mut seen = vec![false; instance.len()];
+        let machines = self.timelines.num_machines() as u64;
+        let count = d.count(20)?;
+        let mut pending = Vec::with_capacity(count);
+        let mut prev = None;
+        for _ in 0..count {
+            let start = d.u64()?;
+            let job = d.unique_job(&mut seen)?;
+            let machine = d.u64()?;
+            if machine >= machines || prev.is_some_and(|p| p >= (start, job)) {
+                return Err(d.malformed("MRIS commitment out of order or off the cluster"));
+            }
+            prev = Some((start, job));
+            pending.push(Reverse((
+                OrdTime(f64::from_bits(start)),
+                job,
+                machine as usize,
+            )));
+        }
+        self.state.load_durable(&mut d, &mut seen)?;
+        self.timelines.load_durable(&mut d)?;
+        d.finish()?;
+        self.gamma = gamma;
+        self.k = k as usize;
+        self.pending = BinaryHeap::from(pending);
+        Ok(true)
     }
 }
 

@@ -14,10 +14,15 @@
 //! machine instead of every queued job.
 
 use mris_sim::{Dispatcher, OnlinePolicy, OrdTime};
-use mris_types::{fraction, Amount, ClusterSpec, Instance, JobId, SchedulingError, Time};
+use mris_types::{
+    fraction, Amount, ClusterSpec, CodecError, Decoder, Instance, JobId, SchedulingError, Time,
+};
 
-use crate::pending::PendingIndex;
+use crate::pending::{decode_jobs, PendingIndex};
 use crate::Scheduler;
+
+/// Leads BF-EXEC's durable state, so no other policy's bytes decode as it.
+const DURABLE_TAG: &[u8; 4] = b"BFEX";
 
 /// The BF-EXEC online policy. Use through [`BfExec`] unless composing your
 /// own driver loop.
@@ -77,6 +82,34 @@ impl OnlinePolicy for BfExecPolicy {
             }
         }
         Ok(())
+    }
+
+    fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
+        out.extend_from_slice(DURABLE_TAG);
+        self.pending.encode_entries(out);
+        out.extend_from_slice(&(self.fresh.len() as u64).to_le_bytes());
+        for j in &self.fresh {
+            out.extend_from_slice(&j.0.to_le_bytes());
+        }
+        true
+    }
+
+    fn decode_durable_state(
+        &mut self,
+        bytes: &[u8],
+        instance: &Instance,
+    ) -> Result<bool, CodecError> {
+        let mut d = Decoder::new(bytes);
+        if d.bytes(4)? != DURABLE_TAG {
+            return Err(d.malformed("not a BF-EXEC policy state"));
+        }
+        let mut seen = vec![false; instance.len()];
+        let pending = PendingIndex::decode_entries(&mut d, instance, &mut seen)?;
+        let fresh = decode_jobs(&mut d, &mut seen)?;
+        d.finish()?;
+        self.pending = pending;
+        self.fresh = fresh;
+        Ok(true)
     }
 }
 

@@ -12,9 +12,12 @@
 //! fit, and every later event (completions, fault re-releases) is PQ's.
 
 use mris_sim::{Dispatcher, OnlinePolicy};
-use mris_types::{ClusterSpec, Instance, JobId, SchedulingError, Time};
+use mris_types::{ClusterSpec, CodecError, Decoder, Instance, JobId, SchedulingError, Time};
 
 use crate::{PqPolicy, Scheduler, SortHeuristic};
+
+/// Leads CA-PQ's durable state, so PQ's own bytes never decode as it.
+const DURABLE_TAG: &[u8; 4] = b"CAPQ";
 
 /// The CA-PQ policy: holds every job until `gate` (the last release time),
 /// then behaves as PQ. Use through [`CaPq`] unless composing your own
@@ -47,6 +50,28 @@ impl OnlinePolicy for CaPqPolicy {
             return Ok(());
         }
         self.pq.dispatch(d, freed)
+    }
+
+    fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
+        out.extend_from_slice(DURABLE_TAG);
+        out.extend_from_slice(&self.gate.to_bits().to_le_bytes());
+        self.pq.encode_durable_state(out)
+    }
+
+    fn decode_durable_state(
+        &mut self,
+        bytes: &[u8],
+        instance: &Instance,
+    ) -> Result<bool, CodecError> {
+        let mut d = Decoder::new(bytes);
+        if d.bytes(4)? != DURABLE_TAG {
+            return Err(d.malformed("not a CA-PQ policy state"));
+        }
+        if d.f64()?.to_bits() != self.gate.to_bits() {
+            return Err(d.malformed("CA-PQ state written with another gate"));
+        }
+        let rest = d.bytes(d.remaining())?;
+        self.pq.decode_durable_state(rest, instance)
     }
 }
 

@@ -13,9 +13,9 @@
 //! a gate.
 
 use mris_sim::{Dispatcher, OnlinePolicy, OrdTime};
-use mris_types::{ClusterSpec, Instance, JobId, SchedulingError, Time};
+use mris_types::{ClusterSpec, CodecError, Decoder, Instance, JobId, SchedulingError, Time};
 
-use crate::pending::{Entry, PendingIndex};
+use crate::pending::{decode_jobs, Entry, PendingIndex};
 use crate::{Scheduler, SortHeuristic};
 
 /// The PQ online policy. Use through [`Pq`] unless you are composing your
@@ -68,16 +68,32 @@ impl OnlinePolicy for PqPolicy {
     fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
         // Pending jobs sorted by (key, id), then the undispatched arrivals
         // in arrival order: canonical whatever the index's layout.
-        out.extend_from_slice(&(self.pending.len() as u64).to_le_bytes());
-        for (OrdTime(key), j) in self.pending.sorted_entries() {
-            out.extend_from_slice(&key.to_bits().to_le_bytes());
-            out.extend_from_slice(&j.0.to_le_bytes());
-        }
+        self.pending.encode_entries(out);
         out.extend_from_slice(&(self.fresh.len() as u64).to_le_bytes());
         for (_, j) in &self.fresh {
             out.extend_from_slice(&j.0.to_le_bytes());
         }
         true
+    }
+
+    fn decode_durable_state(
+        &mut self,
+        bytes: &[u8],
+        instance: &Instance,
+    ) -> Result<bool, CodecError> {
+        let mut d = Decoder::new(bytes);
+        let mut seen = vec![false; instance.len()];
+        let pending = PendingIndex::decode_entries(&mut d, instance, &mut seen)?;
+        let fresh = decode_jobs(&mut d, &mut seen)?;
+        d.finish()?;
+        // An arrival's key is computed on arrival; a queued job has not run
+        // since, so its weight, and with it the key, is still the same.
+        self.pending = pending;
+        self.fresh = fresh
+            .into_iter()
+            .map(|j| (OrdTime(self.heuristic.key(instance.job(j))), j))
+            .collect();
+        Ok(true)
     }
 }
 

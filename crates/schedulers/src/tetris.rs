@@ -17,9 +17,15 @@
 //! DESIGN.md.
 
 use mris_sim::{Dispatcher, OnlinePolicy};
-use mris_types::{fraction, Amount, ClusterSpec, Instance, Job, JobId, SchedulingError, Time};
+use mris_types::{
+    fraction, Amount, ClusterSpec, CodecError, Decoder, Instance, Job, JobId, SchedulingError, Time,
+};
 
+use crate::pending::decode_jobs;
 use crate::Scheduler;
+
+/// Leads Tetris's durable state, so no other policy's bytes decode as it.
+const DURABLE_TAG: &[u8; 4] = b"TTRS";
 
 /// The Tetris online policy. Use through [`Tetris`] unless composing your
 /// own driver loop.
@@ -133,6 +139,46 @@ impl OnlinePolicy for TetrisPolicy {
         }
         self.fresh.clear();
         Ok(())
+    }
+
+    fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
+        // The queue in its own order: `swap_remove` reorders it, and the
+        // order breaks score ties.
+        out.extend_from_slice(DURABLE_TAG);
+        out.extend_from_slice(&self.eps.to_bits().to_le_bytes());
+        for list in [&self.pending, &self.fresh] {
+            out.extend_from_slice(&(list.len() as u64).to_le_bytes());
+            for j in list {
+                out.extend_from_slice(&j.0.to_le_bytes());
+            }
+        }
+        true
+    }
+
+    fn decode_durable_state(
+        &mut self,
+        bytes: &[u8],
+        instance: &Instance,
+    ) -> Result<bool, CodecError> {
+        let mut d = Decoder::new(bytes);
+        if d.bytes(4)? != DURABLE_TAG {
+            return Err(d.malformed("not a Tetris policy state"));
+        }
+        if d.f64()?.to_bits() != self.eps.to_bits() {
+            return Err(d.malformed("Tetris state written with another eps"));
+        }
+        let pending = decode_jobs(&mut d, &mut vec![false; instance.len()])?;
+        let fresh = decode_jobs(&mut d, &mut vec![false; instance.len()])?;
+        d.finish()?;
+        if !fresh.iter().all(|j| pending.contains(j)) {
+            return Err(CodecError::Malformed {
+                offset: bytes.len(),
+                detail: "a fresh Tetris job is not queued".into(),
+            });
+        }
+        self.pending = pending;
+        self.fresh = fresh;
+        Ok(true)
     }
 }
 

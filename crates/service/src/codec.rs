@@ -1,163 +1,17 @@
 //! Zero-dependency binary codec for the durability layer.
 //!
-//! All multi-byte integers are little-endian; `f64` values are encoded as
-//! their IEEE-754 bit patterns so encode→decode→encode is byte-identical
-//! (the crash-equivalence suite compares AWCT *bits*, so the codec must
-//! never round-trip through decimal). On top of the primitive streams sit
-//! the two integrity primitives the journal and snapshot formats share:
-//! CRC-32 (IEEE polynomial) over frame payloads and an FNV-1a 64-bit
-//! configuration fingerprint.
+//! The primitive [`Encoder`] / [`Decoder`] streams live in `mris-types`,
+//! so the simulator and the policies decode their own durable state with
+//! them; they are re-exported here. All multi-byte integers are
+//! little-endian; `f64` values are encoded as their IEEE-754 bit patterns
+//! so encode→decode→encode is byte-identical (the crash-equivalence suite
+//! compares AWCT *bits*, so the codec must never round-trip through
+//! decimal). On top of the primitive streams sit the two integrity
+//! primitives the journal and snapshot formats share: CRC-32 (IEEE
+//! polynomial) over frame payloads and an FNV-1a 64-bit configuration
+//! fingerprint.
 
-use mris_types::CodecError;
-
-/// Append-only primitive encoder over a byte buffer.
-#[derive(Debug, Default)]
-pub struct Encoder {
-    buf: Vec<u8>,
-}
-
-impl Encoder {
-    /// A fresh empty encoder.
-    pub fn new() -> Self {
-        Encoder::default()
-    }
-
-    /// Consumes the encoder and returns the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// The bytes encoded so far, without consuming the encoder.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Empties the encoder, keeping its allocation for reuse on hot paths.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Overwrites 4 bytes at `offset` with `v`, little-endian — for
-    /// backpatching a frame header after its payload is encoded in place.
-    ///
-    /// # Panics
-    ///
-    /// If `offset + 4` exceeds the encoded length.
-    pub fn patch_u32(&mut self, offset: usize, v: u32) {
-        self.buf[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Bytes encoded so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern, little-endian.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Appends raw bytes without a length prefix (caller frames them).
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-}
-
-/// Cursor-based primitive decoder; every read is bounds-checked and returns
-/// a typed [`CodecError`] instead of panicking.
-#[derive(Debug)]
-pub struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    /// A decoder over `buf` starting at offset 0.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
-    }
-
-    /// Current byte offset (for error reporting and frame accounting).
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated {
-                offset: self.pos,
-                needed: n,
-                remaining: self.remaining(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes(s.try_into().expect("4-byte slice")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads exactly `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.take(n)
-    }
-
-    /// Asserts the input is fully consumed (strict container parsing).
-    pub fn finish(self) -> Result<(), CodecError> {
-        if self.remaining() != 0 {
-            return Err(CodecError::Malformed {
-                offset: self.pos,
-                detail: format!("{} trailing bytes after the last field", self.remaining()),
-            });
-        }
-        Ok(())
-    }
-}
+pub use mris_types::{Decoder, Encoder};
 
 /// The CRC-32 (IEEE 802.3) slicing-by-8 tables, built at compile time.
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
@@ -232,6 +86,7 @@ pub fn fnv64(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mris_types::CodecError;
 
     #[test]
     fn primitives_round_trip() {

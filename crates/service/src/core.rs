@@ -18,8 +18,9 @@ use std::collections::BinaryHeap;
 use mris_metrics::Percentiles;
 use mris_sim::{ChaosOutcome, EventKernel, EventSink, FaultLog, FaultPlan, OnlinePolicy, OrdTime};
 use mris_types::{
-    fraction, AdmissionError, Amount, ClusterSpec, ConfigError, DurabilityError, Instance, JobId,
-    RestartSemantics, Schedule, SchedulingError, TenantId, TenantQuotaKind, Time, CAPACITY,
+    fraction, AdmissionError, Amount, ClusterSpec, CodecError, ConfigError, Decoder,
+    DurabilityError, Instance, JobId, RestartSemantics, RestoreError, Schedule, SchedulingError,
+    TenantId, TenantQuotaKind, Time, CAPACITY,
 };
 
 use crate::clock::Clock;
@@ -977,9 +978,9 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         self.sink.epoch(&record);
 
         // Durability boundary: snapshot if due, flush at cadence. The
-        // state encoding is computed only at snapshot points.
+        // state encoding is computed only where a snapshot is written.
         if let Some(mut d) = self.dur.take() {
-            let state = d.snapshot_due().then(|| self.durable_state_bytes());
+            let state = d.writes_snapshot().then(|| self.durable_state_bytes());
             d.event_end(now, state);
             self.dur = Some(d);
         }
@@ -987,7 +988,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
     }
 
     /// Canonical encoding of the full committed service state — the
-    /// snapshot payload and the replay-equivalence witness. Unordered
+    /// snapshot payload, which [`Service::load_durable_state`] decodes and
+    /// restore re-encodes to check the decoding. Unordered
     /// containers are emitted sorted; wall-clock-only fields (the
     /// decision-latency samples, the start `Instant`) and scratch buffers
     /// are excluded because they differ between an original run and its
@@ -1004,14 +1006,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         e.u64(self.seq);
         e.u64(self.outcomes.len() as u64);
         for o in &self.outcomes {
-            e.u8(match o {
-                JobOutcome::NotSubmitted => 0,
-                JobOutcome::Rejected(AdmissionError::QueueFull { .. }) => 1,
-                JobOutcome::Rejected(AdmissionError::DemandInfeasible { .. }) => 2,
-                JobOutcome::Accepted => 3,
-                JobOutcome::Completed => 4,
-                JobOutcome::Rejected(AdmissionError::TenantQuota { .. }) => 5,
-            });
+            encode_outcome(&mut e, o);
         }
         // Weight aging mutates the working instance; the rest of it is static.
         for j in self.kernel.instance().jobs() {
@@ -1033,50 +1028,10 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         for &d in &self.queued_demand {
             e.u64(d);
         }
+        self.kernel.durable_fault_bytes(e.buffer_mut());
+        self.kernel.cluster().durable_bytes(e.buffer_mut());
+        self.kernel.durable_run_bytes(e.buffer_mut());
         let mut sub = Vec::new();
-        self.kernel.durable_fault_bytes(&mut sub);
-        e.bytes(&sub);
-        sub.clear();
-        self.kernel.cluster().durable_bytes(&mut sub);
-        e.bytes(&sub);
-        let log = self.kernel.log();
-        for i in 0..self.original.len() {
-            match self.kernel.schedule().get(JobId(i as u32)) {
-                Some(a) => {
-                    e.u8(1);
-                    e.u32(a.machine as u32);
-                    e.f64(a.start);
-                }
-                None => e.u8(0),
-            }
-        }
-        e.u64(log.failures.len() as u64);
-        for f in &log.failures {
-            e.f64(f.at);
-            e.u64(f.machine as u64);
-            e.f64(f.recover_at);
-            e.u64(f.killed.len() as u64);
-            for j in &f.killed {
-                e.u32(j.0);
-            }
-        }
-        e.u64(log.recoveries.len() as u64);
-        for &(t, m) in &log.recoveries {
-            e.f64(t);
-            e.u64(m as u64);
-        }
-        e.u64(log.re_releases.len() as u64);
-        for &n in &log.re_releases {
-            e.u64(n as u64);
-        }
-        e.u64(log.completions.len() as u64);
-        for c in &log.completions {
-            e.u32(c.job.0);
-            e.u64(c.machine as u64);
-            e.f64(c.start);
-            e.f64(c.end);
-        }
-        sub.clear();
         let encoded = self.policy.encode_durable_state(&mut sub);
         e.u8(encoded as u8);
         e.u64(sub.len() as u64);
@@ -1097,6 +1052,9 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 }
             }
             e.u64(self.rejected_tenant as u64);
+            for &t in &self.job_tenant {
+                e.u32(t);
+            }
         }
         // Precedence section — only for DAG instances, so edge-free
         // snapshot bytes stay identical to the pre-precedence format.
@@ -1109,6 +1067,228 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             }
         }
         e.into_bytes()
+    }
+
+    /// The inverse of [`Service::durable_state_bytes`]: replaces this
+    /// freshly built service's state (ledger, delivery queue, tenants, the
+    /// kernel's, and the policy's) with the one `state` encodes. `events`
+    /// is the number of events the journal recorded before the snapshot,
+    /// which the state must agree with.
+    ///
+    /// Beyond decoding, the sections are checked against each other
+    /// wherever the event loop later relies on them — the ledger's counts
+    /// against its outcomes, queued demand against the queue, each
+    /// tenant's accounting against its jobs — so a decoded state is one
+    /// whose continuation cannot underflow a counter or index out of range.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::Snapshot`] for bytes that do not decode or do not
+    /// agree; [`RestoreError::SnapshotUnsupported`] when the snapshot holds
+    /// no policy state or the policy cannot decode its own.
+    pub(crate) fn load_durable_state(
+        &mut self,
+        state: &[u8],
+        events: u64,
+    ) -> Result<(), RestoreError> {
+        let policy = self
+            .load_sections(state, events)
+            .map_err(RestoreError::Snapshot)?
+            .ok_or(RestoreError::SnapshotUnsupported)?;
+        match self
+            .policy
+            .decode_durable_state(policy, self.kernel.instance())
+        {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(RestoreError::SnapshotUnsupported),
+            Err(e) => Err(RestoreError::Snapshot(e)),
+        }
+    }
+
+    /// Everything of [`Service::load_durable_state`] but the policy, whose
+    /// bytes it returns (`None` if the policy wrote none).
+    fn load_sections<'b>(
+        &mut self,
+        state: &'b [u8],
+        events: u64,
+    ) -> Result<Option<&'b [u8]>, CodecError> {
+        let n = self.original.len();
+        let r = self.original.num_resources();
+        let mut d = Decoder::new(state);
+        let last_event = d.f64()?;
+        let submitted = d.u64()?;
+        let accepted = d.u64()?;
+        let rejected_queue_full = d.u64()?;
+        let rejected_infeasible = d.u64()?;
+        let max_queue_depth = d.u64()?;
+        let epochs = d.u64()?;
+        let seq = d.u64()?;
+        if epochs != events {
+            return Err(d.malformed(format!(
+                "state counts {epochs} events, the journal {events}"
+            )));
+        }
+        d.expect_count(n, "outcome count")?;
+        let outcomes: Vec<JobOutcome> = (0..n)
+            .map(|_| decode_outcome(&mut d))
+            .collect::<Result<_, _>>()?;
+        let weights: Vec<f64> = (0..n).map(|_| d.f64()).collect::<Result<_, _>>()?;
+        let count = d.count(20)?;
+        let mut queue = Vec::with_capacity(count);
+        let mut prev = None;
+        let mut queued = vec![false; n];
+        for _ in 0..count {
+            let key = (d.u64()?, d.u64()?);
+            let job = d.unique_job(&mut queued)?;
+            if prev.is_some_and(|p| p >= key) {
+                return Err(d.malformed("delivery queue out of canonical order"));
+            }
+            prev = Some(key);
+            queue.push(Reverse((OrdTime(f64::from_bits(key.0)), key.1, job)));
+        }
+        d.expect_count(r, "queued demand width")?;
+        let queued_demand: Vec<Amount> = (0..r).map(|_| d.u64()).collect::<Result<_, _>>()?;
+        self.kernel.load_fault_bytes(&mut d)?;
+        self.kernel.load_cluster_bytes(&mut d)?;
+        self.kernel.load_run_bytes(&mut d)?;
+        let has_policy = d.bool()?;
+        let len = d.count(1)?;
+        let policy = d.bytes(len)?;
+        let mut rejected_tenant = 0;
+        let mut job_tenant = Vec::new();
+        if !self.tenants.is_empty() {
+            d.expect_count(self.tenants.len(), "tenant count")?;
+            for ts in &mut self.tenants {
+                ts.queued_jobs = d.u64()? as usize;
+                ts.deficit = d.u64()?;
+                ts.admitted = d.u64()?;
+                ts.rejected = d.u64()?;
+                ts.admitted_cost = d.u64()?;
+                d.expect_count(r, "tenant queued demand width")?;
+                for q in &mut ts.queued_demand {
+                    *q = d.u64()?;
+                }
+            }
+            rejected_tenant = d.u64()?;
+            job_tenant = (0..n).map(|_| d.u32()).collect::<Result<_, _>>()?;
+        }
+        self.kernel.load_gate_bytes(&mut d)?;
+        if self.kernel.gate().is_active() {
+            for s in &mut self.held_seq {
+                *s = d.u64()?;
+            }
+        }
+        self.kernel.finish_load(last_event, &weights, &d)?;
+        let end = d.offset();
+        d.finish()?;
+        let bad = |detail: &str| CodecError::Malformed {
+            offset: end,
+            detail: detail.to_string(),
+        };
+
+        // The ledger's counters are its outcomes, counted.
+        let mut tally = [0u64; 6];
+        for o in &outcomes {
+            tally[outcome_tag(o) as usize] += 1;
+        }
+        let [not_submitted, queue_full, infeasible, open, completed, tenant_quota] = tally;
+        if submitted != n as u64 - not_submitted
+            || accepted != open + completed
+            || seq != accepted
+            || rejected_queue_full != queue_full
+            || rejected_infeasible != infeasible
+            || rejected_tenant != tenant_quota
+        {
+            return Err(bad("ledger counters disagree with the outcomes"));
+        }
+        // Undelivered jobs — queued, or held at the gate — are open and
+        // unplaced, and their demand is what the queue is charged with.
+        let gate = self.kernel.gate();
+        let undelivered: Vec<JobId> = (0..n as u32)
+            .map(JobId)
+            .filter(|&j| queued[j.index()] || gate.is_held(j))
+            .collect();
+        let mut demand = vec![0; r];
+        for &j in &undelivered {
+            if queued[j.index()] && gate.is_held(j)
+                || outcomes[j.index()] != JobOutcome::Accepted
+                || self.kernel.schedule().get(j).is_some()
+            {
+                return Err(bad("an undelivered job is not open, or is placed"));
+            }
+            for (q, &dem) in demand
+                .iter_mut()
+                .zip(self.kernel.instance().job(j).demands.iter())
+            {
+                *q += dem;
+            }
+        }
+        if demand != queued_demand {
+            return Err(bad("queued demand disagrees with the undelivered jobs"));
+        }
+        for (_, _, job) in self.kernel.cluster().running_jobs() {
+            if outcomes[job.index()] != JobOutcome::Accepted {
+                return Err(bad("a running job is not open"));
+            }
+        }
+        if !self.tenants.is_empty() {
+            let t_count = self.tenants.len();
+            let mut expect: Vec<(usize, Vec<Amount>, u64, u64)> =
+                vec![(0, vec![0; r], 0, 0); t_count];
+            for (j, &t) in job_tenant.iter().enumerate() {
+                let admitted = matches!(outcomes[j], JobOutcome::Accepted | JobOutcome::Completed);
+                if t as usize >= t_count || (!admitted && t != 0) {
+                    return Err(bad("a job's tenant is out of range"));
+                }
+                if admitted {
+                    let job = self.kernel.instance().job(JobId(j as u32));
+                    let e = &mut expect[t as usize];
+                    e.2 += 1;
+                    e.3 += job_cost(job);
+                }
+            }
+            for &j in &undelivered {
+                let e = &mut expect[job_tenant[j.index()] as usize];
+                e.0 += 1;
+                for (q, &dem) in
+                    e.1.iter_mut()
+                        .zip(self.kernel.instance().job(j).demands.iter())
+                {
+                    *q += dem;
+                }
+            }
+            let rejected =
+                (self.tenants.iter()).fold(0u64, |sum, ts| sum.saturating_add(ts.rejected));
+            let consistent = self.tenants.iter().zip(&expect).all(|(ts, e)| {
+                (
+                    ts.queued_jobs,
+                    &ts.queued_demand,
+                    ts.admitted,
+                    ts.admitted_cost,
+                ) == (e.0, &e.1, e.2, e.3)
+                    && ts.deficit <= ts.burst
+                    && ts.rejected <= n as u64
+            });
+            if !consistent || rejected != queue_full + infeasible + tenant_quota {
+                return Err(bad("tenant accounting disagrees with the tenants' jobs"));
+            }
+        }
+
+        self.clock.advance_to(last_event);
+        self.outcomes = outcomes;
+        self.queue = BinaryHeap::from(queue);
+        self.queued_demand = queued_demand;
+        self.job_tenant = job_tenant;
+        self.seq = seq;
+        self.submitted = submitted as usize;
+        self.accepted = accepted as usize;
+        self.rejected_queue_full = rejected_queue_full as usize;
+        self.rejected_infeasible = rejected_infeasible as usize;
+        self.rejected_tenant = rejected_tenant as usize;
+        self.completed = completed as usize;
+        self.max_queue_depth = max_queue_depth as usize;
+        self.epochs = epochs as usize;
+        Ok(has_policy.then_some(policy))
     }
 
     /// Runs the loop to quiescence, enforces that every accepted job
@@ -1170,6 +1350,105 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             },
             self.sink,
         ))
+    }
+}
+
+/// The tag byte of `o` in the durable outcome section.
+fn outcome_tag(o: &JobOutcome) -> u8 {
+    match o {
+        JobOutcome::NotSubmitted => 0,
+        JobOutcome::Rejected(AdmissionError::QueueFull { .. }) => 1,
+        JobOutcome::Rejected(AdmissionError::DemandInfeasible { .. }) => 2,
+        JobOutcome::Accepted => 3,
+        JobOutcome::Completed => 4,
+        JobOutcome::Rejected(AdmissionError::TenantQuota { .. }) => 5,
+    }
+}
+
+/// One job's outcome: its tag, then for a rejection the fields of its
+/// [`AdmissionError`] (version 3; a rejection-free ledger is one byte a
+/// job, as before).
+fn encode_outcome(e: &mut Encoder, o: &JobOutcome) {
+    e.u8(outcome_tag(o));
+    let JobOutcome::Rejected(err) = o else {
+        return;
+    };
+    match *err {
+        AdmissionError::QueueFull { depth, watermark } => {
+            e.u64(depth as u64);
+            e.u64(watermark as u64);
+        }
+        AdmissionError::DemandInfeasible {
+            job,
+            resource,
+            queued,
+            budget,
+        } => {
+            e.u32(job.0);
+            e.u64(resource as u64);
+            e.f64(queued);
+            e.f64(budget);
+        }
+        AdmissionError::TenantQuota { tenant, kind } => {
+            e.u32(tenant.0);
+            match kind {
+                TenantQuotaKind::QueueDepth { depth, watermark } => {
+                    e.u8(0);
+                    e.u64(depth as u64);
+                    e.u64(watermark as u64);
+                }
+                TenantQuotaKind::QueuedDemand { queued, budget } => {
+                    e.u8(1);
+                    e.f64(queued);
+                    e.f64(budget);
+                }
+                TenantQuotaKind::FairShare { deficit, cost } => {
+                    e.u8(2);
+                    e.u64(deficit);
+                    e.u64(cost);
+                }
+            }
+        }
+    }
+}
+
+/// The inverse of [`encode_outcome`].
+fn decode_outcome(d: &mut Decoder<'_>) -> Result<JobOutcome, CodecError> {
+    let rejected = |err| Ok(JobOutcome::Rejected(err));
+    match d.u8()? {
+        0 => Ok(JobOutcome::NotSubmitted),
+        1 => rejected(AdmissionError::QueueFull {
+            depth: d.u64()? as usize,
+            watermark: d.u64()? as usize,
+        }),
+        2 => rejected(AdmissionError::DemandInfeasible {
+            job: JobId(d.u32()?),
+            resource: d.u64()? as usize,
+            queued: d.f64()?,
+            budget: d.f64()?,
+        }),
+        3 => Ok(JobOutcome::Accepted),
+        4 => Ok(JobOutcome::Completed),
+        5 => {
+            let tenant = TenantId(d.u32()?);
+            let kind = match d.u8()? {
+                0 => TenantQuotaKind::QueueDepth {
+                    depth: d.u64()? as usize,
+                    watermark: d.u64()? as usize,
+                },
+                1 => TenantQuotaKind::QueuedDemand {
+                    queued: d.f64()?,
+                    budget: d.f64()?,
+                },
+                2 => TenantQuotaKind::FairShare {
+                    deficit: d.u64()?,
+                    cost: d.u64()?,
+                },
+                other => return Err(d.malformed(format!("unknown tenant quota kind {other}"))),
+            };
+            rejected(AdmissionError::TenantQuota { tenant, kind })
+        }
+        other => Err(d.malformed(format!("unknown outcome tag {other}"))),
     }
 }
 

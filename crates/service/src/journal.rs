@@ -18,15 +18,16 @@
 //! # Replay model
 //!
 //! The journal is the *source of truth*: [`crate::Service::restore`]
-//! replays the input records (admissions, rejections, event marks) from
-//! genesis through a fresh service and policy, which deterministically
+//! starts from the newest supplied snapshot (or from genesis without one)
+//! and replays the input records after it (admissions, rejections, event
+//! marks) through the service and policy, which deterministically
 //! regenerates every derived record (placements, completions, faults,
 //! re-releases). During replay the derived records are *verified* against
 //! the journal ([`ReplayVerifier`]) instead of being re-appended — a
 //! mismatch is a typed [`RestoreError::Divergence`], so a journal from a
 //! different build or a corrupted-but-checksum-valid file can never
-//! silently produce a different schedule. Snapshots are consistency
-//! checkpoints layered on top (see [`crate::snapshot`]).
+//! silently produce a different schedule. A snapshot is the state at its
+//! mark (see [`crate::snapshot`]).
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -626,28 +627,33 @@ impl Write for SharedBuf {
 
 /// Replay-time verifier: instead of appending, every record the restoring
 /// service produces is compared against the journal's record at the
-/// cursor. Records produced past the journal's end are the regenerated
+/// cursor. It holds only the records replay re-executes or checks — the
+/// journal's tail after the restore's starting point, record `base`
+/// onwards. Records produced past the journal's end are the regenerated
 /// torn tail (counted, not an error). The first mismatch is latched.
 pub(crate) struct ReplayVerifier {
     pub(crate) expected: Vec<JournalRecord>,
+    /// The LSN of `expected[0]`.
+    pub(crate) base: u64,
     pub(crate) cursor: usize,
     pub(crate) regenerated: u64,
-    /// The snapshot to cross-check when replay passes its mark, if any.
-    pub(crate) snapshot: Option<Snapshot>,
-    pub(crate) snapshot_verified: Option<u64>,
     pub(crate) divergence: Option<mris_types::RestoreError>,
 }
 
 impl ReplayVerifier {
-    pub(crate) fn new(expected: Vec<JournalRecord>, snapshot: Option<Snapshot>) -> Self {
+    pub(crate) fn new(expected: Vec<JournalRecord>, base: u64) -> Self {
         ReplayVerifier {
             expected,
+            base,
             cursor: 0,
             regenerated: 0,
-            snapshot,
-            snapshot_verified: None,
             divergence: None,
         }
+    }
+
+    /// The LSN of the next unconsumed record.
+    pub(crate) fn lsn(&self) -> u64 {
+        self.base + self.cursor as u64
     }
 
     fn check(&mut self, produced: JournalRecord) {
@@ -658,7 +664,7 @@ impl ReplayVerifier {
             let expected = &self.expected[self.cursor];
             if *expected != produced {
                 self.divergence = Some(mris_types::RestoreError::Divergence {
-                    lsn: self.cursor as u64,
+                    lsn: self.lsn(),
                     detail: format!("journal holds {expected:?}, replay produced {produced:?}"),
                 });
                 return;
@@ -714,55 +720,53 @@ impl Durability {
         }
     }
 
-    /// Whether the next event boundary is a snapshot point — asked by the
-    /// service *before* [`Durability::event_end`] so it can compute the
-    /// (expensive) state encoding only when needed.
-    pub(crate) fn snapshot_due(&self) -> bool {
+    /// Resumes the record and snapshot counters of a replay that starts at
+    /// record `lsn` rather than at genesis: just past a snapshot's mark,
+    /// at the event boundary the snapshot was taken at.
+    pub(crate) fn resume_after_mark(&mut self, lsn: u64) {
+        self.records = lsn;
+        self.events_since_snapshot = 0;
+    }
+
+    /// Whether the next event boundary is a snapshot point.
+    fn snapshot_due(&self) -> bool {
         self.cfg.snapshot_every > 0 && self.events_since_snapshot + 1 >= self.cfg.snapshot_every
     }
 
-    /// Event-boundary bookkeeping: snapshot (if due; `state` carries the
-    /// service's canonical state bytes) and flush (at the flush cadence).
+    /// Whether the next event boundary writes a snapshot — asked by the
+    /// service *before* [`Durability::event_end`] so it computes the
+    /// (expensive) state encoding only when one is written. Replay emits
+    /// the mark and needs no state.
+    pub(crate) fn writes_snapshot(&self) -> bool {
+        self.snapshot_due() && matches!(self.sink, DurabilitySink::Journal { .. })
+    }
+
+    /// Event-boundary bookkeeping: the snapshot mark (if due; `state`
+    /// carries the service's canonical state bytes when a snapshot is
+    /// written) and flush (at the flush cadence).
     pub(crate) fn event_end(&mut self, now: Time, state: Option<Vec<u8>>) {
-        if let Some(state) = state {
-            debug_assert!(self.snapshot_due());
+        if self.snapshot_due() {
             self.events_since_snapshot = 0;
             let lsn = self.records;
             self.emit(JournalRecord::SnapshotMark { lsn });
-            let snap = Snapshot {
-                version: SNAPSHOT_VERSION,
-                fingerprint: self.fingerprint,
-                lsn,
-                at: now,
-                state,
-            };
-            match &mut self.sink {
-                DurabilitySink::Journal { snapshots, .. } => {
-                    let started = std::time::Instant::now();
-                    if let Err(e) = snapshots.put(&snap) {
-                        self.error.get_or_insert(e);
-                    }
-                    mris_obs::histogram_record(
-                        "mris_snapshot_seconds",
-                        started.elapsed().as_secs_f64(),
-                    );
+            if let (DurabilitySink::Journal { snapshots, .. }, Some(state)) =
+                (&mut self.sink, state)
+            {
+                let snap = Snapshot {
+                    version: SNAPSHOT_VERSION,
+                    fingerprint: self.fingerprint,
+                    lsn,
+                    at: now,
+                    state,
+                };
+                let started = std::time::Instant::now();
+                if let Err(e) = snapshots.put(&snap) {
+                    self.error.get_or_insert(e);
                 }
-                DurabilitySink::Verify(v) => {
-                    if v.divergence.is_none() {
-                        if let Some(stored) = &v.snapshot {
-                            if stored.lsn == lsn {
-                                if stored.state == snap.state {
-                                    v.snapshot_verified = Some(lsn);
-                                } else {
-                                    v.divergence =
-                                        Some(mris_types::RestoreError::SnapshotStateMismatch {
-                                            lsn,
-                                        });
-                                }
-                            }
-                        }
-                    }
-                }
+                mris_obs::histogram_record(
+                    "mris_snapshot_seconds",
+                    started.elapsed().as_secs_f64(),
+                );
             }
         } else {
             self.events_since_snapshot += 1;

@@ -11,14 +11,12 @@
 //!             | state_len u32 | crc32(state) u32 | state bytes
 //! ```
 //!
-//! Restore does **not** deserialize a snapshot into live structures — live
-//! state (notably the policy's) is rebuilt by replaying the journal from
-//! genesis, which is the only policy-agnostic way to reconstruct a
-//! `Box<dyn OnlinePolicy>` bit-for-bit. Instead, when replay reaches the
-//! snapshot's sequence number it re-derives the state bytes and compares
-//! them to the stored snapshot, turning every snapshot into an end-to-end
-//! consistency check; and a snapshot is the anchor for degraded
-//! journal-loss recovery (`RestoreOptions::outage`).
+//! A snapshot is where restore starts: `Service::restore` decodes the
+//! state into a fresh service and policy, checks that it re-encodes to
+//! the stored bytes, and replays only the journal records after the
+//! snapshot's mark. Every durable encoder therefore has an inverse, and the
+//! state carries everything the inverses need. A snapshot is also the
+//! anchor for degraded journal-loss recovery (`RestoreOptions::outage`).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -32,7 +30,7 @@ use crate::codec::{crc32, Decoder, Encoder};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MRSN";
 /// The one snapshot format version this build reads and writes (DESIGN.md
 /// §14 says what each version changed).
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// One decoded (or to-be-encoded) snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,22 +168,26 @@ impl DirSnapshots {
         Ok(DirSnapshots { dir })
     }
 
-    /// Loads the newest (highest-LSN) snapshot file under `dir`, if any.
-    pub fn latest(dir: &Path) -> std::io::Result<Option<Vec<u8>>> {
-        let mut names: Vec<PathBuf> = std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("snapshot-") && n.ends_with(".bin"))
-            })
-            .collect();
-        names.sort();
-        match names.last() {
-            Some(path) => Ok(Some(std::fs::read(path)?)),
-            None => Ok(None),
+    /// Loads the newest snapshot file under `dir` that a journal of
+    /// `records` records reaches — one whose LSN is at most `records` — if
+    /// any. A crash can tear the journal back past snapshots written
+    /// before it; those are skipped, not restored from.
+    pub fn latest_within(dir: &Path, records: u64) -> std::io::Result<Option<Vec<u8>>> {
+        let mut best: Option<(u64, PathBuf)> = None;
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            let lsn = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .and_then(|n| n.strip_prefix("snapshot-")?.strip_suffix(".bin"))
+                .and_then(|lsn| lsn.parse::<u64>().ok());
+            if let Some(lsn) = lsn.filter(|&lsn| lsn <= records) {
+                if best.as_ref().is_none_or(|(b, _)| lsn > *b) {
+                    best = Some((lsn, path));
+                }
+            }
         }
+        best.map(|(_, path)| std::fs::read(path)).transpose()
     }
 }
 

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mris_types::{Amount, ClusterSpec, Instance, Job, JobId, Time, CAPACITY};
+use mris_types::{Amount, ClusterSpec, CodecError, Decoder, Instance, Job, JobId, Time, CAPACITY};
 
 use crate::OrdTime;
 
@@ -310,6 +310,78 @@ impl ClusterState {
                 out.extend_from_slice(&s.to_bits().to_le_bytes());
             }
         }
+    }
+
+    /// The inverse of [`ClusterState::durable_bytes`]: replaces this
+    /// cluster's dynamic state (available capacity, down flags, running
+    /// jobs) with the encoded one. The machine count, resource count and
+    /// machine table must be this cluster's own, the running jobs must be
+    /// in canonical order and in range, and each machine's available
+    /// capacity must be exactly its capacity less what runs on it (all of
+    /// it, idle, while the machine is down) — so a decoded cluster is one
+    /// the event loop could have built. On error `self` is unchanged.
+    pub fn load_durable(
+        &mut self,
+        d: &mut Decoder<'_>,
+        instance: &Instance,
+    ) -> Result<(), CodecError> {
+        let (m_count, r_count) = (self.num_machines, self.num_resources);
+        d.expect_count(m_count, "cluster machine count")?;
+        d.expect_count(r_count, "cluster resource count")?;
+        let mut avail = Vec::with_capacity(m_count * r_count);
+        for _ in 0..m_count * r_count {
+            avail.push(d.u64()?);
+        }
+        let mut down = Vec::with_capacity(m_count);
+        for _ in 0..m_count {
+            down.push(d.bool()?);
+        }
+        let count = d.count(16)?;
+        let mut running = Vec::with_capacity(count);
+        let mut expect = self.caps.clone();
+        let mut prev: Option<(u64, u32, u32)> = None;
+        for _ in 0..count {
+            let key = (d.u64()?, d.u32()?, d.u32()?);
+            let (t, m, j) = key;
+            if prev.is_some_and(|p| p >= key) {
+                return Err(d.malformed("running jobs out of canonical order"));
+            }
+            prev = Some(key);
+            let (m, job) = (m as usize, JobId(j));
+            if m >= m_count || job.index() >= instance.len() || down[m] {
+                return Err(d.malformed(format!(
+                    "running job {j} on machine {m}, which is out of range or down"
+                )));
+            }
+            for (a, &dem) in expect[m * r_count..(m + 1) * r_count]
+                .iter_mut()
+                .zip(instance.job(job).demands.iter())
+            {
+                *a = a
+                    .checked_sub(dem)
+                    .ok_or_else(|| d.malformed(format!("machine {m} is oversubscribed")))?;
+            }
+            running.push(Reverse((OrdTime(f64::from_bits(t)), m as u32, job)));
+        }
+        if avail != expect {
+            return Err(d.malformed("available capacity disagrees with the running jobs"));
+        }
+        if !self.uniform {
+            for &c in &self.caps {
+                if d.u64()? != c {
+                    return Err(d.malformed("machine capacities differ from this cluster's"));
+                }
+            }
+            for &s in &self.speeds {
+                if d.u64()? != s.to_bits() {
+                    return Err(d.malformed("machine speeds differ from this cluster's"));
+                }
+            }
+        }
+        self.avail = avail;
+        self.down = down;
+        self.running = BinaryHeap::from(running);
+        Ok(())
     }
 }
 

@@ -6,8 +6,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mris_types::{
-    ClusterSpec, FaultEvent, FaultTarget, Instance, JobId, RestartSemantics, Schedule,
-    SchedulingError, Time,
+    ClusterSpec, CodecError, Decoder, FaultEvent, FaultTarget, Instance, JobId, RestartSemantics,
+    Schedule, SchedulingError, Time,
 };
 
 use crate::fault::{ChaosOutcome, CompletionRecord, FailureRecord, FaultLog};
@@ -409,6 +409,259 @@ impl<'a> EventKernel<'a> {
         for j in &self.re_released {
             out.extend_from_slice(&j.0.to_le_bytes());
         }
+    }
+
+    /// Appends the run so far to `out`: per job a presence byte and, when
+    /// placed, its machine (`u32`) and start; then the fault log — the
+    /// failures with their killed jobs, the recoveries, the per-job kill
+    /// counts, and the completions, each list count-prefixed.
+    pub fn durable_run_bytes(&self, out: &mut Vec<u8>) {
+        for i in 0..self.work.len() {
+            match self.schedule.get(JobId(i as u32)) {
+                Some(a) => {
+                    out.push(1);
+                    out.extend_from_slice(&(a.machine as u32).to_le_bytes());
+                    out.extend_from_slice(&a.start.to_bits().to_le_bytes());
+                }
+                None => out.push(0),
+            }
+        }
+        let log = &self.log;
+        out.extend_from_slice(&(log.failures.len() as u64).to_le_bytes());
+        for f in &log.failures {
+            out.extend_from_slice(&f.at.to_bits().to_le_bytes());
+            out.extend_from_slice(&(f.machine as u64).to_le_bytes());
+            out.extend_from_slice(&f.recover_at.to_bits().to_le_bytes());
+            out.extend_from_slice(&(f.killed.len() as u64).to_le_bytes());
+            for j in &f.killed {
+                out.extend_from_slice(&j.0.to_le_bytes());
+            }
+        }
+        out.extend_from_slice(&(log.recoveries.len() as u64).to_le_bytes());
+        for &(t, m) in &log.recoveries {
+            out.extend_from_slice(&t.to_bits().to_le_bytes());
+            out.extend_from_slice(&(m as u64).to_le_bytes());
+        }
+        out.extend_from_slice(&(log.re_releases.len() as u64).to_le_bytes());
+        for &n in &log.re_releases {
+            out.extend_from_slice(&(n as u64).to_le_bytes());
+        }
+        out.extend_from_slice(&(log.completions.len() as u64).to_le_bytes());
+        for c in &log.completions {
+            out.extend_from_slice(&c.job.0.to_le_bytes());
+            out.extend_from_slice(&(c.machine as u64).to_le_bytes());
+            out.extend_from_slice(&c.start.to_bits().to_le_bytes());
+            out.extend_from_slice(&c.end.to_bits().to_le_bytes());
+        }
+    }
+
+    // Restoring from a snapshot. A kernel is rebuilt section by section,
+    // in the order its owner's state encoding interleaves them: each
+    // `load_*` is the inverse of one encoder above and fills a freshly
+    // constructed kernel, and `finish_load` checks the sections against
+    // each other. Each checks what the event loop relies on to stay
+    // panic-free — indices in range, counters that later events decrement
+    // consistent with what they count — so a hostile snapshot is a typed
+    // error. A kernel whose load failed is discarded.
+
+    /// The inverse of [`EventKernel::durable_fault_bytes`]. Fault-queue
+    /// entries must name machines and plan events this kernel has.
+    pub fn load_fault_bytes(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
+        let count = d.count(17)?;
+        let mut fault_q = BinaryHeap::with_capacity(count);
+        for _ in 0..count {
+            let at = d.f64()?;
+            let kind = match (d.u8()?, d.u64()?) {
+                (0, m) if m < self.cluster.num_machines() as u64 => FaultKind::Recover(m as usize),
+                (1, i) if i < self.plan.len() as u64 => FaultKind::Fail(i as usize),
+                (kind, payload) => {
+                    return Err(d.malformed(format!(
+                        "fault-queue entry ({kind}, {payload}) names no machine or plan event"
+                    )))
+                }
+            };
+            fault_q.push(Reverse((OrdTime(at), kind)));
+        }
+        let count = d.count(4)?;
+        let mut re_released = Vec::with_capacity(count);
+        for _ in 0..count {
+            re_released.push(self.job_id(d)?);
+        }
+        self.fault_q = fault_q;
+        self.re_released = re_released;
+        Ok(())
+    }
+
+    /// The inverse of [`ClusterState::durable_bytes`] on the live cluster.
+    pub fn load_cluster_bytes(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
+        self.cluster.load_durable(d, &self.work)
+    }
+
+    /// The inverse of [`EventKernel::durable_run_bytes`]. Placements must
+    /// name machines of this cluster, and each job's kill count must be
+    /// the number of failures that list it.
+    pub fn load_run_bytes(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
+        let n = self.work.len();
+        let machines = self.cluster.num_machines();
+        let mut schedule = Schedule::new(n, machines);
+        for i in 0..n {
+            if d.bool()? {
+                let (machine, start) = (d.u32()? as usize, d.f64()?);
+                schedule
+                    .assign(JobId(i as u32), machine, start)
+                    .map_err(|e| d.malformed(e.to_string()))?;
+            }
+        }
+        let mut log = FaultLog::new(n);
+        let mut kills = vec![0u32; n];
+        for _ in 0..d.count(32)? {
+            let at = d.f64()?;
+            let machine = self.machine_index(d)?;
+            let recover_at = d.f64()?;
+            let count = d.count(4)?;
+            let mut killed = Vec::with_capacity(count);
+            for _ in 0..count {
+                let job = self.job_id(d)?;
+                kills[job.index()] += 1;
+                killed.push(job);
+            }
+            log.failures.push(FailureRecord {
+                at,
+                machine,
+                recover_at,
+                killed,
+            });
+        }
+        for _ in 0..d.count(16)? {
+            let at = d.f64()?;
+            log.recoveries.push((at, self.machine_index(d)?));
+        }
+        d.expect_count(n, "kill-count table length")?;
+        for (i, &k) in kills.iter().enumerate() {
+            if d.u64()? != k as u64 {
+                return Err(d.malformed(format!(
+                    "kill count of {} disagrees with the failures",
+                    JobId(i as u32)
+                )));
+            }
+        }
+        log.re_releases = kills;
+        for _ in 0..d.count(28)? {
+            let job = self.job_id(d)?;
+            let machine = self.machine_index(d)?;
+            let (start, end) = (d.f64()?, d.f64()?);
+            log.completions.push(CompletionRecord {
+                job,
+                machine,
+                start,
+                end,
+            });
+        }
+        self.schedule = schedule;
+        self.log = log;
+        Ok(())
+    }
+
+    /// The inverse of [`PrecedenceGate::durable_bytes_if_active`].
+    pub fn load_gate_bytes(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
+        self.gate.load_durable_if_active(d, &self.work)
+    }
+
+    /// Completes a load: sets the last event to `last_event`, re-applies
+    /// the weight aging the fault log records, and checks the sections
+    /// against each other. `weights` (the encoded working weights) must be
+    /// exactly what aging the caller's weights by the logged kills gives;
+    /// every running job must be placed where and when it runs; and the
+    /// pending recoveries must be exactly one per down machine.
+    pub fn finish_load(
+        &mut self,
+        last_event: Time,
+        weights: &[f64],
+        d: &Decoder<'_>,
+    ) -> Result<(), CodecError> {
+        let aging = match self.restart {
+            RestartSemantics::WeightAging { factor } => Some(factor),
+            RestartSemantics::FullRestart => None,
+        };
+        if weights.len() != self.work.len() {
+            return Err(d.malformed("one weight per job expected"));
+        }
+        for (i, &want) in weights.iter().enumerate() {
+            let job = JobId(i as u32);
+            let mut w = self.work.job(job).weight;
+            if let Some(factor) = aging {
+                for _ in 0..self.log.re_releases[i] {
+                    w *= factor;
+                    if !(w.is_finite() && w >= 0.0) {
+                        return Err(d.malformed(format!("aged weight of {job} is invalid")));
+                    }
+                }
+            }
+            if w.to_bits() != want.to_bits() {
+                return Err(d.malformed(format!(
+                    "weight of {job} is not its weight aged by its kills"
+                )));
+            }
+        }
+        for (t, m, job) in self.cluster.running_jobs() {
+            let placed = self.schedule.get(job).is_some_and(|a| {
+                a.machine == m
+                    && (a.start + self.cluster.effective_time(m, self.work.job(job).proc_time))
+                        .to_bits()
+                        == t.to_bits()
+            });
+            if !placed {
+                return Err(d.malformed(format!("running {job} is not placed where it runs")));
+            }
+        }
+        let mut recovering = vec![false; self.cluster.num_machines()];
+        for &Reverse((_, kind)) in &self.fault_q {
+            if let FaultKind::Recover(m) = kind {
+                if recovering[m] || self.cluster.is_up(m) {
+                    return Err(d.malformed(format!("recovery of machine {m} is not pending")));
+                }
+                recovering[m] = true;
+            }
+        }
+        if (0..recovering.len()).any(|m| !recovering[m] && !self.cluster.is_up(m)) {
+            return Err(d.malformed("a down machine has no pending recovery"));
+        }
+        if let Some(factor) = aging {
+            for i in 0..weights.len() {
+                for _ in 0..self.log.re_releases[i] {
+                    self.work.to_mut().scale_weight(JobId(i as u32), factor);
+                }
+            }
+        }
+        self.last_event = last_event;
+        Ok(())
+    }
+
+    /// Adds `events` to the fault plan after construction, as if they had
+    /// been appended to it: they fire after every planned strike at the
+    /// same instant, in the given order.
+    pub fn add_fault_events(&mut self, events: &[FaultEvent]) {
+        for e in events {
+            self.fault_q
+                .push(Reverse((OrdTime(e.at), FaultKind::Fail(self.plan.len()))));
+            self.plan.push(*e);
+        }
+    }
+
+    fn job_id(&self, d: &mut Decoder<'_>) -> Result<JobId, CodecError> {
+        let j = d.u32()?;
+        if j as usize >= self.work.len() {
+            return Err(d.malformed(format!("job {j} is out of range")));
+        }
+        Ok(JobId(j))
+    }
+
+    fn machine_index(&self, d: &mut Decoder<'_>) -> Result<usize, CodecError> {
+        let m = d.u64()?;
+        if m >= self.cluster.num_machines() as u64 {
+            return Err(d.malformed(format!("machine {m} is out of range")));
+        }
+        Ok(m as usize)
     }
 
     /// Ends the run: the schedule (every job's last placement) and the

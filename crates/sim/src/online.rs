@@ -5,7 +5,7 @@
 //! policy inspects the pending jobs and the instantaneous cluster state and
 //! may start any feasible subset immediately.
 
-use mris_types::{ClusterSpec, Instance, JobId, Schedule, SchedulingError, Time};
+use mris_types::{ClusterSpec, CodecError, Instance, JobId, Schedule, SchedulingError, Time};
 
 use crate::precedence::PrecedenceGate;
 use crate::ClusterState;
@@ -203,11 +203,11 @@ pub trait OnlinePolicy: Send {
 
     /// Serializes the policy's replay-relevant state into `out` as a
     /// canonical byte string, returning `true` if the policy supports it.
-    /// Used by the service durability layer to *verify* a restored policy
-    /// against a snapshot — restore itself replays the journal from
-    /// genesis, so policies without this hook (the default, returning
-    /// `false`) are still fully restorable; their snapshots just cannot be
-    /// cross-checked against policy internals.
+    /// The service durability layer stores it in every snapshot, and
+    /// restoring from a snapshot hands it back to
+    /// [`OnlinePolicy::decode_durable_state`]. A policy without this hook
+    /// (the default, returning `false`) can only be restored by replaying
+    /// its journal from genesis; a snapshot supplied for it is refused.
     ///
     /// Canonical means: derived caches, scratch buffers, and probe-order
     /// heuristics are excluded, and unordered containers are emitted in a
@@ -215,6 +215,24 @@ pub trait OnlinePolicy: Send {
     /// identically.
     fn encode_durable_state(&self, _out: &mut Vec<u8>) -> bool {
         false
+    }
+
+    /// The inverse of [`OnlinePolicy::encode_durable_state`]: replaces the
+    /// state of this freshly constructed policy (built for the same
+    /// instance and cluster as the encoding one) with the one `bytes`
+    /// encode, where `instance` holds the working weights at the time of
+    /// the encoding. Returns `Ok(false)` if the policy has no decoder (the
+    /// default). Decoders consume every byte, check every job and machine
+    /// index, and refuse bytes that another policy or configuration wrote
+    /// where they can tell; the caller re-encodes the decoded state and
+    /// compares it with `bytes`, so anything a decoder accepts that does
+    /// not round-trip is caught there.
+    fn decode_durable_state(
+        &mut self,
+        _bytes: &[u8],
+        _instance: &Instance,
+    ) -> Result<bool, CodecError> {
+        Ok(false)
     }
 }
 

@@ -14,7 +14,7 @@
 //! is inert ([`PrecedenceGate::is_active`] is `false`) and the driver keeps
 //! its historical arrival path byte for byte.
 
-use mris_types::{Instance, JobId};
+use mris_types::{CodecError, Decoder, Instance, JobId};
 
 /// Tracks, for every job, how many predecessors have not yet completed, and
 /// which released jobs are currently withheld from the policy.
@@ -62,6 +62,13 @@ impl PrecedenceGate {
     #[inline]
     pub fn is_complete(&self, job: JobId) -> bool {
         self.active && self.completed[job.index()]
+    }
+
+    /// Whether `job` is released but withheld (see
+    /// [`PrecedenceGate::hold`]).
+    #[inline]
+    pub fn is_held(&self, job: JobId) -> bool {
+        self.active && self.held[job.index()]
     }
 
     /// Marks a released-but-gated job as withheld; it will be surfaced
@@ -154,6 +161,49 @@ impl PrecedenceGate {
             out.push(self.completed[i] as u8);
             out.push(self.held[i] as u8);
         }
+    }
+
+    /// The inverse of [`PrecedenceGate::durable_bytes_if_active`] (reads
+    /// nothing when inactive). Every job's outstanding count must be the
+    /// number of its predecessors not marked complete, and only a job with
+    /// one outstanding may be held — the counters are what later
+    /// completions decrement. On error `self` is unchanged.
+    pub fn load_durable_if_active(
+        &mut self,
+        d: &mut Decoder<'_>,
+        instance: &Instance,
+    ) -> Result<(), CodecError> {
+        if !self.active {
+            return Ok(());
+        }
+        let n = self.remaining.len();
+        d.expect_count(n, "precedence gate job count")?;
+        let mut remaining = Vec::with_capacity(n);
+        let mut completed = Vec::with_capacity(n);
+        let mut held = Vec::with_capacity(n);
+        for _ in 0..n {
+            remaining.push(d.u32()?);
+            completed.push(d.bool()?);
+            held.push(d.bool()?);
+        }
+        let mut outstanding = vec![0u32; n];
+        for &(pred, succ) in instance.edges() {
+            if !completed[pred.index()] {
+                outstanding[succ.index()] += 1;
+            }
+        }
+        for i in 0..n {
+            if remaining[i] != outstanding[i] || (held[i] && outstanding[i] == 0) {
+                return Err(d.malformed(format!(
+                    "precedence gate state of {} is inconsistent",
+                    JobId(i as u32)
+                )));
+            }
+        }
+        self.remaining = remaining;
+        self.completed = completed;
+        self.held = held;
+        Ok(())
     }
 }
 

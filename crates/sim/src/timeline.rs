@@ -60,7 +60,7 @@
 
 use std::time::{Duration, Instant};
 
-use mris_types::{Amount, ClusterSpec, Instance, Job, JobId, Time, CAPACITY};
+use mris_types::{Amount, ClusterSpec, CodecError, Decoder, Instance, Job, JobId, Time, CAPACITY};
 
 /// Segments per skip-index block. 16 is small enough that a block is often
 /// uniformly saturated (so the min-skip fires inside packed prefixes) while
@@ -318,6 +318,56 @@ impl MachineTimeline {
         for &u in &self.usage {
             out.extend_from_slice(&u.to_le_bytes());
         }
+    }
+
+    /// The inverse of [`MachineTimeline::durable_bytes`]: replaces this
+    /// timeline's step function with the encoded one and rebuilds the skip
+    /// index from it. The encoding must satisfy the type's invariants —
+    /// breakpoints finite, strictly increasing from `0.0`, usage within
+    /// this machine's capacity, an all-zero last segment — so every query
+    /// on the result terminates as on a committed one. On error `self` is
+    /// unchanged.
+    pub fn load_durable(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
+        let r = self.num_resources;
+        let watermark = d.f64()?;
+        if !(watermark.is_finite() && watermark >= 0.0) {
+            return Err(d.malformed(format!("timeline watermark {watermark} is invalid")));
+        }
+        let count = d.count(8 + 8 * r)?;
+        let mut times = Vec::with_capacity(count);
+        for _ in 0..count {
+            let t = d.f64()?;
+            let ordered = match times.last() {
+                None => t.to_bits() == 0.0f64.to_bits(),
+                Some(&prev) => t > prev && t.is_finite(),
+            };
+            if !ordered {
+                return Err(
+                    d.malformed("timeline breakpoints are not finite and increasing from 0")
+                );
+            }
+            times.push(t);
+        }
+        let mut usage = Vec::with_capacity(count * r);
+        for _ in 0..count {
+            for &c in &self.cap {
+                let u = d.u64()?;
+                if u > c {
+                    return Err(d.malformed("timeline usage exceeds machine capacity"));
+                }
+                usage.push(u);
+            }
+        }
+        if times.is_empty() || usage[usage.len() - r..].iter().any(|&u| u != 0) {
+            return Err(d.malformed("timeline does not end idle"));
+        }
+        self.watermark = watermark;
+        self.times = times;
+        self.usage = usage;
+        self.block_max.clear();
+        self.block_min.clear();
+        self.rebuild_index_from(0);
+        Ok(())
     }
 
     /// Index of the segment containing `t` (requires `t >= 0`).
@@ -1316,6 +1366,40 @@ impl ClusterTimelines {
                 out.extend_from_slice(&tl.speed.to_bits().to_le_bytes());
             }
         }
+    }
+
+    /// The inverse of [`ClusterTimelines::durable_bytes`]: replaces every
+    /// machine's committed step function with the encoded one. The machine
+    /// count, resource count and machine table must be this cluster's own.
+    /// The skip indexes are rebuilt; the floors, their classes and the scan
+    /// seed start empty, as in a fresh cluster — they steer probes and
+    /// never change a placement. On error the timelines decoded so far
+    /// have been replaced and the floors are untouched; callers discard
+    /// the cluster.
+    pub fn load_durable(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
+        d.expect_count(self.machines.len(), "timeline machine count")?;
+        d.expect_count(self.num_resources, "timeline resource count")?;
+        d.expect_count(64, "timeline layout word")?;
+        for tl in &mut self.machines {
+            tl.load_durable(d)?;
+        }
+        if !self.machines.iter().all(MachineTimeline::is_unit_machine) {
+            for tl in &self.machines {
+                for &c in &tl.cap {
+                    if d.u64()? != c {
+                        return Err(d.malformed("machine capacities differ from this cluster's"));
+                    }
+                }
+                if d.u64()? != tl.speed.to_bits() {
+                    return Err(d.malformed("machine speeds differ from this cluster's"));
+                }
+            }
+        }
+        self.scan_seed = 0;
+        self.classes.clear();
+        self.stairs.clear();
+        self.floor_base.fill(0.0);
+        Ok(())
     }
 }
 

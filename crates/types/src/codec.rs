@@ -1,0 +1,235 @@
+//! The primitive byte codec every durable format is built from.
+//!
+//! All multi-byte integers are little-endian; `f64` values are encoded as
+//! their IEEE-754 bit patterns so encode→decode→encode is byte-identical.
+//! The service's journal and snapshot containers, the wire protocol, and
+//! the decoders of each crate's durable state read through one
+//! [`Decoder`], so every short or impossible read is the same typed
+//! [`CodecError`].
+
+use crate::{CodecError, JobId};
+
+/// Append-only primitive encoder over a byte buffer.
+#[derive(Debug, Default)]
+pub struct Encoder {
+    buf: Vec<u8>,
+}
+
+impl Encoder {
+    /// A fresh empty encoder.
+    pub fn new() -> Self {
+        Encoder::default()
+    }
+
+    /// Consumes the encoder and returns the encoded bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// The bytes encoded so far, without consuming the encoder.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The buffer itself, for encoders that append raw little-endian
+    /// bytes to a `Vec<u8>` (the simulator's durable sections) to write
+    /// in place rather than through a copy.
+    pub fn buffer_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    /// Empties the encoder, keeping its allocation for reuse on hot paths.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Overwrites 4 bytes at `offset` with `v`, little-endian — for
+    /// backpatching a frame header after its payload is encoded in place.
+    ///
+    /// # Panics
+    ///
+    /// If `offset + 4` exceeds the encoded length.
+    pub fn patch_u32(&mut self, offset: usize, v: u32) {
+        self.buf[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Bytes encoded so far.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing has been encoded yet.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Appends one byte.
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    /// Appends a `u32`, little-endian.
+    pub fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a `u64`, little-endian.
+    pub fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends an `f64` as its IEEE-754 bit pattern, little-endian.
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Appends raw bytes without a length prefix (caller frames them).
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+}
+
+/// Cursor-based primitive decoder; every read is bounds-checked and returns
+/// a typed [`CodecError`] instead of panicking.
+#[derive(Debug)]
+pub struct Decoder<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Decoder<'a> {
+    /// A decoder over `buf` starting at offset 0.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Decoder { buf, pos: 0 }
+    }
+
+    /// Current byte offset (for error reporting and frame accounting).
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if self.remaining() < n {
+            return Err(CodecError::Truncated {
+                offset: self.pos,
+                needed: n,
+                remaining: self.remaining(),
+            });
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        let s = self.take(4)?;
+        Ok(u32::from_le_bytes(s.try_into().expect("4-byte slice")))
+    }
+
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        let s = self.take(8)?;
+        Ok(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
+    }
+
+    /// Reads an `f64` from its IEEE-754 bit pattern.
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads exactly `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        self.take(n)
+    }
+
+    /// Reads a `u8` that must be `0` or `1`.
+    pub fn bool(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => {
+                Err(self.malformed_at(self.pos - 1, format!("flag byte {other} is not 0 or 1")))
+            }
+        }
+    }
+
+    /// Reads a `u64` element count and checks that `count` elements of at
+    /// least `min_bytes` bytes each can still follow, so a corrupt count is
+    /// a typed error before anything is allocated for it.
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
+        let at = self.pos;
+        let count = self.u64()?;
+        let fits = usize::try_from(count)
+            .ok()
+            .and_then(|c| c.checked_mul(min_bytes.max(1)))
+            .is_some_and(|bytes| bytes <= self.remaining());
+        if !fits {
+            return Err(self.malformed_at(
+                at,
+                format!("count {count} exceeds the {} bytes left", self.remaining()),
+            ));
+        }
+        Ok(count as usize)
+    }
+
+    /// Reads a `u64` count that must equal `expected` — a dimension the
+    /// decoder already knows from its own configuration.
+    pub fn expect_count(&mut self, expected: usize, what: &str) -> Result<(), CodecError> {
+        let at = self.pos;
+        let found = self.u64()?;
+        if found != expected as u64 {
+            return Err(self.malformed_at(at, format!("{what} is {found}, expected {expected}")));
+        }
+        Ok(())
+    }
+
+    /// Reads a `u32` job id that must index `seen` (one flag per job of
+    /// the instance) and not be marked there yet; marks it. Durable states
+    /// hold each job at most once, so this is how their decoders read ids.
+    pub fn unique_job(&mut self, seen: &mut [bool]) -> Result<JobId, CodecError> {
+        let at = self.pos;
+        let j = self.u32()?;
+        match seen.get_mut(j as usize) {
+            Some(flag) if !*flag => {
+                *flag = true;
+                Ok(JobId(j))
+            }
+            Some(_) => Err(self.malformed_at(at, format!("job {j} is held twice"))),
+            None => Err(self.malformed_at(at, format!("job {j} is out of range"))),
+        }
+    }
+
+    /// A [`CodecError::Malformed`] at the current offset.
+    pub fn malformed(&self, detail: impl Into<String>) -> CodecError {
+        self.malformed_at(self.pos, detail)
+    }
+
+    fn malformed_at(&self, offset: usize, detail: impl Into<String>) -> CodecError {
+        CodecError::Malformed {
+            offset,
+            detail: detail.into(),
+        }
+    }
+
+    /// Asserts the input is fully consumed (strict container parsing).
+    pub fn finish(self) -> Result<(), CodecError> {
+        if self.remaining() != 0 {
+            return Err(CodecError::Malformed {
+                offset: self.pos,
+                detail: format!("{} trailing bytes after the last field", self.remaining()),
+            });
+        }
+        Ok(())
+    }
+}

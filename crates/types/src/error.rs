@@ -706,12 +706,17 @@ pub enum RestoreError {
         /// Human-readable expected-vs-produced description.
         detail: String,
     },
-    /// Replay reached the snapshot's sequence number but the re-derived
-    /// state differs byte-for-byte from the stored snapshot.
+    /// The state decoded from the snapshot does not re-encode to the
+    /// snapshot's own bytes.
     SnapshotStateMismatch {
         /// The snapshot's sequence number.
         lsn: u64,
     },
+    /// A snapshot was supplied for a policy that cannot be restored from
+    /// one: the snapshot holds no policy state, or the policy has no
+    /// decoder for it. Restore never falls back to replaying from genesis
+    /// behind the caller's back; retry without the snapshot.
+    SnapshotUnsupported,
     /// The surviving journal ends before the snapshot's sequence number:
     /// the records needed to reach the snapshot's horizon are gone.
     JournalBehindSnapshot {
@@ -720,13 +725,13 @@ pub enum RestoreError {
         /// Records the journal actually holds.
         records: u64,
     },
-    /// The snapshot's sequence number was never visited during replay even
-    /// though the journal is long enough — the snapshot belongs to a
-    /// different run or cadence.
+    /// The journal's record at the snapshot's sequence number is not the
+    /// snapshot's mark, or the snapshot's state disagrees with the journal
+    /// before it — the snapshot belongs to a different run or cadence.
     SnapshotUnmatched {
         /// The snapshot's sequence number.
         lsn: u64,
-        /// Records replayed.
+        /// Records the journal holds.
         replayed: u64,
     },
     /// A degraded-mode outage was requested at or before the replayed
@@ -766,9 +771,13 @@ impl std::fmt::Display for RestoreError {
                 f,
                 "journal holds {records} records but the snapshot was taken at record {lsn}"
             ),
+            RestoreError::SnapshotUnsupported => write!(
+                f,
+                "the policy cannot be restored from a snapshot (no durable state decoder)"
+            ),
             RestoreError::SnapshotUnmatched { lsn, replayed } => write!(
                 f,
-                "snapshot record {lsn} was never visited in {replayed} replayed records"
+                "snapshot at record {lsn} does not match the journal's {replayed} records"
             ),
             RestoreError::OutageTooEarly { at, resumed_at } => write!(
                 f,

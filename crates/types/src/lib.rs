@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod codec;
 mod error;
 mod fault;
 mod instance;
@@ -33,6 +34,7 @@ mod resource;
 mod schedule;
 mod tenant;
 
+pub use codec::{Decoder, Encoder};
 pub use error::{
     closest_match, AdmissionError, CodecError, ConfigError, DurabilityError, InstanceError,
     NetError, RegistryError, RestoreError, SchedulingError, TenantQuotaKind, WorkloadFeature,

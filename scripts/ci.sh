@@ -149,12 +149,17 @@ cargo test -q --release --offline -p mris-service \
 # Its own invocation: a name filter would apply to the three suites above too.
 # The sliced CRC loop is the code that ships, so its differential runs here.
 cargo test -q --release --offline -p mris-service --lib codec
+# Restore starts from a decoded snapshot: genesis replay must re-derive
+# every snapshot's bytes, and `restore --snapshot-dir` must pick the newest
+# snapshot a torn journal still reaches.
+cargo test -q --release --offline -p mris-service --lib restore
+cargo test -q --release --offline -p mris-cli restore_from_snapshot_dir
 
 echo "==> net + tenancy suites in release (TCP ≡ in-process, frame layer, concurrent doors, DRR split)"
 cargo test -q --release --offline -p mris-net
 cargo test -q --release --offline -p mris-service --test tenant_fairness
 
-echo "==> CLI crash-restart smoke (serve --journal, torn tail, restore)"
+echo "==> CLI crash-restart smoke (serve --journal, torn tail, restore --snapshot-dir)"
 DUR_TMP="$CI_TMP/dur"
 mkdir "$DUR_TMP"
 cargo run --release --offline -p mris-cli --bin mris -- generate \
@@ -168,9 +173,12 @@ WAL_BYTES=$(wc -c < "$DUR_TMP/wal.mrjl")
 head -c $((WAL_BYTES * 2 / 3)) "$DUR_TMP/wal.mrjl" > "$DUR_TMP/torn.mrjl"
 cargo run --release --offline -p mris-cli --bin mris -- restore \
   --trace "$DUR_TMP/trace.csv" --algo pq-wsjf --machines 3 \
-  --journal "$DUR_TMP/torn.mrjl" --snapshot-every 16 > "$DUR_TMP/restore.txt"
+  --journal "$DUR_TMP/torn.mrjl" --snapshot-dir "$DUR_TMP/snaps" \
+  --snapshot-every 16 > "$DUR_TMP/restore.txt"
 grep -q 'shutdown    = crash' "$DUR_TMP/restore.txt" \
   || { echo "restore did not classify the torn journal as a crash" >&2; exit 1; }
+grep -q '^snapshot    = restored from the snapshot at lsn [0-9]' "$DUR_TMP/restore.txt" \
+  || { echo "restore --snapshot-dir did not start from a snapshot" >&2; exit 1; }
 SERVE_AWCT=$(grep '^AWCT' "$DUR_TMP/serve.txt")
 grep -qF "$SERVE_AWCT" "$DUR_TMP/restore.txt" \
   || { echo "crash-restart AWCT diverged from the uncrashed serve" >&2; exit 1; }
