@@ -8,9 +8,9 @@
 //!
 //! 1. a faulted DAG service run with two tenants, weight aging and epoch
 //!    batching: every `EpochRecord` (`decision_ns` zeroed, it is wall
-//!    time), the summary's simulated-time fields, the journal bytes, and
-//!    the span events the run emits (names and fields; durations are wall
-//!    time);
+//!    time), the summary's simulated-time fields, the journal bytes, every
+//!    snapshot the run writes, and the span events the run emits (names and
+//!    fields; durations are wall time);
 //! 2. the `EventSnapshot` sequence `run_driver_observed` reports for a
 //!    faulted DAG run on related machines (speeds 2/1/0.5).
 //!
@@ -131,6 +131,9 @@ fn without_duration(line: &str) -> String {
 const TELEMETRY_HASH: u64 = 0xbf89_906a_0145_c723;
 const JOURNAL_HASH: u64 = 0x568a_fae0_0a73_789d;
 const SPANS_HASH: u64 = 0xa0dd_65eb_ed80_450e;
+/// Every snapshot the service run writes, each length-prefixed: the
+/// snapshot container and state bytes (`SNAPSHOT_VERSION` 3).
+const SNAPSHOTS_HASH: u64 = 0xfa8f_b9cd_f9e0_8f41;
 const DRIVER_HASH: u64 = 0x5bdd_3fb2_371c_a687;
 
 #[test]
@@ -160,6 +163,7 @@ fn service_records_are_pinned() {
     )
     .expect("valid service config");
     let journal = SharedBuf::new();
+    let snapshots = MemorySnapshots::new();
     service
         .attach_journal(
             DurabilityConfig {
@@ -167,7 +171,7 @@ fn service_records_are_pinned() {
                 snapshot_every: 8,
             },
             Box::new(journal.clone()),
-            Box::new(MemorySnapshots::new()),
+            Box::new(snapshots.clone()),
         )
         .expect("a fresh service takes a journal");
 
@@ -208,16 +212,29 @@ fn service_records_are_pinned() {
     );
     let telemetry = fnv64(e.as_bytes());
     let journal = fnv64(&journal.contents());
+    let written = snapshots.all();
+    assert!(
+        written.len() > 1,
+        "the run wrote {} snapshots",
+        written.len()
+    );
+    e.clear();
+    for snap in &written {
+        e.u64(snap.len() as u64);
+        e.bytes(snap);
+    }
+    let snaps = fnv64(e.as_bytes());
     let span_text = String::from_utf8(spans.contents()).expect("span events are UTF-8");
     let span_lines: Vec<String> = span_text.lines().map(without_duration).collect();
     assert!(!span_lines.is_empty(), "the run emitted no span");
     let spans = fnv64(span_lines.join("\n").as_bytes());
     assert_eq!(
-        (telemetry, journal, spans),
-        (TELEMETRY_HASH, JOURNAL_HASH, SPANS_HASH),
-        "{} epoch records, {} span events: \
-         telemetry {telemetry:#018x}, journal {journal:#018x}, spans {spans:#018x}",
+        (telemetry, journal, snaps, spans),
+        (TELEMETRY_HASH, JOURNAL_HASH, SNAPSHOTS_HASH, SPANS_HASH),
+        "{} epoch records, {} snapshots, {} span events: telemetry {telemetry:#018x}, \
+         journal {journal:#018x}, snapshots {snaps:#018x}, spans {spans:#018x}",
         sink.epochs.len(),
+        written.len(),
         span_lines.len(),
     );
 }
