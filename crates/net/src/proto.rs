@@ -7,8 +7,25 @@
 //! over the payload) — reusing [`mris_service::Encoder`] /
 //! [`mris_service::Decoder`] so the service and the network speak one
 //! codec. A frame whose checksum does not match is a typed
-//! [`CodecError::ChecksumMismatch`]; decoding never panics on corrupt
-//! bytes (the fuzz suite in `tests/net_conservativity.rs` pins this).
+//! [`CodecError::ChecksumMismatch`]; a payload over [`MAX_FRAME_LEN`] is
+//! refused by the writer as by the reader; decoding never panics on
+//! corrupt bytes (the fuzz suite in `tests/net_conservativity.rs` pins
+//! this).
+//!
+//! # Payloads
+//!
+//! A payload is a tag byte and the message's fields. Every count is a
+//! `u64` read through [`Decoder::count`], so a count the remaining bytes
+//! cannot back is a typed error before anything is allocated. The values a
+//! snapshot also carries cross the wire in the snapshot's own encoding,
+//! through the one codec next to each type: admission verdicts and
+//! rejections are [`AdmissionError::encode`] (`0` for an admitted offer),
+//! ledger outcomes [`JobOutcome::encode`], and a drained report carries
+//! its outcome count, its machine count, then [`Schedule::encode`] and
+//! [`FaultLog::encode`]. Decoding a report therefore checks what restoring
+//! a snapshot checks: every job and machine the fault log names is in
+//! range, and each job's kill count is the number of failures that list
+//! it.
 //!
 //! # Handshake
 //!
@@ -35,10 +52,8 @@ use std::io::{IoSlice, Read, Write};
 use mris_service::{
     crc32, Decoder, Encoder, JobOutcome, ServiceReport, ServiceSummary, TenantStat,
 };
-use mris_sim::{CompletionRecord, FailureRecord, FaultLog};
-use mris_types::{
-    AdmissionError, CodecError, JobId, NetError, Schedule, TenantId, TenantQuotaKind, Time,
-};
+use mris_sim::FaultLog;
+use mris_types::{AdmissionError, CodecError, NetError, Schedule, Time};
 
 /// Magic bytes opening both directions of the handshake.
 pub const NET_MAGIC: [u8; 4] = *b"MRNP";
@@ -46,7 +61,7 @@ pub const NET_MAGIC: [u8; 4] = *b"MRNP";
 /// Wire-protocol version. Bump on any frame-layout change; the server
 /// refuses mismatched clients during the handshake (status
 /// [`HandshakeStatus::VersionMismatch`]) rather than misparsing frames.
-pub const NET_VERSION: u32 = 1;
+pub const NET_VERSION: u32 = 2;
 
 /// Upper bound on a single frame's payload, to keep a corrupt or hostile
 /// length field from provoking an unbounded allocation.
@@ -214,8 +229,16 @@ const FRAME_HEADER_LEN: usize = 8;
 /// Writes `payload` as one `len | crc | payload` frame. Header and payload
 /// leave in one vectored write — one syscall per frame on a socket, and a
 /// large payload is never copied behind its header; whatever a short write
-/// leaves over follows with `write_all`.
+/// leaves over follows with `write_all`. A payload longer than
+/// [`MAX_FRAME_LEN`], which [`read_frame`] would refuse, is refused here
+/// before any byte is written.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), NetError> {
+    if payload.len() > MAX_FRAME_LEN as usize {
+        return Err(NetError::FrameTooLarge {
+            len: payload.len() as u64,
+            cap: MAX_FRAME_LEN,
+        });
+    }
     let mut head = [0u8; FRAME_HEADER_LEN];
     head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
@@ -412,44 +435,14 @@ impl HelloReply {
 // ---------------------------------------------------------------------------
 
 fn encode_opt_time(e: &mut Encoder, at: Option<Time>) {
-    match at {
-        Some(t) => {
-            e.u8(1);
-            e.f64(t);
-        }
-        None => e.u8(0),
+    e.u8(at.is_some() as u8);
+    if let Some(t) = at {
+        e.f64(t);
     }
 }
 
 fn decode_opt_time(d: &mut Decoder) -> Result<Option<Time>, CodecError> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(d.f64()?)),
-        other => Err(CodecError::Malformed {
-            offset: d.offset(),
-            detail: format!("option tag {other}"),
-        }),
-    }
-}
-
-fn malformed(d: &Decoder, what: &str, v: impl std::fmt::Display) -> CodecError {
-    CodecError::Malformed {
-        offset: d.offset(),
-        detail: format!("{what} {v}"),
-    }
-}
-
-/// Caps a decoded collection length against the bytes that could possibly
-/// back it, so corrupt counts fail typed instead of allocating wildly.
-fn checked_len(d: &Decoder, n: u32, min_elem: usize) -> Result<usize, CodecError> {
-    let n = n as usize;
-    if n.saturating_mul(min_elem) > d.remaining() {
-        return Err(CodecError::Malformed {
-            offset: d.offset(),
-            detail: format!("count {n} exceeds remaining payload"),
-        });
-    }
-    Ok(n)
+    Ok(if d.bool()? { Some(d.f64()?) } else { None })
 }
 
 impl Request {
@@ -464,7 +457,7 @@ impl Request {
             }
             Request::SubmitBatch { jobs } => {
                 e.u8(2);
-                e.u32(jobs.len() as u32);
+                e.u64(jobs.len() as u64);
                 for (job, at) in jobs {
                     e.u32(*job);
                     encode_opt_time(&mut e, *at);
@@ -490,8 +483,7 @@ impl Request {
                 at: decode_opt_time(&mut d)?,
             },
             2 => {
-                let raw = d.u32()?;
-                let n = checked_len(&d, raw, 5)?;
+                let n = d.count(5)?;
                 let mut jobs = Vec::with_capacity(n);
                 for _ in 0..n {
                     let job = d.u32()?;
@@ -503,162 +495,69 @@ impl Request {
             4 => Request::Stats,
             5 => Request::Subscribe,
             6 => Request::Drain,
-            other => return Err(malformed(&d, "request tag", other)),
+            other => return Err(d.malformed(format!("request tag {other}"))),
         };
         d.finish()?;
         Ok(req)
     }
 }
 
-fn encode_admission_error(e: &mut Encoder, err: &AdmissionError) {
-    match *err {
-        AdmissionError::QueueFull { depth, watermark } => {
-            e.u8(1);
-            e.u64(depth as u64);
-            e.u64(watermark as u64);
-        }
-        AdmissionError::DemandInfeasible {
-            job,
-            resource,
-            queued,
-            budget,
-        } => {
-            e.u8(2);
-            e.u32(job.0);
-            e.u64(resource as u64);
-            e.f64(queued);
-            e.f64(budget);
-        }
-        AdmissionError::TenantQuota { tenant, kind } => {
-            e.u8(3);
-            e.u32(tenant.0);
-            match kind {
-                TenantQuotaKind::QueueDepth { depth, watermark } => {
-                    e.u8(1);
-                    e.u64(depth as u64);
-                    e.u64(watermark as u64);
-                }
-                TenantQuotaKind::QueuedDemand { queued, budget } => {
-                    e.u8(2);
-                    e.f64(queued);
-                    e.f64(budget);
-                }
-                TenantQuotaKind::FairShare { deficit, cost } => {
-                    e.u8(3);
-                    e.u64(deficit);
-                    e.u64(cost);
-                }
-            }
-        }
-    }
-}
-
-fn decode_admission_error(d: &mut Decoder) -> Result<AdmissionError, CodecError> {
-    let tag = d.u8()?;
-    decode_admission_error_with(d, tag)
-}
-
-fn decode_admission_error_with(d: &mut Decoder, tag: u8) -> Result<AdmissionError, CodecError> {
-    Ok(match tag {
-        1 => AdmissionError::QueueFull {
-            depth: d.u64()? as usize,
-            watermark: d.u64()? as usize,
-        },
-        2 => AdmissionError::DemandInfeasible {
-            job: JobId(d.u32()?),
-            resource: d.u64()? as usize,
-            queued: d.f64()?,
-            budget: d.f64()?,
-        },
-        3 => {
-            let tenant = TenantId(d.u32()?);
-            let kind = match d.u8()? {
-                1 => TenantQuotaKind::QueueDepth {
-                    depth: d.u64()? as usize,
-                    watermark: d.u64()? as usize,
-                },
-                2 => TenantQuotaKind::QueuedDemand {
-                    queued: d.f64()?,
-                    budget: d.f64()?,
-                },
-                3 => TenantQuotaKind::FairShare {
-                    deficit: d.u64()?,
-                    cost: d.u64()?,
-                },
-                other => return Err(malformed(d, "tenant quota kind tag", other)),
-            };
-            AdmissionError::TenantQuota { tenant, kind }
-        }
-        other => return Err(malformed(d, "admission error tag", other)),
-    })
-}
-
-fn encode_admission_result(e: &mut Encoder, r: &Result<(), AdmissionError>) {
+/// An admission verdict: `0` admitted, or the [`AdmissionError`] (whose
+/// tags are never 0).
+fn encode_verdict(e: &mut Encoder, r: &Result<(), AdmissionError>) {
     match r {
         Ok(()) => e.u8(0),
-        Err(err) => encode_admission_error(e, err),
+        Err(err) => err.encode(e),
     }
 }
 
-fn decode_admission_result(d: &mut Decoder) -> Result<Result<(), AdmissionError>, CodecError> {
+fn decode_verdict(d: &mut Decoder) -> Result<Result<(), AdmissionError>, CodecError> {
     match d.u8()? {
         0 => Ok(Ok(())),
-        tag => Ok(Err(decode_admission_error_with(d, tag)?)),
+        tag => Ok(Err(AdmissionError::decode_tagged(tag, d)?)),
     }
-}
-
-fn encode_outcome(e: &mut Encoder, o: &JobOutcome) {
-    match o {
-        JobOutcome::NotSubmitted => e.u8(0),
-        JobOutcome::Rejected(err) => {
-            e.u8(1);
-            encode_admission_error(e, err);
-        }
-        JobOutcome::Accepted => e.u8(2),
-        JobOutcome::Completed => e.u8(3),
-    }
-}
-
-fn decode_outcome(d: &mut Decoder) -> Result<JobOutcome, CodecError> {
-    Ok(match d.u8()? {
-        0 => JobOutcome::NotSubmitted,
-        1 => JobOutcome::Rejected(decode_admission_error(d)?),
-        2 => JobOutcome::Accepted,
-        3 => JobOutcome::Completed,
-        other => return Err(malformed(d, "outcome tag", other)),
-    })
 }
 
 fn encode_string(e: &mut Encoder, s: &str) {
-    e.u32(s.len() as u32);
+    e.u64(s.len() as u64);
     e.bytes(s.as_bytes());
 }
 
 fn decode_string(d: &mut Decoder) -> Result<String, CodecError> {
-    let raw = d.u32()?;
-    let n = checked_len(d, raw, 1)?;
-    let bytes = d.bytes(n)?;
-    Ok(String::from_utf8_lossy(bytes).into_owned())
+    let n = d.count(1)?;
+    Ok(String::from_utf8_lossy(d.bytes(n)?).into_owned())
 }
 
-fn encode_tenant_stat(e: &mut Encoder, t: &TenantStat) {
-    encode_string(e, &t.name);
-    e.f64(t.weight);
-    e.u64(t.admitted);
-    e.u64(t.rejected);
-    e.u64(t.admitted_cost);
+fn encode_tenant_stats(e: &mut Encoder, tenants: &[TenantStat]) {
+    e.u64(tenants.len() as u64);
+    for t in tenants {
+        encode_string(e, &t.name);
+        e.f64(t.weight);
+        e.u64(t.admitted);
+        e.u64(t.rejected);
+        e.u64(t.admitted_cost);
+    }
 }
 
-fn decode_tenant_stat(d: &mut Decoder) -> Result<TenantStat, CodecError> {
-    Ok(TenantStat {
-        name: decode_string(d)?,
-        weight: d.f64()?,
-        admitted: d.u64()?,
-        rejected: d.u64()?,
-        admitted_cost: d.u64()?,
-    })
+fn decode_tenant_stats(d: &mut Decoder) -> Result<Vec<TenantStat>, CodecError> {
+    // A name's length prefix and four 8-byte fields.
+    let n = d.count(40)?;
+    let mut tenants = Vec::with_capacity(n);
+    for _ in 0..n {
+        tenants.push(TenantStat {
+            name: decode_string(d)?,
+            weight: d.f64()?,
+            admitted: d.u64()?,
+            rejected: d.u64()?,
+            admitted_cost: d.u64()?,
+        });
+    }
+    Ok(tenants)
 }
 
+/// The report: the summary, the outcome count and outcomes, the machine
+/// count, then the schedule and the fault log exactly as a snapshot holds
+/// them, then the tenants.
 fn encode_report(e: &mut Encoder, r: &ServiceReport) {
     let s = &r.summary;
     e.u64(s.submitted as u64);
@@ -674,181 +573,60 @@ fn encode_report(e: &mut Encoder, r: &ServiceReport) {
     e.f64(s.drained_at);
     e.f64(s.wall_seconds);
     e.f64(s.throughput_jobs_per_sec);
-    match &s.decision_latency_us {
-        Some(p) => {
-            e.u8(1);
-            e.f64(p.p50);
-            e.f64(p.p95);
-            e.f64(p.p99);
-        }
-        None => e.u8(0),
+    e.u8(s.decision_latency_us.is_some() as u8);
+    if let Some(p) = &s.decision_latency_us {
+        e.f64(p.p50);
+        e.f64(p.p95);
+        e.f64(p.p99);
     }
-    e.u32(r.outcomes.len() as u32);
+    e.u64(r.outcomes.len() as u64);
     for o in &r.outcomes {
-        encode_outcome(e, o);
+        o.encode(e);
     }
-    let assignments: Vec<_> = r.schedule.assignments().collect();
-    e.u32(r.schedule.num_machines() as u32);
-    e.u32(assignments.len() as u32);
-    for a in &assignments {
-        e.u32(a.job.0);
-        e.u32(a.machine as u32);
-        e.f64(a.start);
-    }
-    e.u32(r.log.failures.len() as u32);
-    for f in &r.log.failures {
-        e.f64(f.at);
-        e.u32(f.machine as u32);
-        e.f64(f.recover_at);
-        e.u32(f.killed.len() as u32);
-        for j in &f.killed {
-            e.u32(j.0);
-        }
-    }
-    e.u32(r.log.recoveries.len() as u32);
-    for (at, m) in &r.log.recoveries {
-        e.f64(*at);
-        e.u32(*m as u32);
-    }
-    e.u32(r.log.re_releases.len() as u32);
-    for c in &r.log.re_releases {
-        e.u32(*c);
-    }
-    e.u32(r.log.completions.len() as u32);
-    for c in &r.log.completions {
-        e.u32(c.job.0);
-        e.u32(c.machine as u32);
-        e.f64(c.start);
-        e.f64(c.end);
-    }
-    e.u32(r.tenants.len() as u32);
-    for t in &r.tenants {
-        encode_tenant_stat(e, t);
-    }
+    e.u64(r.schedule.num_machines() as u64);
+    r.schedule.encode(e);
+    r.log.encode(e);
+    encode_tenant_stats(e, &r.tenants);
 }
 
 fn decode_report(d: &mut Decoder) -> Result<ServiceReport, CodecError> {
-    let submitted = d.u64()? as usize;
-    let accepted = d.u64()? as usize;
-    let rejected_queue_full = d.u64()? as usize;
-    let rejected_infeasible = d.u64()? as usize;
-    let completed = d.u64()? as usize;
-    let epochs = d.u64()? as usize;
-    let max_queue_depth = d.u64()? as usize;
-    let failures = d.u64()? as usize;
-    let awct = d.f64()?;
-    let makespan = d.f64()?;
-    let drained_at = d.f64()?;
-    let wall_seconds = d.f64()?;
-    let throughput_jobs_per_sec = d.f64()?;
-    let decision_latency_us = match d.u8()? {
-        0 => None,
-        1 => Some(mris_metrics::Percentiles {
-            p50: d.f64()?,
-            p95: d.f64()?,
-            p99: d.f64()?,
-        }),
-        other => return Err(malformed(d, "latency option tag", other)),
-    };
     let summary = ServiceSummary {
-        submitted,
-        accepted,
-        rejected_queue_full,
-        rejected_infeasible,
-        completed,
-        epochs,
-        max_queue_depth,
-        failures,
-        awct,
-        makespan,
-        drained_at,
-        wall_seconds,
-        throughput_jobs_per_sec,
-        decision_latency_us,
+        submitted: d.u64()? as usize,
+        accepted: d.u64()? as usize,
+        rejected_queue_full: d.u64()? as usize,
+        rejected_infeasible: d.u64()? as usize,
+        completed: d.u64()? as usize,
+        epochs: d.u64()? as usize,
+        max_queue_depth: d.u64()? as usize,
+        failures: d.u64()? as usize,
+        awct: d.f64()?,
+        makespan: d.f64()?,
+        drained_at: d.f64()?,
+        wall_seconds: d.f64()?,
+        throughput_jobs_per_sec: d.f64()?,
+        decision_latency_us: if d.bool()? {
+            Some(mris_metrics::Percentiles {
+                p50: d.f64()?,
+                p95: d.f64()?,
+                p99: d.f64()?,
+            })
+        } else {
+            None
+        },
     };
-    let raw = d.u32()?;
-    let n = checked_len(d, raw, 1)?;
-    let mut outcomes = Vec::with_capacity(n);
-    for _ in 0..n {
-        outcomes.push(decode_outcome(d)?);
-    }
-    let num_machines = d.u32()? as usize;
-    let mut schedule = Schedule::new(outcomes.len(), num_machines);
-    let raw = d.u32()?;
-    let n = checked_len(d, raw, 16)?;
-    for _ in 0..n {
-        let job = JobId(d.u32()?);
-        let machine = d.u32()? as usize;
-        let start = d.f64()?;
-        schedule
-            .assign(job, machine, start)
-            .map_err(|err| CodecError::Malformed {
-                offset: d.offset(),
-                detail: format!("wire schedule rejected: {err}"),
-            })?;
-    }
-    let raw = d.u32()?;
-    let n = checked_len(d, raw, 20)?;
-    let mut log_failures = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at = d.f64()?;
-        let machine = d.u32()? as usize;
-        let recover_at = d.f64()?;
-        let rawk = d.u32()?;
-        let k = checked_len(d, rawk, 4)?;
-        let mut killed = Vec::with_capacity(k);
-        for _ in 0..k {
-            killed.push(JobId(d.u32()?));
-        }
-        log_failures.push(FailureRecord {
-            at,
-            machine,
-            recover_at,
-            killed,
-        });
-    }
-    let raw = d.u32()?;
-    let n = checked_len(d, raw, 12)?;
-    let mut recoveries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at = d.f64()?;
-        recoveries.push((at, d.u32()? as usize));
-    }
-    let raw = d.u32()?;
-    let n = checked_len(d, raw, 4)?;
-    let mut re_releases = Vec::with_capacity(n);
-    for _ in 0..n {
-        re_releases.push(d.u32()?);
-    }
-    let raw = d.u32()?;
-    let n = checked_len(d, raw, 24)?;
-    let mut completions = Vec::with_capacity(n);
-    for _ in 0..n {
-        completions.push(CompletionRecord {
-            job: JobId(d.u32()?),
-            machine: d.u32()? as usize,
-            start: d.f64()?,
-            end: d.f64()?,
-        });
-    }
-    let log = FaultLog {
-        failures: log_failures,
-        recoveries,
-        re_releases,
-        completions,
-    };
-    let raw = d.u32()?;
-    let n = checked_len(d, raw, 13)?;
-    let mut tenants = Vec::with_capacity(n);
-    for _ in 0..n {
-        tenants.push(decode_tenant_stat(d)?);
-    }
+    let jobs = d.count(1)?;
+    let outcomes = (0..jobs)
+        .map(|_| JobOutcome::decode(d))
+        .collect::<Result<Vec<_>, _>>()?;
+    let machines = d.u64()? as usize;
+    let schedule = Schedule::decode(d, jobs, machines)?;
+    let log = FaultLog::decode(d, jobs, machines)?;
     Ok(ServiceReport {
         schedule,
         log,
         outcomes,
         summary,
-        tenants,
+        tenants: decode_tenant_stats(d)?,
     })
 }
 
@@ -872,18 +650,18 @@ impl Response {
             }
             Response::Submitted { result } => {
                 e.u8(1);
-                encode_admission_result(&mut e, result);
+                encode_verdict(&mut e, result);
             }
             Response::BatchSubmitted { results } => {
                 e.u8(2);
-                e.u32(results.len() as u32);
+                e.u64(results.len() as u64);
                 for r in results {
-                    encode_admission_result(&mut e, r);
+                    encode_verdict(&mut e, r);
                 }
             }
             Response::JobStatus { outcome } => {
                 e.u8(3);
-                encode_outcome(&mut e, outcome);
+                outcome.encode(&mut e);
             }
             Response::StatsReply(s) => {
                 e.u8(4);
@@ -893,10 +671,7 @@ impl Response {
                 e.u64(s.accepted);
                 e.u64(s.rejected);
                 e.u64(s.completed);
-                e.u32(s.tenants.len() as u32);
-                for t in &s.tenants {
-                    encode_tenant_stat(&mut e, t);
-                }
+                encode_tenant_stats(&mut e, &s.tenants);
             }
             Response::Subscribed => e.u8(5),
             Response::Telemetry { line } => {
@@ -916,49 +691,34 @@ impl Response {
                 detail: decode_string(&mut d)?,
             },
             1 => Response::Submitted {
-                result: decode_admission_result(&mut d)?,
+                result: decode_verdict(&mut d)?,
             },
             2 => {
-                let raw = d.u32()?;
-                let n = checked_len(&d, raw, 1)?;
+                let n = d.count(1)?;
                 let mut results = Vec::with_capacity(n);
                 for _ in 0..n {
-                    results.push(decode_admission_result(&mut d)?);
+                    results.push(decode_verdict(&mut d)?);
                 }
                 Response::BatchSubmitted { results }
             }
             3 => Response::JobStatus {
-                outcome: decode_outcome(&mut d)?,
+                outcome: JobOutcome::decode(&mut d)?,
             },
-            4 => {
-                let now = d.f64()?;
-                let queue_depth = d.u64()?;
-                let submitted = d.u64()?;
-                let accepted = d.u64()?;
-                let rejected = d.u64()?;
-                let completed = d.u64()?;
-                let raw = d.u32()?;
-                let n = checked_len(&d, raw, 13)?;
-                let mut tenants = Vec::with_capacity(n);
-                for _ in 0..n {
-                    tenants.push(decode_tenant_stat(&mut d)?);
-                }
-                Response::StatsReply(NetStats {
-                    now,
-                    queue_depth,
-                    submitted,
-                    accepted,
-                    rejected,
-                    completed,
-                    tenants,
-                })
-            }
+            4 => Response::StatsReply(NetStats {
+                now: d.f64()?,
+                queue_depth: d.u64()?,
+                submitted: d.u64()?,
+                accepted: d.u64()?,
+                rejected: d.u64()?,
+                completed: d.u64()?,
+                tenants: decode_tenant_stats(&mut d)?,
+            }),
             5 => Response::Subscribed,
             6 => Response::Telemetry {
                 line: decode_string(&mut d)?,
             },
             7 => Response::Drained(Box::new(decode_report(&mut d)?)),
-            other => return Err(malformed(&d, "response tag", other)),
+            other => return Err(d.malformed(format!("response tag {other}"))),
         };
         d.finish()?;
         Ok(resp)

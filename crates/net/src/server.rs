@@ -58,11 +58,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mris_service::{
-    service_fingerprint, Clock, EpochRecord, JobOutcome, Service, ServiceConfig, ServiceReport,
-    ServiceSummary, TelemetrySink,
+    service_fingerprint, Clock, EpochRecord, Service, ServiceConfig, ServiceReport, ServiceSummary,
+    TelemetrySink,
 };
 use mris_sim::OnlinePolicy;
-use mris_types::{Instance, JobId, NetError, TenantId, Time};
+use mris_types::{AdmissionError, Instance, JobId, NetError, TenantId, Time};
 
 use crate::proto::{
     read_frame, write_frame, HandshakeStatus, Hello, HelloReply, NetStats, Request, Response,
@@ -293,7 +293,7 @@ where
 /// The result of one admission offer.
 enum SubmitOutcome {
     /// The admission decision (rejections are normal operation).
-    Decision(Result<(), mris_types::AdmissionError>),
+    Decision(Result<(), AdmissionError>),
     /// The request itself was invalid; answered in-band.
     BadRequest(String),
     /// The policy violated a placement rule; ends the serve loop.
@@ -302,25 +302,26 @@ enum SubmitOutcome {
 
 fn submit_one<C: Clock, S: TelemetrySink>(
     svc: &mut Service<C, S>,
-    num_jobs: usize,
     job: u32,
     at: Option<Time>,
     tenant: TenantId,
 ) -> SubmitOutcome {
-    if job as usize >= num_jobs {
-        return SubmitOutcome::BadRequest(format!(
-            "job {job} is out of range for the served instance"
-        ));
-    }
-    if !matches!(svc.outcome(JobId(job)), JobOutcome::NotSubmitted) {
-        return SubmitOutcome::BadRequest(format!("job {job} was already submitted"));
-    }
-    match at {
+    let decision = match at {
         Some(t) => match svc.submit_at_as(t, JobId(job), tenant) {
-            Ok(result) => SubmitOutcome::Decision(result),
-            Err(e) => SubmitOutcome::Fatal(e),
+            Ok(result) => result,
+            Err(e) => return SubmitOutcome::Fatal(e),
         },
-        None => SubmitOutcome::Decision(svc.submit_as(JobId(job), tenant)),
+        None => svc.submit_as(JobId(job), tenant),
+    };
+    match decision {
+        Err(AdmissionError::UnknownJob { .. }) => {
+            SubmitOutcome::BadRequest(format!("job {job} is out of range for the served instance"))
+        }
+        Err(AdmissionError::AlreadySubmitted { .. }) => {
+            SubmitOutcome::BadRequest(format!("job {job} was already submitted"))
+        }
+        Err(err) if err.is_invalid_offer() => SubmitOutcome::BadRequest(err.to_string()),
+        decision => SubmitOutcome::Decision(decision),
     }
 }
 
@@ -386,7 +387,7 @@ impl<C: Clock, S: TelemetrySink> Door<C, S> {
             return gone();
         };
         let fatal = match request {
-            Request::Submit { job, at } => match submit_one(svc, self.num_jobs, job, at, tenant) {
+            Request::Submit { job, at } => match submit_one(svc, job, at, tenant) {
                 SubmitOutcome::Decision(result) => return Response::Submitted { result },
                 SubmitOutcome::BadRequest(detail) => return Response::Error { detail },
                 SubmitOutcome::Fatal(e) => e,
@@ -395,7 +396,7 @@ impl<C: Clock, S: TelemetrySink> Door<C, S> {
                 let mut results = Vec::with_capacity(jobs.len());
                 let mut fatal = None;
                 for (job, at) in jobs {
-                    match submit_one(svc, self.num_jobs, job, at, tenant) {
+                    match submit_one(svc, job, at, tenant) {
                         SubmitOutcome::Decision(result) => results.push(result),
                         SubmitOutcome::BadRequest(detail) => return Response::Error { detail },
                         SubmitOutcome::Fatal(e) => {

@@ -238,6 +238,38 @@ pub enum JobOutcome {
     Completed,
 }
 
+impl JobOutcome {
+    /// Appends the outcome as one tag byte — 0 not submitted, 3 accepted,
+    /// 4 completed — or, for a rejection, as its [`AdmissionError`] (tags
+    /// 1, 2 and 5; see [`AdmissionError::encode`]). Snapshots and the wire
+    /// both carry outcomes this way; a rejection-free ledger is one byte a
+    /// job.
+    pub fn encode(&self, e: &mut Encoder) {
+        match self {
+            JobOutcome::NotSubmitted => e.u8(0),
+            JobOutcome::Rejected(err) => err.encode(e),
+            JobOutcome::Accepted => e.u8(3),
+            JobOutcome::Completed => e.u8(4),
+        }
+    }
+
+    /// The inverse of [`JobOutcome::encode`]. A rejection must be one the
+    /// ledger records: an invalid offer never reaches it.
+    pub fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(match d.u8()? {
+            0 => JobOutcome::NotSubmitted,
+            3 => JobOutcome::Accepted,
+            4 => JobOutcome::Completed,
+            tag => match AdmissionError::decode_tagged(tag, d)? {
+                err if err.is_invalid_offer() => {
+                    return Err(d.malformed(format!("{err} is not a ledger outcome")))
+                }
+                err => JobOutcome::Rejected(err),
+            },
+        })
+    }
+}
+
 /// The result of draining a [`Service`]: the completed placements, the fault
 /// audit trail, the per-job ledger, and the run summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -551,12 +583,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
     }
 
     /// [`Service::submit`] on behalf of `tenant`.
-    ///
-    /// # Panics
-    ///
-    /// If `tenant` is not in the configured tenant table (or nonzero on a
-    /// single-tenant service).
     pub fn submit_as(&mut self, job: JobId, tenant: TenantId) -> Result<(), AdmissionError> {
+        self.check_offer(job, tenant)?;
         let now = self.clock.now();
         self.admit(now, job, tenant)
     }
@@ -568,11 +596,9 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
     /// The outer error is fatal — the policy violated a placement rule
     /// while catching up. The inner result is the admission decision;
     /// rejections are recorded in the job's [`JobOutcome`] and are normal
-    /// operation, not failures.
-    ///
-    /// # Panics
-    ///
-    /// If `job` is out of range for the instance or was already submitted.
+    /// operation, not failures. An offer of a job out of range for the
+    /// instance, or already submitted, is refused before the clock moves
+    /// ([`AdmissionError::is_invalid_offer`]).
     pub fn submit_at(
         &mut self,
         t: Time,
@@ -581,18 +607,18 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         self.submit_at_as(t, job, TenantId::DEFAULT)
     }
 
-    /// [`Service::submit_at`] on behalf of `tenant`.
-    ///
-    /// # Panics
-    ///
-    /// Additionally panics if `tenant` is not in the configured tenant
-    /// table (or nonzero on a single-tenant service).
+    /// [`Service::submit_at`] on behalf of `tenant`, which must be in the
+    /// configured tenant table (or the default one on a single-tenant
+    /// service).
     pub fn submit_at_as(
         &mut self,
         t: Time,
         job: JobId,
         tenant: TenantId,
     ) -> Result<Result<(), AdmissionError>, SchedulingError> {
+        if let Err(err) = self.check_offer(job, tenant) {
+            return Ok(Err(err));
+        }
         while let Some(next) = self.next_event_time() {
             if next >= t {
                 break;
@@ -630,28 +656,27 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         err
     }
 
-    fn admit(&mut self, now: Time, job: JobId, tenant: TenantId) -> Result<(), AdmissionError> {
-        assert!(
-            job.index() < self.original.len(),
-            "unknown job {job} (instance has {} jobs)",
-            self.original.len()
-        );
-        assert!(
-            matches!(self.outcomes[job.index()], JobOutcome::NotSubmitted),
-            "{job} was already submitted"
-        );
-        if self.tenants.is_empty() {
-            assert!(
-                tenant == TenantId::DEFAULT,
-                "{tenant} submitted to a single-tenant service"
-            );
-        } else {
-            assert!(
-                tenant.index() < self.tenants.len(),
-                "unknown {tenant} (service has {} tenants)",
-                self.tenants.len()
-            );
+    /// Refuses an offer that names no job or tenant the service can take:
+    /// a job out of range or already offered, or an unknown tenant. Every
+    /// entry point calls it before the clock moves or any count changes.
+    fn check_offer(&self, job: JobId, tenant: TenantId) -> Result<(), AdmissionError> {
+        match self.outcomes.get(job.index()) {
+            Some(JobOutcome::NotSubmitted) => {}
+            Some(_) => return Err(AdmissionError::AlreadySubmitted { job }),
+            None => {
+                let jobs = self.outcomes.len();
+                return Err(AdmissionError::UnknownJob { job, jobs });
+            }
         }
+        let tenants = self.tenants.len();
+        if tenant.index() >= tenants.max(1) {
+            return Err(AdmissionError::UnknownTenant { tenant, tenants });
+        }
+        Ok(())
+    }
+
+    /// The admission decision on an offer [`Service::check_offer`] passed.
+    fn admit(&mut self, now: Time, job: JobId, tenant: TenantId) -> Result<(), AdmissionError> {
         self.submitted += 1;
         let depth = self.queue.len();
         if depth >= self.cfg.queue_watermark {
@@ -817,6 +842,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         job: JobId,
         tenant: TenantId,
     ) -> Result<(), AdmissionError> {
+        self.check_offer(job, tenant)?;
         self.clock.advance_to(at);
         self.admit(at, job, tenant)
     }
@@ -1006,7 +1032,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         e.u64(self.seq);
         e.u64(self.outcomes.len() as u64);
         for o in &self.outcomes {
-            encode_outcome(&mut e, o);
+            o.encode(&mut e);
         }
         // Weight aging mutates the working instance; the rest of it is static.
         for j in self.kernel.instance().jobs() {
@@ -1030,7 +1056,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         }
         self.kernel.durable_fault_bytes(e.buffer_mut());
         self.kernel.cluster().durable_bytes(e.buffer_mut());
-        self.kernel.durable_run_bytes(e.buffer_mut());
+        self.kernel.schedule().encode(&mut e);
+        self.kernel.log().encode(&mut e);
         let mut sub = Vec::new();
         let encoded = self.policy.encode_durable_state(&mut sub);
         e.u8(encoded as u8);
@@ -1130,7 +1157,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         }
         d.expect_count(n, "outcome count")?;
         let outcomes: Vec<JobOutcome> = (0..n)
-            .map(|_| decode_outcome(&mut d))
+            .map(|_| JobOutcome::decode(&mut d))
             .collect::<Result<_, _>>()?;
         let weights: Vec<f64> = (0..n).map(|_| d.f64()).collect::<Result<_, _>>()?;
         let count = d.count(20)?;
@@ -1186,10 +1213,18 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             detail: detail.to_string(),
         };
 
-        // The ledger's counters are its outcomes, counted.
+        // The ledger's counters are its outcomes, counted. A decoded
+        // rejection is never an invalid offer, so the last arm is a quota.
         let mut tally = [0u64; 6];
         for o in &outcomes {
-            tally[outcome_tag(o) as usize] += 1;
+            tally[match o {
+                JobOutcome::NotSubmitted => 0,
+                JobOutcome::Rejected(AdmissionError::QueueFull { .. }) => 1,
+                JobOutcome::Rejected(AdmissionError::DemandInfeasible { .. }) => 2,
+                JobOutcome::Accepted => 3,
+                JobOutcome::Completed => 4,
+                JobOutcome::Rejected(_) => 5,
+            }] += 1;
         }
         let [not_submitted, queue_full, infeasible, open, completed, tenant_quota] = tally;
         if submitted != n as u64 - not_submitted
@@ -1350,105 +1385,6 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             },
             self.sink,
         ))
-    }
-}
-
-/// The tag byte of `o` in the durable outcome section.
-fn outcome_tag(o: &JobOutcome) -> u8 {
-    match o {
-        JobOutcome::NotSubmitted => 0,
-        JobOutcome::Rejected(AdmissionError::QueueFull { .. }) => 1,
-        JobOutcome::Rejected(AdmissionError::DemandInfeasible { .. }) => 2,
-        JobOutcome::Accepted => 3,
-        JobOutcome::Completed => 4,
-        JobOutcome::Rejected(AdmissionError::TenantQuota { .. }) => 5,
-    }
-}
-
-/// One job's outcome: its tag, then for a rejection the fields of its
-/// [`AdmissionError`] (version 3; a rejection-free ledger is one byte a
-/// job, as before).
-fn encode_outcome(e: &mut Encoder, o: &JobOutcome) {
-    e.u8(outcome_tag(o));
-    let JobOutcome::Rejected(err) = o else {
-        return;
-    };
-    match *err {
-        AdmissionError::QueueFull { depth, watermark } => {
-            e.u64(depth as u64);
-            e.u64(watermark as u64);
-        }
-        AdmissionError::DemandInfeasible {
-            job,
-            resource,
-            queued,
-            budget,
-        } => {
-            e.u32(job.0);
-            e.u64(resource as u64);
-            e.f64(queued);
-            e.f64(budget);
-        }
-        AdmissionError::TenantQuota { tenant, kind } => {
-            e.u32(tenant.0);
-            match kind {
-                TenantQuotaKind::QueueDepth { depth, watermark } => {
-                    e.u8(0);
-                    e.u64(depth as u64);
-                    e.u64(watermark as u64);
-                }
-                TenantQuotaKind::QueuedDemand { queued, budget } => {
-                    e.u8(1);
-                    e.f64(queued);
-                    e.f64(budget);
-                }
-                TenantQuotaKind::FairShare { deficit, cost } => {
-                    e.u8(2);
-                    e.u64(deficit);
-                    e.u64(cost);
-                }
-            }
-        }
-    }
-}
-
-/// The inverse of [`encode_outcome`].
-fn decode_outcome(d: &mut Decoder<'_>) -> Result<JobOutcome, CodecError> {
-    let rejected = |err| Ok(JobOutcome::Rejected(err));
-    match d.u8()? {
-        0 => Ok(JobOutcome::NotSubmitted),
-        1 => rejected(AdmissionError::QueueFull {
-            depth: d.u64()? as usize,
-            watermark: d.u64()? as usize,
-        }),
-        2 => rejected(AdmissionError::DemandInfeasible {
-            job: JobId(d.u32()?),
-            resource: d.u64()? as usize,
-            queued: d.f64()?,
-            budget: d.f64()?,
-        }),
-        3 => Ok(JobOutcome::Accepted),
-        4 => Ok(JobOutcome::Completed),
-        5 => {
-            let tenant = TenantId(d.u32()?);
-            let kind = match d.u8()? {
-                0 => TenantQuotaKind::QueueDepth {
-                    depth: d.u64()? as usize,
-                    watermark: d.u64()? as usize,
-                },
-                1 => TenantQuotaKind::QueuedDemand {
-                    queued: d.f64()?,
-                    budget: d.f64()?,
-                },
-                2 => TenantQuotaKind::FairShare {
-                    deficit: d.u64()?,
-                    cost: d.u64()?,
-                },
-                other => return Err(d.malformed(format!("unknown tenant quota kind {other}"))),
-            };
-            rejected(AdmissionError::TenantQuota { tenant, kind })
-        }
-        other => Err(d.malformed(format!("unknown outcome tag {other}"))),
     }
 }
 

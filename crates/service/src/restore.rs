@@ -44,7 +44,7 @@ use mris_types::{
 };
 
 use crate::clock::Clock;
-use crate::core::{JobOutcome, Service, ServiceConfig};
+use crate::core::{Service, ServiceConfig};
 use crate::journal::{
     config_fingerprint, parse_journal, read_valid_prefix, Durability, DurabilityConfig,
     DurabilitySink, JournalRecord, ReplayVerifier,
@@ -211,7 +211,6 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
 
         // The starting point: the snapshot's state just past its mark, or
         // the empty state at record 0.
-        let num_jobs = instance.len();
         let mut svc = Service::new(instance, policy, cfg, clock, sink)?;
         let mut start = 0;
         let mut regenerated = 0;
@@ -266,23 +265,19 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 | JournalRecord::Reject {
                     at, job, tenant, ..
                 } => {
-                    if job as usize >= num_jobs
-                        || !matches!(svc.outcomes[job as usize], JobOutcome::NotSubmitted)
-                    {
-                        return Err(RestoreError::Divergence {
-                            lsn,
-                            detail: format!("journal offers unknown or duplicate job {job}"),
-                        });
-                    }
-                    if tenant as usize >= svc.cfg.tenants.len().max(1) {
-                        return Err(RestoreError::Divergence {
-                            lsn,
-                            detail: format!("journal names unknown tenant {tenant}"),
-                        });
-                    }
                     // The decision is re-derived; the emission it triggers
                     // is checked against this very record by the verifier.
-                    let _ = svc.replay_admit(at, JobId(job), TenantId(tenant));
+                    // An offer the service refuses outright was never
+                    // journaled.
+                    match svc.replay_admit(at, JobId(job), TenantId(tenant)) {
+                        Err(err) if err.is_invalid_offer() => {
+                            return Err(RestoreError::Divergence {
+                                lsn,
+                                detail: format!("journal holds an invalid offer: {err}"),
+                            });
+                        }
+                        _ => {}
+                    }
                 }
                 JournalRecord::Event { at } => {
                     svc.replay_event(at)?;

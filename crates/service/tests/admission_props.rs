@@ -5,9 +5,9 @@
 use mris_core::registry::online_policy_by_name;
 use mris_rng::prop::{check, Config};
 use mris_rng::{prop_assert, prop_assert_eq, Rng};
-use mris_service::{JobOutcome, MemorySink, Service, ServiceConfig, SimClock};
+use mris_service::{JobOutcome, MemorySink, Service, ServiceConfig, SimClock, TenantSpec};
 use mris_sim::{suggested_horizon, FaultPlan, PoissonFaultConfig};
-use mris_types::{AdmissionError, Instance, Job, JobId};
+use mris_types::{AdmissionError, Instance, Job, JobId, TenantId};
 
 const POLICIES: [&str; 3] = ["mris", "tetris", "pq-wsjf"];
 
@@ -180,6 +180,9 @@ fn no_silent_drops_and_watermark_consistent_rejections() {
                                 return Err(format!(
                                     "j{i}: tenant quota fired on a single-tenant service"
                                 ));
+                            }
+                            invalid => {
+                                return Err(format!("j{i}: the ledger holds {invalid}"));
                             }
                         }
                         // Rejected jobs were never scheduled.
@@ -404,4 +407,78 @@ fn same_tick_completion_beats_failure() {
         "job 0's completion at the strike instant is recorded"
     );
     report.log.verify().expect("audit log stays sound");
+}
+
+/// An offer of an unknown job, a repeated job or an unknown tenant is a
+/// typed error from every `submit*` entry point, refused before the clock
+/// moves or any count changes: the ledger, its counts, the queue and the
+/// clock are as they were.
+#[test]
+fn invalid_offers_are_typed_and_change_nothing() {
+    let jobs: Vec<Job> = (0..4)
+        .map(|i| Job::from_fractions(JobId(i), i as f64, 1.0, 1.0, &[0.3]))
+        .collect();
+    let instance = Instance::new(jobs, 1).unwrap();
+    let two_tenants = ServiceConfig::builder(1)
+        .tenants(vec![
+            TenantSpec::new("alpha", "tok-a", 1.0),
+            TenantSpec::new("beta", "tok-b", 1.0),
+        ])
+        .build()
+        .expect("valid");
+    for (cfg, tenants) in [(ServiceConfig::new(1), 0), (two_tenants, 2)] {
+        let policy = online_policy_by_name("pq-wsjf", &instance, 1).unwrap();
+        let mut service = Service::new(
+            instance.clone(),
+            policy,
+            cfg,
+            SimClock::new(),
+            MemorySink::default(),
+        )
+        .expect("valid service config");
+        // Job 0 is queued and due at 0; a clock that moved to 3 would
+        // deliver, run and complete it.
+        service.submit_at(0.0, JobId(0)).unwrap().unwrap();
+        let state = |s: &Service<SimClock, MemorySink>| {
+            let outcomes: Vec<JobOutcome> = (0..4).map(|j| s.outcome(JobId(j))).collect();
+            (outcomes, s.counts(), s.now().to_bits(), s.queue_depth())
+        };
+        let before = state(&service);
+        let unknown_job = AdmissionError::UnknownJob {
+            job: JobId(4),
+            jobs: 4,
+        };
+        let repeated = AdmissionError::AlreadySubmitted { job: JobId(0) };
+        let stranger = TenantId(tenants as u32 + 1);
+        let unknown_tenant = AdmissionError::UnknownTenant {
+            tenant: stranger,
+            tenants,
+        };
+        let offers = [
+            (JobId(4), TenantId::DEFAULT, unknown_job),
+            (JobId(0), TenantId::DEFAULT, repeated),
+            (JobId(1), stranger, unknown_tenant),
+        ];
+        for (job, tenant, want) in offers {
+            assert!(want.is_invalid_offer());
+            let got = [
+                service.submit_at_as(3.0, job, tenant).unwrap(),
+                service.submit_as(job, tenant),
+            ];
+            assert_eq!(got, [Err(want); 2], "{job} as {tenant}");
+            if tenant == TenantId::DEFAULT {
+                let got = [service.submit_at(3.0, job).unwrap(), service.submit(job)];
+                assert_eq!(got, [Err(want); 2], "{job}");
+            }
+            assert_eq!(
+                state(&service),
+                before,
+                "{job} as {tenant} changed the service"
+            );
+        }
+        service.submit_at(3.0, JobId(1)).unwrap().unwrap();
+        let (report, _) = service.drain().unwrap();
+        assert_eq!(report.summary.submitted, 2);
+        assert_eq!(report.summary.completed, 2);
+    }
 }

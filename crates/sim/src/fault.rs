@@ -19,7 +19,8 @@
 
 use mris_rng::Rng;
 use mris_types::{
-    FaultEvent, FaultTarget, Instance, JobId, RestartSemantics, Schedule, SchedulingError, Time,
+    CodecError, Decoder, Encoder, FaultEvent, FaultTarget, Instance, JobId, RestartSemantics,
+    Schedule, SchedulingError, Time,
 };
 
 use crate::driver::{run_driver, RunOptions};
@@ -291,6 +292,87 @@ impl FaultLog {
             re_releases: vec![0; num_jobs],
             completions: Vec::new(),
         }
+    }
+
+    /// Appends the log: the failures with their killed jobs, the
+    /// recoveries, the per-job kill counts and the completions, each list
+    /// prefixed by its `u64` count. Machine ids and kill counts are `u64`,
+    /// job ids `u32`, times their `f64` bits.
+    pub fn encode(&self, e: &mut Encoder) {
+        e.u64(self.failures.len() as u64);
+        for f in &self.failures {
+            e.f64(f.at);
+            e.u64(f.machine as u64);
+            e.f64(f.recover_at);
+            e.u64(f.killed.len() as u64);
+            for j in &f.killed {
+                e.u32(j.0);
+            }
+        }
+        e.u64(self.recoveries.len() as u64);
+        for &(t, m) in &self.recoveries {
+            e.f64(t);
+            e.u64(m as u64);
+        }
+        e.u64(self.re_releases.len() as u64);
+        for &n in &self.re_releases {
+            e.u64(n as u64);
+        }
+        e.u64(self.completions.len() as u64);
+        for c in &self.completions {
+            e.u32(c.job.0);
+            e.u64(c.machine as u64);
+            e.f64(c.start);
+            e.f64(c.end);
+        }
+    }
+
+    /// The inverse of [`FaultLog::encode`] for a run of `jobs` jobs on
+    /// `machines` machines. Every job and machine the log names must be one
+    /// of them, and each job's kill count must be the number of failures
+    /// that list it.
+    pub fn decode(d: &mut Decoder<'_>, jobs: usize, machines: usize) -> Result<Self, CodecError> {
+        let mut log = FaultLog::new(jobs);
+        for _ in 0..d.count(32)? {
+            let at = d.f64()?;
+            let machine = d.machine(machines)?;
+            let recover_at = d.f64()?;
+            let count = d.count(4)?;
+            let mut killed = Vec::with_capacity(count);
+            for _ in 0..count {
+                let job = d.job(jobs)?;
+                log.re_releases[job.index()] += 1;
+                killed.push(job);
+            }
+            log.failures.push(FailureRecord {
+                at,
+                machine,
+                recover_at,
+                killed,
+            });
+        }
+        for _ in 0..d.count(16)? {
+            let at = d.f64()?;
+            log.recoveries.push((at, d.machine(machines)?));
+        }
+        d.expect_count(jobs, "kill-count table length")?;
+        for (i, &k) in log.re_releases.iter().enumerate() {
+            if d.u64()? != k as u64 {
+                return Err(d.malformed(format!(
+                    "kill count of {} disagrees with the failures",
+                    JobId(i as u32)
+                )));
+            }
+        }
+        for _ in 0..d.count(28)? {
+            log.completions.push(CompletionRecord {
+                job: d.job(jobs)?,
+                machine: d.machine(machines)?,
+                start: d.f64()?,
+                end: d.f64()?,
+            });
+        }
+        Ok(log)
     }
 
     /// Total jobs killed across all failures.

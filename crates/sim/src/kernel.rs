@@ -411,53 +411,9 @@ impl<'a> EventKernel<'a> {
         }
     }
 
-    /// Appends the run so far to `out`: per job a presence byte and, when
-    /// placed, its machine (`u32`) and start; then the fault log — the
-    /// failures with their killed jobs, the recoveries, the per-job kill
-    /// counts, and the completions, each list count-prefixed.
-    pub fn durable_run_bytes(&self, out: &mut Vec<u8>) {
-        for i in 0..self.work.len() {
-            match self.schedule.get(JobId(i as u32)) {
-                Some(a) => {
-                    out.push(1);
-                    out.extend_from_slice(&(a.machine as u32).to_le_bytes());
-                    out.extend_from_slice(&a.start.to_bits().to_le_bytes());
-                }
-                None => out.push(0),
-            }
-        }
-        let log = &self.log;
-        out.extend_from_slice(&(log.failures.len() as u64).to_le_bytes());
-        for f in &log.failures {
-            out.extend_from_slice(&f.at.to_bits().to_le_bytes());
-            out.extend_from_slice(&(f.machine as u64).to_le_bytes());
-            out.extend_from_slice(&f.recover_at.to_bits().to_le_bytes());
-            out.extend_from_slice(&(f.killed.len() as u64).to_le_bytes());
-            for j in &f.killed {
-                out.extend_from_slice(&j.0.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(log.recoveries.len() as u64).to_le_bytes());
-        for &(t, m) in &log.recoveries {
-            out.extend_from_slice(&t.to_bits().to_le_bytes());
-            out.extend_from_slice(&(m as u64).to_le_bytes());
-        }
-        out.extend_from_slice(&(log.re_releases.len() as u64).to_le_bytes());
-        for &n in &log.re_releases {
-            out.extend_from_slice(&(n as u64).to_le_bytes());
-        }
-        out.extend_from_slice(&(log.completions.len() as u64).to_le_bytes());
-        for c in &log.completions {
-            out.extend_from_slice(&c.job.0.to_le_bytes());
-            out.extend_from_slice(&(c.machine as u64).to_le_bytes());
-            out.extend_from_slice(&c.start.to_bits().to_le_bytes());
-            out.extend_from_slice(&c.end.to_bits().to_le_bytes());
-        }
-    }
-
     // Restoring from a snapshot. A kernel is rebuilt section by section,
     // in the order its owner's state encoding interleaves them: each
-    // `load_*` is the inverse of one encoder above and fills a freshly
+    // `load_*` is the inverse of one section's encoder and fills a freshly
     // constructed kernel, and `finish_load` checks the sections against
     // each other. Each checks what the event loop relies on to stay
     // panic-free — indices in range, counters that later events decrement
@@ -485,7 +441,7 @@ impl<'a> EventKernel<'a> {
         let count = d.count(4)?;
         let mut re_released = Vec::with_capacity(count);
         for _ in 0..count {
-            re_released.push(self.job_id(d)?);
+            re_released.push(d.job(self.work.len())?);
         }
         self.fault_q = fault_q;
         self.re_released = re_released;
@@ -497,68 +453,13 @@ impl<'a> EventKernel<'a> {
         self.cluster.load_durable(d, &self.work)
     }
 
-    /// The inverse of [`EventKernel::durable_run_bytes`]. Placements must
-    /// name machines of this cluster, and each job's kill count must be
-    /// the number of failures that list it.
+    /// The inverse of the run section — [`Schedule::encode`] of
+    /// [`EventKernel::schedule`], then [`FaultLog::encode`] of
+    /// [`EventKernel::log`] — on this kernel's jobs and machines.
     pub fn load_run_bytes(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let n = self.work.len();
-        let machines = self.cluster.num_machines();
-        let mut schedule = Schedule::new(n, machines);
-        for i in 0..n {
-            if d.bool()? {
-                let (machine, start) = (d.u32()? as usize, d.f64()?);
-                schedule
-                    .assign(JobId(i as u32), machine, start)
-                    .map_err(|e| d.malformed(e.to_string()))?;
-            }
-        }
-        let mut log = FaultLog::new(n);
-        let mut kills = vec![0u32; n];
-        for _ in 0..d.count(32)? {
-            let at = d.f64()?;
-            let machine = self.machine_index(d)?;
-            let recover_at = d.f64()?;
-            let count = d.count(4)?;
-            let mut killed = Vec::with_capacity(count);
-            for _ in 0..count {
-                let job = self.job_id(d)?;
-                kills[job.index()] += 1;
-                killed.push(job);
-            }
-            log.failures.push(FailureRecord {
-                at,
-                machine,
-                recover_at,
-                killed,
-            });
-        }
-        for _ in 0..d.count(16)? {
-            let at = d.f64()?;
-            log.recoveries.push((at, self.machine_index(d)?));
-        }
-        d.expect_count(n, "kill-count table length")?;
-        for (i, &k) in kills.iter().enumerate() {
-            if d.u64()? != k as u64 {
-                return Err(d.malformed(format!(
-                    "kill count of {} disagrees with the failures",
-                    JobId(i as u32)
-                )));
-            }
-        }
-        log.re_releases = kills;
-        for _ in 0..d.count(28)? {
-            let job = self.job_id(d)?;
-            let machine = self.machine_index(d)?;
-            let (start, end) = (d.f64()?, d.f64()?);
-            log.completions.push(CompletionRecord {
-                job,
-                machine,
-                start,
-                end,
-            });
-        }
-        self.schedule = schedule;
-        self.log = log;
+        let (jobs, machines) = (self.work.len(), self.cluster.num_machines());
+        self.schedule = Schedule::decode(d, jobs, machines)?;
+        self.log = FaultLog::decode(d, jobs, machines)?;
         Ok(())
     }
 
@@ -646,22 +547,6 @@ impl<'a> EventKernel<'a> {
                 .push(Reverse((OrdTime(e.at), FaultKind::Fail(self.plan.len()))));
             self.plan.push(*e);
         }
-    }
-
-    fn job_id(&self, d: &mut Decoder<'_>) -> Result<JobId, CodecError> {
-        let j = d.u32()?;
-        if j as usize >= self.work.len() {
-            return Err(d.malformed(format!("job {j} is out of range")));
-        }
-        Ok(JobId(j))
-    }
-
-    fn machine_index(&self, d: &mut Decoder<'_>) -> Result<usize, CodecError> {
-        let m = d.u64()?;
-        if m >= self.cluster.num_machines() as u64 {
-            return Err(d.malformed(format!("machine {m} is out of range")));
-        }
-        Ok(m as usize)
     }
 
     /// Ends the run: the schedule (every job's last placement) and the

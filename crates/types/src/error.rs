@@ -118,7 +118,10 @@ impl std::error::Error for InstanceError {}
 ///
 /// Admission control is *explicit load-shedding*: a submission is either
 /// accepted (and then guaranteed to complete) or rejected with one of these
-/// typed reasons — never silently dropped.
+/// typed reasons — never silently dropped. The last three variants are
+/// offers that name no job or tenant the service can take; they are refused
+/// before the clock moves or any count changes, and are never recorded in
+/// the ledger (see [`AdmissionError::is_invalid_offer`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionError {
     /// The submission queue is at or above its depth watermark.
@@ -152,6 +155,39 @@ pub enum AdmissionError {
         /// Which per-tenant limit fired.
         kind: TenantQuotaKind,
     },
+    /// The offered job is not in the served instance.
+    UnknownJob {
+        /// The offered job.
+        job: JobId,
+        /// How many jobs the instance has.
+        jobs: usize,
+    },
+    /// The offered job was offered before; a job is offered at most once.
+    AlreadySubmitted {
+        /// The offered job.
+        job: JobId,
+    },
+    /// The offer names a tenant the service does not have (any tenant but
+    /// the default one, on a single-tenant service).
+    UnknownTenant {
+        /// The named tenant.
+        tenant: TenantId,
+        /// How many tenants the service has (0 single-tenant).
+        tenants: usize,
+    },
+}
+
+impl AdmissionError {
+    /// Whether the offer itself was invalid — an unknown job or tenant, or
+    /// a repeated job — rather than shed by admission control.
+    pub fn is_invalid_offer(&self) -> bool {
+        matches!(
+            self,
+            AdmissionError::UnknownJob { .. }
+                | AdmissionError::AlreadySubmitted { .. }
+                | AdmissionError::UnknownTenant { .. }
+        )
+    }
 }
 
 /// Which per-tenant admission limit rejected a submission
@@ -215,6 +251,13 @@ impl std::fmt::Display for AdmissionError {
                     "{tenant} over fair share: deficit {deficit} ticks cannot cover cost {cost}"
                 ),
             },
+            AdmissionError::UnknownJob { job, jobs } => {
+                write!(f, "unknown job {job} (instance has {jobs} jobs)")
+            }
+            AdmissionError::AlreadySubmitted { job } => write!(f, "{job} was already submitted"),
+            AdmissionError::UnknownTenant { tenant, tenants } => {
+                write!(f, "unknown {tenant} (service has {tenants} tenants)")
+            }
         }
     }
 }
@@ -839,6 +882,14 @@ pub enum NetError {
     },
     /// The connection was closed before the exchange completed.
     Closed,
+    /// A payload too large for one frame was refused before any byte of
+    /// it was written.
+    FrameTooLarge {
+        /// The payload's length in bytes.
+        len: u64,
+        /// The largest payload a frame carries.
+        cap: u32,
+    },
 }
 
 impl std::fmt::Display for NetError {
@@ -856,6 +907,9 @@ impl std::fmt::Display for NetError {
                 write!(f, "unexpected response: {detail}")
             }
             NetError::Closed => write!(f, "connection closed mid-exchange"),
+            NetError::FrameTooLarge { len, cap } => {
+                write!(f, "a {len}-byte payload exceeds the {cap}-byte frame cap")
+            }
         }
     }
 }
