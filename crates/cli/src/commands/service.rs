@@ -389,7 +389,7 @@ pub(crate) fn restore(flags: &Flags) -> Result<String, CliError> {
         .jobs()
         .iter()
         .map(|j| j.id)
-        .filter(|&j| matches!(service.outcome(j), JobOutcome::NotSubmitted))
+        .filter(|&j| service.checked_outcome(j) == Some(JobOutcome::NotSubmitted))
         .collect::<Vec<_>>();
     let resubmitted = remaining.len();
     offer_in_release_order(&instance, remaining, |release, job| {

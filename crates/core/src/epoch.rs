@@ -36,7 +36,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 use mris_knapsack::{Item, KnapsackSolver, SolveScratch};
 use mris_sim::{ClusterTimelines, OrdTime};
-use mris_types::{CodecError, Decoder, Instance, JobId, Time};
+use mris_types::{Codec, CodecError, Decoder, Encoder, Instance, JobId, Time};
 
 use crate::algorithm::{select_batch, IterationStats};
 use crate::config::MrisConfig;
@@ -85,65 +85,6 @@ impl EpochState {
     /// True when no announced job remains unscheduled.
     pub(crate) fn is_empty(&self) -> bool {
         self.frontier.is_empty() && self.waiting.is_empty()
-    }
-
-    /// Appends a canonical encoding of the replay-relevant state to `out`:
-    /// the waiting heap (sorted — heap layout is history-dependent) and the
-    /// frontier. The scratch arena carries nothing across epochs and is
-    /// excluded.
-    pub(crate) fn durable_bytes(&self, out: &mut Vec<u8>) {
-        let mut waiting: Vec<(u64, u32)> = self
-            .waiting
-            .iter()
-            .map(|&Reverse((OrdTime(key), job))| (key.to_bits(), job.0))
-            .collect();
-        waiting.sort_unstable();
-        out.extend_from_slice(&(waiting.len() as u64).to_le_bytes());
-        for (key, job) in waiting {
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&job.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.frontier.len() as u64).to_le_bytes());
-        for job in &self.frontier {
-            out.extend_from_slice(&job.0.to_le_bytes());
-        }
-    }
-
-    /// The inverse of [`EpochState::durable_bytes`]: replaces the waiting
-    /// heap and the frontier with the decoded ones. Every job must be in
-    /// range for `seen` (one flag per job of the instance), and appear
-    /// once across both and whatever `seen` already marks; each is marked.
-    /// The entries must be in the encoding's canonical order.
-    pub(crate) fn load_durable(
-        &mut self,
-        d: &mut Decoder<'_>,
-        seen: &mut [bool],
-    ) -> Result<(), CodecError> {
-        let count = d.count(12)?;
-        let mut waiting = Vec::with_capacity(count);
-        let mut prev = None;
-        for _ in 0..count {
-            let key = d.u64()?;
-            let job = d.unique_job(seen)?;
-            if prev.is_some_and(|p| p >= (key, job)) {
-                return Err(d.malformed("waiting jobs out of canonical order"));
-            }
-            prev = Some((key, job));
-            waiting.push(Reverse((OrdTime(f64::from_bits(key)), job)));
-        }
-        let mut frontier = BTreeSet::new();
-        let mut prev = None;
-        for _ in 0..d.count(4)? {
-            let job = d.unique_job(seen)?;
-            if prev.is_some_and(|p| p >= job) {
-                return Err(d.malformed("frontier out of id order"));
-            }
-            prev = Some(job);
-            frontier.insert(job);
-        }
-        self.waiting = BinaryHeap::from(waiting);
-        self.frontier = frontier;
-        Ok(())
     }
 
     /// Promotes every job whose threshold has been reached into the
@@ -253,6 +194,64 @@ impl EpochState {
                 .max(start + job.proc_time / timelines.speed(machine));
         }
         stats
+    }
+}
+
+/// The replay-relevant state: the waiting heap, sorted (its layout is
+/// history-dependent), then the frontier, each list prefixed by its count.
+/// The scratch arena carries nothing across epochs and is not written. The
+/// context is one `seen` flag per job of the instance: every job must be
+/// in range and appear once across both lists and whatever `seen` already
+/// marks, and each is marked. The entries must be in canonical order.
+impl Codec for EpochState {
+    type Context<'a> = &'a mut [bool];
+
+    fn encode(&self, e: &mut Encoder) {
+        let mut waiting: Vec<(u64, u32)> = self
+            .waiting
+            .iter()
+            .map(|&Reverse((OrdTime(key), job))| (key.to_bits(), job.0))
+            .collect();
+        waiting.sort_unstable();
+        e.u64(waiting.len() as u64);
+        for (key, job) in waiting {
+            e.u64(key);
+            e.u32(job);
+        }
+        e.u64(self.frontier.len() as u64);
+        for job in &self.frontier {
+            e.u32(job.0);
+        }
+    }
+
+    fn decode(d: &mut Decoder<'_>, seen: &mut [bool]) -> Result<Self, CodecError> {
+        let count = d.count(12)?;
+        let mut waiting = Vec::with_capacity(count);
+        let mut prev = None;
+        for _ in 0..count {
+            let key = d.u64()?;
+            let job = d.unique_job(seen)?;
+            if prev.is_some_and(|p| p >= (key, job)) {
+                return Err(d.malformed("waiting jobs out of canonical order"));
+            }
+            prev = Some((key, job));
+            waiting.push(Reverse((OrdTime(f64::from_bits(key)), job)));
+        }
+        let mut frontier = BTreeSet::new();
+        let mut prev = None;
+        for _ in 0..d.count(4)? {
+            let job = d.unique_job(seen)?;
+            if prev.is_some_and(|p| p >= job) {
+                return Err(d.malformed("frontier out of id order"));
+            }
+            prev = Some(job);
+            frontier.insert(job);
+        }
+        Ok(EpochState {
+            waiting: BinaryHeap::from(waiting),
+            frontier,
+            scratch: EpochScratch::default(),
+        })
     }
 }
 

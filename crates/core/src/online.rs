@@ -20,7 +20,9 @@ use std::collections::BinaryHeap;
 
 use mris_knapsack::KnapsackSolver;
 use mris_sim::{ClusterTimelines, Dispatcher, OnlinePolicy, OrdTime};
-use mris_types::{ClusterSpec, CodecError, Decoder, Instance, JobId, SchedulingError, Time};
+use mris_types::{
+    ClusterSpec, Codec, CodecError, Decoder, Encoder, Instance, JobId, SchedulingError, Time,
+};
 
 use crate::algorithm::IterationStats;
 use crate::config::MrisConfig;
@@ -32,6 +34,8 @@ use crate::epoch::EpochState;
 pub struct MrisOnline {
     config: MrisConfig,
     solver: Box<dyn KnapsackSolver>,
+    /// The machines of `timelines`, which a decoded state's must describe.
+    cluster: ClusterSpec,
     timelines: ClusterTimelines,
     gamma0: Time,
     /// Current interval endpoint `gamma_k`; iteration `k` runs when the
@@ -85,6 +89,7 @@ impl MrisOnline {
             config,
             solver: config.solver(),
             timelines: ClusterTimelines::with_spec(cluster, instance.num_resources()),
+            cluster: cluster.clone(),
             gamma0,
             gamma: gamma0,
             k: 0,
@@ -228,10 +233,10 @@ impl OnlinePolicy for MrisOnline {
         }
     }
 
-    fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
-        out.extend_from_slice(&self.gamma0.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.gamma.to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.k as u64).to_le_bytes());
+    fn encode_durable_state(&self, e: &mut Encoder) -> bool {
+        e.f64(self.gamma0);
+        e.f64(self.gamma);
+        e.u64(self.k as u64);
         // Sorted, not heap order: the heap's layout depends on insertion
         // history, which snapshot verification must not be sensitive to.
         let mut pending: Vec<(u64, u32, u64)> = self
@@ -240,23 +245,22 @@ impl OnlinePolicy for MrisOnline {
             .map(|&Reverse((OrdTime(s), j, m))| (s.to_bits(), j.0, m as u64))
             .collect();
         pending.sort_unstable();
-        out.extend_from_slice(&(pending.len() as u64).to_le_bytes());
+        e.u64(pending.len() as u64);
         for (s, j, m) in pending {
-            out.extend_from_slice(&s.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
-            out.extend_from_slice(&m.to_le_bytes());
+            e.u64(s);
+            e.u32(j);
+            e.u64(m);
         }
-        self.state.durable_bytes(out);
-        self.timelines.durable_bytes(out);
+        self.state.encode(e);
+        self.timelines.encode(e);
         true
     }
 
     fn decode_durable_state(
         &mut self,
-        bytes: &[u8],
+        d: &mut Decoder<'_>,
         instance: &Instance,
     ) -> Result<bool, CodecError> {
-        let mut d = Decoder::new(bytes);
         if d.f64()?.to_bits() != self.gamma0.to_bits() {
             return Err(d.malformed("MRIS state written for another grid origin"));
         }
@@ -270,7 +274,7 @@ impl OnlinePolicy for MrisOnline {
             return Err(d.malformed(format!("MRIS grid point {gamma} is not gamma_{k}")));
         }
         let mut seen = vec![false; instance.len()];
-        let machines = self.timelines.num_machines() as u64;
+        let machines = self.cluster.len() as u64;
         let count = d.count(20)?;
         let mut pending = Vec::with_capacity(count);
         let mut prev = None;
@@ -288,9 +292,8 @@ impl OnlinePolicy for MrisOnline {
                 machine as usize,
             )));
         }
-        self.state.load_durable(&mut d, &mut seen)?;
-        self.timelines.load_durable(&mut d)?;
-        d.finish()?;
+        self.state = EpochState::decode(d, &mut seen)?;
+        self.timelines = ClusterTimelines::decode(d, (&self.cluster, instance.num_resources()))?;
         self.gamma = gamma;
         self.k = k as usize;
         self.pending = BinaryHeap::from(pending);

@@ -53,7 +53,7 @@ use mris_service::{
     crc32, Decoder, Encoder, JobOutcome, ServiceReport, ServiceSummary, TenantStat,
 };
 use mris_sim::FaultLog;
-use mris_types::{AdmissionError, CodecError, NetError, Schedule, Time};
+use mris_types::{AdmissionError, Codec, CodecError, NetError, Schedule, Time};
 
 /// Magic bytes opening both directions of the handshake.
 pub const NET_MAGIC: [u8; 4] = *b"MRNP";
@@ -616,11 +616,11 @@ fn decode_report(d: &mut Decoder) -> Result<ServiceReport, CodecError> {
     };
     let jobs = d.count(1)?;
     let outcomes = (0..jobs)
-        .map(|_| JobOutcome::decode(d))
+        .map(|_| JobOutcome::decode(d, ()))
         .collect::<Result<Vec<_>, _>>()?;
     let machines = d.u64()? as usize;
-    let schedule = Schedule::decode(d, jobs, machines)?;
-    let log = FaultLog::decode(d, jobs, machines)?;
+    let schedule = Schedule::decode(d, (jobs, machines))?;
+    let log = FaultLog::decode(d, (jobs, machines))?;
     Ok(ServiceReport {
         schedule,
         log,
@@ -702,7 +702,7 @@ impl Response {
                 Response::BatchSubmitted { results }
             }
             3 => Response::JobStatus {
-                outcome: JobOutcome::decode(&mut d)?,
+                outcome: JobOutcome::decode(&mut d, ())?,
             },
             4 => Response::StatsReply(NetStats {
                 now: d.f64()?,

@@ -191,7 +191,6 @@ impl<S> NetServer<S> {
 struct Door<C: Clock, S: TelemetrySink> {
     /// The one lock requests meet at. `None` once the serve loop ended.
     service: Mutex<Option<Service<C, NetSink<S>>>>,
-    num_jobs: usize,
     fingerprint: u64,
     /// Exact tokens → tenant ids; `None` on the single-tenant door, which
     /// accepts any token as tenant 0.
@@ -243,7 +242,6 @@ where
             .collect()
     });
     let subs = Subscribers::default();
-    let num_jobs = instance.len();
     let policy = make_policy(&instance, cfg.num_machines);
     let sink = NetSink {
         inner: sink,
@@ -256,7 +254,6 @@ where
     };
     let door = Arc::new(Door {
         service: Mutex::new(service),
-        num_jobs,
         fingerprint,
         tokens,
         subs,
@@ -410,14 +407,12 @@ impl<C: Clock, S: TelemetrySink> Door<C, S> {
                     None => return Response::BatchSubmitted { results },
                 }
             }
-            Request::Query { job } if (job as usize) < self.num_jobs => {
-                return Response::JobStatus {
-                    outcome: svc.outcome(JobId(job)),
-                }
-            }
             Request::Query { job } => {
-                return Response::Error {
-                    detail: format!("job {job} is out of range for the served instance"),
+                return match svc.checked_outcome(JobId(job)) {
+                    Some(outcome) => Response::JobStatus { outcome },
+                    None => Response::Error {
+                        detail: format!("job {job} is out of range for the served instance"),
+                    },
                 }
             }
             Request::Stats => return Response::StatsReply(stats_of(svc)),

@@ -15,10 +15,11 @@
 
 use mris_sim::{Dispatcher, OnlinePolicy, OrdTime};
 use mris_types::{
-    fraction, Amount, ClusterSpec, CodecError, Decoder, Instance, JobId, SchedulingError, Time,
+    fraction, Amount, ClusterSpec, Codec, CodecError, Decoder, Encoder, Instance, JobId,
+    SchedulingError, Time,
 };
 
-use crate::pending::{decode_jobs, PendingIndex};
+use crate::pending::{decode_jobs, encode_jobs, PendingIndex};
 use crate::Scheduler;
 
 /// Leads BF-EXEC's durable state, so no other policy's bytes decode as it.
@@ -84,31 +85,24 @@ impl OnlinePolicy for BfExecPolicy {
         Ok(())
     }
 
-    fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
-        out.extend_from_slice(DURABLE_TAG);
-        self.pending.encode_entries(out);
-        out.extend_from_slice(&(self.fresh.len() as u64).to_le_bytes());
-        for j in &self.fresh {
-            out.extend_from_slice(&j.0.to_le_bytes());
-        }
+    fn encode_durable_state(&self, e: &mut Encoder) -> bool {
+        e.bytes(DURABLE_TAG);
+        self.pending.encode(e);
+        encode_jobs(e, self.fresh.iter().copied());
         true
     }
 
     fn decode_durable_state(
         &mut self,
-        bytes: &[u8],
+        d: &mut Decoder<'_>,
         instance: &Instance,
     ) -> Result<bool, CodecError> {
-        let mut d = Decoder::new(bytes);
         if d.bytes(4)? != DURABLE_TAG {
             return Err(d.malformed("not a BF-EXEC policy state"));
         }
         let mut seen = vec![false; instance.len()];
-        let pending = PendingIndex::decode_entries(&mut d, instance, &mut seen)?;
-        let fresh = decode_jobs(&mut d, &mut seen)?;
-        d.finish()?;
-        self.pending = pending;
-        self.fresh = fresh;
+        self.pending = PendingIndex::decode(d, (instance, &mut seen))?;
+        self.fresh = decode_jobs(d, &mut seen)?;
         Ok(true)
     }
 }

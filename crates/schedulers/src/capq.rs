@@ -12,7 +12,9 @@
 //! fit, and every later event (completions, fault re-releases) is PQ's.
 
 use mris_sim::{Dispatcher, OnlinePolicy};
-use mris_types::{ClusterSpec, CodecError, Decoder, Instance, JobId, SchedulingError, Time};
+use mris_types::{
+    ClusterSpec, CodecError, Decoder, Encoder, Instance, JobId, SchedulingError, Time,
+};
 
 use crate::{PqPolicy, Scheduler, SortHeuristic};
 
@@ -52,26 +54,24 @@ impl OnlinePolicy for CaPqPolicy {
         self.pq.dispatch(d, freed)
     }
 
-    fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
-        out.extend_from_slice(DURABLE_TAG);
-        out.extend_from_slice(&self.gate.to_bits().to_le_bytes());
-        self.pq.encode_durable_state(out)
+    fn encode_durable_state(&self, e: &mut Encoder) -> bool {
+        e.bytes(DURABLE_TAG);
+        e.f64(self.gate);
+        self.pq.encode_durable_state(e)
     }
 
     fn decode_durable_state(
         &mut self,
-        bytes: &[u8],
+        d: &mut Decoder<'_>,
         instance: &Instance,
     ) -> Result<bool, CodecError> {
-        let mut d = Decoder::new(bytes);
         if d.bytes(4)? != DURABLE_TAG {
             return Err(d.malformed("not a CA-PQ policy state"));
         }
         if d.f64()?.to_bits() != self.gate.to_bits() {
             return Err(d.malformed("CA-PQ state written with another gate"));
         }
-        let rest = d.bytes(d.remaining())?;
-        self.pq.decode_durable_state(rest, instance)
+        self.pq.decode_durable_state(d, instance)
     }
 }
 

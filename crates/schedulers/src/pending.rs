@@ -20,19 +20,22 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use mris_sim::{Dispatcher, OrdTime};
-use mris_types::{Amount, CodecError, Decoder, Instance, JobId, SchedulingError};
+use mris_types::{Amount, Codec, CodecError, Decoder, Encoder, Instance, JobId, SchedulingError};
+
+/// Appends a count-prefixed list of job ids.
+pub(crate) fn encode_jobs(e: &mut Encoder, jobs: impl ExactSizeIterator<Item = JobId>) {
+    e.u64(jobs.len() as u64);
+    for j in jobs {
+        e.u32(j.0);
+    }
+}
 
 /// Reads a count-prefixed list of job ids with [`Decoder::unique_job`].
 pub(crate) fn decode_jobs(
     d: &mut Decoder<'_>,
     seen: &mut [bool],
 ) -> Result<Vec<JobId>, CodecError> {
-    let count = d.count(4)?;
-    let mut jobs = Vec::with_capacity(count);
-    for _ in 0..count {
-        jobs.push(d.unique_job(seen)?);
-    }
-    Ok(jobs)
+    (0..d.count(4)?).map(|_| d.unique_job(seen)).collect()
 }
 
 /// A pending job with its queue key; queues order by `(key, id)`.
@@ -84,51 +87,6 @@ impl PendingIndex {
         };
         self.queues[c].push(Reverse(entry));
         self.len += 1;
-    }
-
-    /// Every pending entry, sorted by `(key, id)`.
-    pub(crate) fn sorted_entries(&self) -> Vec<Entry> {
-        let mut all: Vec<Entry> = self
-            .queues
-            .iter()
-            .flat_map(|q| q.iter().map(|r| r.0))
-            .collect();
-        all.sort_unstable();
-        all
-    }
-
-    /// Appends the durable encoding of the queue: the entry count, then
-    /// every entry's key bits and id in `(key, id)` order — canonical
-    /// whatever the classes' layout.
-    pub(crate) fn encode_entries(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        for (OrdTime(key), j) in self.sorted_entries() {
-            out.extend_from_slice(&key.to_bits().to_le_bytes());
-            out.extend_from_slice(&j.0.to_le_bytes());
-        }
-    }
-
-    /// The inverse of [`PendingIndex::encode_entries`]: an index holding
-    /// the decoded entries, each job's demands read off `instance`. Entries
-    /// must be in `(key, id)` order, and every job is marked in `seen`,
-    /// which must not mark it already.
-    pub(crate) fn decode_entries(
-        d: &mut Decoder<'_>,
-        instance: &Instance,
-        seen: &mut [bool],
-    ) -> Result<PendingIndex, CodecError> {
-        let mut index = PendingIndex::default();
-        let mut prev: Option<Entry> = None;
-        for _ in 0..d.count(12)? {
-            let key = OrdTime(d.f64()?);
-            let job = d.unique_job(seen)?;
-            if prev.is_some_and(|p| p >= (key, job)) {
-                return Err(d.malformed("pending entries out of (key, id) order"));
-            }
-            prev = Some((key, job));
-            index.insert((key, job), &instance.job(job).demands);
-        }
-        Ok(index)
     }
 
     fn vector(&self, c: usize) -> &[Amount] {
@@ -303,5 +261,42 @@ impl PendingIndex {
                 self.drop_class(c);
             }
         }
+    }
+}
+
+/// The entry count, then every entry's key bits and id in `(key, id)`
+/// order — canonical whatever the classes' layout. The context is the
+/// instance, whose demands place each job in its class, and one `seen`
+/// flag per job: entries must be in order, and each job is marked in
+/// `seen`, which must not mark it already.
+impl Codec for PendingIndex {
+    type Context<'a> = (&'a Instance, &'a mut [bool]);
+
+    fn encode(&self, e: &mut Encoder) {
+        let mut all: Vec<Entry> = self.queues.iter().flatten().map(|r| r.0).collect();
+        all.sort_unstable();
+        e.u64(all.len() as u64);
+        for (OrdTime(key), j) in all {
+            e.f64(key);
+            e.u32(j.0);
+        }
+    }
+
+    fn decode(
+        d: &mut Decoder<'_>,
+        (instance, seen): (&Instance, &mut [bool]),
+    ) -> Result<Self, CodecError> {
+        let mut index = PendingIndex::default();
+        let mut prev: Option<Entry> = None;
+        for _ in 0..d.count(12)? {
+            let key = OrdTime(d.f64()?);
+            let job = d.unique_job(seen)?;
+            if prev.is_some_and(|p| p >= (key, job)) {
+                return Err(d.malformed("pending entries out of (key, id) order"));
+            }
+            prev = Some((key, job));
+            index.insert((key, job), &instance.job(job).demands);
+        }
+        Ok(index)
     }
 }

@@ -13,9 +13,11 @@
 //! a gate.
 
 use mris_sim::{Dispatcher, OnlinePolicy, OrdTime};
-use mris_types::{ClusterSpec, CodecError, Decoder, Instance, JobId, SchedulingError, Time};
+use mris_types::{
+    ClusterSpec, Codec, CodecError, Decoder, Encoder, Instance, JobId, SchedulingError, Time,
+};
 
-use crate::pending::{decode_jobs, Entry, PendingIndex};
+use crate::pending::{decode_jobs, encode_jobs, Entry, PendingIndex};
 use crate::{Scheduler, SortHeuristic};
 
 /// The PQ online policy. Use through [`Pq`] unless you are composing your
@@ -65,31 +67,24 @@ impl OnlinePolicy for PqPolicy {
         result
     }
 
-    fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
+    fn encode_durable_state(&self, e: &mut Encoder) -> bool {
         // Pending jobs sorted by (key, id), then the undispatched arrivals
         // in arrival order: canonical whatever the index's layout.
-        self.pending.encode_entries(out);
-        out.extend_from_slice(&(self.fresh.len() as u64).to_le_bytes());
-        for (_, j) in &self.fresh {
-            out.extend_from_slice(&j.0.to_le_bytes());
-        }
+        self.pending.encode(e);
+        encode_jobs(e, self.fresh.iter().map(|&(_, j)| j));
         true
     }
 
     fn decode_durable_state(
         &mut self,
-        bytes: &[u8],
+        d: &mut Decoder<'_>,
         instance: &Instance,
     ) -> Result<bool, CodecError> {
-        let mut d = Decoder::new(bytes);
         let mut seen = vec![false; instance.len()];
-        let pending = PendingIndex::decode_entries(&mut d, instance, &mut seen)?;
-        let fresh = decode_jobs(&mut d, &mut seen)?;
-        d.finish()?;
+        self.pending = PendingIndex::decode(d, (instance, &mut seen))?;
         // An arrival's key is computed on arrival; a queued job has not run
         // since, so its weight, and with it the key, is still the same.
-        self.pending = pending;
-        self.fresh = fresh
+        self.fresh = decode_jobs(d, &mut seen)?
             .into_iter()
             .map(|j| (OrdTime(self.heuristic.key(instance.job(j))), j))
             .collect();

@@ -18,10 +18,11 @@
 
 use mris_sim::{Dispatcher, OnlinePolicy};
 use mris_types::{
-    fraction, Amount, ClusterSpec, CodecError, Decoder, Instance, Job, JobId, SchedulingError, Time,
+    fraction, Amount, ClusterSpec, CodecError, Decoder, Encoder, Instance, Job, JobId,
+    SchedulingError, Time,
 };
 
-use crate::pending::decode_jobs;
+use crate::pending::{decode_jobs, encode_jobs};
 use crate::Scheduler;
 
 /// Leads Tetris's durable state, so no other policy's bytes decode as it.
@@ -141,43 +142,32 @@ impl OnlinePolicy for TetrisPolicy {
         Ok(())
     }
 
-    fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
+    fn encode_durable_state(&self, e: &mut Encoder) -> bool {
         // The queue in its own order: `swap_remove` reorders it, and the
         // order breaks score ties.
-        out.extend_from_slice(DURABLE_TAG);
-        out.extend_from_slice(&self.eps.to_bits().to_le_bytes());
-        for list in [&self.pending, &self.fresh] {
-            out.extend_from_slice(&(list.len() as u64).to_le_bytes());
-            for j in list {
-                out.extend_from_slice(&j.0.to_le_bytes());
-            }
-        }
+        e.bytes(DURABLE_TAG);
+        e.f64(self.eps);
+        encode_jobs(e, self.pending.iter().copied());
+        encode_jobs(e, self.fresh.iter().copied());
         true
     }
 
     fn decode_durable_state(
         &mut self,
-        bytes: &[u8],
+        d: &mut Decoder<'_>,
         instance: &Instance,
     ) -> Result<bool, CodecError> {
-        let mut d = Decoder::new(bytes);
         if d.bytes(4)? != DURABLE_TAG {
             return Err(d.malformed("not a Tetris policy state"));
         }
         if d.f64()?.to_bits() != self.eps.to_bits() {
             return Err(d.malformed("Tetris state written with another eps"));
         }
-        let pending = decode_jobs(&mut d, &mut vec![false; instance.len()])?;
-        let fresh = decode_jobs(&mut d, &mut vec![false; instance.len()])?;
-        d.finish()?;
-        if !fresh.iter().all(|j| pending.contains(j)) {
-            return Err(CodecError::Malformed {
-                offset: bytes.len(),
-                detail: "a fresh Tetris job is not queued".into(),
-            });
+        self.pending = decode_jobs(d, &mut vec![false; instance.len()])?;
+        self.fresh = decode_jobs(d, &mut vec![false; instance.len()])?;
+        if !self.fresh.iter().all(|j| self.pending.contains(j)) {
+            return Err(d.malformed("a fresh Tetris job is not queued"));
         }
-        self.pending = pending;
-        self.fresh = fresh;
         Ok(true)
     }
 }

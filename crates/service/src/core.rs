@@ -16,9 +16,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mris_metrics::Percentiles;
-use mris_sim::{ChaosOutcome, EventKernel, EventSink, FaultLog, FaultPlan, OnlinePolicy, OrdTime};
+use mris_sim::{
+    ChaosOutcome, ClusterState, EventKernel, EventSink, FaultLog, FaultPlan, KernelParts,
+    OnlinePolicy, OrdTime, PendingFaults, PrecedenceGate,
+};
 use mris_types::{
-    fraction, AdmissionError, Amount, ClusterSpec, CodecError, ConfigError, Decoder,
+    fraction, AdmissionError, Amount, ClusterSpec, Codec, CodecError, ConfigError, Decoder,
     DurabilityError, Instance, JobId, RestartSemantics, RestoreError, Schedule, SchedulingError,
     TenantId, TenantQuotaKind, Time, CAPACITY,
 };
@@ -238,13 +241,14 @@ pub enum JobOutcome {
     Completed,
 }
 
-impl JobOutcome {
-    /// Appends the outcome as one tag byte — 0 not submitted, 3 accepted,
-    /// 4 completed — or, for a rejection, as its [`AdmissionError`] (tags
-    /// 1, 2 and 5; see [`AdmissionError::encode`]). Snapshots and the wire
-    /// both carry outcomes this way; a rejection-free ledger is one byte a
-    /// job.
-    pub fn encode(&self, e: &mut Encoder) {
+/// One tag byte — 0 not submitted, 3 accepted, 4 completed — or a
+/// rejection's [`AdmissionError::encode`] (tags 1, 2 and 5), for snapshots
+/// and the wire alike; a rejection-free ledger is one byte a job. A decoded
+/// rejection must be one the ledger records, never an invalid offer.
+impl Codec for JobOutcome {
+    type Context<'a> = ();
+
+    fn encode(&self, e: &mut Encoder) {
         match self {
             JobOutcome::NotSubmitted => e.u8(0),
             JobOutcome::Rejected(err) => err.encode(e),
@@ -253,9 +257,7 @@ impl JobOutcome {
         }
     }
 
-    /// The inverse of [`JobOutcome::encode`]. A rejection must be one the
-    /// ledger records: an invalid offer never reaches it.
-    pub fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+    fn decode(d: &mut Decoder<'_>, (): ()) -> Result<Self, CodecError> {
         Ok(match d.u8()? {
             0 => JobOutcome::NotSubmitted,
             3 => JobOutcome::Accepted,
@@ -554,7 +556,15 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         self.queue.len()
     }
 
-    /// The current outcome of `job`.
+    /// The current outcome of `job`, or `None` for an id past the
+    /// instance.
+    pub fn checked_outcome(&self, job: JobId) -> Option<JobOutcome> {
+        self.outcomes.get(job.index()).copied()
+    }
+
+    /// The current outcome of `job`; panics for an id past the instance.
+    /// The job-path benchmark (`benchmark/`) calls this shape; everything
+    /// else calls [`Service::checked_outcome`].
     pub fn outcome(&self, job: JobId) -> JobOutcome {
         self.outcomes[job.index()]
     }
@@ -1054,15 +1064,15 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         for &d in &self.queued_demand {
             e.u64(d);
         }
-        self.kernel.durable_fault_bytes(e.buffer_mut());
-        self.kernel.cluster().durable_bytes(e.buffer_mut());
+        self.kernel.pending_faults().encode(&mut e);
+        self.kernel.cluster().encode(&mut e);
         self.kernel.schedule().encode(&mut e);
         self.kernel.log().encode(&mut e);
-        let mut sub = Vec::new();
+        let mut sub = Encoder::new();
         let encoded = self.policy.encode_durable_state(&mut sub);
         e.u8(encoded as u8);
         e.u64(sub.len() as u64);
-        e.bytes(&sub);
+        e.bytes(sub.as_bytes());
         // Tenant section — only on the multi-tenant path, so single-tenant
         // snapshot bytes stay identical to the pre-tenancy format.
         if !self.tenants.is_empty() {
@@ -1083,15 +1093,10 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 e.u32(t);
             }
         }
-        // Precedence section — only for DAG instances, so edge-free
-        // snapshot bytes stay identical to the pre-precedence format.
-        if self.kernel.gate().is_active() {
-            sub.clear();
-            self.kernel.gate().durable_bytes_if_active(&mut sub);
-            e.bytes(&sub);
-            for &s in &self.held_seq {
-                e.u64(s);
-            }
+        // Precedence section: empty for edge-free instances, as before DAGs.
+        self.kernel.gate().encode(&mut e);
+        for &s in &self.held_seq {
+            e.u64(s);
         }
         e.into_bytes()
     }
@@ -1122,11 +1127,12 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             .load_sections(state, events)
             .map_err(RestoreError::Snapshot)?
             .ok_or(RestoreError::SnapshotUnsupported)?;
+        let mut d = Decoder::new(policy);
         match self
             .policy
-            .decode_durable_state(policy, self.kernel.instance())
+            .decode_durable_state(&mut d, self.kernel.instance())
         {
-            Ok(true) => Ok(()),
+            Ok(true) => d.finish().map_err(RestoreError::Snapshot),
             Ok(false) => Err(RestoreError::SnapshotUnsupported),
             Err(e) => Err(RestoreError::Snapshot(e)),
         }
@@ -1141,6 +1147,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
     ) -> Result<Option<&'b [u8]>, CodecError> {
         let n = self.original.len();
         let r = self.original.num_resources();
+        let m = self.cfg.num_machines;
         let mut d = Decoder::new(state);
         let last_event = d.f64()?;
         let submitted = d.u64()?;
@@ -1157,7 +1164,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         }
         d.expect_count(n, "outcome count")?;
         let outcomes: Vec<JobOutcome> = (0..n)
-            .map(|_| JobOutcome::decode(&mut d))
+            .map(|_| JobOutcome::decode(&mut d, ()))
             .collect::<Result<_, _>>()?;
         let weights: Vec<f64> = (0..n).map(|_| d.f64()).collect::<Result<_, _>>()?;
         let count = d.count(20)?;
@@ -1175,9 +1182,11 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         }
         d.expect_count(r, "queued demand width")?;
         let queued_demand: Vec<Amount> = (0..r).map(|_| d.u64()).collect::<Result<_, _>>()?;
-        self.kernel.load_fault_bytes(&mut d)?;
-        self.kernel.load_cluster_bytes(&mut d)?;
-        self.kernel.load_run_bytes(&mut d)?;
+        let faults = PendingFaults::decode(&mut d, (n, m, self.cfg.fault_plan.events().len()))?;
+        let spec = ClusterSpec::uniform(m);
+        let cluster = ClusterState::decode(&mut d, (&spec, self.kernel.instance()))?;
+        let schedule = Schedule::decode(&mut d, (n, m))?;
+        let log = FaultLog::decode(&mut d, (n, m))?;
         let has_policy = d.bool()?;
         let len = d.count(1)?;
         let policy = d.bytes(len)?;
@@ -1199,13 +1208,19 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             rejected_tenant = d.u64()?;
             job_tenant = (0..n).map(|_| d.u32()).collect::<Result<_, _>>()?;
         }
-        self.kernel.load_gate_bytes(&mut d)?;
-        if self.kernel.gate().is_active() {
-            for s in &mut self.held_seq {
-                *s = d.u64()?;
-            }
+        let gate = PrecedenceGate::decode(&mut d, self.kernel.instance())?;
+        for s in &mut self.held_seq {
+            *s = d.u64()?;
         }
-        self.kernel.finish_load(last_event, &weights, &d)?;
+        let parts = KernelParts {
+            last_event,
+            faults,
+            cluster,
+            schedule,
+            log,
+            gate,
+        };
+        self.kernel.restore(parts, &weights, &d)?;
         let end = d.offset();
         d.finish()?;
         let bad = |detail: &str| CodecError::Malformed {

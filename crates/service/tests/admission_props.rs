@@ -134,7 +134,10 @@ fn no_silent_drops_and_watermark_consistent_rejections() {
                 // at every step — kills put jobs back to `Accepted`.
                 let mut walked = [0usize; 4];
                 for j in 0..instance.len() {
-                    match service.outcome(JobId(j as u32)) {
+                    match service
+                        .checked_outcome(JobId(j as u32))
+                        .expect("a job of the instance")
+                    {
                         JobOutcome::NotSubmitted => continue,
                         JobOutcome::Rejected(_) => walked[2] += 1,
                         JobOutcome::Accepted => walked[1] += 1,
@@ -440,7 +443,8 @@ fn invalid_offers_are_typed_and_change_nothing() {
         // deliver, run and complete it.
         service.submit_at(0.0, JobId(0)).unwrap().unwrap();
         let state = |s: &Service<SimClock, MemorySink>| {
-            let outcomes: Vec<JobOutcome> = (0..4).map(|j| s.outcome(JobId(j))).collect();
+            let outcomes: Vec<Option<JobOutcome>> =
+                (0..4).map(|j| s.checked_outcome(JobId(j))).collect();
             (outcomes, s.counts(), s.now().to_bits(), s.queue_depth())
         };
         let before = state(&service);

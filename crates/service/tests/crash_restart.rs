@@ -171,7 +171,7 @@ fn submission_order(instance: &Instance) -> Vec<JobId> {
 /// then drains.
 fn finish(mut svc: Service<SimClock, MemorySink>, instance: &Instance) -> ServiceReport {
     for job in submission_order(instance) {
-        if matches!(svc.outcome(job), JobOutcome::NotSubmitted) {
+        if svc.checked_outcome(job) == Some(JobOutcome::NotSubmitted) {
             let _ = svc
                 .submit_at(instance.job(job).release, job)
                 .expect("submission never hits a policy error");

@@ -15,8 +15,8 @@ use mris_service::{
 };
 use mris_sim::{Dispatcher, FaultPlan, OnlinePolicy};
 use mris_types::{
-    CodecError, DurabilityError, FaultEvent, FaultTarget, Instance, Job, JobId, RestartSemantics,
-    RestoreError, SchedulingError, TenantId,
+    CodecError, Decoder, DurabilityError, Encoder, FaultEvent, FaultTarget, Instance, Job, JobId,
+    RestartSemantics, RestoreError, SchedulingError, TenantId,
 };
 
 fn tiny_instance(n: usize) -> Instance {
@@ -534,7 +534,7 @@ fn finish_run(
 ) -> ServiceReport {
     for i in 0..instance.len() {
         let job = JobId(i as u32);
-        if matches!(svc.outcome(job), JobOutcome::NotSubmitted) {
+        if svc.checked_outcome(job) == Some(JobOutcome::NotSubmitted) {
             let tenant = TenantId(if tenants { i as u32 % 2 } else { 0 });
             let _ = svc
                 .submit_at_as(instance.job(job).release, job, tenant)
@@ -699,8 +699,8 @@ fn a_policy_without_a_decoder_refuses_snapshots() {
         ) -> Result<(), SchedulingError> {
             self.0.dispatch(d, freed)
         }
-        fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
-            self.0.encode_durable_state(out)
+        fn encode_durable_state(&self, e: &mut Encoder) -> bool {
+            self.0.encode_durable_state(e)
         }
     }
     let run = Run::new("pq-wsjf", false);
@@ -728,7 +728,7 @@ fn a_policy_without_a_decoder_refuses_snapshots() {
 
 /// A decoder that loses state is caught by restore's re-encode check: the
 /// decoded state must re-encode to the snapshot's own bytes. The policy
-/// here is PQ-WSJF plus a dispatch counter it encodes but does not decode.
+/// here is PQ-WSJF plus a dispatch counter it encodes, and reads but drops.
 #[test]
 fn a_lossy_decoder_is_caught_by_the_re_encode_check() {
     struct Lossy {
@@ -747,18 +747,19 @@ fn a_lossy_decoder_is_caught_by_the_re_encode_check() {
             self.dispatches = self.dispatches.wrapping_add(1);
             self.inner.dispatch(d, freed)
         }
-        fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
-            let encoded = self.inner.encode_durable_state(out);
-            out.push(self.dispatches);
+        fn encode_durable_state(&self, e: &mut Encoder) -> bool {
+            let encoded = self.inner.encode_durable_state(e);
+            e.u8(self.dispatches);
             encoded
         }
         fn decode_durable_state(
             &mut self,
-            bytes: &[u8],
+            d: &mut Decoder<'_>,
             instance: &Instance,
         ) -> Result<bool, CodecError> {
-            self.inner
-                .decode_durable_state(&bytes[..bytes.len() - 1], instance)
+            let decoded = self.inner.decode_durable_state(d, instance)?;
+            d.u8()?;
+            Ok(decoded)
         }
     }
     let instance = tiny_instance(12);

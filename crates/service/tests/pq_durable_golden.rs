@@ -13,7 +13,7 @@
 use std::sync::{Arc, Mutex};
 
 use mris_schedulers::{PqPolicy, SortHeuristic};
-use mris_service::{fnv64, NullSink, Service, ServiceConfig, SimClock};
+use mris_service::{fnv64, Encoder, NullSink, Service, ServiceConfig, SimClock};
 use mris_sim::{suggested_horizon, Dispatcher, FaultPlan, OnlinePolicy, RackBurstConfig};
 use mris_trace::{poisson_rate_for_utilization, Arrivals, AzureTrace, AzureTraceConfig};
 use mris_types::{Instance, Job, JobId, RestartSemantics, SchedulingError, Time};
@@ -61,7 +61,7 @@ struct Captures {
 /// change it.
 struct Recorder {
     inner: PqPolicy,
-    buf: Vec<u8>,
+    buf: Encoder,
     captures: Arc<Mutex<Captures>>,
 }
 
@@ -70,7 +70,7 @@ impl Recorder {
         self.buf.clear();
         assert!(self.inner.encode_durable_state(&mut self.buf));
         let mut c = self.captures.lock().expect("no capture panicked");
-        c.hashes.push(fnv64(&self.buf));
+        c.hashes.push(fnv64(self.buf.as_bytes()));
         c.deepest = c.deepest.max(self.inner.num_pending());
     }
 }
@@ -123,7 +123,7 @@ fn pq_wsjf_durable_state_is_pinned() {
     let captures = Arc::new(Mutex::new(Captures::default()));
     let recorder = Recorder {
         inner: PqPolicy::new(SortHeuristic::Wsjf),
-        buf: Vec::new(),
+        buf: Encoder::new(),
         captures: Arc::clone(&captures),
     };
     let mut service = Service::new(

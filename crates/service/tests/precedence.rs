@@ -242,7 +242,7 @@ fn dag_crash_restart_is_bit_identical() {
             )
             .expect("restore from truncated DAG journal");
             for job in submission_order(&instance) {
-                if !matches!(svc.outcome(job), JobOutcome::NotSubmitted) {
+                if svc.checked_outcome(job) != Some(JobOutcome::NotSubmitted) {
                     continue;
                 }
                 let _ = svc

@@ -3,7 +3,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mris_types::{Amount, ClusterSpec, CodecError, Decoder, Instance, Job, JobId, Time, CAPACITY};
+use mris_types::{
+    Amount, ClusterSpec, Codec, CodecError, Decoder, Encoder, Instance, Job, JobId, Time,
+};
 
 use crate::OrdTime;
 
@@ -20,14 +22,15 @@ use crate::OrdTime;
 /// own capacity vector and relative speed: a job with nominal processing time
 /// `p` started on machine `m` completes after `p / speed_m` wall time. The
 /// uniform constructor ([`ClusterState::new`]) is bit-identical to the
-/// historical behavior (`p / 1.0 == p`, capacities all [`CAPACITY`]).
+/// historical behavior (`p / 1.0 == p`, capacities all
+/// [`CAPACITY`](mris_types::CAPACITY)).
 #[derive(Debug, Clone)]
 pub struct ClusterState {
     num_machines: usize,
     num_resources: usize,
     /// Flattened `M x R` available capacity.
     avail: Vec<Amount>,
-    /// Flattened `M x R` per-machine full capacity (all [`CAPACITY`] for a
+    /// Flattened `M x R` per-machine full capacity (all `CAPACITY` for a
     /// uniform cluster).
     caps: Vec<Amount>,
     /// Per-machine relative speed (all `1.0` for a uniform cluster).
@@ -45,17 +48,7 @@ impl ClusterState {
     /// An idle cluster of `num_machines` identical machines with
     /// `num_resources` resources each at full capacity.
     pub fn new(num_machines: usize, num_resources: usize) -> Self {
-        assert!(num_machines > 0 && num_resources > 0);
-        ClusterState {
-            num_machines,
-            num_resources,
-            avail: vec![CAPACITY; num_machines * num_resources],
-            caps: vec![CAPACITY; num_machines * num_resources],
-            speeds: vec![1.0; num_machines],
-            uniform: true,
-            down: vec![false; num_machines],
-            running: BinaryHeap::new(),
-        }
+        Self::with_spec(&ClusterSpec::uniform(num_machines), num_resources)
     }
 
     /// An idle cluster following `spec`: machine `m` starts with `spec`'s
@@ -273,22 +266,27 @@ impl ClusterState {
         self.down[m] = false;
         debug_assert!(self.avail(m) == self.capacity(m));
     }
+}
 
-    /// Appends a canonical little-endian encoding of the cluster state to
-    /// `out`, for the service durability layer's snapshots. Running jobs
-    /// are emitted in sorted `(completion, machine, job)` order so two
-    /// clusters with the same observable state encode identically
-    /// regardless of heap layout history. The machine table (capacities and
-    /// speed bits) is appended **only for non-uniform clusters**, so uniform
-    /// fingerprints are unchanged from before heterogeneity existed.
-    pub fn durable_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.num_machines as u64).to_le_bytes());
-        out.extend_from_slice(&(self.num_resources as u64).to_le_bytes());
+/// The machine and resource counts, the available capacities, the down
+/// flags, the running jobs in sorted `(completion, machine, job)` order,
+/// and — **only for non-uniform clusters**, as before heterogeneity
+/// existed — the machine table (capacities, speed bits). The context is
+/// the `(spec, instance)` the cluster serves: counts and table must be the
+/// spec's, running jobs in order and in range, and each machine's
+/// available capacity its capacity less what runs on it (all of it, idle,
+/// while down), so a decoded cluster is one the event loop could build.
+impl Codec for ClusterState {
+    type Context<'a> = (&'a ClusterSpec, &'a Instance);
+
+    fn encode(&self, e: &mut Encoder) {
+        e.u64(self.num_machines as u64);
+        e.u64(self.num_resources as u64);
         for &a in &self.avail {
-            out.extend_from_slice(&a.to_le_bytes());
+            e.u64(a);
         }
         for &d in &self.down {
-            out.push(d as u8);
+            e.u8(d as u8);
         }
         let mut running: Vec<(u64, u32, u32)> = self
             .running
@@ -296,49 +294,39 @@ impl ClusterState {
             .map(|&Reverse((t, m, job))| (t.0.to_bits(), m, job.0))
             .collect();
         running.sort_unstable();
-        out.extend_from_slice(&(running.len() as u64).to_le_bytes());
+        e.u64(running.len() as u64);
         for (t, m, j) in running {
-            out.extend_from_slice(&t.to_le_bytes());
-            out.extend_from_slice(&m.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
+            e.u64(t);
+            e.u32(m);
+            e.u32(j);
         }
         if !self.uniform {
             for &c in &self.caps {
-                out.extend_from_slice(&c.to_le_bytes());
+                e.u64(c);
             }
             for &s in &self.speeds {
-                out.extend_from_slice(&s.to_bits().to_le_bytes());
+                e.f64(s);
             }
         }
     }
 
-    /// The inverse of [`ClusterState::durable_bytes`]: replaces this
-    /// cluster's dynamic state (available capacity, down flags, running
-    /// jobs) with the encoded one. The machine count, resource count and
-    /// machine table must be this cluster's own, the running jobs must be
-    /// in canonical order and in range, and each machine's available
-    /// capacity must be exactly its capacity less what runs on it (all of
-    /// it, idle, while the machine is down) — so a decoded cluster is one
-    /// the event loop could have built. On error `self` is unchanged.
-    pub fn load_durable(
-        &mut self,
+    fn decode(
         d: &mut Decoder<'_>,
-        instance: &Instance,
-    ) -> Result<(), CodecError> {
-        let (m_count, r_count) = (self.num_machines, self.num_resources);
+        (spec, instance): (&ClusterSpec, &Instance),
+    ) -> Result<Self, CodecError> {
+        let mut cluster = ClusterState::with_spec(spec, instance.num_resources());
+        let (m_count, r_count) = (cluster.num_machines, cluster.num_resources);
         d.expect_count(m_count, "cluster machine count")?;
         d.expect_count(r_count, "cluster resource count")?;
-        let mut avail = Vec::with_capacity(m_count * r_count);
-        for _ in 0..m_count * r_count {
-            avail.push(d.u64()?);
-        }
-        let mut down = Vec::with_capacity(m_count);
-        for _ in 0..m_count {
-            down.push(d.bool()?);
+        let avail: Vec<Amount> = (0..m_count * r_count)
+            .map(|_| d.u64())
+            .collect::<Result<_, _>>()?;
+        for down in &mut cluster.down {
+            *down = d.bool()?;
         }
         let count = d.count(16)?;
         let mut running = Vec::with_capacity(count);
-        let mut expect = self.caps.clone();
+        let mut expect = cluster.caps.clone();
         let mut prev: Option<(u64, u32, u32)> = None;
         for _ in 0..count {
             let key = (d.u64()?, d.u32()?, d.u32()?);
@@ -348,7 +336,7 @@ impl ClusterState {
             }
             prev = Some(key);
             let (m, job) = (m as usize, JobId(j));
-            if m >= m_count || job.index() >= instance.len() || down[m] {
+            if m >= m_count || job.index() >= instance.len() || cluster.down[m] {
                 return Err(d.malformed(format!(
                     "running job {j} on machine {m}, which is out of range or down"
                 )));
@@ -366,29 +354,28 @@ impl ClusterState {
         if avail != expect {
             return Err(d.malformed("available capacity disagrees with the running jobs"));
         }
-        if !self.uniform {
-            for &c in &self.caps {
+        if !cluster.uniform {
+            for &c in &cluster.caps {
                 if d.u64()? != c {
                     return Err(d.malformed("machine capacities differ from this cluster's"));
                 }
             }
-            for &s in &self.speeds {
+            for &s in &cluster.speeds {
                 if d.u64()? != s.to_bits() {
                     return Err(d.malformed("machine speeds differ from this cluster's"));
                 }
             }
         }
-        self.avail = avail;
-        self.down = down;
-        self.running = BinaryHeap::from(running);
-        Ok(())
+        cluster.avail = avail;
+        cluster.running = BinaryHeap::from(running);
+        Ok(cluster)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mris_types::MachineSpec;
+    use mris_types::{MachineSpec, CAPACITY};
 
     fn job(id: u32, p: f64, demand: f64) -> Job {
         Job::from_fractions(JobId(id), 0.0, p, 1.0, &[demand])
@@ -569,13 +556,15 @@ mod tests {
 
     #[test]
     fn uniform_durable_bytes_have_no_machine_table() {
-        let mut uni = Vec::new();
-        ClusterState::new(2, 1).durable_bytes(&mut uni);
-        let mut via_spec = Vec::new();
-        ClusterState::with_spec(&ClusterSpec::uniform(2), 1).durable_bytes(&mut via_spec);
+        let encode = |cluster: ClusterState| {
+            let mut e = Encoder::new();
+            cluster.encode(&mut e);
+            e.into_bytes()
+        };
+        let uni = encode(ClusterState::new(2, 1));
+        let via_spec = encode(ClusterState::with_spec(&ClusterSpec::uniform(2), 1));
         assert_eq!(uni, via_spec);
-        let mut het = Vec::new();
-        ClusterState::with_spec(&ClusterSpec::related(2, &[2.0]), 1).durable_bytes(&mut het);
+        let het = encode(ClusterState::with_spec(&ClusterSpec::related(2, &[2.0]), 1));
         assert!(het.len() > uni.len());
     }
 }

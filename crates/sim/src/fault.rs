@@ -19,8 +19,8 @@
 
 use mris_rng::Rng;
 use mris_types::{
-    CodecError, Decoder, Encoder, FaultEvent, FaultTarget, Instance, JobId, RestartSemantics,
-    Schedule, SchedulingError, Time,
+    Codec, CodecError, Decoder, Encoder, FaultEvent, FaultTarget, Instance, JobId,
+    RestartSemantics, Schedule, SchedulingError, Time,
 };
 
 use crate::driver::{run_driver, RunOptions};
@@ -294,11 +294,51 @@ impl FaultLog {
         }
     }
 
-    /// Appends the log: the failures with their killed jobs, the
-    /// recoveries, the per-job kill counts and the completions, each list
-    /// prefixed by its `u64` count. Machine ids and kill counts are `u64`,
-    /// job ids `u32`, times their `f64` bits.
-    pub fn encode(&self, e: &mut Encoder) {
+    /// Total jobs killed across all failures.
+    pub fn total_kills(&self) -> usize {
+        self.failures.iter().map(|f| f.killed.len()).sum()
+    }
+
+    /// Total re-releases (equals [`FaultLog::total_kills`] by construction).
+    pub fn total_re_releases(&self) -> u64 {
+        self.re_releases.iter().map(|&c| c as u64).sum()
+    }
+
+    /// Checks that no completed run overlaps a downtime interval on its
+    /// machine: for every completion `[start, end)` on machine `m` and
+    /// every downtime `[at, recover_at)` of `m`, the intervals are
+    /// disjoint. Runs automatically in debug builds after every event and
+    /// at the end of [`run_online_chaos`]; exposed so release-mode callers
+    /// (and negative tests) can audit a log explicitly.
+    pub fn verify(&self) -> Result<(), ChaosViolation> {
+        for rec in &self.completions {
+            for fail in &self.failures {
+                if rec.machine == fail.machine && rec.start < fail.recover_at && fail.at < rec.end {
+                    return Err(ChaosViolation {
+                        job: rec.job,
+                        machine: rec.machine,
+                        start: rec.start,
+                        end: rec.end,
+                        down_from: fail.at,
+                        down_until: fail.recover_at,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The failures with their killed jobs, the recoveries, the per-job kill
+/// counts and the completions, each list prefixed by its `u64` count.
+/// Machine ids and kill counts are `u64`, job ids `u32`, times their `f64`
+/// bits. The context is the run's `(jobs, machines)`: every job and
+/// machine the log names must be one of them, and each job's kill count
+/// must be the number of failures that list it.
+impl Codec for FaultLog {
+    type Context<'a> = (usize, usize);
+
+    fn encode(&self, e: &mut Encoder) {
         e.u64(self.failures.len() as u64);
         for f in &self.failures {
             e.f64(f.at);
@@ -327,11 +367,7 @@ impl FaultLog {
         }
     }
 
-    /// The inverse of [`FaultLog::encode`] for a run of `jobs` jobs on
-    /// `machines` machines. Every job and machine the log names must be one
-    /// of them, and each job's kill count must be the number of failures
-    /// that list it.
-    pub fn decode(d: &mut Decoder<'_>, jobs: usize, machines: usize) -> Result<Self, CodecError> {
+    fn decode(d: &mut Decoder<'_>, (jobs, machines): (usize, usize)) -> Result<Self, CodecError> {
         let mut log = FaultLog::new(jobs);
         for _ in 0..d.count(32)? {
             let at = d.f64()?;
@@ -373,40 +409,6 @@ impl FaultLog {
             });
         }
         Ok(log)
-    }
-
-    /// Total jobs killed across all failures.
-    pub fn total_kills(&self) -> usize {
-        self.failures.iter().map(|f| f.killed.len()).sum()
-    }
-
-    /// Total re-releases (equals [`FaultLog::total_kills`] by construction).
-    pub fn total_re_releases(&self) -> u64 {
-        self.re_releases.iter().map(|&c| c as u64).sum()
-    }
-
-    /// Checks that no completed run overlaps a downtime interval on its
-    /// machine: for every completion `[start, end)` on machine `m` and
-    /// every downtime `[at, recover_at)` of `m`, the intervals are
-    /// disjoint. Runs automatically in debug builds after every event and
-    /// at the end of [`run_online_chaos`]; exposed so release-mode callers
-    /// (and negative tests) can audit a log explicitly.
-    pub fn verify(&self) -> Result<(), ChaosViolation> {
-        for rec in &self.completions {
-            for fail in &self.failures {
-                if rec.machine == fail.machine && rec.start < fail.recover_at && fail.at < rec.end {
-                    return Err(ChaosViolation {
-                        job: rec.job,
-                        machine: rec.machine,
-                        start: rec.start,
-                        end: rec.end,
-                        down_from: fail.at,
-                        down_until: fail.recover_at,
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 }
 

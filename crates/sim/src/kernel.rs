@@ -6,8 +6,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mris_types::{
-    ClusterSpec, CodecError, Decoder, FaultEvent, FaultTarget, Instance, JobId, RestartSemantics,
-    Schedule, SchedulingError, Time,
+    ClusterSpec, Codec, CodecError, Decoder, Encoder, FaultEvent, FaultTarget, Instance, JobId,
+    RestartSemantics, Schedule, SchedulingError, Time,
 };
 
 use crate::fault::{ChaosOutcome, CompletionRecord, FailureRecord, FaultLog};
@@ -44,6 +44,95 @@ pub trait EventSink {
 enum FaultKind {
     Recover(usize),
     Fail(usize),
+}
+
+/// What the kernel holds pending between its calls: the fault queue, and
+/// the jobs killed at this instant's `settle` that its `decide`
+/// re-releases (none between events).
+#[derive(Debug, Clone, Default)]
+pub struct PendingFaults {
+    queue: BinaryHeap<Reverse<(OrdTime, FaultKind)>>,
+    re_released: Vec<JobId>,
+}
+
+/// The fault-queue entries in sorted order — per entry the time bits, a
+/// kind byte (0 recover, 1 fail) and the machine or plan index — then the
+/// re-released jobs, each list prefixed by its `u64` count. The context is
+/// `(jobs, machines, strikes)`: entries must name a machine or a planned
+/// strike the kernel has, and jobs must be in range.
+impl Codec for PendingFaults {
+    type Context<'a> = (usize, usize, usize);
+
+    fn encode(&self, e: &mut Encoder) {
+        let mut faults: Vec<(u64, u8, u64)> = self
+            .queue
+            .iter()
+            .map(|&Reverse((t, kind))| match kind {
+                FaultKind::Recover(m) => (t.0.to_bits(), 0u8, m as u64),
+                FaultKind::Fail(i) => (t.0.to_bits(), 1u8, i as u64),
+            })
+            .collect();
+        faults.sort_unstable();
+        e.u64(faults.len() as u64);
+        for (t, k, p) in faults {
+            e.u64(t);
+            e.u8(k);
+            e.u64(p);
+        }
+        e.u64(self.re_released.len() as u64);
+        for j in &self.re_released {
+            e.u32(j.0);
+        }
+    }
+
+    fn decode(
+        d: &mut Decoder<'_>,
+        (jobs, machines, strikes): (usize, usize, usize),
+    ) -> Result<Self, CodecError> {
+        let count = d.count(17)?;
+        let mut queue = BinaryHeap::with_capacity(count);
+        let mut prev = None;
+        for _ in 0..count {
+            let key @ (at, kind, payload) = (d.u64()?, d.u8()?, d.u64()?);
+            if prev.is_some_and(|p| p >= key) {
+                return Err(d.malformed("fault-queue entries out of canonical order"));
+            }
+            prev = Some(key);
+            let kind = match (kind, payload) {
+                (0, m) if m < machines as u64 => FaultKind::Recover(m as usize),
+                (1, i) if i < strikes as u64 => FaultKind::Fail(i as usize),
+                _ => {
+                    return Err(d.malformed(format!(
+                        "fault-queue entry ({kind}, {payload}) names no machine or plan event"
+                    )))
+                }
+            };
+            queue.push(Reverse((OrdTime(f64::from_bits(at)), kind)));
+        }
+        let re_released = (0..d.count(4)?)
+            .map(|_| d.job(jobs))
+            .collect::<Result<_, _>>()?;
+        Ok(PendingFaults { queue, re_released })
+    }
+}
+
+/// A kernel's durable state, each part decoded by its [`Codec`] against
+/// the kernel's own instance, machines and plan, for
+/// [`EventKernel::restore`].
+#[derive(Debug)]
+pub struct KernelParts {
+    /// The instant of the last `settle`.
+    pub last_event: Time,
+    /// The fault queue and re-released jobs.
+    pub faults: PendingFaults,
+    /// The live cluster.
+    pub cluster: ClusterState,
+    /// The placements.
+    pub schedule: Schedule,
+    /// The audit trail.
+    pub log: FaultLog,
+    /// The precedence gate.
+    pub gate: PrecedenceGate,
 }
 
 /// The one place that says what happens at instant `t`.
@@ -87,10 +176,8 @@ pub struct EventKernel<'a> {
     gate: PrecedenceGate,
     plan: Vec<FaultEvent>,
     restart: RestartSemantics,
-    fault_q: BinaryHeap<Reverse<(OrdTime, FaultKind)>>,
+    faults: PendingFaults,
     last_event: Time,
-    /// Killed at this instant's `settle`, delivered by its `decide`.
-    re_released: Vec<JobId>,
     /// Held jobs whose gates this instant's completions opened.
     opened: Vec<JobId>,
     // Per-event scratch.
@@ -118,16 +205,18 @@ impl<'a> EventKernel<'a> {
             schedule: Schedule::new(instance.len(), spec.len()),
             log: FaultLog::new(instance.len()),
             gate: PrecedenceGate::new(&instance),
-            fault_q: plan
-                .iter()
-                .enumerate()
-                .map(|(i, e)| Reverse((OrdTime(e.at), FaultKind::Fail(i))))
-                .collect(),
+            faults: PendingFaults {
+                queue: plan
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| Reverse((OrdTime(e.at), FaultKind::Fail(i))))
+                    .collect(),
+                re_released: Vec::new(),
+            },
             plan: plan.to_vec(),
             restart,
             work: instance,
             last_event: f64::NEG_INFINITY,
-            re_released: Vec::new(),
             opened: Vec::new(),
             freed: Vec::new(),
             completed: Vec::new(),
@@ -166,6 +255,12 @@ impl<'a> EventKernel<'a> {
         &self.gate
     }
 
+    /// The fault queue and the jobs killed but not yet re-released.
+    #[inline]
+    pub fn pending_faults(&self) -> &PendingFaults {
+        &self.faults
+    }
+
     /// The instant of the last `settle`; `-inf` before the first.
     #[inline]
     pub fn last_event(&self) -> Time {
@@ -184,7 +279,7 @@ impl<'a> EventKernel<'a> {
     /// strictly after the last event); `None` when nothing is pending.
     pub fn next_event_time(&self, arrival: Option<Time>, wakeup: Option<Time>) -> Option<Time> {
         let completion = self.cluster.next_completion();
-        let fault = self.fault_q.peek().map(|&Reverse((t, _))| t.0);
+        let fault = self.faults.queue.peek().map(|&Reverse((t, _))| t.0);
         let wake = wakeup.filter(|&t| t > self.last_event);
         let mut next = f64::INFINITY;
         for t in [arrival, completion, fault, wake].into_iter().flatten() {
@@ -245,11 +340,11 @@ impl<'a> EventKernel<'a> {
             sink.gate_opened(job);
         }
 
-        while let Some(&Reverse((t, kind))) = self.fault_q.peek() {
+        while let Some(&Reverse((t, kind))) = self.faults.queue.peek() {
             if t.0 > now {
                 break;
             }
-            self.fault_q.pop();
+            self.faults.queue.pop();
             match kind {
                 FaultKind::Recover(machine) => {
                     self.cluster.recover_machine(machine);
@@ -286,9 +381,10 @@ impl<'a> EventKernel<'a> {
                                 self.gate.hold(s);
                             }
                         }
-                        self.re_released.push(job);
+                        self.faults.re_released.push(job);
                     }
-                    self.fault_q
+                    self.faults
+                        .queue
                         .push(Reverse((OrdTime(recover_at), FaultKind::Recover(machine))));
                     mris_obs::counter_add("mris_chaos_failures_total", 1);
                     mris_obs::counter_add("mris_chaos_re_releases_total", killed.len() as u64);
@@ -326,10 +422,11 @@ impl<'a> EventKernel<'a> {
         if !arrivals.is_empty() {
             policy.on_arrivals(now, arrivals, &self.work);
         }
-        if !self.re_released.is_empty() {
-            self.re_released.sort_unstable();
-            policy.on_arrivals(now, &self.re_released, &self.work);
-            self.re_released.clear();
+        let re_released = &mut self.faults.re_released;
+        if !re_released.is_empty() {
+            re_released.sort_unstable();
+            policy.on_arrivals(now, re_released, &self.work);
+            re_released.clear();
         }
 
         self.placed.clear();
@@ -384,157 +481,74 @@ impl<'a> EventKernel<'a> {
         }
     }
 
-    /// Appends the pending fault state to `out` in canonical (sorted,
-    /// little-endian) form: the fault-queue entry count, then per entry the
-    /// time bits, a kind byte (0 recover, 1 fail) and the machine / plan
-    /// index; then the count and ids of jobs killed but not yet re-released
-    /// (none between events).
-    pub fn durable_fault_bytes(&self, out: &mut Vec<u8>) {
-        let mut faults: Vec<(u64, u8, u64)> = self
-            .fault_q
-            .iter()
-            .map(|&Reverse((t, kind))| match kind {
-                FaultKind::Recover(m) => (t.0.to_bits(), 0u8, m as u64),
-                FaultKind::Fail(i) => (t.0.to_bits(), 1u8, i as u64),
-            })
-            .collect();
-        faults.sort_unstable();
-        out.extend_from_slice(&(faults.len() as u64).to_le_bytes());
-        for (t, k, p) in faults {
-            out.extend_from_slice(&t.to_le_bytes());
-            out.push(k);
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.re_released.len() as u64).to_le_bytes());
-        for j in &self.re_released {
-            out.extend_from_slice(&j.0.to_le_bytes());
-        }
-    }
-
-    // Restoring from a snapshot. A kernel is rebuilt section by section,
-    // in the order its owner's state encoding interleaves them: each
-    // `load_*` is the inverse of one section's encoder and fills a freshly
-    // constructed kernel, and `finish_load` checks the sections against
-    // each other. Each checks what the event loop relies on to stay
-    // panic-free — indices in range, counters that later events decrement
-    // consistent with what they count — so a hostile snapshot is a typed
-    // error. A kernel whose load failed is discarded.
-
-    /// The inverse of [`EventKernel::durable_fault_bytes`]. Fault-queue
-    /// entries must name machines and plan events this kernel has.
-    pub fn load_fault_bytes(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let count = d.count(17)?;
-        let mut fault_q = BinaryHeap::with_capacity(count);
-        for _ in 0..count {
-            let at = d.f64()?;
-            let kind = match (d.u8()?, d.u64()?) {
-                (0, m) if m < self.cluster.num_machines() as u64 => FaultKind::Recover(m as usize),
-                (1, i) if i < self.plan.len() as u64 => FaultKind::Fail(i as usize),
-                (kind, payload) => {
-                    return Err(d.malformed(format!(
-                        "fault-queue entry ({kind}, {payload}) names no machine or plan event"
-                    )))
-                }
-            };
-            fault_q.push(Reverse((OrdTime(at), kind)));
-        }
-        let count = d.count(4)?;
-        let mut re_released = Vec::with_capacity(count);
-        for _ in 0..count {
-            re_released.push(d.job(self.work.len())?);
-        }
-        self.fault_q = fault_q;
-        self.re_released = re_released;
-        Ok(())
-    }
-
-    /// The inverse of [`ClusterState::durable_bytes`] on the live cluster.
-    pub fn load_cluster_bytes(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.cluster.load_durable(d, &self.work)
-    }
-
-    /// The inverse of the run section — [`Schedule::encode`] of
-    /// [`EventKernel::schedule`], then [`FaultLog::encode`] of
-    /// [`EventKernel::log`] — on this kernel's jobs and machines.
-    pub fn load_run_bytes(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let (jobs, machines) = (self.work.len(), self.cluster.num_machines());
-        self.schedule = Schedule::decode(d, jobs, machines)?;
-        self.log = FaultLog::decode(d, jobs, machines)?;
-        Ok(())
-    }
-
-    /// The inverse of [`PrecedenceGate::durable_bytes_if_active`].
-    pub fn load_gate_bytes(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.gate.load_durable_if_active(d, &self.work)
-    }
-
-    /// Completes a load: sets the last event to `last_event`, re-applies
-    /// the weight aging the fault log records, and checks the sections
-    /// against each other. `weights` (the encoded working weights) must be
-    /// exactly what aging the caller's weights by the logged kills gives;
-    /// every running job must be placed where and when it runs; and the
-    /// pending recoveries must be exactly one per down machine.
-    pub fn finish_load(
+    /// Replaces this fresh kernel's state with `parts`, re-applying the
+    /// weight aging their log records, and checks the parts against each
+    /// other (errors at `d`'s offset): `weights`, the encoded working
+    /// weights, must be the caller's aged by the logged kills; every running
+    /// job must be placed where and when it runs; and each down machine
+    /// must have exactly one pending recovery. The event loop relies on
+    /// each check to stay panic-free. A kernel whose restore failed is
+    /// discarded.
+    pub fn restore(
         &mut self,
-        last_event: Time,
+        parts: KernelParts,
         weights: &[f64],
         d: &Decoder<'_>,
     ) -> Result<(), CodecError> {
+        let (cluster, schedule, log) = (&parts.cluster, &parts.schedule, &parts.log);
+        let n = self.work.len();
+        if weights.len() != n || log.re_releases.len() != n || schedule.num_jobs() != n {
+            return Err(d.malformed("one weight, kill count and placement per job expected"));
+        }
         let aging = match self.restart {
             RestartSemantics::WeightAging { factor } => Some(factor),
             RestartSemantics::FullRestart => None,
         };
-        if weights.len() != self.work.len() {
-            return Err(d.malformed("one weight per job expected"));
-        }
         for (i, &want) in weights.iter().enumerate() {
             let job = JobId(i as u32);
-            let mut w = self.work.job(job).weight;
             if let Some(factor) = aging {
-                for _ in 0..self.log.re_releases[i] {
-                    w *= factor;
+                for _ in 0..log.re_releases[i] {
+                    let w = self.work.job(job).weight * factor;
                     if !(w.is_finite() && w >= 0.0) {
                         return Err(d.malformed(format!("aged weight of {job} is invalid")));
                     }
+                    self.work.to_mut().scale_weight(job, factor);
                 }
             }
-            if w.to_bits() != want.to_bits() {
+            if self.work.job(job).weight.to_bits() != want.to_bits() {
                 return Err(d.malformed(format!(
                     "weight of {job} is not its weight aged by its kills"
                 )));
             }
         }
-        for (t, m, job) in self.cluster.running_jobs() {
-            let placed = self.schedule.get(job).is_some_and(|a| {
+        for (t, m, job) in cluster.running_jobs() {
+            let placed = schedule.get(job).is_some_and(|a| {
                 a.machine == m
-                    && (a.start + self.cluster.effective_time(m, self.work.job(job).proc_time))
-                        .to_bits()
+                    && (a.start + cluster.effective_time(m, self.work.job(job).proc_time)).to_bits()
                         == t.to_bits()
             });
             if !placed {
                 return Err(d.malformed(format!("running {job} is not placed where it runs")));
             }
         }
-        let mut recovering = vec![false; self.cluster.num_machines()];
-        for &Reverse((_, kind)) in &self.fault_q {
+        let mut recovering = vec![false; cluster.num_machines()];
+        for &Reverse((_, kind)) in &parts.faults.queue {
             if let FaultKind::Recover(m) = kind {
-                if recovering[m] || self.cluster.is_up(m) {
+                if recovering[m] || cluster.is_up(m) {
                     return Err(d.malformed(format!("recovery of machine {m} is not pending")));
                 }
                 recovering[m] = true;
             }
         }
-        if (0..recovering.len()).any(|m| !recovering[m] && !self.cluster.is_up(m)) {
+        if (0..recovering.len()).any(|m| !recovering[m] && !cluster.is_up(m)) {
             return Err(d.malformed("a down machine has no pending recovery"));
         }
-        if let Some(factor) = aging {
-            for i in 0..weights.len() {
-                for _ in 0..self.log.re_releases[i] {
-                    self.work.to_mut().scale_weight(JobId(i as u32), factor);
-                }
-            }
-        }
-        self.last_event = last_event;
+        self.last_event = parts.last_event;
+        self.faults = parts.faults;
+        self.cluster = parts.cluster;
+        self.schedule = parts.schedule;
+        self.log = parts.log;
+        self.gate = parts.gate;
         Ok(())
     }
 
@@ -543,7 +557,8 @@ impl<'a> EventKernel<'a> {
     /// same instant, in the given order.
     pub fn add_fault_events(&mut self, events: &[FaultEvent]) {
         for e in events {
-            self.fault_q
+            self.faults
+                .queue
                 .push(Reverse((OrdTime(e.at), FaultKind::Fail(self.plan.len()))));
             self.plan.push(*e);
         }

@@ -46,7 +46,7 @@ pub use fault::{
     run_online_chaos, suggested_horizon, ChaosOutcome, ChaosViolation, CompletionRecord,
     FailureRecord, FaultLog, FaultPlan, PoissonFaultConfig, RackBurstConfig,
 };
-pub use kernel::{EventKernel, EventSink};
+pub use kernel::{EventKernel, EventSink, KernelParts, PendingFaults};
 pub use online::{run_online, Dispatcher, OnlinePolicy};
 pub use precedence::PrecedenceGate;
 pub use timeline::{ClusterTimelines, MachineTimeline};

@@ -5,7 +5,9 @@
 //! policy inspects the pending jobs and the instantaneous cluster state and
 //! may start any feasible subset immediately.
 
-use mris_types::{ClusterSpec, CodecError, Instance, JobId, Schedule, SchedulingError, Time};
+use mris_types::{
+    ClusterSpec, CodecError, Decoder, Encoder, Instance, JobId, Schedule, SchedulingError, Time,
+};
 
 use crate::precedence::PrecedenceGate;
 use crate::ClusterState;
@@ -201,35 +203,38 @@ pub trait OnlinePolicy: Send {
         None
     }
 
-    /// Serializes the policy's replay-relevant state into `out` as a
-    /// canonical byte string, returning `true` if the policy supports it.
-    /// The service durability layer stores it in every snapshot, and
-    /// restoring from a snapshot hands it back to
-    /// [`OnlinePolicy::decode_durable_state`]. A policy without this hook
-    /// (the default, returning `false`) can only be restored by replaying
-    /// its journal from genesis; a snapshot supplied for it is refused.
+    /// Encodes the policy's replay-relevant state into `e`, canonically,
+    /// from the [`Codec`](mris_types::Codec) values it holds where it can;
+    /// returns `true` if the policy supports it. The service durability
+    /// layer stores it in every snapshot, and restoring from a snapshot
+    /// hands it back to [`OnlinePolicy::decode_durable_state`]. A policy
+    /// without this hook (the default, returning `false`) can only be
+    /// restored by replaying its journal from genesis; a snapshot supplied
+    /// for it is refused.
     ///
     /// Canonical means: derived caches, scratch buffers, and probe-order
     /// heuristics are excluded, and unordered containers are emitted in a
     /// sorted order, so two policies with equal observable behavior encode
     /// identically.
-    fn encode_durable_state(&self, _out: &mut Vec<u8>) -> bool {
+    fn encode_durable_state(&self, _e: &mut Encoder) -> bool {
         false
     }
 
     /// The inverse of [`OnlinePolicy::encode_durable_state`]: replaces the
     /// state of this freshly constructed policy (built for the same
-    /// instance and cluster as the encoding one) with the one `bytes`
-    /// encode, where `instance` holds the working weights at the time of
-    /// the encoding. Returns `Ok(false)` if the policy has no decoder (the
-    /// default). Decoders consume every byte, check every job and machine
-    /// index, and refuse bytes that another policy or configuration wrote
-    /// where they can tell; the caller re-encodes the decoded state and
-    /// compares it with `bytes`, so anything a decoder accepts that does
-    /// not round-trip is caught there.
+    /// instance and cluster as the encoding one) with the one `d` reads,
+    /// where `instance` holds the working weights at the time of the
+    /// encoding. A policy is a trait object, so it decodes in place rather
+    /// than building a new value as a [`Codec`](mris_types::Codec) does.
+    /// Returns `Ok(false)` if the policy has no decoder (the default).
+    /// Decoders check every job and machine index, and refuse bytes that
+    /// another policy or configuration wrote where they can tell; the
+    /// caller checks that every byte was read, then re-encodes the decoded
+    /// state and compares it with the bytes, so anything a decoder accepts
+    /// that does not round-trip is caught there.
     fn decode_durable_state(
         &mut self,
-        _bytes: &[u8],
+        _d: &mut Decoder<'_>,
         _instance: &Instance,
     ) -> Result<bool, CodecError> {
         Ok(false)

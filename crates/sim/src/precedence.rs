@@ -14,7 +14,7 @@
 //! is inert ([`PrecedenceGate::is_active`] is `false`) and the driver keeps
 //! its historical arrival path byte for byte.
 
-use mris_types::{CodecError, Decoder, Instance, JobId};
+use mris_types::{Codec, CodecError, Decoder, Encoder, Instance, JobId};
 
 /// Tracks, for every job, how many predecessors have not yet completed, and
 /// which released jobs are currently withheld from the policy.
@@ -146,64 +146,56 @@ impl PrecedenceGate {
             .predecessors(job)
             .find(|p| !self.completed[p.index()])
     }
+}
 
-    /// Appends a canonical encoding of the gate state to `out` **only when
-    /// active**, so durable fingerprints of edge-free instances are
-    /// unchanged. Layout: job count, then per job a packed
-    /// `(remaining, completed, held)` triple.
-    pub fn durable_bytes_if_active(&self, out: &mut Vec<u8>) {
+/// The gate state **only when active**, so the encodings of edge-free
+/// instances are empty: the job count, then per job a packed `(remaining,
+/// completed, held)` triple. The context is the instance the gate serves.
+/// Every job's outstanding count must be the number of its predecessors
+/// not marked complete, and only a job with one outstanding may be held —
+/// the counters are what later completions decrement.
+impl Codec for PrecedenceGate {
+    type Context<'a> = &'a Instance;
+
+    fn encode(&self, e: &mut Encoder) {
         if !self.active {
             return;
         }
-        out.extend_from_slice(&(self.remaining.len() as u64).to_le_bytes());
+        e.u64(self.remaining.len() as u64);
         for i in 0..self.remaining.len() {
-            out.extend_from_slice(&self.remaining[i].to_le_bytes());
-            out.push(self.completed[i] as u8);
-            out.push(self.held[i] as u8);
+            e.u32(self.remaining[i]);
+            e.u8(self.completed[i] as u8);
+            e.u8(self.held[i] as u8);
         }
     }
 
-    /// The inverse of [`PrecedenceGate::durable_bytes_if_active`] (reads
-    /// nothing when inactive). Every job's outstanding count must be the
-    /// number of its predecessors not marked complete, and only a job with
-    /// one outstanding may be held — the counters are what later
-    /// completions decrement. On error `self` is unchanged.
-    pub fn load_durable_if_active(
-        &mut self,
-        d: &mut Decoder<'_>,
-        instance: &Instance,
-    ) -> Result<(), CodecError> {
-        if !self.active {
-            return Ok(());
+    fn decode(d: &mut Decoder<'_>, instance: &Instance) -> Result<Self, CodecError> {
+        let mut gate = PrecedenceGate::new(instance);
+        if !gate.active {
+            return Ok(gate);
         }
-        let n = self.remaining.len();
+        let n = instance.len();
         d.expect_count(n, "precedence gate job count")?;
-        let mut remaining = Vec::with_capacity(n);
-        let mut completed = Vec::with_capacity(n);
-        let mut held = Vec::with_capacity(n);
-        for _ in 0..n {
-            remaining.push(d.u32()?);
-            completed.push(d.bool()?);
-            held.push(d.bool()?);
+        for i in 0..n {
+            gate.remaining[i] = d.u32()?;
+            gate.completed[i] = d.bool()?;
+            gate.held[i] = d.bool()?;
         }
         let mut outstanding = vec![0u32; n];
         for &(pred, succ) in instance.edges() {
-            if !completed[pred.index()] {
+            if !gate.completed[pred.index()] {
                 outstanding[succ.index()] += 1;
             }
         }
-        for i in 0..n {
-            if remaining[i] != outstanding[i] || (held[i] && outstanding[i] == 0) {
+        for (i, &out) in outstanding.iter().enumerate() {
+            if gate.remaining[i] != out || (gate.held[i] && out == 0) {
                 return Err(d.malformed(format!(
                     "precedence gate state of {} is inconsistent",
                     JobId(i as u32)
                 )));
             }
         }
-        self.remaining = remaining;
-        self.completed = completed;
-        self.held = held;
-        Ok(())
+        Ok(gate)
     }
 }
 
@@ -233,9 +225,9 @@ mod tests {
         let gate = PrecedenceGate::new(&inst);
         assert!(!gate.is_active());
         assert!(gate.is_ready(JobId(0)));
-        let mut out = Vec::new();
-        gate.durable_bytes_if_active(&mut out);
-        assert!(out.is_empty());
+        let mut e = Encoder::new();
+        gate.encode(&mut e);
+        assert!(e.is_empty());
     }
 
     #[test]
@@ -304,13 +296,13 @@ mod tests {
     fn durable_bytes_track_gate_state() {
         let inst = diamond();
         let mut gate = PrecedenceGate::new(&inst);
-        let mut before = Vec::new();
-        gate.durable_bytes_if_active(&mut before);
+        let mut before = Encoder::new();
+        gate.encode(&mut before);
         assert!(!before.is_empty());
         let mut opened = Vec::new();
         gate.complete(JobId(0), &inst, &mut opened);
-        let mut after = Vec::new();
-        gate.durable_bytes_if_active(&mut after);
-        assert_ne!(before, after);
+        let mut after = Encoder::new();
+        gate.encode(&mut after);
+        assert_ne!(before.as_bytes(), after.as_bytes());
     }
 }

@@ -60,7 +60,9 @@
 
 use std::time::{Duration, Instant};
 
-use mris_types::{Amount, ClusterSpec, CodecError, Decoder, Instance, Job, JobId, Time, CAPACITY};
+use mris_types::{
+    Amount, ClusterSpec, Codec, CodecError, Decoder, Encoder, Instance, Job, JobId, Time, CAPACITY,
+};
 
 /// Segments per skip-index block. 16 is small enough that a block is often
 /// uniformly saturated (so the min-skip fires inside packed prefixes) while
@@ -302,72 +304,6 @@ impl MachineTimeline {
     #[inline]
     pub fn compaction_watermark(&self) -> Time {
         self.watermark
-    }
-
-    /// Appends a canonical little-endian encoding of the committed step
-    /// function (watermark, breakpoints as f64 bit patterns, usage) to
-    /// `out`. The block skip index is a derived acceleration structure and
-    /// is excluded, so two timelines with the same committed load encode
-    /// identically.
-    pub fn durable_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.watermark.to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.times.len() as u64).to_le_bytes());
-        for &t in &self.times {
-            out.extend_from_slice(&t.to_bits().to_le_bytes());
-        }
-        for &u in &self.usage {
-            out.extend_from_slice(&u.to_le_bytes());
-        }
-    }
-
-    /// The inverse of [`MachineTimeline::durable_bytes`]: replaces this
-    /// timeline's step function with the encoded one and rebuilds the skip
-    /// index from it. The encoding must satisfy the type's invariants —
-    /// breakpoints finite, strictly increasing from `0.0`, usage within
-    /// this machine's capacity, an all-zero last segment — so every query
-    /// on the result terminates as on a committed one. On error `self` is
-    /// unchanged.
-    pub fn load_durable(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let r = self.num_resources;
-        let watermark = d.f64()?;
-        if !(watermark.is_finite() && watermark >= 0.0) {
-            return Err(d.malformed(format!("timeline watermark {watermark} is invalid")));
-        }
-        let count = d.count(8 + 8 * r)?;
-        let mut times = Vec::with_capacity(count);
-        for _ in 0..count {
-            let t = d.f64()?;
-            let ordered = match times.last() {
-                None => t.to_bits() == 0.0f64.to_bits(),
-                Some(&prev) => t > prev && t.is_finite(),
-            };
-            if !ordered {
-                return Err(
-                    d.malformed("timeline breakpoints are not finite and increasing from 0")
-                );
-            }
-            times.push(t);
-        }
-        let mut usage = Vec::with_capacity(count * r);
-        for _ in 0..count {
-            for &c in &self.cap {
-                let u = d.u64()?;
-                if u > c {
-                    return Err(d.malformed("timeline usage exceeds machine capacity"));
-                }
-                usage.push(u);
-            }
-        }
-        if times.is_empty() || usage[usage.len() - r..].iter().any(|&u| u != 0) {
-            return Err(d.malformed("timeline does not end idle"));
-        }
-        self.watermark = watermark;
-        self.times = times;
-        self.usage = usage;
-        self.block_max.clear();
-        self.block_min.clear();
-        self.rebuild_index_from(0);
-        Ok(())
     }
 
     /// Index of the segment containing `t` (requires `t >= 0`).
@@ -1341,50 +1277,113 @@ impl ClusterTimelines {
             .map(|tl| *tl.times.last().unwrap())
             .fold(0.0, f64::max)
     }
+}
 
-    /// Appends a canonical encoding of every machine's committed timeline
-    /// to `out`. The scan seed and the floors steer probes without changing
-    /// an answer, so they are excluded. The machine table (capacities and
-    /// speed bits) is appended **only for non-uniform clusters**, so
-    /// uniform fingerprints are unchanged from before heterogeneity existed.
-    pub fn durable_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.machines.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.num_resources as u64).to_le_bytes());
-        // Frozen layout word: machines were once stored in shards of 64 and
-        // this word recorded the shard size. It stays `64` so snapshots and
-        // fingerprints stay byte-identical and `SNAPSHOT_VERSION` need not
-        // change.
-        out.extend_from_slice(&64u64.to_le_bytes());
+/// The committed step function: the watermark, the breakpoint count, the
+/// breakpoints' bits, then the usage. The skip index is derived, so it is
+/// not written and two timelines with the same committed load encode
+/// alike. The context is the machine's `(capacity, speed)`. The decoder
+/// checks the type's invariants — breakpoints finite and strictly
+/// increasing from `0.0`, usage within the capacity, an idle last
+/// segment — so every query on the result terminates as on a committed one.
+impl Codec for MachineTimeline {
+    type Context<'a> = (&'a [Amount], f64);
+
+    fn encode(&self, e: &mut Encoder) {
+        e.f64(self.watermark);
+        e.u64(self.times.len() as u64);
+        for &t in &self.times {
+            e.f64(t);
+        }
+        for &u in &self.usage {
+            e.u64(u);
+        }
+    }
+
+    fn decode(d: &mut Decoder<'_>, (cap, speed): (&[Amount], f64)) -> Result<Self, CodecError> {
+        let r = cap.len();
+        let watermark = d.f64()?;
+        if !(watermark.is_finite() && watermark >= 0.0) {
+            return Err(d.malformed(format!("timeline watermark {watermark} is invalid")));
+        }
+        let count = d.count(8 + 8 * r)?;
+        let mut times = Vec::with_capacity(count);
+        for _ in 0..count {
+            let t = d.f64()?;
+            let ordered = match times.last() {
+                None => t.to_bits() == 0.0f64.to_bits(),
+                Some(&prev) => t > prev && t.is_finite(),
+            };
+            if !ordered {
+                return Err(
+                    d.malformed("timeline breakpoints are not finite and increasing from 0")
+                );
+            }
+            times.push(t);
+        }
+        let mut usage = Vec::with_capacity(count * r);
+        for _ in 0..count {
+            for &c in cap {
+                let u = d.u64()?;
+                if u > c {
+                    return Err(d.malformed("timeline usage exceeds machine capacity"));
+                }
+                usage.push(u);
+            }
+        }
+        if times.is_empty() || usage[usage.len() - r..].iter().any(|&u| u != 0) {
+            return Err(d.malformed("timeline does not end idle"));
+        }
+        let mut tl = MachineTimeline::with_limits(r, cap.to_vec(), speed);
+        tl.watermark = watermark;
+        tl.times = times;
+        tl.usage = usage;
+        tl.rebuild_index_from(0);
+        Ok(tl)
+    }
+}
+
+/// The machine and resource counts, a frozen `64` (once the shard size,
+/// kept so snapshots keep their bytes), every machine's timeline, and —
+/// **only for non-uniform clusters**, as before heterogeneity existed —
+/// the machine table (capacities, speed bits). The scan seed and floors
+/// never change an answer, so they are not written and start empty. The
+/// context is the `(spec, resources)` the cluster was built with; the
+/// counts and the table must be its own.
+impl Codec for ClusterTimelines {
+    type Context<'a> = (&'a ClusterSpec, usize);
+
+    fn encode(&self, e: &mut Encoder) {
+        e.u64(self.machines.len() as u64);
+        e.u64(self.num_resources as u64);
+        e.u64(64);
         for tl in &self.machines {
-            tl.durable_bytes(out);
+            tl.encode(e);
         }
         if !self.machines.iter().all(MachineTimeline::is_unit_machine) {
             for tl in &self.machines {
                 for &c in &tl.cap {
-                    out.extend_from_slice(&c.to_le_bytes());
+                    e.u64(c);
                 }
-                out.extend_from_slice(&tl.speed.to_bits().to_le_bytes());
+                e.f64(tl.speed);
             }
         }
     }
 
-    /// The inverse of [`ClusterTimelines::durable_bytes`]: replaces every
-    /// machine's committed step function with the encoded one. The machine
-    /// count, resource count and machine table must be this cluster's own.
-    /// The skip indexes are rebuilt; the floors, their classes and the scan
-    /// seed start empty, as in a fresh cluster — they steer probes and
-    /// never change a placement. On error the timelines decoded so far
-    /// have been replaced and the floors are untouched; callers discard
-    /// the cluster.
-    pub fn load_durable(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_count(self.machines.len(), "timeline machine count")?;
-        d.expect_count(self.num_resources, "timeline resource count")?;
+    fn decode(d: &mut Decoder<'_>, (spec, r): (&ClusterSpec, usize)) -> Result<Self, CodecError> {
+        let mut cluster = ClusterTimelines::with_spec(spec, r);
+        d.expect_count(cluster.machines.len(), "timeline machine count")?;
+        d.expect_count(r, "timeline resource count")?;
         d.expect_count(64, "timeline layout word")?;
-        for tl in &mut self.machines {
-            tl.load_durable(d)?;
+        for tl in &mut cluster.machines {
+            *tl = MachineTimeline::decode(d, (&tl.cap, tl.speed))?;
         }
-        if !self.machines.iter().all(MachineTimeline::is_unit_machine) {
-            for tl in &self.machines {
+        if !cluster
+            .machines
+            .iter()
+            .all(MachineTimeline::is_unit_machine)
+        {
+            for tl in &cluster.machines {
                 for &c in &tl.cap {
                     if d.u64()? != c {
                         return Err(d.malformed("machine capacities differ from this cluster's"));
@@ -1395,11 +1394,7 @@ impl ClusterTimelines {
                 }
             }
         }
-        self.scan_seed = 0;
-        self.classes.clear();
-        self.stairs.clear();
-        self.floor_base.fill(0.0);
-        Ok(())
+        Ok(cluster)
     }
 }
 
@@ -1819,13 +1814,18 @@ mod tests {
     #[test]
     fn uniform_durable_bytes_have_no_machine_table() {
         use mris_types::ClusterSpec;
-        let mut via_new = Vec::new();
-        ClusterTimelines::new(3, 2).durable_bytes(&mut via_new);
-        let mut via_spec = Vec::new();
-        ClusterTimelines::with_spec(&ClusterSpec::uniform(3), 2).durable_bytes(&mut via_spec);
+        let encode = |cluster: ClusterTimelines| {
+            let mut e = Encoder::new();
+            cluster.encode(&mut e);
+            e.into_bytes()
+        };
+        let via_new = encode(ClusterTimelines::new(3, 2));
+        let via_spec = encode(ClusterTimelines::with_spec(&ClusterSpec::uniform(3), 2));
         assert_eq!(via_new, via_spec);
-        let mut het = Vec::new();
-        ClusterTimelines::with_spec(&ClusterSpec::related(3, &[2.0]), 2).durable_bytes(&mut het);
+        let het = encode(ClusterTimelines::with_spec(
+            &ClusterSpec::related(3, &[2.0]),
+            2,
+        ));
         assert!(het.len() > via_new.len());
     }
 }

@@ -1,6 +1,6 @@
 //! Differential suite pinning batch placement on `ClusterTimelines` to the
 //! per-job probe it replaced: same `(job, machine, start.to_bits())` for
-//! every placement and the same `durable_bytes` after every operation.
+//! every placement and the same durable encoding after every operation.
 //!
 //! [`reference`] is the pre-floor probe kept verbatim — the seeded
 //! cutoff-pruned sweep (`earliest_fit_seeded_mut`), the one-slot fit hint
@@ -20,13 +20,14 @@ use mris_rng::prop::{check, Config};
 use mris_rng::{prop_assert, prop_assert_eq, Rng};
 use mris_sim::ClusterTimelines;
 use mris_types::{
-    amount_from_fraction, Amount, ClusterSpec, Instance, Job, JobId, MachineSpec, Time,
+    amount_from_fraction, Amount, ClusterSpec, Codec, Encoder, Instance, Job, JobId, MachineSpec,
+    Time,
 };
 
 /// The pre-floor `MachineTimeline` / `ClusterTimelines` probe path, copied
 /// from `crates/sim/src/timeline.rs` as of the commit before floors.
 mod reference {
-    use mris_types::{Amount, ClusterSpec, Time, CAPACITY};
+    use mris_types::{Amount, ClusterSpec, Encoder, Time, CAPACITY};
 
     const BLOCK: usize = 16;
 
@@ -79,14 +80,14 @@ mod reference {
             self.speed.to_bits() == 1.0_f64.to_bits() && self.cap.iter().all(|&c| c == CAPACITY)
         }
 
-        fn durable_bytes(&self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&self.watermark.to_bits().to_le_bytes());
-            out.extend_from_slice(&(self.times.len() as u64).to_le_bytes());
+        fn encode(&self, e: &mut Encoder) {
+            e.f64(self.watermark);
+            e.u64(self.times.len() as u64);
             for &t in &self.times {
-                out.extend_from_slice(&t.to_bits().to_le_bytes());
+                e.f64(t);
             }
             for &u in &self.usage {
-                out.extend_from_slice(&u.to_le_bytes());
+                e.u64(u);
             }
         }
 
@@ -577,20 +578,20 @@ mod reference {
             }
         }
 
-        /// `durable_bytes` as a cluster sharded at `shard_size` encodes it.
-        pub fn durable_bytes(&self, shard_size: usize, out: &mut Vec<u8>) {
-            out.extend_from_slice(&(self.machines.len() as u64).to_le_bytes());
-            out.extend_from_slice(&(self.num_resources as u64).to_le_bytes());
-            out.extend_from_slice(&(shard_size as u64).to_le_bytes());
+        /// The durable encoding of a cluster sharded at `shard_size`.
+        pub fn encode(&self, shard_size: usize, e: &mut Encoder) {
+            e.u64(self.machines.len() as u64);
+            e.u64(self.num_resources as u64);
+            e.u64(shard_size as u64);
             for tl in &self.machines {
-                tl.durable_bytes(out);
+                tl.encode(e);
             }
             if !self.machines.iter().all(MachineTimeline::is_unit_machine) {
                 for tl in &self.machines {
                     for &c in &tl.cap {
-                        out.extend_from_slice(&c.to_le_bytes());
+                        e.u64(c);
                     }
-                    out.extend_from_slice(&tl.speed.to_bits().to_le_bytes());
+                    e.f64(tl.speed);
                 }
             }
         }
@@ -832,11 +833,15 @@ fn batch_placement_matches_the_per_job_probe() {
                     }
                 }
                 // The reference encodes the layout word it is given; the
-                // cluster writes the frozen `64` (see `durable_bytes`).
-                let (mut got, mut expect) = (Vec::new(), Vec::new());
-                cluster.durable_bytes(&mut got);
-                reference.durable_bytes(64, &mut expect);
-                prop_assert!(got == expect, "step {}: durable_bytes differ", step);
+                // cluster writes the frozen `64` (see its `Codec` impl).
+                let (mut got, mut expect) = (Encoder::new(), Encoder::new());
+                cluster.encode(&mut got);
+                reference.encode(64, &mut expect);
+                prop_assert!(
+                    got.as_bytes() == expect.as_bytes(),
+                    "step {}: durable encodings differ",
+                    step
+                );
                 for m in 0..machines {
                     prop_assert_eq!(
                         cluster.machine(m).compaction_watermark().to_bits(),

@@ -1,15 +1,15 @@
 //! The primitive byte codec every durable format is built from, and the
-//! one encoding of the values of this crate that cross a byte boundary.
+//! one shape of a durable value's codec, [`Codec`].
 //!
-//! All multi-byte integers are little-endian; `f64` values are encoded as
-//! their IEEE-754 bit patterns so encode→decode→encode is byte-identical.
-//! The service's journal and snapshot containers, the wire protocol, and
-//! the decoders of each crate's durable state read through one
-//! [`Decoder`], so every short or impossible read is the same typed
-//! [`CodecError`]. A value that both a snapshot and the wire carry —
-//! [`AdmissionError`] and [`Schedule`] here, `mris_sim::FaultLog` and
-//! `mris_service::JobOutcome` next to their types — has exactly one
-//! encoder and one decoder, which both call.
+//! Integers are little-endian and `f64`s their IEEE-754 bits, so
+//! encode→decode→encode is byte-identical. Every durable format reads
+//! through one [`Decoder`], so every short or impossible read is the same
+//! typed [`CodecError`]. Each value a snapshot holds has one [`Codec`]
+//! impl next to its type, which the wire calls too where it carries the
+//! value; `crates/service/tests/codec_laws.rs` holds each
+//! to its laws on the states of seeded runs: a decoded value re-encodes to
+//! its bytes, every single-byte flip and every cut is a typed error or a
+//! value that re-encodes to exactly the damaged bytes, and nothing panics.
 
 use crate::{AdmissionError, CodecError, JobId, Schedule, TenantId, TenantQuotaKind};
 
@@ -36,13 +36,6 @@ impl Encoder {
     /// The bytes encoded so far, without consuming the encoder.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
-    }
-
-    /// The buffer itself, for encoders that append raw little-endian
-    /// bytes to a `Vec<u8>` (the simulator's durable sections) to write
-    /// in place rather than through a copy.
-    pub fn buffer_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
     }
 
     /// Empties the encoder, keeping its allocation for reuse on hot paths.
@@ -374,11 +367,28 @@ impl AdmissionError {
     }
 }
 
-impl Schedule {
-    /// Appends the schedule: per job, in id order, a presence byte and,
-    /// when the job is placed, its machine (`u32`) and start. The job and
-    /// machine counts are not written; the decoder is told them.
-    pub fn encode(&self, e: &mut Encoder) {
+/// One durable value's encoder and decoder. `decode` builds a new value
+/// from the bytes `encode` wrote, checking them against `Context` — the
+/// counts, instance or cluster they must agree with — so that a value it
+/// returns is one the code that owns the type could have built.
+pub trait Codec: Sized {
+    /// What the decoder checks the bytes against.
+    type Context<'a>;
+
+    /// Appends the value's canonical encoding.
+    fn encode(&self, e: &mut Encoder);
+
+    /// The inverse of [`Codec::encode`].
+    fn decode(d: &mut Decoder<'_>, cx: Self::Context<'_>) -> Result<Self, CodecError>;
+}
+
+/// Per job, in id order, a presence byte and, when the job is placed, its
+/// machine (`u32`) and start. The context is `(jobs, machines)`; neither
+/// count is written, and every placement must name one of the machines.
+impl Codec for Schedule {
+    type Context<'a> = (usize, usize);
+
+    fn encode(&self, e: &mut Encoder) {
         for i in 0..self.num_jobs() {
             match self.get(JobId(i as u32)) {
                 Some(a) => {
@@ -391,9 +401,7 @@ impl Schedule {
         }
     }
 
-    /// The inverse of [`Schedule::encode`] for `jobs` jobs on `machines`
-    /// machines; every placement must name one of the machines.
-    pub fn decode(d: &mut Decoder<'_>, jobs: usize, machines: usize) -> Result<Self, CodecError> {
+    fn decode(d: &mut Decoder<'_>, (jobs, machines): (usize, usize)) -> Result<Self, CodecError> {
         let mut schedule = Schedule::new(jobs, machines);
         for i in 0..jobs {
             if d.bool()? {

@@ -34,7 +34,7 @@ mod resource;
 mod schedule;
 mod tenant;
 
-pub use codec::{Decoder, Encoder};
+pub use codec::{Codec, Decoder, Encoder};
 pub use error::{
     closest_match, AdmissionError, CodecError, ConfigError, DurabilityError, InstanceError,
     NetError, RegistryError, RestoreError, SchedulingError, TenantQuotaKind, WorkloadFeature,

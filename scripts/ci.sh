@@ -76,9 +76,12 @@ done
 # decoder next to its type (`AdmissionError::encode`, `Schedule::encode`,
 # `FaultLog::encode`, `JobOutcome::encode` and their decoders): the second
 # codecs each once had, which disagreed on tags, widths and checks, are
-# listed by name so that none comes back beside the one.
+# listed by name so that none comes back beside the one. Every durable
+# value's codec has one shape, `mris_types::Codec` (encode into an
+# `Encoder`, decode a new value from a `Decoder` and a context), so the raw
+# appenders and in-place loaders it replaced are listed too.
 echo "==> no test-only mode, unused extra, second arrival vocabulary or second codec in product crates"
-if git grep -nwE 'force_epoch_rebuild|place_batch_ffd|max_weight_by_deadline|render_gantt|best_list_schedule|brute_force|ArrivalProcess|ArrivalPattern|generate_workload|LoadGenConfig|run_workload|CrashPlan|checked_len|encode_admission_error|decode_admission_error|decode_admission_error_with|encode_admission_result|decode_admission_result|encode_outcome|decode_outcome|outcome_tag|durable_run_bytes' -- crates/*/src src; then
+if git grep -nwE 'force_epoch_rebuild|place_batch_ffd|max_weight_by_deadline|render_gantt|best_list_schedule|brute_force|ArrivalProcess|ArrivalPattern|generate_workload|LoadGenConfig|run_workload|CrashPlan|checked_len|encode_admission_error|decode_admission_error|decode_admission_error_with|encode_admission_result|decode_admission_result|encode_outcome|decode_outcome|outcome_tag|durable_run_bytes|durable_bytes|load_durable|durable_fault_bytes|load_fault_bytes|load_cluster_bytes|load_run_bytes|load_gate_bytes|durable_bytes_if_active|load_durable_if_active|encode_entries|decode_entries|buffer_mut|finish_load' -- crates/*/src src; then
   echo "crates/*/src or src/ names a deleted test-only mode, extra, oracle, arrival type or second codec" >&2; exit 1
 fi
 
