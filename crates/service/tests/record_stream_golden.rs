@@ -12,12 +12,16 @@
 //!    snapshot the run writes, and the span events the run emits (names and
 //!    fields; durations are wall time);
 //! 2. the `EventSnapshot` sequence `run_driver_observed` reports for a
-//!    faulted DAG run on related machines (speeds 2/1/0.5).
+//!    faulted DAG run on related machines (speeds 2/1/0.5);
+//! 3. a two-tenant run that sheds through all five admission gates — the
+//!    global queue-depth and queued-demand watermarks, and the tenant
+//!    queue-depth, queued-demand and weighted-fair gates: the journal,
+//!    every snapshot, the outcome ledger and the tenant stats.
 //!
 //! The service half runs on a uniform cluster because `Service` builds
 //! `ClusterSpec::uniform`. The obs subscriber is process-wide, so this file
-//! holds nothing else, and both tests hold the install guard so that
-//! neither one's spans land in the other's capture.
+//! holds nothing else, and every test holds the install guard so that
+//! none's spans land in another's capture.
 
 use std::sync::Arc;
 
@@ -30,8 +34,8 @@ use mris_service::{
 };
 use mris_sim::{run_driver_observed, FaultPlan, RunOptions};
 use mris_types::{
-    ClusterSpec, FaultEvent, FaultTarget, Instance, InstanceBuilder, JobId, RestartSemantics,
-    TenantId,
+    AdmissionError, ClusterSpec, Codec, FaultEvent, FaultTarget, Instance, InstanceBuilder, JobId,
+    RestartSemantics, TenantId, TenantQuotaKind,
 };
 
 /// A seeded random DAG of `n` jobs over two resources: forward edges only,
@@ -266,5 +270,128 @@ fn driver_snapshots_are_pinned() {
     assert_eq!(
         hash, DRIVER_HASH,
         "{snapshots} snapshots: driver {hash:#018x}"
+    );
+}
+
+/// Captured before admission's gates and rejection record were one each.
+/// The watermarks are set so that some offers would be shed by two gates
+/// at once: swapping any two adjacent gates changes what is recorded.
+const GATES_JOURNAL_HASH: u64 = 0xaa3d_4a0f_7829_b94d;
+const GATES_SNAPSHOTS_HASH: u64 = 0xa2a3_184f_52a4_33ff;
+const GATES_LEDGER_HASH: u64 = 0xe09d_e450_3d6d_0031;
+
+#[test]
+fn admission_gates_are_pinned() {
+    const MACHINES: usize = 2;
+    // Bursts of twelve jobs released together, so the queue fills between
+    // one-unit delivery epochs; no edges, so a rejection strands nothing.
+    let mut rng = Rng::new(43);
+    let mut b = InstanceBuilder::new(2);
+    for i in 0..120 {
+        let demands = [rng.gen_range(0.05..=0.9), rng.gen_range(0.05..=0.9)];
+        b.push_job(
+            (i / 12) as f64 * 2.0,
+            rng.gen_range(0.5..3.0),
+            rng.gen_range(1.0..4.0),
+            &demands,
+        );
+    }
+    let instance = b.build().expect("valid jobs");
+    let cfg = ServiceConfig::builder(MACHINES)
+        .epoch(1.0)
+        .queue_watermark(6)
+        .load_watermark(1.8)
+        .fair_watermark(3)
+        .tenants(vec![
+            TenantSpec::new("alpha", "tok-a", 2.0),
+            TenantSpec::new("beta", "tok-b", 1.0)
+                .queue_watermark(2)
+                .load_watermark(0.6),
+        ])
+        .build()
+        .expect("valid service config");
+    let policy = online_policy_by_name("pq-wsjf", &instance, MACHINES).expect("pq-wsjf resolves");
+    let mut service = Service::new(
+        instance.clone(),
+        policy,
+        cfg,
+        SimClock::new(),
+        MemorySink::default(),
+    )
+    .expect("valid service config");
+    let journal = SharedBuf::new();
+    let snapshots = MemorySnapshots::new();
+    service
+        .attach_journal(
+            DurabilityConfig {
+                flush_every: 1,
+                snapshot_every: 3,
+            },
+            Box::new(journal.clone()),
+            Box::new(snapshots.clone()),
+        )
+        .expect("a fresh service takes a journal");
+    let guard = mris_obs::install_guard(Arc::new(Obs::new()));
+    for j in instance.jobs() {
+        let tenant = TenantId(j.id.0 % 2);
+        let _ = service
+            .submit_at_as(j.release, j.id, tenant)
+            .expect("PQ-WSJF breaks no placement rule");
+    }
+    let (report, _) = service.drain().expect("every admitted job completes");
+    drop(guard);
+
+    let mut kinds = [0usize; 5];
+    for o in &report.outcomes {
+        if let mris_service::JobOutcome::Rejected(err) = o {
+            kinds[match err {
+                AdmissionError::QueueFull { .. } => 0,
+                AdmissionError::DemandInfeasible { .. } => 1,
+                AdmissionError::TenantQuota { kind, .. } => match kind {
+                    TenantQuotaKind::QueueDepth { .. } => 2,
+                    TenantQuotaKind::QueuedDemand { .. } => 3,
+                    TenantQuotaKind::FairShare { .. } => 4,
+                },
+                other => panic!("the ledger records an invalid offer: {other}"),
+            }] += 1;
+        }
+    }
+    assert!(
+        kinds.iter().all(|&k| k > 0),
+        "queue full, infeasible, tenant depth, tenant demand, fair share: {kinds:?}"
+    );
+
+    let journal = fnv64(&journal.contents());
+    let written = snapshots.all();
+    assert!(
+        written.len() > 1,
+        "the run wrote {} snapshots",
+        written.len()
+    );
+    let mut e = Encoder::new();
+    for snap in &written {
+        e.u64(snap.len() as u64);
+        e.bytes(snap);
+    }
+    let snaps = fnv64(e.as_bytes());
+    e.clear();
+    for o in &report.outcomes {
+        o.encode(&mut e);
+    }
+    for t in &report.tenants {
+        e.u64(t.name.len() as u64);
+        e.bytes(t.name.as_bytes());
+        e.f64(t.weight);
+        e.u64(t.admitted);
+        e.u64(t.rejected);
+        e.u64(t.admitted_cost);
+    }
+    let ledger = fnv64(e.as_bytes());
+    assert_eq!(
+        (journal, snaps, ledger),
+        (GATES_JOURNAL_HASH, GATES_SNAPSHOTS_HASH, GATES_LEDGER_HASH),
+        "{kinds:?} rejections, {} snapshots: journal {journal:#018x}, \
+         snapshots {snaps:#018x}, ledger {ledger:#018x}",
+        written.len(),
     );
 }
