@@ -1,8 +1,7 @@
 //! Shared experiment plumbing for the figure binaries and benches.
 
-use mris_core::{KnapsackChoice, Mris, MrisConfig};
 use mris_metrics::Summary;
-use mris_schedulers::{Scheduler, SortHeuristic};
+use mris_schedulers::Scheduler;
 use mris_trace::{AzureTrace, AzureTraceConfig};
 use mris_types::Instance;
 
@@ -103,15 +102,6 @@ impl Scale {
     }
 }
 
-/// One algorithm's summaries across a sweep (one [`Summary`] per point).
-#[derive(Debug, Clone)]
-pub struct AwctRow {
-    /// Algorithm name.
-    pub name: String,
-    /// Mean ± CI of AWCT at each sweep point, in sweep order.
-    pub points: Vec<Summary>,
-}
-
 /// Runs every algorithm over every instance and summarizes AWCT
 /// (validating each schedule in debug builds).
 pub fn awct_summaries(
@@ -140,22 +130,6 @@ pub fn awct_summaries(
 /// for name → scheduler resolution.
 pub fn comparison_algorithms() -> Vec<Box<dyn Scheduler>> {
     mris_core::registry::comparison_algorithms()
-}
-
-/// MRIS with a given PQ sorting heuristic (Figure 1).
-pub fn mris_with_heuristic(heuristic: SortHeuristic) -> Mris {
-    Mris::with_config(MrisConfig {
-        heuristic,
-        ..Default::default()
-    })
-}
-
-/// MRIS-GREEDY: the Remark 1 greedy knapsack variant (Figure 2).
-pub fn mris_greedy() -> Mris {
-    Mris::with_config(MrisConfig {
-        knapsack: KnapsackChoice::Greedy,
-        ..Default::default()
-    })
 }
 
 /// Builds the standard trace pool for a scale.

@@ -20,7 +20,4 @@ pub mod cli;
 pub mod harness;
 
 pub use cli::Args;
-pub use harness::{
-    awct_summaries, comparison_algorithms, default_trace, mris_greedy, mris_with_heuristic,
-    AwctRow, Scale, TracePool,
-};
+pub use harness::{awct_summaries, comparison_algorithms, default_trace, Scale, TracePool};

@@ -215,15 +215,6 @@ pub fn gauge_set(name: &'static str, v: f64) {
     with(|obs| obs.registry().gauge_set(name, None, v));
 }
 
-/// Sets gauge `name{label.0=label.1}` to `v`.
-#[inline]
-pub fn gauge_set_labeled(name: &'static str, label: (&'static str, &'static str), v: f64) {
-    if !enabled() {
-        return;
-    }
-    with(|obs| obs.registry().gauge_set(name, Some(label), v));
-}
-
 /// Records `v` into histogram `name`.
 #[inline]
 pub fn histogram_record(name: &'static str, v: f64) {
@@ -231,15 +222,6 @@ pub fn histogram_record(name: &'static str, v: f64) {
         return;
     }
     with(|obs| obs.registry().histogram_record(name, None, v));
-}
-
-/// Records `v` into histogram `name{label.0=label.1}`.
-#[inline]
-pub fn histogram_record_labeled(name: &'static str, label: (&'static str, &'static str), v: f64) {
-    if !enabled() {
-        return;
-    }
-    with(|obs| obs.registry().histogram_record(name, Some(label), v));
 }
 
 /// Guard returned by [`span!`]. While a subscriber is installed the guard

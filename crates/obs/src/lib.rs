@@ -45,9 +45,8 @@ mod export;
 mod registry;
 
 pub use event::{
-    counter_add, counter_add_labeled, enabled, gauge_set, gauge_set_labeled, histogram_record,
-    histogram_record_labeled, install, install_guard, uninstall, with, Event, FieldValue,
-    InstallGuard, Obs, SpanGuard, SpanSink,
+    counter_add, counter_add_labeled, enabled, gauge_set, histogram_record, install, install_guard,
+    uninstall, with, Event, FieldValue, InstallGuard, Obs, SpanGuard, SpanSink,
 };
 pub use export::{check_disabled_overhead, validate_exposition, JsonlEventSink, ObsReport};
 pub use registry::{HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry};

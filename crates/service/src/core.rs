@@ -23,7 +23,7 @@ use mris_sim::{
 use mris_types::{
     fraction, AdmissionError, Amount, ClusterSpec, Codec, CodecError, ConfigError, Decoder,
     DurabilityError, Instance, JobId, RestartSemantics, RestoreError, Schedule, SchedulingError,
-    TenantId, TenantQuotaKind, Time, CAPACITY,
+    TenantId, Time,
 };
 
 use crate::clock::Clock;
@@ -34,7 +34,7 @@ use crate::journal::{
 };
 use crate::snapshot::SnapshotStore;
 use crate::telemetry::{EpochRecord, ServiceSummary, TelemetrySink};
-use crate::tenant::{job_cost, TenantSpec, TenantStat, TenantState};
+use crate::tenant::{over_budget, Tenancy, TenantSpec, TenantStat};
 
 /// Static configuration of a [`Service`].
 #[derive(Debug, Clone)]
@@ -112,6 +112,9 @@ impl ServiceConfig {
     /// The typed validation behind both the builder and
     /// [`Service::new`].
     pub(crate) fn check(&self) -> Result<(), ConfigError> {
+        if self.queue_watermark == 0 {
+            return Err(ConfigError::ZeroQueueWatermark);
+        }
         if self.num_machines == 0 {
             return Err(ConfigError::NoMachines);
         }
@@ -220,9 +223,6 @@ impl ServiceConfigBuilder {
 
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<ServiceConfig, ConfigError> {
-        if self.cfg.queue_watermark == 0 {
-            return Err(ConfigError::ZeroQueueWatermark);
-        }
         self.cfg.check()?;
         Ok(self.cfg)
     }
@@ -394,11 +394,8 @@ pub struct Service<C: Clock, S: TelemetrySink> {
     queue: BinaryHeap<Reverse<(OrdTime, u64, JobId)>>,
     /// Exact fixed-point per-resource demand of the queued jobs.
     queued_demand: Vec<Amount>,
-    /// Live per-tenant admission state; empty on the single-tenant path.
-    tenants: Vec<TenantState>,
-    /// Admitting tenant of each job, indexed by job id; empty when
-    /// single-tenant (everything is implicitly tenant 0).
-    job_tenant: Vec<u32>,
+    /// The tenant table; empty on the single-tenant path.
+    tenancy: Tenancy,
     seq: u64,
     /// Original admission sequence of each currently-held job, indexed by
     /// job id, so a gate-opened job re-enters the delivery queue with its
@@ -415,7 +412,6 @@ pub struct Service<C: Clock, S: TelemetrySink> {
     accepted: usize,
     rejected_queue_full: usize,
     rejected_infeasible: usize,
-    rejected_tenant: usize,
     /// Jobs whose outcome is [`JobOutcome::Completed`]; a killed job was
     /// running, never completed, so this only grows.
     completed: usize,
@@ -441,23 +437,9 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         clock: C,
         sink: S,
     ) -> Result<Self, ConfigError> {
-        if cfg.queue_watermark == 0 {
-            return Err(ConfigError::ZeroQueueWatermark);
-        }
         cfg.check()?;
         let n = instance.len();
         let r = instance.num_resources();
-        let total_weight: f64 = cfg.tenants.iter().map(|t| t.weight).sum();
-        let tenants: Vec<TenantState> = cfg
-            .tenants
-            .iter()
-            .map(|t| TenantState::new(t.clone(), total_weight, cfg.num_machines, r))
-            .collect();
-        let job_tenant = if tenants.is_empty() {
-            Vec::new()
-        } else {
-            vec![0u32; n]
-        };
         let held_seq = if instance.has_precedence() {
             vec![0u64; n]
         } else {
@@ -473,8 +455,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             outcomes: vec![JobOutcome::NotSubmitted; n],
             queue: BinaryHeap::new(),
             queued_demand: vec![0; r],
-            tenants,
-            job_tenant,
+            tenancy: Tenancy::new(&cfg.tenants, cfg.num_machines, n, r),
             seq: 0,
             held_seq,
             deliver_buf: Vec::new(),
@@ -483,7 +464,6 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             accepted: 0,
             rejected_queue_full: 0,
             rejected_infeasible: 0,
-            rejected_tenant: 0,
             completed: 0,
             max_queue_depth: 0,
             epochs: 0,
@@ -575,15 +555,20 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         LedgerCounts {
             submitted: self.submitted,
             accepted: self.accepted,
-            rejected: self.rejected_queue_full + self.rejected_infeasible + self.rejected_tenant,
+            rejected: self.rejected(),
             completed: self.completed,
         }
+    }
+
+    /// Offers shed so far, by any gate.
+    fn rejected(&self) -> usize {
+        self.rejected_queue_full + self.rejected_infeasible + self.tenancy.quota_rejected()
     }
 
     /// Per-tenant accounting so far — the mid-run view of
     /// [`ServiceReport::tenants`]. Empty on the single-tenant path.
     pub fn tenant_stats(&self) -> Vec<TenantStat> {
-        self.tenants.iter().map(|t| t.stat()).collect()
+        self.tenancy.stats()
     }
 
     /// Submits `job` at the clock's current time without advancing it —
@@ -640,32 +625,6 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         Ok(self.admit(now, job, tenant))
     }
 
-    /// Records a tenant-quota rejection: ledger, counters, journal.
-    fn reject_tenant(
-        &mut self,
-        now: Time,
-        job: JobId,
-        tenant: TenantId,
-        kind: TenantQuotaKind,
-    ) -> AdmissionError {
-        let err = AdmissionError::TenantQuota { tenant, kind };
-        self.rejected_tenant += 1;
-        self.tenants[tenant.index()].rejected += 1;
-        mris_obs::counter_add_labeled(
-            "mris_tenant_rejected_total",
-            ("tenant", self.tenants[tenant.index()].label),
-            1,
-        );
-        self.outcomes[job.index()] = JobOutcome::Rejected(err);
-        self.emit(|| JournalRecord::Reject {
-            at: now,
-            job: job.0,
-            reason: RejectReason::TenantQuota,
-            tenant: tenant.0,
-        });
-        err
-    }
-
     /// Refuses an offer that names no job or tenant the service can take:
     /// a job out of range or already offered, or an unknown tenant. Every
     /// entry point calls it before the clock moves or any count changes.
@@ -678,152 +637,82 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 return Err(AdmissionError::UnknownJob { job, jobs });
             }
         }
-        let tenants = self.tenants.len();
-        if tenant.index() >= tenants.max(1) {
-            return Err(AdmissionError::UnknownTenant { tenant, tenants });
+        self.tenancy.check_tenant(tenant)
+    }
+
+    /// The admission gates, in the one order they run: global queue depth
+    /// (`queue_watermark`) → the tenant's queue depth → global queued
+    /// demand (`load_watermark`) → the tenant's queued demand → the
+    /// weighted-fair share (on a queue at or above `fair_watermark`). The
+    /// first that fires is the rejection recorded. On admission, returns
+    /// the deficit credit the fair gate spends (0 uncontended or
+    /// single-tenant, where the tenant gates pass).
+    fn gate(&self, job: JobId, tenant: TenantId) -> Result<u64, AdmissionError> {
+        let depth = self.queue.len();
+        let watermark = self.cfg.queue_watermark;
+        if depth >= watermark {
+            return Err(AdmissionError::QueueFull { depth, watermark });
         }
-        Ok(())
+        let quota = |kind| AdmissionError::TenantQuota { tenant, kind };
+        self.tenancy.depth_gate(tenant).map_err(quota)?;
+        let j = self.kernel.instance().job(job);
+        let budget = self.cfg.load_watermark * self.cfg.num_machines as f64;
+        if let Some((resource, queued)) = over_budget(&self.queued_demand, &j.demands, budget) {
+            return Err(AdmissionError::DemandInfeasible {
+                job,
+                resource,
+                queued: fraction(queued),
+                budget,
+            });
+        }
+        let contended = depth >= self.cfg.fair_watermark;
+        (self.tenancy)
+            .demand_and_fair_gates(tenant, j, contended)
+            .map_err(quota)
+    }
+
+    /// Records a rejection: its kind's count, the tenant's, the ledger
+    /// outcome and the journal's `Reject`.
+    fn reject(&mut self, now: Time, job: JobId, tenant: TenantId, err: AdmissionError) {
+        let reason = RejectReason::of(&err);
+        match reason {
+            RejectReason::QueueFull => {
+                self.rejected_queue_full += 1;
+                mris_obs::counter_add("mris_service_rejected_queue_full_total", 1);
+            }
+            RejectReason::LoadShed => {
+                self.rejected_infeasible += 1;
+                mris_obs::counter_add("mris_service_rejected_infeasible_total", 1);
+            }
+            RejectReason::TenantQuota => {}
+        }
+        self.tenancy
+            .reject(tenant, reason == RejectReason::TenantQuota);
+        self.outcomes[job.index()] = JobOutcome::Rejected(err);
+        self.emit(|| JournalRecord::Reject {
+            at: now,
+            job: job.0,
+            reason,
+            tenant: tenant.0,
+        });
     }
 
     /// The admission decision on an offer [`Service::check_offer`] passed.
     fn admit(&mut self, now: Time, job: JobId, tenant: TenantId) -> Result<(), AdmissionError> {
         self.submitted += 1;
-        let depth = self.queue.len();
-        if depth >= self.cfg.queue_watermark {
-            let err = AdmissionError::QueueFull {
-                depth,
-                watermark: self.cfg.queue_watermark,
-            };
-            self.rejected_queue_full += 1;
-            mris_obs::counter_add("mris_service_rejected_queue_full_total", 1);
-            if !self.tenants.is_empty() {
-                self.tenants[tenant.index()].rejected += 1;
-                mris_obs::counter_add_labeled(
-                    "mris_tenant_rejected_total",
-                    ("tenant", self.tenants[tenant.index()].label),
-                    1,
-                );
-            }
-            self.outcomes[job.index()] = JobOutcome::Rejected(err);
-            self.emit(|| JournalRecord::Reject {
-                at: now,
-                job: job.0,
-                reason: RejectReason::QueueFull,
-                tenant: tenant.0,
-            });
-            return Err(err);
-        }
-        // Per-tenant queue-depth gate (multi-tenant only).
-        if !self.tenants.is_empty() {
-            let ts = &self.tenants[tenant.index()];
-            if ts.queued_jobs >= ts.spec.queue_watermark {
-                let kind = TenantQuotaKind::QueueDepth {
-                    depth: ts.queued_jobs,
-                    watermark: ts.spec.queue_watermark,
-                };
-                return Err(self.reject_tenant(now, job, tenant, kind));
-            }
-        }
-        let budget_ticks = self.cfg.load_watermark * self.cfg.num_machines as f64 * CAPACITY as f64;
-        if budget_ticks.is_finite() {
-            let j = self.kernel.instance().job(job);
-            for (resource, (&queued, &demand)) in
-                self.queued_demand.iter().zip(j.demands.iter()).enumerate()
-            {
-                if (queued + demand) as f64 > budget_ticks {
-                    let err = AdmissionError::DemandInfeasible {
-                        job,
-                        resource,
-                        queued: fraction(queued),
-                        budget: self.cfg.load_watermark * self.cfg.num_machines as f64,
-                    };
-                    self.rejected_infeasible += 1;
-                    mris_obs::counter_add("mris_service_rejected_infeasible_total", 1);
-                    if !self.tenants.is_empty() {
-                        self.tenants[tenant.index()].rejected += 1;
-                        mris_obs::counter_add_labeled(
-                            "mris_tenant_rejected_total",
-                            ("tenant", self.tenants[tenant.index()].label),
-                            1,
-                        );
-                    }
-                    self.outcomes[job.index()] = JobOutcome::Rejected(err);
-                    self.emit(|| JournalRecord::Reject {
-                        at: now,
-                        job: job.0,
-                        reason: RejectReason::LoadShed,
-                        tenant: tenant.0,
-                    });
-                    return Err(err);
-                }
-            }
-        }
-        // Per-tenant queued-demand gate (multi-tenant only).
-        if !self.tenants.is_empty() {
-            let ts = &self.tenants[tenant.index()];
-            let tenant_budget =
-                ts.spec.load_watermark * self.cfg.num_machines as f64 * CAPACITY as f64;
-            if tenant_budget.is_finite() {
-                let j = self.kernel.instance().job(job);
-                for (&queued, &demand) in ts.queued_demand.iter().zip(j.demands.iter()) {
-                    if (queued + demand) as f64 > tenant_budget {
-                        let kind = TenantQuotaKind::QueuedDemand {
-                            queued: fraction(queued),
-                            budget: ts.spec.load_watermark * self.cfg.num_machines as f64,
-                        };
-                        return Err(self.reject_tenant(now, job, tenant, kind));
-                    }
-                }
-            }
-        }
-        // Weighted-fair gate: when the global queue is contended, admission
-        // spends deficit credit earned from deliveries (see crate::tenant).
-        let mut spend = 0u64;
-        if !self.tenants.is_empty() && self.queue.len() >= self.cfg.fair_watermark {
-            let cost = job_cost(self.kernel.instance().job(job));
-            let ts = &self.tenants[tenant.index()];
-            if ts.deficit < cost {
-                let kind = TenantQuotaKind::FairShare {
-                    deficit: ts.deficit,
-                    cost,
-                };
-                return Err(self.reject_tenant(now, job, tenant, kind));
-            }
-            spend = cost;
-        }
+        let spend = self
+            .gate(job, tenant)
+            .inspect_err(|&err| self.reject(now, job, tenant, err))?;
         let j = self.kernel.instance().job(job);
         let deliver = self.cfg.delivery_time(now.max(j.release));
         for (q, &d) in self.queued_demand.iter_mut().zip(j.demands.iter()) {
             *q += d;
         }
+        self.tenancy.charge(tenant, job, j, spend);
         self.queue.push(Reverse((OrdTime(deliver), self.seq, job)));
         self.seq += 1;
         self.accepted += 1;
         mris_obs::counter_add("mris_service_admitted_total", 1);
-        if !self.tenants.is_empty() {
-            let cost = job_cost(self.kernel.instance().job(job));
-            let demand_ticks: u64 = self.kernel.instance().job(job).demands.iter().sum();
-            let ts = &mut self.tenants[tenant.index()];
-            ts.deficit -= spend;
-            ts.queued_jobs += 1;
-            for (q, &d) in ts
-                .queued_demand
-                .iter_mut()
-                .zip(self.kernel.instance().job(job).demands.iter())
-            {
-                *q += d;
-            }
-            ts.admitted += 1;
-            ts.admitted_cost += cost;
-            self.job_tenant[job.index()] = tenant.0;
-            let label = self.tenants[tenant.index()].label;
-            mris_obs::counter_add_labeled("mris_tenant_admitted_total", ("tenant", label), 1);
-            mris_obs::counter_add_labeled(
-                "mris_tenant_queued_demand_total",
-                ("tenant", label),
-                demand_ticks,
-            );
-        }
         self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
         self.outcomes[job.index()] = JobOutcome::Accepted;
         self.emit(|| JournalRecord::Admit {
@@ -912,7 +801,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
 
         // Deliveries due.
         self.deliver_buf.clear();
-        let mut delivered_cost = 0u64;
+        let mut delivered_cost = 0;
         while let Some(&Reverse((t, s, job))) = self.queue.peek() {
             if t.0 > now {
                 break;
@@ -926,43 +815,14 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 self.held_seq[job.index()] = s;
                 continue;
             }
-            let demands = &self.kernel.instance().job(job).demands;
-            for (q, &d) in self.queued_demand.iter_mut().zip(demands.iter()) {
+            let j = self.kernel.instance().job(job);
+            for (q, &d) in self.queued_demand.iter_mut().zip(j.demands.iter()) {
                 *q -= d;
             }
-            if !self.tenants.is_empty() {
-                delivered_cost += job_cost(self.kernel.instance().job(job));
-                let ts = &mut self.tenants[self.job_tenant[job.index()] as usize];
-                ts.queued_jobs -= 1;
-                for (q, &d) in ts.queued_demand.iter_mut().zip(demands.iter()) {
-                    *q -= d;
-                }
-            }
+            delivered_cost += self.tenancy.discharge(job, j);
             self.deliver_buf.push(job);
         }
-        // Deficit-round-robin credit: delivered cost is earned back by the
-        // tenants that still have work queued, proportional to weight, so
-        // a contended queue converges to a weight-proportional admitted
-        // split while a lone active tenant keeps the full delivery rate.
-        if delivered_cost > 0 {
-            let active_weight: f64 = self
-                .tenants
-                .iter()
-                .filter(|t| t.queued_jobs > 0)
-                .map(|t| t.spec.weight)
-                .sum();
-            for ts in self.tenants.iter_mut() {
-                if ts.queued_jobs > 0 {
-                    let credit = (delivered_cost as f64 * ts.spec.weight / active_weight) as u64;
-                    ts.deficit = (ts.deficit + credit).min(ts.burst);
-                } else {
-                    // The tenant left the active set: restore its burst
-                    // allowance (the DRR deficit reset) so it re-enters
-                    // contention from the same starting line.
-                    ts.deficit = ts.burst;
-                }
-            }
-        }
+        self.tenancy.credit(delivered_cost);
         let arrivals = self.deliver_buf.len();
         // Reading the monotonic clock twice per event is measurable against
         // sub-microsecond decisions, so latency is sampled: every event while
@@ -1005,9 +865,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             placements,
             completions,
             running: self.kernel.cluster().num_running(),
-            rejections_total: self.rejected_queue_full
-                + self.rejected_infeasible
-                + self.rejected_tenant,
+            rejections_total: self.rejected(),
             decision_ns: decision_ns.unwrap_or(0),
         };
         self.epochs += 1;
@@ -1073,26 +931,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         e.u8(encoded as u8);
         e.u64(sub.len() as u64);
         e.bytes(sub.as_bytes());
-        // Tenant section — only on the multi-tenant path, so single-tenant
-        // snapshot bytes stay identical to the pre-tenancy format.
-        if !self.tenants.is_empty() {
-            e.u64(self.tenants.len() as u64);
-            for ts in &self.tenants {
-                e.u64(ts.queued_jobs as u64);
-                e.u64(ts.deficit);
-                e.u64(ts.admitted);
-                e.u64(ts.rejected);
-                e.u64(ts.admitted_cost);
-                e.u64(ts.queued_demand.len() as u64);
-                for &d in &ts.queued_demand {
-                    e.u64(d);
-                }
-            }
-            e.u64(self.rejected_tenant as u64);
-            for &t in &self.job_tenant {
-                e.u32(t);
-            }
-        }
+        self.tenancy.encode(&mut e);
         // Precedence section: empty for edge-free instances, as before DAGs.
         self.kernel.gate().encode(&mut e);
         for &s in &self.held_seq {
@@ -1190,24 +1029,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         let has_policy = d.bool()?;
         let len = d.count(1)?;
         let policy = d.bytes(len)?;
-        let mut rejected_tenant = 0;
-        let mut job_tenant = Vec::new();
-        if !self.tenants.is_empty() {
-            d.expect_count(self.tenants.len(), "tenant count")?;
-            for ts in &mut self.tenants {
-                ts.queued_jobs = d.u64()? as usize;
-                ts.deficit = d.u64()?;
-                ts.admitted = d.u64()?;
-                ts.rejected = d.u64()?;
-                ts.admitted_cost = d.u64()?;
-                d.expect_count(r, "tenant queued demand width")?;
-                for q in &mut ts.queued_demand {
-                    *q = d.u64()?;
-                }
-            }
-            rejected_tenant = d.u64()?;
-            job_tenant = (0..n).map(|_| d.u32()).collect::<Result<_, _>>()?;
-        }
+        self.tenancy.decode_into(&mut d)?;
         let gate = PrecedenceGate::decode(&mut d, self.kernel.instance())?;
         for s in &mut self.held_seq {
             *s = d.u64()?;
@@ -1229,25 +1051,23 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         };
 
         // The ledger's counters are its outcomes, counted. A decoded
-        // rejection is never an invalid offer, so the last arm is a quota.
+        // rejection is never an invalid offer, so it has a gate's reason.
         let mut tally = [0u64; 6];
         for o in &outcomes {
             tally[match o {
                 JobOutcome::NotSubmitted => 0,
-                JobOutcome::Rejected(AdmissionError::QueueFull { .. }) => 1,
-                JobOutcome::Rejected(AdmissionError::DemandInfeasible { .. }) => 2,
-                JobOutcome::Accepted => 3,
-                JobOutcome::Completed => 4,
-                JobOutcome::Rejected(_) => 5,
+                JobOutcome::Accepted => 1,
+                JobOutcome::Completed => 2,
+                JobOutcome::Rejected(err) => 3 + RejectReason::of(err) as usize,
             }] += 1;
         }
-        let [not_submitted, queue_full, infeasible, open, completed, tenant_quota] = tally;
+        let [not_submitted, open, completed, queue_full, infeasible, tenant_quota] = tally;
         if submitted != n as u64 - not_submitted
             || accepted != open + completed
             || seq != accepted
             || rejected_queue_full != queue_full
             || rejected_infeasible != infeasible
-            || rejected_tenant != tenant_quota
+            || self.tenancy.quota_rejected() as u64 != tenant_quota
         {
             return Err(bad("ledger counters disagree with the outcomes"));
         }
@@ -1281,60 +1101,19 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 return Err(bad("a running job is not open"));
             }
         }
-        if !self.tenants.is_empty() {
-            let t_count = self.tenants.len();
-            let mut expect: Vec<(usize, Vec<Amount>, u64, u64)> =
-                vec![(0, vec![0; r], 0, 0); t_count];
-            for (j, &t) in job_tenant.iter().enumerate() {
-                let admitted = matches!(outcomes[j], JobOutcome::Accepted | JobOutcome::Completed);
-                if t as usize >= t_count || (!admitted && t != 0) {
-                    return Err(bad("a job's tenant is out of range"));
-                }
-                if admitted {
-                    let job = self.kernel.instance().job(JobId(j as u32));
-                    let e = &mut expect[t as usize];
-                    e.2 += 1;
-                    e.3 += job_cost(job);
-                }
-            }
-            for &j in &undelivered {
-                let e = &mut expect[job_tenant[j.index()] as usize];
-                e.0 += 1;
-                for (q, &dem) in
-                    e.1.iter_mut()
-                        .zip(self.kernel.instance().job(j).demands.iter())
-                {
-                    *q += dem;
-                }
-            }
-            let rejected =
-                (self.tenants.iter()).fold(0u64, |sum, ts| sum.saturating_add(ts.rejected));
-            let consistent = self.tenants.iter().zip(&expect).all(|(ts, e)| {
-                (
-                    ts.queued_jobs,
-                    &ts.queued_demand,
-                    ts.admitted,
-                    ts.admitted_cost,
-                ) == (e.0, &e.1, e.2, e.3)
-                    && ts.deficit <= ts.burst
-                    && ts.rejected <= n as u64
-            });
-            if !consistent || rejected != queue_full + infeasible + tenant_quota {
-                return Err(bad("tenant accounting disagrees with the tenants' jobs"));
-            }
-        }
+        (self.tenancy)
+            .check_jobs(self.kernel.instance(), &outcomes, &undelivered)
+            .map_err(bad)?;
 
         self.clock.advance_to(last_event);
         self.outcomes = outcomes;
         self.queue = BinaryHeap::from(queue);
         self.queued_demand = queued_demand;
-        self.job_tenant = job_tenant;
         self.seq = seq;
         self.submitted = submitted as usize;
         self.accepted = accepted as usize;
         self.rejected_queue_full = rejected_queue_full as usize;
         self.rejected_infeasible = rejected_infeasible as usize;
-        self.rejected_tenant = rejected_tenant as usize;
         self.completed = completed as usize;
         self.max_queue_depth = max_queue_depth as usize;
         self.epochs = epochs as usize;
@@ -1396,7 +1175,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 log,
                 outcomes: self.outcomes,
                 summary,
-                tenants: self.tenants.iter().map(|t| t.stat()).collect(),
+                tenants: self.tenancy.stats(),
             },
             self.sink,
         ))

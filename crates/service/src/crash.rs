@@ -8,8 +8,10 @@
 //! or mid-frame (a kill inside `write(2)`) by slicing arbitrary byte
 //! counts off the tail, which exercises the lenient torn-tail parser.
 
-use crate::codec::Decoder;
-use crate::journal::{parse_frame, parse_header, JournalRecord};
+use std::ops::ControlFlow;
+
+use crate::journal::walk_frames;
+use crate::journal::JournalRecord::{Admit, Close, Event, Reject};
 
 /// Byte offset at which to cut `journal` so it ends exactly after the
 /// record group of the `event_index`-th (0-based) `Event` record — the
@@ -17,39 +19,21 @@ use crate::journal::{parse_frame, parse_header, JournalRecord};
 /// the next input record. `None` if the journal is unreadable or has no
 /// such event.
 pub fn truncate_at_event(journal: &[u8], event_index: usize) -> Option<usize> {
-    let mut d = Decoder::new(journal);
-    parse_header(&mut d).ok()?;
-    let mut current_event: Option<usize> = None;
-    let mut group_end: Option<usize> = None;
-    while d.remaining() > 0 {
-        let Ok((rec, end)) = parse_frame(&mut d) else {
-            break;
-        };
-        match rec {
-            JournalRecord::Event { .. } => {
-                if current_event == Some(event_index) {
-                    return group_end;
-                }
-                let idx = current_event.map_or(0, |i| i + 1);
-                current_event = Some(idx);
-                if idx == event_index {
-                    group_end = Some(end);
-                }
-            }
-            JournalRecord::Admit { .. }
-            | JournalRecord::Reject { .. }
-            | JournalRecord::Close { .. } => {
-                if current_event == Some(event_index) {
-                    return group_end;
-                }
-            }
-            _ => {
-                if current_event == Some(event_index) {
-                    group_end = Some(end);
-                }
-            }
+    let mut events = 0;
+    let mut group_end = None;
+    walk_frames(journal, |rec, end| {
+        let event = matches!(rec, Event { .. });
+        let input = event || matches!(rec, Admit { .. } | Reject { .. } | Close { .. });
+        if input && group_end.is_some() {
+            return ControlFlow::Break(());
         }
-    }
+        events += event as usize;
+        if events == event_index + 1 {
+            group_end = Some(end);
+        }
+        ControlFlow::Continue(())
+    })
+    .ok()?;
     group_end
 }
 

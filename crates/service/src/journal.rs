@@ -30,10 +30,13 @@
 //! mark (see [`crate::snapshot`]).
 
 use std::io::Write;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 
 use mris_sim::FaultPlan;
-use mris_types::{CodecError, DurabilityError, FaultTarget, Instance, RestartSemantics, Time};
+use mris_types::{
+    AdmissionError, CodecError, DurabilityError, FaultTarget, Instance, RestartSemantics, Time,
+};
 
 use crate::codec::{crc32, fnv64, Decoder, Encoder};
 use crate::core::ServiceConfig;
@@ -72,6 +75,18 @@ pub enum RejectReason {
     LoadShed,
     /// A per-tenant quota or the weighted-fair gate hit.
     TenantQuota,
+}
+
+impl RejectReason {
+    /// The reason a gate's rejection is journaled under. An invalid offer
+    /// is refused before any gate runs, so any other error is a quota's.
+    pub(crate) fn of(err: &AdmissionError) -> RejectReason {
+        match err {
+            AdmissionError::QueueFull { .. } => RejectReason::QueueFull,
+            AdmissionError::DemandInfeasible { .. } => RejectReason::LoadShed,
+            _ => RejectReason::TenantQuota,
+        }
+    }
 }
 
 /// One durable record. Input records (`Admit`, `Reject`, `Event`, `Close`)
@@ -497,25 +512,7 @@ pub struct ParsedJournal {
     pub records: Vec<JournalRecord>,
 }
 
-pub(crate) fn parse_header(d: &mut Decoder<'_>) -> Result<(u32, u64), CodecError> {
-    let magic = d.bytes(4)?;
-    if magic != JOURNAL_MAGIC {
-        return Err(CodecError::BadMagic {
-            found: magic.try_into().expect("4-byte slice"),
-        });
-    }
-    let version = d.u32()?;
-    if version != JOURNAL_VERSION {
-        return Err(CodecError::UnsupportedVersion {
-            found: version,
-            supported: JOURNAL_VERSION,
-        });
-    }
-    let fingerprint = d.u64()?;
-    Ok((version, fingerprint))
-}
-
-pub(crate) fn parse_frame(d: &mut Decoder<'_>) -> Result<(JournalRecord, usize), CodecError> {
+fn parse_frame(d: &mut Decoder<'_>) -> Result<(JournalRecord, usize), CodecError> {
     let frame_start = d.offset();
     let len = d.u32()?;
     if len == 0 || len > MAX_FRAME {
@@ -539,21 +536,48 @@ pub(crate) fn parse_frame(d: &mut Decoder<'_>) -> Result<(JournalRecord, usize),
     Ok((rec, d.offset()))
 }
 
+/// The one frame loop: after the header, hands each record and the offset
+/// past its frame to `visit` until the bytes end, `visit` breaks, or a
+/// frame fails to parse. Returns the header's version and fingerprint and
+/// that frame's error; a bad header is the outer error.
+pub(crate) fn walk_frames(
+    bytes: &[u8],
+    mut visit: impl FnMut(JournalRecord, usize) -> ControlFlow<()>,
+) -> Result<(u32, u64, Option<CodecError>), CodecError> {
+    let mut d = Decoder::new(bytes);
+    let magic = d.bytes(4)?;
+    if magic != JOURNAL_MAGIC {
+        return Err(CodecError::BadMagic {
+            found: magic.try_into().expect("4-byte slice"),
+        });
+    }
+    let version = d.u32()?;
+    if version != JOURNAL_VERSION {
+        return Err(CodecError::UnsupportedVersion {
+            found: version,
+            supported: JOURNAL_VERSION,
+        });
+    }
+    let fingerprint = d.u64()?;
+    while d.remaining() > 0 {
+        let (rec, end) = match parse_frame(&mut d) {
+            Ok(frame) => frame,
+            Err(e) => return Ok((version, fingerprint, Some(e))),
+        };
+        if visit(rec, end).is_break() {
+            break;
+        }
+    }
+    Ok((version, fingerprint, None))
+}
+
 /// Strictly parses a complete journal: any malformed byte — including a
 /// torn tail — is a typed error.
 pub fn parse_journal(bytes: &[u8]) -> Result<ParsedJournal, CodecError> {
-    let mut d = Decoder::new(bytes);
-    let (version, fingerprint) = parse_header(&mut d)?;
-    let mut records = Vec::new();
-    while d.remaining() > 0 {
-        let (rec, _) = parse_frame(&mut d)?;
-        records.push(rec);
+    match read_valid_prefix(bytes)? {
+        (_, _, Some(tail_error)) => Err(tail_error),
+        (parsed, _, None) => Ok(parsed),
     }
-    Ok(ParsedJournal {
-        version,
-        fingerprint,
-        records,
-    })
 }
 
 /// Leniently parses the longest valid prefix of a journal, for crash
@@ -565,23 +589,13 @@ pub fn parse_journal(bytes: &[u8]) -> Result<ParsedJournal, CodecError> {
 pub fn read_valid_prefix(
     bytes: &[u8],
 ) -> Result<(ParsedJournal, usize, Option<CodecError>), CodecError> {
-    let mut d = Decoder::new(bytes);
-    let (version, fingerprint) = parse_header(&mut d)?;
     let mut records = Vec::new();
-    let mut valid = d.offset();
-    let mut tail_error = None;
-    while d.remaining() > 0 {
-        match parse_frame(&mut d) {
-            Ok((rec, end)) => {
-                records.push(rec);
-                valid = end;
-            }
-            Err(e) => {
-                tail_error = Some(e);
-                break;
-            }
-        }
-    }
+    let mut valid = HEADER_LEN;
+    let (version, fingerprint, tail_error) = walk_frames(bytes, |rec, end| {
+        records.push(rec);
+        valid = end;
+        ControlFlow::Continue(())
+    })?;
     Ok((
         ParsedJournal {
             version,

@@ -43,10 +43,6 @@ pub enum TraceError {
     Empty,
 }
 
-/// Former name of [`TraceError`], kept for continuity with the CSV entry
-/// points that raise it.
-pub type CsvError = TraceError;
-
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -84,7 +80,7 @@ impl From<std::io::Error> for TraceError {
 }
 
 /// Parses an instance from CSV text (see module docs for the schema).
-pub fn parse_instance_csv(text: &str) -> Result<Instance, CsvError> {
+pub fn parse_instance_csv(text: &str) -> Result<Instance, TraceError> {
     let mut jobs: Vec<Job> = Vec::new();
     let mut num_resources = 0usize;
     for (lineno, raw) in text.lines().enumerate() {
@@ -163,7 +159,7 @@ pub fn parse_instance_csv(text: &str) -> Result<Instance, CsvError> {
 }
 
 /// Reads an instance from a CSV file.
-pub fn read_instance_csv(path: &Path) -> Result<Instance, CsvError> {
+pub fn read_instance_csv(path: &Path) -> Result<Instance, TraceError> {
     let file = std::fs::File::open(path)?;
     let mut text = String::new();
     std::io::BufReader::new(file).read_to_string(&mut text)?;
@@ -188,7 +184,7 @@ pub fn instance_to_csv(instance: &Instance) -> String {
 }
 
 /// Writes an instance to a CSV file.
-pub fn write_instance_csv(instance: &Instance, path: &Path) -> Result<(), CsvError> {
+pub fn write_instance_csv(instance: &Instance, path: &Path) -> Result<(), TraceError> {
     let file = std::fs::File::create(path)?;
     let mut w = BufWriter::new(file);
     w.write_all(instance_to_csv(instance).as_bytes())?;

@@ -37,6 +37,5 @@ pub use arrivals::{poisson_rate_for_utilization, Arrivals};
 pub use augment::augment_resources;
 pub use azure::{AzureTrace, AzureTraceConfig, VmCatalog, VmType};
 pub use io::{
-    instance_to_csv, parse_instance_csv, read_instance_csv, write_instance_csv, CsvError,
-    TraceError,
+    instance_to_csv, parse_instance_csv, read_instance_csv, write_instance_csv, TraceError,
 };

@@ -591,14 +591,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Compatibility shim: front ends that still plumb `Result<_, String>` for
-/// service configs keep working while the typed error propagates.
-impl From<ConfigError> for String {
-    fn from(e: ConfigError) -> String {
-        e.to_string()
-    }
-}
-
 /// A durability artifact (journal or snapshot) failed to decode.
 ///
 /// Every variant names the byte offset at which decoding stopped, so a
@@ -955,6 +947,6 @@ mod tests {
     fn config_errors_render() {
         let e = ConfigError::InvalidEpoch { value: f64::NAN };
         assert!(e.to_string().contains("epoch"));
-        assert!(String::from(ConfigError::NoMachines).contains("num_machines"));
+        assert!(ConfigError::NoMachines.to_string().contains("num_machines"));
     }
 }

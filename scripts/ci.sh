@@ -79,9 +79,11 @@ done
 # listed by name so that none comes back beside the one. Every durable
 # value's codec has one shape, `mris_types::Codec` (encode into an
 # `Encoder`, decode a new value from a `Decoder` and a context), so the raw
-# appenders and in-place loaders it replaced are listed too.
+# appenders and in-place loaders it replaced are listed too. Admission
+# records a rejection in one place (`Service::reject`), and the helpers no
+# caller used are listed with the per-gate copy it replaced.
 echo "==> no test-only mode, unused extra, second arrival vocabulary or second codec in product crates"
-if git grep -nwE 'force_epoch_rebuild|place_batch_ffd|max_weight_by_deadline|render_gantt|best_list_schedule|brute_force|ArrivalProcess|ArrivalPattern|generate_workload|LoadGenConfig|run_workload|CrashPlan|checked_len|encode_admission_error|decode_admission_error|decode_admission_error_with|encode_admission_result|decode_admission_result|encode_outcome|decode_outcome|outcome_tag|durable_run_bytes|durable_bytes|load_durable|durable_fault_bytes|load_fault_bytes|load_cluster_bytes|load_run_bytes|load_gate_bytes|durable_bytes_if_active|load_durable_if_active|encode_entries|decode_entries|buffer_mut|finish_load' -- crates/*/src src; then
+if git grep -nwE 'From<ConfigError> for String|reject_tenant|gauge_set_labeled|histogram_record_labeled|AwctRow|mris_with_heuristic|mris_greedy|CsvError|force_epoch_rebuild|place_batch_ffd|max_weight_by_deadline|render_gantt|best_list_schedule|brute_force|ArrivalProcess|ArrivalPattern|generate_workload|LoadGenConfig|run_workload|CrashPlan|checked_len|encode_admission_error|decode_admission_error|decode_admission_error_with|encode_admission_result|decode_admission_result|encode_outcome|decode_outcome|outcome_tag|durable_run_bytes|durable_bytes|load_durable|durable_fault_bytes|load_fault_bytes|load_cluster_bytes|load_run_bytes|load_gate_bytes|durable_bytes_if_active|load_durable_if_active|encode_entries|decode_entries|buffer_mut|finish_load' -- crates/*/src src; then
   echo "crates/*/src or src/ names a deleted test-only mode, extra, oracle, arrival type or second codec" >&2; exit 1
 fi
 
@@ -94,6 +96,12 @@ if [ "$(git grep -nw 'mris_trace' -- crates/service/src | wc -l)" -ne 1 ] \
       END { exit !bad }' crates/service/Cargo.toml; then
   echo "crates/service/src names mris_trace more than once, or mris-service depends on mris-rng" >&2; exit 1
 fi
+
+# Release-mode panic sites (`assert!`, `.expect(`, `.unwrap()`, ...) in
+# product code may fall but not rise: the per-crate counts are committed
+# in scripts/panic_sites.txt (ROADMAP item 20).
+echo "==> no crate has more release-mode panic sites than scripts/panic_sites.txt"
+scripts/panic_sites.sh
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
