@@ -138,6 +138,20 @@ echo "==> cargo test -q --release --offline --test cadp_overload_golden --test m
 cargo test -q --release --offline --test cadp_overload_golden --test mris_batch_golden \
   --test timeline_hardening --test dag_golden --test chaos_golden
 
+# Every figure's output is pinned at a small scale in both profiles, and
+# each committed results/*.txt whose default run takes at most ~20 s is
+# regenerated with its results/run_all.sh line and must match byte for byte.
+echo "==> cargo test -q --release --offline -p mris-bench --test figures_golden"
+cargo test -q --release --offline -p mris-bench --test figures_golden
+echo "==> the quick figures regenerate their committed results/*.txt"
+for name in fig7 lemma41 dynamics ablation fig2 fairness fig1 fig5; do
+  line=$(grep -E "^fig $name( |\$)" results/run_all.sh) \
+    || { echo "results/run_all.sh has no line for $name" >&2; exit 1; }
+  read -ra argv <<<"${line#fig }"
+  diff <(target/release/figures "${argv[@]}" 2>/dev/null) "results/$name.txt" \
+    || { echo "results/$name.txt is not what \`figures ${argv[*]}\` prints" >&2; exit 1; }
+done
+
 # Everything the smoke steps below write goes here, so a CI run leaves the
 # work tree as it found it.
 CI_TMP=$(mktemp -d)
