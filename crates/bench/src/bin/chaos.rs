@@ -18,7 +18,7 @@
 //! `--smoke` shrinks the trace so CI can validate the pipeline and the
 //! JSON schema in seconds; full runs are for tracked numbers.
 
-use mris_bench::Args;
+use mris_bench::{exit_usage, Args};
 use mris_core::registry::{comparison_algorithms, online_policy_by_name};
 use mris_schedulers::Scheduler;
 use mris_sim::{run_online_chaos, suggested_horizon, FaultPlan, PoissonFaultConfig};
@@ -145,14 +145,28 @@ fn run_scheduler(
     }
 }
 
+/// `--smoke`, `--machines`, `--jobs`, `--seed`, `--mttr-frac` and
+/// `--out`, or their defaults; any other flag is an error.
+fn flags(args: &Args) -> Result<(bool, usize, usize, u64, f64, String), String> {
+    let flags = ["smoke", "machines", "jobs", "seed", "mttr-frac", "out"];
+    args.only("chaos", &flags)?;
+    let smoke = args.switch("smoke")?;
+    Ok((
+        smoke,
+        args.count("machines", 1)?
+            .unwrap_or(if smoke { 4 } else { 8 }),
+        args.count("jobs", 1)?
+            .unwrap_or(if smoke { 150 } else { 2_000 }),
+        args.value("seed")?.unwrap_or(11),
+        args.value("mttr-frac")?.unwrap_or(0.05),
+        args.value("out")?
+            .unwrap_or_else(|| "BENCH_chaos.json".to_string()),
+    ))
+}
+
 fn main() {
-    let args = Args::parse();
-    let smoke = args.has("smoke");
-    let machines = args.get("machines", if smoke { 4 } else { 8 });
-    let jobs = args.get("jobs", if smoke { 150 } else { 2_000 });
-    let seed = args.get("seed", 11u64);
-    let mttr_frac = args.get("mttr-frac", 0.05);
-    let out: String = args.get("out", "BENCH_chaos.json".to_string());
+    let (smoke, machines, jobs, seed, mttr_frac, out) =
+        flags(&Args::parse()).unwrap_or_else(|e| exit_usage(&e));
     // Expected failures per machine over the horizon: none, occasional,
     // frequent.
     let setup = ChaosSetup {

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mris_bench::Args;
+use mris_bench::{exit_usage, Args};
 use mris_core::registry::online_policy_by_name;
 use mris_obs::{check_disabled_overhead, validate_exposition, Obs, ObsReport};
 use mris_service::{
@@ -169,13 +169,26 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// `--smoke`, `--machines`, `--jobs`, `--seed` and `--out`, or their
+/// defaults; any other flag is an error.
+fn flags(args: &Args) -> Result<(bool, usize, usize, u64, String), String> {
+    args.only("obs", &["smoke", "machines", "jobs", "seed", "out"])?;
+    let smoke = args.switch("smoke")?;
+    Ok((
+        smoke,
+        args.count("machines", 1)?
+            .unwrap_or(if smoke { 8 } else { 16 }),
+        args.count("jobs", 1)?
+            .unwrap_or(if smoke { 400 } else { 4_000 }),
+        args.value("seed")?.unwrap_or(7),
+        args.value("out")?
+            .unwrap_or_else(|| "BENCH_obs.json".to_string()),
+    ))
+}
+
 fn main() {
-    let args = Args::parse();
-    let smoke = args.has("smoke");
-    let machines = args.get("machines", if smoke { 8 } else { 16 });
-    let jobs = args.get("jobs", if smoke { 400 } else { 4_000 });
-    let seed = args.get("seed", 7u64);
-    let out: String = args.get("out", "BENCH_obs.json".to_string());
+    let (smoke, machines, jobs, seed, out) =
+        flags(&Args::parse()).unwrap_or_else(|e| exit_usage(&e));
     let micro_ops: u64 = if smoke { 2_000_000 } else { 20_000_000 };
     let reps = if smoke { 3 } else { 5 };
 
