@@ -267,7 +267,7 @@ fn main() {
         "mris_schedule_seconds",
         "mris_journal_appends_total",
         "mris_journal_bytes_total",
-        "mris_journal_fsyncs_total",
+        "mris_journal_flushes_total",
         "mris_snapshot_seconds",
         "mris_restore_seconds",
     ];

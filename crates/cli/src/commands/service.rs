@@ -5,9 +5,9 @@ use std::io::Write;
 
 use mris_core::registry::online_policy_by_name;
 use mris_service::{
-    read_valid_prefix, service_fingerprint, DirSnapshots, DurabilityConfig, JobOutcome, JsonlSink,
-    NullSink, NullSnapshots, Outage, RestoreOptions, Service, ServiceConfig, ServiceReport,
-    SimClock, SnapshotStore, TenantSpec,
+    count_valid_records, service_fingerprint, DirSnapshots, DurabilityConfig, JobOutcome,
+    JsonlSink, NullSink, NullSnapshots, Outage, RestoreOptions, Service, ServiceConfig,
+    ServiceReport, SimClock, SnapshotStore, TenantSpec,
 };
 use mris_types::Instance;
 
@@ -353,8 +353,8 @@ pub(crate) fn restore(flags: &Flags) -> Result<String, CliError> {
         (None, Some(dir)) => {
             // The newest snapshot the surviving journal reaches; an
             // unreadable journal is left for `restore` to report.
-            let records = read_valid_prefix(&journal).map_or(0, |(p, _, _)| p.records.len());
-            DirSnapshots::latest_within(std::path::Path::new(dir), records as u64)
+            let records = count_valid_records(&journal).unwrap_or(0);
+            DirSnapshots::latest_within(std::path::Path::new(dir), records)
                 .map_err(|e| CliError(format!("cannot read snapshots in {dir}: {e}")))?
         }
         (None, None) => None,

@@ -42,12 +42,14 @@
 //! answers the full [`ServiceReport`], encoded once from the report
 //! [`NetServer::wait`] returns; a [`mris_types::SchedulingError`] or a
 //! panic raised by the policy while a handler drove it drops the service
-//! and becomes `wait`'s typed error. That handler stores the outcome,
-//! raises the shutdown flag, closes every subscriber's socket and unblocks
-//! the acceptor with a loopback self-connect; the acceptor hands the
-//! outcome to `wait`. Every later request on any connection answers
-//! [`Response::Error`] — the service is gone from the lock (or the lock is
-//! poisoned), so nothing blocks.
+//! and becomes `wait`'s typed error. That handler sends its reply first
+//! (so `wait`, and a process that exits when it returns, never outruns
+//! it; a draining client that stops reading holds the end until it reads
+//! or hangs up), then stores the outcome, raises the shutdown flag, closes
+//! every subscriber's socket and unblocks the acceptor with a loopback
+//! self-connect; the acceptor hands the outcome to `wait`. Every later
+//! request on any connection answers [`Response::Error`] — the service is
+//! gone from the lock (or the lock is poisoned), so nothing blocks.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -344,8 +346,8 @@ fn gone() -> Response {
 
 impl<C: Clock, S: TelemetrySink> Door<C, S> {
     /// Ends the serve loop with `outcome`; the first caller's stands.
-    /// `own` is the calling handler's connection, which still has a reply
-    /// to carry.
+    /// `own` is the calling handler's connection, whose reply is already
+    /// sent: `wait` may return as soon as this runs.
     fn finish(&self, outcome: Outcome<S>, own: &ConnWriter) {
         self.outcome
             .lock()
@@ -367,26 +369,33 @@ impl<C: Clock, S: TelemetrySink> Door<C, S> {
     }
 
     /// Runs one request on the service, under the lock, and returns the
-    /// reply's payload, encoded after the lock is released.
-    fn execute(&self, request: Request, tenant: TenantId, own: &ConnWriter) -> Vec<u8> {
+    /// reply's payload, encoded after the lock is released, and the
+    /// outcome the serve loop ends with if this request ended it. The
+    /// caller sends the reply before it hands that outcome to
+    /// [`Door::finish`], so the reply is on the wire before `wait` returns.
+    fn execute(&self, request: Request, tenant: TenantId) -> (Vec<u8>, Option<Outcome<S>>) {
         match request {
-            Request::Drain => self.drain(own),
-            request => self.answer(request, tenant, own).encode(),
+            Request::Drain => self.drain(),
+            request => {
+                let (reply, ended) = self.answer(request, tenant);
+                (reply.encode(), ended)
+            }
         }
     }
 
-    fn answer(&self, request: Request, tenant: TenantId, own: &ConnWriter) -> Response {
+    fn answer(&self, request: Request, tenant: TenantId) -> (Response, Option<Outcome<S>>) {
         // A poisoned lock is a handler that panicked inside the service.
         let Ok(mut guard) = self.service.lock() else {
-            return gone();
+            return (gone(), None);
         };
         let Some(svc) = guard.as_mut() else {
-            return gone();
+            return (gone(), None);
         };
+        let reply = |response| (response, None);
         let fatal = match request {
             Request::Submit { job, at } => match submit_one(svc, job, at, tenant) {
-                SubmitOutcome::Decision(result) => return Response::Submitted { result },
-                SubmitOutcome::BadRequest(detail) => return Response::Error { detail },
+                SubmitOutcome::Decision(result) => return reply(Response::Submitted { result }),
+                SubmitOutcome::BadRequest(detail) => return reply(Response::Error { detail }),
                 SubmitOutcome::Fatal(e) => e,
             },
             Request::SubmitBatch { jobs } => {
@@ -395,7 +404,9 @@ impl<C: Clock, S: TelemetrySink> Door<C, S> {
                 for (job, at) in jobs {
                     match submit_one(svc, job, at, tenant) {
                         SubmitOutcome::Decision(result) => results.push(result),
-                        SubmitOutcome::BadRequest(detail) => return Response::Error { detail },
+                        SubmitOutcome::BadRequest(detail) => {
+                            return reply(Response::Error { detail })
+                        }
                         SubmitOutcome::Fatal(e) => {
                             fatal = Some(e);
                             break;
@@ -404,44 +415,47 @@ impl<C: Clock, S: TelemetrySink> Door<C, S> {
                 }
                 match fatal {
                     Some(e) => e,
-                    None => return Response::BatchSubmitted { results },
+                    None => return reply(Response::BatchSubmitted { results }),
                 }
             }
             Request::Query { job } => {
-                return match svc.checked_outcome(JobId(job)) {
+                return reply(match svc.checked_outcome(JobId(job)) {
                     Some(outcome) => Response::JobStatus { outcome },
                     None => Response::Error {
                         detail: format!("job {job} is out of range for the served instance"),
                     },
-                }
+                })
             }
-            Request::Stats => return Response::StatsReply(stats_of(svc)),
+            Request::Stats => return reply(Response::StatsReply(stats_of(svc))),
             Request::Subscribe | Request::Drain => unreachable!("handled by the caller"),
         };
         *guard = None;
         drop(guard);
         let detail = format!("scheduling failed: {fatal}");
-        self.finish(Err(NetServeError::Scheduling(fatal)), own);
-        Response::Error { detail }
+        (
+            Response::Error { detail },
+            Some(Err(NetServeError::Scheduling(fatal))),
+        )
     }
 
     /// Takes the service out of the lock and drains it. The report is
     /// encoded by reference into the reply, then handed to `wait`.
-    fn drain(&self, own: &ConnWriter) -> Vec<u8> {
+    fn drain(&self) -> (Vec<u8>, Option<Outcome<S>>) {
         let taken = self.service.lock().ok().and_then(|mut guard| guard.take());
         let Some(svc) = taken else {
-            return gone().encode();
+            return (gone().encode(), None);
         };
         match svc.drain() {
             Ok((report, sink)) => {
                 let reply = Response::encode_drained(&report);
-                self.finish(Ok((report, sink.inner)), own);
-                reply
+                (reply, Some(Ok((report, sink.inner))))
             }
             Err(e) => {
                 let detail = format!("drain failed: {e}");
-                self.finish(Err(NetServeError::Scheduling(e)), own);
-                Response::Error { detail }.encode()
+                (
+                    Response::Error { detail }.encode(),
+                    Some(Err(NetServeError::Scheduling(e))),
+                )
             }
         }
     }
@@ -525,36 +539,42 @@ fn handle_connection<C: Clock, S: TelemetrySink>(
             Err(NetError::Closed) => return Ok(()),
             Err(e) => return Err(e),
         };
-        let reply = match Request::decode(&payload) {
+        let (reply, ended) = match Request::decode(&payload) {
             // A malformed frame is answered, not fatal: the framing
             // layer already resynchronized on the length prefix.
-            Err(e) => Response::Error {
-                detail: format!("malformed request: {e}"),
-            }
-            .encode(),
+            Err(e) => (
+                Response::Error {
+                    detail: format!("malformed request: {e}"),
+                }
+                .encode(),
+                None,
+            ),
             Ok(Request::Subscribe) => {
                 let mut subs = door.subs.lock().expect("subscriber lock");
                 if door.shutdown.load(Ordering::SeqCst) {
-                    gone().encode()
+                    (gone().encode(), None)
                 } else {
                     subs.push(Arc::clone(&writer));
-                    Response::Subscribed.encode()
+                    (Response::Subscribed.encode(), None)
                 }
             }
             // A panic in the policy must end the serve loop typed, not
             // strand `wait` and this client: the unwound guard poisons
             // the service lock, which every later request reads as gone.
-            Ok(request) => {
-                catch_unwind(AssertUnwindSafe(|| door.execute(request, tenant, &writer)))
-                    .unwrap_or_else(|payload| {
-                        door.finish(Err(worker_panicked(payload)), &writer);
-                        Response::Error {
-                            detail: "service panicked".to_string(),
-                        }
-                        .encode()
-                    })
-            }
+            Ok(request) => catch_unwind(AssertUnwindSafe(|| door.execute(request, tenant)))
+                .unwrap_or_else(|payload| {
+                    let reply = Response::Error {
+                        detail: "service panicked".to_string(),
+                    };
+                    (reply.encode(), Some(Err(worker_panicked(payload))))
+                }),
         };
-        send(&writer, &reply)?;
+        // The reply first: once the outcome is stored, `wait` can return
+        // and its caller exit before a later write would reach the client.
+        let sent = send(&writer, &reply);
+        if let Some(outcome) = ended {
+            door.finish(outcome, &writer);
+        }
+        sent?;
     }
 }

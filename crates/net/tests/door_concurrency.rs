@@ -9,15 +9,21 @@
 //! * A policy that panics or breaks a placement rule ends the serve loop
 //!   with a typed error — `wait` returns, the requester is answered, and no
 //!   other connection blocks.
+//! * The drain reply is on the wire before `wait` returns.
 //!
 //! Every test runs under a wall-clock timeout: the failure these pin is a
 //! hang.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use mris_core::registry::online_policy_by_name;
-use mris_net::{serve_net, NetClient, NetServeError, NetServer};
+use mris_net::{
+    read_frame, serve_net, write_frame, HandshakeStatus, Hello, HelloReply, NetClient,
+    NetServeError, NetServer, Request, Response, NET_VERSION,
+};
 use mris_service::{JobOutcome, NullSink, ServiceConfig, SimClock};
 use mris_sim::{Dispatcher, OnlinePolicy};
 use mris_trace::{Arrivals, AzureTrace, AzureTraceConfig};
@@ -157,6 +163,54 @@ fn a_subscribed_connection_can_drain() {
         assert_eq!(report.summary.completed, w.len());
         while other.next_telemetry().is_ok() {}
         server.wait().expect("clean serve");
+    });
+}
+
+/// `wait` returns only once the drain reply is sent: a raw client that
+/// sends its hello and `Drain` and then waits on the server finds the whole
+/// reply readable without blocking. `mris serve --listen` exits when `wait`
+/// returns, so a reply sent after it could be lost with the process.
+/// Looped, because the fault is a race between the draining handler's
+/// write and the acceptor's return.
+#[test]
+fn the_drain_reply_is_sent_before_wait_returns() {
+    within_timeout(|| {
+        let w = workload(5, 4);
+        for round in 0..100 {
+            let server = pq_door(&w);
+            let mut segment = Hello {
+                version: NET_VERSION,
+                expected_fingerprint: 0,
+                token: String::new(),
+            }
+            .encode();
+            write_frame(&mut segment, &Request::Drain.encode()).expect("write to vec");
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.write_all(&segment).expect("hello and drain");
+            server.wait().expect("clean serve");
+
+            stream.set_nonblocking(true).expect("non-blocking");
+            let mut bytes = Vec::new();
+            let mut buf = [0u8; 4096];
+            loop {
+                match stream.read(&mut buf) {
+                    Ok(0) => break,
+                    Ok(n) => bytes.extend_from_slice(&buf[..n]),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) => panic!("round {round}: read: {e}"),
+                }
+            }
+            let mut r = &bytes[..];
+            let hello = HelloReply::read_from(&mut r).expect("hello reply");
+            assert_eq!(hello.status, HandshakeStatus::Ok);
+            let drained = read_frame(&mut r).unwrap_or_else(|e| {
+                panic!("round {round}: the drain reply is not whole when wait returns: {e}")
+            });
+            match Response::decode(&drained).expect("decodes") {
+                Response::Drained(report) => assert_eq!(report.summary.completed, 0),
+                other => panic!("round {round}: expected the drained report, got {other:?}"),
+            }
+        }
     });
 }
 

@@ -874,22 +874,20 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         // Durability boundary: snapshot if due, flush at cadence. The
         // state encoding is computed only where a snapshot is written.
         if let Some(mut d) = self.dur.take() {
-            let state = d.writes_snapshot().then(|| self.durable_state_bytes());
-            d.event_end(now, state);
+            d.event_end(now, |e| self.encode_durable_state(e));
             self.dur = Some(d);
         }
         Ok(())
     }
 
-    /// Canonical encoding of the full committed service state — the
-    /// snapshot payload, which [`Service::load_durable_state`] decodes and
-    /// restore re-encodes to check the decoding. Unordered
+    /// Appends the canonical encoding of the full committed service state
+    /// to `e` — the snapshot payload, which [`Service::load_durable_state`]
+    /// decodes and restore re-encodes to check the decoding. Unordered
     /// containers are emitted sorted; wall-clock-only fields (the
     /// decision-latency samples, the start `Instant`) and scratch buffers
     /// are excluded because they differ between an original run and its
     /// replay without affecting any scheduling decision.
-    pub(crate) fn durable_state_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+    pub(crate) fn encode_durable_state(&self, e: &mut Encoder) {
         e.f64(self.kernel.last_event());
         e.u64(self.submitted as u64);
         e.u64(self.accepted as u64);
@@ -900,7 +898,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         e.u64(self.seq);
         e.u64(self.outcomes.len() as u64);
         for o in &self.outcomes {
-            o.encode(&mut e);
+            o.encode(e);
         }
         // Weight aging mutates the working instance; the rest of it is static.
         for j in self.kernel.instance().jobs() {
@@ -922,25 +920,24 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         for &d in &self.queued_demand {
             e.u64(d);
         }
-        self.kernel.pending_faults().encode(&mut e);
-        self.kernel.cluster().encode(&mut e);
-        self.kernel.schedule().encode(&mut e);
-        self.kernel.log().encode(&mut e);
+        self.kernel.pending_faults().encode(e);
+        self.kernel.cluster().encode(e);
+        self.kernel.schedule().encode(e);
+        self.kernel.log().encode(e);
         let mut sub = Encoder::new();
         let encoded = self.policy.encode_durable_state(&mut sub);
         e.u8(encoded as u8);
         e.u64(sub.len() as u64);
         e.bytes(sub.as_bytes());
-        self.tenancy.encode(&mut e);
+        self.tenancy.encode(e);
         // Precedence section: empty for edge-free instances, as before DAGs.
-        self.kernel.gate().encode(&mut e);
+        self.kernel.gate().encode(e);
         for &s in &self.held_seq {
             e.u64(s);
         }
-        e.into_bytes()
     }
 
-    /// The inverse of [`Service::durable_state_bytes`]: replaces this
+    /// The inverse of [`Service::encode_durable_state`]: replaces this
     /// freshly built service's state (ledger, delivery queue, tenants, the
     /// kernel's, and the policy's) with the one `state` encodes. `events`
     /// is the number of events the journal recorded before the snapshot,

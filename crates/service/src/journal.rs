@@ -38,9 +38,9 @@ use mris_types::{
     AdmissionError, CodecError, DurabilityError, FaultTarget, Instance, RestartSemantics, Time,
 };
 
-use crate::codec::{crc32, fnv64, Decoder, Encoder};
+use crate::codec::{crc32, fnv64, fnv64_extend, Decoder, Encoder};
 use crate::core::ServiceConfig;
-use crate::snapshot::{Snapshot, SnapshotStore, SNAPSHOT_VERSION};
+use crate::snapshot::{begin_container, seal_container, SnapshotStore, SNAPSHOT_VERSION};
 
 /// Journal file magic bytes.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"MRJL";
@@ -347,20 +347,56 @@ impl Default for DurabilityConfig {
     }
 }
 
+/// The FNV-1a hash of an encoding fed to it in chunks: the world is
+/// encoded into a buffer that is hashed and emptied whenever it holds
+/// [`WorldHash::CHUNK`] bytes, so the fingerprint equals the hash of the
+/// whole encoding without the encoding ever being whole (5.6 MB for a
+/// 100,000-job instance).
+struct WorldHash {
+    e: Encoder,
+    h: u64,
+}
+
+impl WorldHash {
+    const CHUNK: usize = 4096;
+
+    fn new() -> Self {
+        WorldHash {
+            e: Encoder::with_capacity(2 * Self::CHUNK),
+            h: fnv64(&[]),
+        }
+    }
+
+    /// Hashes and empties the buffer once it holds a chunk; called between
+    /// items, so the buffer never holds more than a chunk and one item.
+    fn spill(&mut self) {
+        if self.e.len() >= Self::CHUNK {
+            self.h = fnv64_extend(self.h, self.e.as_bytes());
+            self.e.clear();
+        }
+    }
+
+    fn finish(self) -> u64 {
+        fnv64_extend(self.h, self.e.as_bytes())
+    }
+}
+
 /// Encodes the world a service run is determined by: the instance and the
 /// full service config (fault plan and tenant table included). Shared by
 /// the durability fingerprint and the net handshake fingerprint.
-fn encode_world(e: &mut Encoder, instance: &Instance, cfg: &ServiceConfig) {
-    e.u64(instance.len() as u64);
-    e.u64(instance.num_resources() as u64);
+fn encode_world(w: &mut WorldHash, instance: &Instance, cfg: &ServiceConfig) {
+    w.e.u64(instance.len() as u64);
+    w.e.u64(instance.num_resources() as u64);
     for j in instance.jobs() {
-        e.f64(j.release);
-        e.f64(j.proc_time);
-        e.f64(j.weight);
+        w.e.f64(j.release);
+        w.e.f64(j.proc_time);
+        w.e.f64(j.weight);
         for &d in j.demands.iter() {
-            e.u64(d);
+            w.e.u64(d);
         }
+        w.spill();
     }
+    let e = &mut w.e;
     e.u64(cfg.num_machines as u64);
     e.f64(cfg.epoch);
     e.u64(cfg.queue_watermark as u64);
@@ -372,29 +408,31 @@ fn encode_world(e: &mut Encoder, instance: &Instance, cfg: &ServiceConfig) {
             e.f64(factor);
         }
     }
-    encode_fault_plan(e, &cfg.fault_plan);
+    encode_fault_plan(w, &cfg.fault_plan);
     // Tenant section only when tenancy is actually in play: a
     // single-tenant config contributes no tenant bytes. The layout is
     // frozen; changing it orphans every existing journal and snapshot.
     if !cfg.tenants.is_empty() || cfg.fair_watermark != usize::MAX {
-        e.u64(cfg.fair_watermark as u64);
-        e.u64(cfg.tenants.len() as u64);
+        w.e.u64(cfg.fair_watermark as u64);
+        w.e.u64(cfg.tenants.len() as u64);
         for t in &cfg.tenants {
-            e.u64(t.name.len() as u64);
-            e.bytes(t.name.as_bytes());
-            e.f64(t.weight);
-            e.u64(t.queue_watermark as u64);
-            e.f64(t.load_watermark);
+            w.e.u64(t.name.len() as u64);
+            w.e.bytes(t.name.as_bytes());
+            w.e.f64(t.weight);
+            w.e.u64(t.queue_watermark as u64);
+            w.e.f64(t.load_watermark);
+            w.spill();
         }
     }
     // Edge section only for DAG instances: an edge-free world contributes
     // no edge bytes (same frozen layout).
     if instance.has_precedence() {
         let edges = instance.edges();
-        e.u64(edges.len() as u64);
+        w.e.u64(edges.len() as u64);
         for &(pred, succ) in edges {
-            e.u32(pred.0);
-            e.u32(succ.0);
+            w.e.u32(pred.0);
+            w.e.u32(succ.0);
+            w.spill();
         }
     }
 }
@@ -407,11 +445,11 @@ pub fn config_fingerprint(
     cfg: &ServiceConfig,
     dcfg: &DurabilityConfig,
 ) -> u64 {
-    let mut e = Encoder::new();
-    encode_world(&mut e, instance, cfg);
-    e.u32(dcfg.flush_every);
-    e.u32(dcfg.snapshot_every);
-    fnv64(&e.into_bytes())
+    let mut w = WorldHash::new();
+    encode_world(&mut w, instance, cfg);
+    w.e.u32(dcfg.flush_every);
+    w.e.u32(dcfg.snapshot_every);
+    w.finish()
 }
 
 /// FNV-1a fingerprint of the instance and service config alone (no
@@ -419,23 +457,24 @@ pub fn config_fingerprint(
 /// client and server agree they are scheduling the same world regardless
 /// of the server's journaling setup.
 pub fn service_fingerprint(instance: &Instance, cfg: &ServiceConfig) -> u64 {
-    let mut e = Encoder::new();
-    encode_world(&mut e, instance, cfg);
-    fnv64(&e.into_bytes())
+    let mut w = WorldHash::new();
+    encode_world(&mut w, instance, cfg);
+    w.finish()
 }
 
-fn encode_fault_plan(e: &mut Encoder, plan: &FaultPlan) {
-    e.u64(plan.len() as u64);
+fn encode_fault_plan(w: &mut WorldHash, plan: &FaultPlan) {
+    w.e.u64(plan.len() as u64);
     for ev in plan.events() {
-        e.f64(ev.at);
-        e.f64(ev.downtime);
+        w.e.f64(ev.at);
+        w.e.f64(ev.downtime);
         match ev.target {
             FaultTarget::Machine(m) => {
-                e.u8(0);
-                e.u64(m as u64);
+                w.e.u8(0);
+                w.e.u64(m as u64);
             }
-            FaultTarget::Busiest => e.u8(1),
+            FaultTarget::Busiest => w.e.u8(1),
         }
+        w.spill();
     }
 }
 
@@ -494,7 +533,7 @@ impl JournalWriter {
         self.out.flush()?;
         mris_obs::counter_add("mris_journal_appends_total", self.pending_appends);
         mris_obs::counter_add("mris_journal_bytes_total", self.pending_bytes);
-        mris_obs::counter_add("mris_journal_fsyncs_total", 1);
+        mris_obs::counter_add("mris_journal_flushes_total", 1);
         self.pending_appends = 0;
         self.pending_bytes = 0;
         Ok(())
@@ -607,6 +646,18 @@ pub fn read_valid_prefix(
     ))
 }
 
+/// Records in the longest valid prefix of a journal, counted by the one
+/// frame walk without holding any of them; header corruption is the
+/// error, as in [`read_valid_prefix`].
+pub fn count_valid_records(bytes: &[u8]) -> Result<u64, CodecError> {
+    let mut records = 0;
+    walk_frames(bytes, |_, _| {
+        records += 1;
+        ControlFlow::Continue(())
+    })?;
+    Ok(records)
+}
+
 /// An in-memory `Write` sink shareable across the service and the test
 /// harness — the crash suite's stand-in for a journal file.
 #[derive(Debug, Clone, Default)]
@@ -709,6 +760,8 @@ pub(crate) struct Durability {
     pub(crate) records: u64,
     events_since_flush: u32,
     events_since_snapshot: u32,
+    /// Bytes of the last snapshot container written (0 before the first).
+    snapshot_len: usize,
     pub(crate) error: Option<DurabilityError>,
 }
 
@@ -721,6 +774,7 @@ impl Durability {
             records: 0,
             events_since_flush: 0,
             events_since_snapshot: 0,
+            snapshot_len: 0,
             error: None,
         }
     }
@@ -747,34 +801,26 @@ impl Durability {
         self.cfg.snapshot_every > 0 && self.events_since_snapshot + 1 >= self.cfg.snapshot_every
     }
 
-    /// Whether the next event boundary writes a snapshot — asked by the
-    /// service *before* [`Durability::event_end`] so it computes the
-    /// (expensive) state encoding only when one is written. Replay emits
-    /// the mark and needs no state.
-    pub(crate) fn writes_snapshot(&self) -> bool {
-        self.snapshot_due() && matches!(self.sink, DurabilitySink::Journal { .. })
-    }
-
-    /// Event-boundary bookkeeping: the snapshot mark (if due; `state`
-    /// carries the service's canonical state bytes when a snapshot is
-    /// written) and flush (at the flush cadence).
-    pub(crate) fn event_end(&mut self, now: Time, state: Option<Vec<u8>>) {
+    /// Event-boundary bookkeeping: the snapshot mark (if due) and flush (at
+    /// the flush cadence). Where a snapshot is written, `state` encodes the
+    /// service's canonical state bytes straight behind the container
+    /// header, into a buffer sized from the previous snapshot, and the
+    /// store takes that buffer as it is; replay emits the mark and never
+    /// calls `state`.
+    pub(crate) fn event_end(&mut self, now: Time, state: impl FnOnce(&mut Encoder)) {
         if self.snapshot_due() {
             self.events_since_snapshot = 0;
             let lsn = self.records;
             self.emit(JournalRecord::SnapshotMark { lsn });
-            if let (DurabilitySink::Journal { snapshots, .. }, Some(state)) =
-                (&mut self.sink, state)
-            {
-                let snap = Snapshot {
-                    version: SNAPSHOT_VERSION,
-                    fingerprint: self.fingerprint,
-                    lsn,
-                    at: now,
-                    state,
-                };
+            if let DurabilitySink::Journal { snapshots, .. } = &mut self.sink {
+                // An eighth of headroom: the state grows as the run goes on.
+                let mut e = Encoder::with_capacity(self.snapshot_len + self.snapshot_len / 8);
+                begin_container(&mut e, SNAPSHOT_VERSION, self.fingerprint, lsn, now);
+                state(&mut e);
                 let started = std::time::Instant::now();
-                if let Err(e) = snapshots.put(&snap) {
+                seal_container(&mut e);
+                self.snapshot_len = e.len();
+                if let Err(e) = snapshots.put(lsn, e.into_bytes()) {
                     self.error.get_or_insert(e);
                 }
                 mris_obs::histogram_record(

@@ -60,9 +60,9 @@ pub use core::{
 };
 pub use crash::truncate_at_event;
 pub use journal::{
-    config_fingerprint, parse_journal, read_valid_prefix, service_fingerprint, DurabilityConfig,
-    JournalRecord, JournalWriter, ParsedJournal, RejectReason, SharedBuf, HEADER_LEN,
-    JOURNAL_MAGIC, JOURNAL_VERSION,
+    config_fingerprint, count_valid_records, parse_journal, read_valid_prefix, service_fingerprint,
+    DurabilityConfig, JournalRecord, JournalWriter, ParsedJournal, RejectReason, SharedBuf,
+    HEADER_LEN, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 // The job-path benchmark still imports it from here (ROADMAP item 1(a)).
 pub use mris_trace::poisson_rate_for_utilization;

@@ -19,10 +19,15 @@
 //! The known state is the supplied snapshot's: it is decoded into a fresh
 //! service and policy (the inverses of every durable encoder), checked to
 //! re-encode to its own bytes, and replay resumes just past its
-//! `SnapshotMark`. So restore costs the journal's parse plus the records
+//! `SnapshotMark`. The container is parsed first, borrowing its state;
+//! then one walk over the journal CRC-checks and decodes every frame,
+//! counts the events before the mark, checks the mark and keeps only the
+//! records after it. So restore costs one pass over the journal's bytes
+//! and one over the snapshot's, and holds and replays only the records
 //! written since the snapshot, not the run's whole history. Without a
-//! snapshot the same loop starts from the empty state at record 0 —
-//! replay from genesis is that degenerate case, not a second path. A
+//! snapshot the same loop starts from the empty state at record 0 and
+//! keeps every record — replay from genesis is that degenerate case, not
+//! a second path. A
 //! policy that cannot decode its state refuses a snapshot with
 //! [`RestoreError::SnapshotUnsupported`] rather than falling back to
 //! genesis.
@@ -38,18 +43,21 @@
 //! fails at the outage instant, killing (re-releasing) whatever was
 //! running — exactly the fault model of the chaos driver.
 
+use std::ops::ControlFlow;
+
 use mris_sim::OnlinePolicy;
 use mris_types::{
     CodecError, FaultEvent, FaultTarget, Instance, JobId, RestoreError, TenantId, Time,
 };
 
 use crate::clock::Clock;
+use crate::codec::Encoder;
 use crate::core::{Service, ServiceConfig};
 use crate::journal::{
-    config_fingerprint, read_valid_prefix, Durability, DurabilityConfig, DurabilitySink,
-    JournalRecord, ReplayVerifier,
+    config_fingerprint, walk_frames, Durability, DurabilityConfig, DurabilitySink, JournalRecord,
+    ReplayVerifier, HEADER_LEN,
 };
-use crate::snapshot::Snapshot;
+use crate::snapshot::SnapshotView;
 use crate::telemetry::TelemetrySink;
 
 /// A real-world outage window for degraded (journal-loss) recovery: every
@@ -70,6 +78,71 @@ pub struct RestoreOptions {
     pub strict: bool,
     /// Degraded-mode outage to apply after replay (see [`Outage`]).
     pub outage: Option<Outage>,
+}
+
+/// What restore's one pass over the journal found: every frame is
+/// CRC-checked and decoded, but only the records replay needs are kept.
+#[derive(Debug)]
+struct JournalScan {
+    fingerprint: u64,
+    /// Bytes of the valid prefix, header included.
+    valid: usize,
+    /// The decode error that ended the walk, if any.
+    tail_error: Option<CodecError>,
+    /// Records in the valid prefix.
+    records: u64,
+    /// `Event` records before the mark.
+    events_before_mark: u64,
+    /// Whether the record at the mark's position is something other than
+    /// the mark.
+    mark_unmatched: bool,
+    /// The records after the mark (every record without one).
+    tail: Vec<JournalRecord>,
+    /// The time of the last input record (`-inf` without one).
+    horizon: Time,
+}
+
+impl JournalScan {
+    /// Walks `journal` once. With `mark = Some(lsn)` the record at `lsn`
+    /// is the snapshot's mark: the events before it are counted, it is
+    /// checked, and only the records after it are kept.
+    fn walk(journal: &[u8], mark: Option<u64>) -> Result<JournalScan, CodecError> {
+        let mut scan = JournalScan {
+            fingerprint: 0,
+            valid: HEADER_LEN,
+            tail_error: None,
+            records: 0,
+            events_before_mark: 0,
+            mark_unmatched: false,
+            tail: Vec::new(),
+            horizon: f64::NEG_INFINITY,
+        };
+        let (_, fingerprint, tail_error) = walk_frames(journal, |rec, end| {
+            let lsn = scan.records;
+            scan.records += 1;
+            scan.valid = end;
+            if let JournalRecord::Admit { at, .. }
+            | JournalRecord::Reject { at, .. }
+            | JournalRecord::Event { at }
+            | JournalRecord::Close { at } = rec
+            {
+                scan.horizon = at;
+            }
+            match mark {
+                Some(m) if lsn < m => {
+                    scan.events_before_mark += matches!(rec, JournalRecord::Event { .. }) as u64;
+                }
+                Some(m) if lsn == m => {
+                    scan.mark_unmatched = rec != JournalRecord::SnapshotMark { lsn: m };
+                }
+                _ => scan.tail.push(rec),
+            }
+            ControlFlow::Continue(())
+        })?;
+        scan.fingerprint = fingerprint;
+        scan.tail_error = tail_error;
+        Ok(scan)
+    }
 }
 
 /// What a restore did, for operators and the crash suite.
@@ -133,24 +206,29 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         opts: RestoreOptions,
     ) -> Result<(Self, RestoreReport), RestoreError> {
         let started = std::time::Instant::now();
-        let (parsed, valid, tail_error) =
-            read_valid_prefix(journal).map_err(RestoreError::Journal)?;
-        if let (true, Some(err)) = (opts.strict, &tail_error) {
+        // The container first, borrowing its state, so that the one walk
+        // knows where the mark is; its errors are reported after the
+        // journal's. A container that does not parse keeps no records.
+        let view = snapshot.map(SnapshotView::parse);
+        let mark = view
+            .as_ref()
+            .map(|v| v.as_ref().map_or(u64::MAX, |v| v.lsn));
+        let scan = JournalScan::walk(journal, mark).map_err(RestoreError::Journal)?;
+        if let (true, Some(err)) = (opts.strict, &scan.tail_error) {
             return Err(RestoreError::Journal(err.clone()));
         }
-        let torn_tail_bytes = journal.len() - valid;
+        let torn_tail_bytes = journal.len() - scan.valid;
         let expected_fp = config_fingerprint(&instance, &cfg, &dcfg);
-        if parsed.fingerprint != expected_fp {
+        if scan.fingerprint != expected_fp {
             return Err(RestoreError::FingerprintMismatch {
-                stored: parsed.fingerprint,
+                stored: scan.fingerprint,
                 expected: expected_fp,
             });
         }
-        let mut records = parsed.records;
-        let total = records.len() as u64;
-        let snapshot = match snapshot {
-            Some(bytes) => {
-                let snap = Snapshot::decode(bytes).map_err(RestoreError::Snapshot)?;
+        let total = scan.records;
+        let snapshot = match view {
+            Some(view) => {
+                let snap = view.map_err(RestoreError::Snapshot)?;
                 if snap.fingerprint != expected_fp {
                     return Err(RestoreError::FingerprintMismatch {
                         stored: snap.fingerprint,
@@ -165,8 +243,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 }
                 // The journal's record at the snapshot's LSN, unless the
                 // crash tore exactly that frame off, is the snapshot's mark.
-                let mark = JournalRecord::SnapshotMark { lsn: snap.lsn };
-                if records.get(snap.lsn as usize).is_some_and(|r| *r != mark) {
+                if scan.mark_unmatched {
                     return Err(RestoreError::SnapshotUnmatched {
                         lsn: snap.lsn,
                         replayed: total,
@@ -181,21 +258,10 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         // history; it joins the fault plan once replay is done.
         let mut outage_events = Vec::new();
         if let Some(outage) = opts.outage {
-            let horizon = records
-                .iter()
-                .rev()
-                .find_map(|r| match *r {
-                    JournalRecord::Admit { at, .. }
-                    | JournalRecord::Reject { at, .. }
-                    | JournalRecord::Event { at }
-                    | JournalRecord::Close { at } => Some(at),
-                    _ => None,
-                })
-                .unwrap_or(f64::NEG_INFINITY);
-            if outage.at <= horizon {
+            if outage.at <= scan.horizon {
                 return Err(RestoreError::OutageTooEarly {
                     at: outage.at,
-                    resumed_at: horizon,
+                    resumed_at: scan.horizon,
                 });
             }
             outage_events = (0..cfg.num_machines)
@@ -213,30 +279,25 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         let mut start = 0;
         let mut regenerated = 0;
         if let Some(snap) = &snapshot {
-            let lsn = snap.lsn as usize;
-            let events = records[..lsn]
-                .iter()
-                .filter(|r| matches!(r, JournalRecord::Event { .. }))
-                .count() as u64;
-            svc.load_durable_state(&snap.state, events)?;
+            svc.load_durable_state(snap.state, scan.events_before_mark)?;
+            let mut again = Encoder::with_capacity(snap.state.len());
+            svc.encode_durable_state(&mut again);
             if svc.kernel.last_event().to_bits() != snap.at.to_bits()
-                || svc.durable_state_bytes() != snap.state
+                || again.as_bytes() != snap.state
             {
                 return Err(RestoreError::SnapshotStateMismatch { lsn: snap.lsn });
             }
-            start = lsn + 1;
-            if start > records.len() {
+            start = snap.lsn + 1;
+            if start > total {
                 // The mark itself was torn off: it counts as regenerated.
-                start = records.len();
+                start = total;
                 regenerated = 1;
             }
         }
-        let tail = records.split_off(start);
-        drop(records);
         let mut dur = Durability::new(
             dcfg,
             expected_fp,
-            DurabilitySink::Verify(ReplayVerifier::new(tail, start as u64)),
+            DurabilitySink::Verify(ReplayVerifier::new(scan.tail, start)),
         );
         if let Some(snap) = &snapshot {
             dur.resume_after_mark(snap.lsn + 1);
@@ -322,7 +383,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 replayed,
                 regenerated: regenerated + verifier.regenerated,
                 torn_tail_bytes,
-                tail_error,
+                tail_error: scan.tail_error,
                 snapshot_verified: snapshot.map(|s| s.lsn),
                 clean_shutdown,
                 resumed_at,
@@ -349,8 +410,8 @@ mod tests {
     use mris_types::{FaultEvent, FaultTarget, Instance, Job, JobId, RestartSemantics};
 
     use super::*;
-    use crate::journal::{walk_frames, SharedBuf};
-    use crate::snapshot::MemorySnapshots;
+    use crate::journal::SharedBuf;
+    use crate::snapshot::{MemorySnapshots, Snapshot};
     use crate::telemetry::NullSink;
     use crate::SimClock;
 
@@ -401,57 +462,191 @@ mod tests {
         ends[lsn as usize]
     }
 
+    /// One policy's run of [`world`], journaled with snapshots: the
+    /// journal and every snapshot container written.
+    fn journaled_run(name: &str) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let (instance, cfg) = world();
+        let policy = online_policy_by_name(name, &instance, 2).expect("known policy");
+        let mut svc = Service::new(instance.clone(), policy, cfg, SimClock::new(), NullSink)
+            .expect("valid config");
+        let buf = SharedBuf::new();
+        let snaps = MemorySnapshots::new();
+        svc.attach_journal(DCFG, Box::new(buf.clone()), Box::new(snaps.clone()))
+            .expect("fresh attach");
+        for i in 0..instance.len() {
+            let job = JobId(i as u32);
+            let _ = svc
+                .submit_at(instance.job(job).release, job)
+                .expect("no policy error");
+        }
+        svc.drain().expect("drain");
+        (buf.contents(), snaps.all())
+    }
+
+    /// `Service::restore` of [`world`] under `policy`.
+    fn restore(
+        name: &str,
+        journal: &[u8],
+        snapshot: Option<&[u8]>,
+        opts: RestoreOptions,
+    ) -> Result<Service<SimClock, NullSink>, RestoreError> {
+        let (instance, cfg) = world();
+        let policy = online_policy_by_name(name, &instance, 2).expect("known policy");
+        Service::restore(
+            instance,
+            policy,
+            cfg,
+            DCFG,
+            SimClock::new(),
+            NullSink,
+            journal,
+            snapshot,
+            opts,
+        )
+        .map(|(svc, _)| svc)
+    }
+
     /// Replaying a journal from genesis up to a snapshot's mark re-derives
     /// that snapshot's state bytes exactly, for every snapshot of every
     /// policy: the snapshot and the journal describe one state.
     #[test]
     fn genesis_replay_rederives_every_snapshot() {
-        let (instance, cfg) = world();
         for name in ["mris", "pq-wsjf", "tetris", "bf-exec", "ca-pq"] {
-            let policy = online_policy_by_name(name, &instance, 2).expect("known policy");
-            let mut svc = Service::new(
-                instance.clone(),
-                policy,
-                cfg.clone(),
-                SimClock::new(),
-                NullSink,
-            )
-            .expect("valid config");
-            let buf = SharedBuf::new();
-            let snaps = MemorySnapshots::new();
-            svc.attach_journal(DCFG, Box::new(buf.clone()), Box::new(snaps.clone()))
-                .expect("fresh attach");
-            for i in 0..instance.len() {
-                let job = JobId(i as u32);
-                let _ = svc
-                    .submit_at(instance.job(job).release, job)
-                    .expect("no policy error");
-            }
-            svc.drain().expect("drain");
-            let journal = buf.contents();
-            let all = snaps.all();
+            let (journal, all) = journaled_run(name);
             assert!(all.len() >= 3, "{name}: only {} snapshots", all.len());
             for bytes in &all {
                 let snap = Snapshot::decode(bytes).expect("own snapshot decodes");
-                let cut = end_of_record(&journal, snap.lsn);
-                let policy = online_policy_by_name(name, &instance, 2).expect("known policy");
-                let (replayed, _) = Service::restore(
-                    instance.clone(),
-                    policy,
-                    cfg.clone(),
-                    DCFG,
-                    SimClock::new(),
-                    NullSink,
-                    &journal[..cut],
-                    None,
-                    RestoreOptions::default(),
-                )
-                .expect("genesis replay");
+                // The container written in place is the one `encode` writes.
                 assert!(
-                    replayed.durable_state_bytes() == snap.state,
+                    snap.encode() == *bytes,
+                    "{name}: snapshot {} re-encodes",
+                    snap.lsn
+                );
+                let cut = end_of_record(&journal, snap.lsn);
+                let replayed = restore(name, &journal[..cut], None, RestoreOptions::default())
+                    .expect("genesis replay");
+                let mut state = Encoder::new();
+                replayed.encode_durable_state(&mut state);
+                assert!(
+                    state.as_bytes() == snap.state,
                     "{name}: replay to lsn {} re-derived other state bytes",
                     snap.lsn
                 );
+            }
+        }
+    }
+
+    /// Restore's walk keeps only the records after the snapshot's mark —
+    /// the tail replay consumes — and every record without a snapshot.
+    #[test]
+    fn restore_keeps_only_the_tail() {
+        let (journal, all) = journaled_run("pq-wsjf");
+        let genesis = JournalScan::walk(&journal, None).expect("header");
+        let records = genesis.records;
+        assert_eq!(genesis.tail.len() as u64, records);
+        for bytes in &all {
+            let lsn = Snapshot::decode(bytes).expect("decodes").lsn;
+            let scan = JournalScan::walk(&journal, Some(lsn)).expect("header");
+            assert_eq!(scan.records, records);
+            assert_eq!(
+                scan.tail.len() as u64,
+                records - lsn - 1,
+                "snapshot at {lsn}"
+            );
+            assert!(!scan.mark_unmatched);
+        }
+    }
+
+    /// One fault planted in a journal or snapshot, for the error-order table.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Fault {
+        BadHeader,
+        StrictTornTail,
+        JournalFingerprint,
+        BadContainer,
+        ContainerCrc,
+        SnapshotFingerprint,
+        JournalBehindSnapshot,
+        SnapshotUnmatched,
+    }
+
+    const FAULTS: [Fault; 8] = [
+        Fault::BadHeader,
+        Fault::StrictTornTail,
+        Fault::JournalFingerprint,
+        Fault::BadContainer,
+        Fault::ContainerCrc,
+        Fault::SnapshotFingerprint,
+        Fault::JournalBehindSnapshot,
+        Fault::SnapshotUnmatched,
+    ];
+
+    /// Plants `fault` into the journal, the snapshot and the options.
+    /// Faults are planted last-reported first, so none undoes another:
+    /// the journal is cut to the snapshot's (possibly moved) LSN before
+    /// its header bytes are flipped.
+    fn plant(fault: Fault, journal: &mut Vec<u8>, snap: &mut [u8], opts: &mut RestoreOptions) {
+        let lsn = |snap: &[u8]| u64::from_le_bytes(snap[16..24].try_into().expect("8 bytes"));
+        match fault {
+            Fault::BadHeader => journal[0] ^= 0xFF,
+            Fault::StrictTornTail => {
+                journal.truncate(journal.len() - 3);
+                opts.strict = true;
+            }
+            Fault::JournalFingerprint => journal[8] ^= 1,
+            Fault::BadContainer => snap[0] ^= 0xFF,
+            Fault::ContainerCrc => *snap.last_mut().expect("state bytes") ^= 1,
+            // Another bit than the journal's, to tell the two apart.
+            Fault::SnapshotFingerprint => snap[8] ^= 2,
+            Fault::JournalBehindSnapshot => {
+                let cut = end_of_record(journal, lsn(snap) - 2);
+                journal.truncate(cut);
+            }
+            Fault::SnapshotUnmatched => {
+                let moved = lsn(snap) - 1;
+                snap[16..24].copy_from_slice(&moved.to_le_bytes());
+            }
+        }
+    }
+
+    /// Which planted fault an error reports.
+    fn reported(err: &RestoreError, journal_fp: u64) -> Fault {
+        match err {
+            RestoreError::Journal(CodecError::BadMagic { .. }) => Fault::BadHeader,
+            RestoreError::Journal(_) => Fault::StrictTornTail,
+            RestoreError::FingerprintMismatch { stored, .. } if *stored == journal_fp ^ 1 => {
+                Fault::JournalFingerprint
+            }
+            RestoreError::FingerprintMismatch { .. } => Fault::SnapshotFingerprint,
+            RestoreError::Snapshot(CodecError::BadMagic { .. }) => Fault::BadContainer,
+            RestoreError::Snapshot(CodecError::ChecksumMismatch { .. }) => Fault::ContainerCrc,
+            RestoreError::JournalBehindSnapshot { .. } => Fault::JournalBehindSnapshot,
+            RestoreError::SnapshotUnmatched { .. } => Fault::SnapshotUnmatched,
+            other => panic!("no fault reports {other:?}"),
+        }
+    }
+
+    /// Restore reports faults in one fixed order, the order of [`FAULTS`]:
+    /// with any two planted, the earlier one's error comes back, and each
+    /// alone comes back as itself.
+    #[test]
+    fn restore_reports_faults_in_a_fixed_order() {
+        let (journal, all) = journaled_run("pq-wsjf");
+        let journal_fp = u64::from_le_bytes(journal[8..16].try_into().expect("8 bytes"));
+        let snapshot = &all[1];
+        for (i, &a) in FAULTS.iter().enumerate() {
+            for &b in &FAULTS[i..] {
+                let (mut j, mut s, mut opts) =
+                    (journal.clone(), snapshot.clone(), RestoreOptions::default());
+                // Last-reported first: `b` is never earlier than `a`.
+                plant(b, &mut j, &mut s, &mut opts);
+                if b != a {
+                    plant(a, &mut j, &mut s, &mut opts);
+                }
+                let err = restore("pq-wsjf", &j, Some(&s), opts)
+                    .err()
+                    .unwrap_or_else(|| panic!("{a:?} + {b:?} restored"));
+                assert_eq!(reported(&err, journal_fp), a, "{a:?} + {b:?}: {err:?}");
             }
         }
     }

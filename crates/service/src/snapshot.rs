@@ -4,12 +4,17 @@
 //! service's canonical state bytes (committed timelines with compaction
 //! watermarks and a frozen layout word, admission ledger, pending fault queue,
 //! cluster state, and the policy's durable state — see
-//! `Service::durable_state_bytes`):
+//! `Service::encode_durable_state`):
 //!
 //! ```text
 //! magic "MRSN" | version u32 | fingerprint u64 | lsn u64 | at f64
 //!             | state_len u32 | crc32(state) u32 | state bytes
 //! ```
+//!
+//! The service writes the state straight behind the header and then
+//! backpatches its length and CRC (`begin_container`, `seal_container`),
+//! and [`Snapshot::encode`] writes through the same two functions, so
+//! there is one container writer and the state is never copied into it.
 //!
 //! A snapshot is where restore starts: `Service::restore` decodes the
 //! state into a fresh service and policy, checks that it re-encodes to
@@ -47,26 +52,48 @@ pub struct Snapshot {
     pub state: Vec<u8>,
 }
 
-impl Snapshot {
-    /// Encodes the container; encode→decode→encode is byte-identical
-    /// (pinned by the codec round-trip suite).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.bytes(&SNAPSHOT_MAGIC);
-        e.u32(self.version);
-        e.u64(self.fingerprint);
-        e.u64(self.lsn);
-        e.f64(self.at);
-        e.u32(self.state.len() as u32);
-        e.u32(crc32(&self.state));
-        e.bytes(&self.state);
-        e.into_bytes()
-    }
+/// Container bytes before the state: magic, version, fingerprint, lsn,
+/// at, state length and CRC.
+const CONTAINER_HEADER: usize = 40;
 
-    /// Strictly decodes a container: bad magic, any version other than
+/// Writes a container header whose state length and CRC are placeholders;
+/// the caller appends the state bytes right behind it and then calls
+/// [`seal_container`]. `e` must be empty: the header sits at offset 0.
+pub(crate) fn begin_container(e: &mut Encoder, version: u32, fingerprint: u64, lsn: u64, at: Time) {
+    debug_assert!(e.is_empty(), "a container starts its encoder");
+    e.bytes(&SNAPSHOT_MAGIC);
+    e.u32(version);
+    e.u64(fingerprint);
+    e.u64(lsn);
+    e.f64(at);
+    e.u32(0); // state length placeholder
+    e.u32(0); // crc placeholder
+}
+
+/// Backpatches the state length and CRC of a container that
+/// [`begin_container`] opened, over every byte encoded after its header.
+pub(crate) fn seal_container(e: &mut Encoder) {
+    let state = &e.as_bytes()[CONTAINER_HEADER..];
+    let (len, crc) = (state.len() as u32, crc32(state));
+    e.patch_u32(CONTAINER_HEADER - 8, len);
+    e.patch_u32(CONTAINER_HEADER - 4, crc);
+}
+
+/// A checked container whose state bytes are borrowed from the input:
+/// what restore reads, without copying the state.
+#[derive(Debug)]
+pub(crate) struct SnapshotView<'a> {
+    pub(crate) fingerprint: u64,
+    pub(crate) lsn: u64,
+    pub(crate) at: Time,
+    pub(crate) state: &'a [u8],
+}
+
+impl<'a> SnapshotView<'a> {
+    /// Strictly parses a container: bad magic, any version other than
     /// [`SNAPSHOT_VERSION`], short input, trailing bytes, and checksum
     /// mismatches are all typed errors.
-    pub fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<SnapshotView<'a>, CodecError> {
         let mut d = Decoder::new(bytes);
         let magic = d.bytes(4)?;
         if magic != SNAPSHOT_MAGIC {
@@ -87,9 +114,9 @@ impl Snapshot {
         let state_len = d.u32()? as usize;
         let stored = d.u32()?;
         let state_offset = d.offset();
-        let state = d.bytes(state_len)?.to_vec();
+        let state = d.bytes(state_len)?;
         d.finish()?;
-        let computed = crc32(&state);
+        let computed = crc32(state);
         if stored != computed {
             return Err(CodecError::ChecksumMismatch {
                 offset: state_offset,
@@ -97,8 +124,7 @@ impl Snapshot {
                 computed,
             });
         }
-        Ok(Snapshot {
-            version,
+        Ok(SnapshotView {
             fingerprint,
             lsn,
             at,
@@ -107,11 +133,38 @@ impl Snapshot {
     }
 }
 
+impl Snapshot {
+    /// Encodes the container; encode→decode→encode is byte-identical
+    /// (pinned by the codec round-trip suite).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::with_capacity(CONTAINER_HEADER + self.state.len());
+        begin_container(&mut e, self.version, self.fingerprint, self.lsn, self.at);
+        e.bytes(&self.state);
+        seal_container(&mut e);
+        e.into_bytes()
+    }
+
+    /// Strictly decodes a container: bad magic, any version other than
+    /// [`SNAPSHOT_VERSION`], short input, trailing bytes, and checksum
+    /// mismatches are all typed errors.
+    pub fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
+        let view = SnapshotView::parse(bytes)?;
+        Ok(Snapshot {
+            version: SNAPSHOT_VERSION,
+            fingerprint: view.fingerprint,
+            lsn: view.lsn,
+            at: view.at,
+            state: view.state.to_vec(),
+        })
+    }
+}
+
 /// Where encoded snapshots go.
 pub trait SnapshotStore {
-    /// Persists one snapshot. Errors are latched by the durability layer
-    /// (they never abort the event loop).
-    fn put(&mut self, snap: &Snapshot) -> Result<(), DurabilityError>;
+    /// Persists one encoded snapshot container, the one taken at journal
+    /// record `lsn`. Errors are latched by the durability layer (they
+    /// never abort the event loop).
+    fn put(&mut self, lsn: u64, bytes: Vec<u8>) -> Result<(), DurabilityError>;
 }
 
 /// Discards snapshots (journal-only durability).
@@ -119,7 +172,7 @@ pub trait SnapshotStore {
 pub struct NullSnapshots;
 
 impl SnapshotStore for NullSnapshots {
-    fn put(&mut self, _snap: &Snapshot) -> Result<(), DurabilityError> {
+    fn put(&mut self, _lsn: u64, _bytes: Vec<u8>) -> Result<(), DurabilityError> {
         Ok(())
     }
 }
@@ -142,11 +195,8 @@ impl MemorySnapshots {
 }
 
 impl SnapshotStore for MemorySnapshots {
-    fn put(&mut self, snap: &Snapshot) -> Result<(), DurabilityError> {
-        self.0
-            .lock()
-            .expect("snapshot store lock")
-            .push(snap.encode());
+    fn put(&mut self, _lsn: u64, bytes: Vec<u8>) -> Result<(), DurabilityError> {
+        self.0.lock().expect("snapshot store lock").push(bytes);
         Ok(())
     }
 }
@@ -192,12 +242,12 @@ impl DirSnapshots {
 }
 
 impl SnapshotStore for DirSnapshots {
-    fn put(&mut self, snap: &Snapshot) -> Result<(), DurabilityError> {
+    fn put(&mut self, lsn: u64, bytes: Vec<u8>) -> Result<(), DurabilityError> {
         let write = || -> std::io::Result<()> {
-            let name = self.dir.join(format!("snapshot-{:012}.bin", snap.lsn));
-            let tmp = self.dir.join(format!("snapshot-{:012}.bin.tmp", snap.lsn));
+            let name = self.dir.join(format!("snapshot-{lsn:012}.bin"));
+            let tmp = self.dir.join(format!("snapshot-{lsn:012}.bin.tmp"));
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&snap.encode())?;
+            f.write_all(&bytes)?;
             f.flush()?;
             std::fs::rename(&tmp, &name)
         };

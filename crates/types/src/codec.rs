@@ -28,6 +28,14 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// An empty encoder with room for `capacity` bytes, for an encoding
+    /// whose size is known or estimated ahead.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Encoder {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Consumes the encoder and returns the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -291,7 +291,7 @@ for family in mris_dispatcher_placements_total mris_knapsack_solves_total \
   mris_epoch_grid_seconds mris_epoch_filter_seconds mris_epoch_solve_seconds \
   mris_epoch_probe_seconds mris_epoch_commit_seconds \
   mris_journal_appends_total \
-  mris_journal_bytes_total mris_journal_fsyncs_total mris_snapshot_seconds \
+  mris_journal_bytes_total mris_journal_flushes_total mris_snapshot_seconds \
   mris_restore_seconds; do
   grep -q "^# TYPE $family " "$CI_TMP/BENCH_obs_smoke.prom" \
     || { echo "BENCH_obs_smoke.prom is missing the $family family" >&2; exit 1; }
