@@ -635,7 +635,10 @@ fn gen_case(rng: &mut Rng) -> Case {
         1 | 2 => rng.gen_range(60..80usize),
         _ => rng.gen_range(2..12usize),
     };
-    let resources = [2usize, 4, 5][rng.gen_range(0..3usize)];
+    // Every width the scan has a fixed lane for, and two it slices: 5 and
+    // Fig. 6's resource augmentation, 20.
+    const WIDTHS: [usize; 6] = [1, 2, 3, 4, 5, 20];
+    let resources = WIDTHS[rng.gen_range(0..WIDTHS.len())];
     let spec_seed = rng.gen_range(0..u64::MAX);
     let catalog: Vec<Vec<f64>> = (0..rng.gen_range(2..7usize))
         .map(|_| (0..resources).map(|_| rng.gen_range(0.02..0.7)).collect())
