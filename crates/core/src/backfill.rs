@@ -1,9 +1,11 @@
 //! The Priority-Queue makespan subroutine with backfilling (Section 5.2).
 //!
 //! Given a batch of jobs (already selected by the knapsack) and a committed
-//! cluster timeline, the subroutine walks the batch in heuristic order and
-//! gives every job the earliest feasible `(machine, start)` with
-//! `start >= floor`. This is the offline PQ of Section 5.2 — release times
+//! cluster timeline, the subroutine
+//! ([`ClusterTimelines::place_batch`](mris_sim::ClusterTimelines::place_batch))
+//! walks the batch in heuristic order and gives every job the earliest
+//! feasible `(machine, start)` with `start >= floor`. This module keeps its
+//! Lemma 6.3 bound. This is the offline PQ of Section 5.2 — release times
 //! are ignored within the batch — combined with the backfilling of
 //! Section 5.3 that lets placements flow into idle gaps left by earlier
 //! iterations.
@@ -17,29 +19,10 @@
 //! `max(2 p_max, 2 V/M)` after `floor` — tested below and property-tested in
 //! `tests/`.
 
-use mris_sim::ClusterTimelines;
 use mris_types::{Instance, JobId, Time};
 
-/// Places `batch` (in the given order) onto `timelines`, each job at its
-/// earliest feasible start `>= floor`, committing as it goes. Returns the
-/// placements `(job, machine, start)` in batch order.
-///
-/// Ties between machines break toward the lower index, making the subroutine
-/// fully deterministic for a fixed batch order. Probe and commit are the
-/// pair the MRIS epoch uses: both account `p_j` as `p_j / speed_m` wall time.
-pub fn place_batch(
-    timelines: &mut ClusterTimelines,
-    instance: &Instance,
-    batch: &[JobId],
-    floor: Time,
-) -> Vec<(JobId, usize, Time)> {
-    let mut placements = Vec::with_capacity(batch.len());
-    timelines.place_batch(instance, batch, floor, &mut placements);
-    placements
-}
-
-/// The Lemma 6.3 upper bound on the makespan of a batch placed by
-/// [`place_batch`] on an **empty** cluster of `machines` machines:
+/// The Lemma 6.3 upper bound on the makespan of a batch placed by the
+/// subroutine on an **empty** cluster of `machines` machines:
 /// `max(2 * p_max, 2 * V / M)` where `V` is the batch volume. (Relative to
 /// the placement floor.)
 pub fn batch_makespan_bound(instance: &Instance, batch: &[JobId], machines: usize) -> Time {
@@ -54,10 +37,23 @@ pub fn batch_makespan_bound(instance: &Instance, batch: &[JobId], machines: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mris_sim::ClusterTimelines;
     use mris_types::{ClusterSpec, Instance, Job, JobId, Schedule};
 
     fn inst(jobs: Vec<Job>, r: usize) -> Instance {
         Instance::from_unnumbered(jobs, r).unwrap()
+    }
+
+    /// Places all of `instance` in id order at or after `floor`, as the
+    /// MRIS epoch places a batch.
+    fn place_all(
+        timelines: &mut ClusterTimelines,
+        instance: &Instance,
+        floor: Time,
+    ) -> Vec<(JobId, usize, Time)> {
+        let mut placements = Vec::new();
+        timelines.place_batch(instance, &all_ids(instance), floor, &mut placements);
+        placements
     }
 
     fn all_ids(instance: &Instance) -> Vec<JobId> {
@@ -75,7 +71,7 @@ mod tests {
             1,
         );
         let mut tl = ClusterTimelines::new(1, 1);
-        let placements = place_batch(&mut tl, &instance, &all_ids(&instance), 0.0);
+        let placements = place_all(&mut tl, &instance, 0.0);
         assert_eq!(placements[0], (JobId(0), 0, 0.0));
         assert_eq!(placements[1], (JobId(1), 0, 3.0));
         // The small job backfills alongside job 0.
@@ -89,7 +85,7 @@ mod tests {
             1,
         );
         let mut tl = ClusterTimelines::new(2, 1);
-        let placements = place_batch(&mut tl, &instance, &all_ids(&instance), 7.5);
+        let placements = place_all(&mut tl, &instance, 7.5);
         assert_eq!(placements[0].2, 7.5);
     }
 
@@ -105,7 +101,7 @@ mod tests {
             .collect();
         let instance = inst(jobs, 2);
         let mut tl = ClusterTimelines::new(1, 2);
-        let placements = place_batch(&mut tl, &instance, &all_ids(&instance), 0.0);
+        let placements = place_all(&mut tl, &instance, 0.0);
         let makespan = placements
             .iter()
             .map(|&(j, _, s)| s + instance.job(j).proc_time)
@@ -128,7 +124,7 @@ mod tests {
         let instance = inst(jobs, 1);
         let cluster = ClusterSpec::related(1, &[0.5]);
         let mut tl = ClusterTimelines::with_spec(&cluster, 1);
-        let placements = place_batch(&mut tl, &instance, &all_ids(&instance), 0.0);
+        let placements = place_all(&mut tl, &instance, 0.0);
         assert_eq!(placements, [(JobId(0), 0, 0.0), (JobId(1), 0, 8.0)]);
         let mut schedule = Schedule::new(instance.len(), cluster.len());
         for (j, m, s) in placements {

@@ -15,9 +15,9 @@
 //!    constraint-approximate knapsack ([`mris_knapsack::Cadp`] by default,
 //!    [`mris_knapsack::GreedyConstraint`] for `MRIS-GREEDY`);
 //! 3. place `B_k` with the Priority-Queue makespan subroutine
-//!    ([`place_batch`]): jobs in heuristic order, each at the earliest
-//!    feasible instant `>= gamma_k` on any machine, *backfilling* into gaps
-//!    left by earlier iterations.
+//!    (`ClusterTimelines::place_batch`): jobs in heuristic order, each at
+//!    the earliest feasible instant `>= gamma_k` on any machine,
+//!    *backfilling* into gaps left by earlier iterations.
 //!
 //! See [`Mris`] for the scheduler and [`MrisConfig`] for the knobs.
 
@@ -32,7 +32,7 @@ pub mod online;
 pub mod registry;
 
 pub use algorithm::{IterationStats, Mris};
-pub use backfill::{batch_makespan_bound, place_batch};
+pub use backfill::batch_makespan_bound;
 pub use config::{KnapsackChoice, MrisConfig};
 pub use online::MrisOnline;
 pub use registry::{

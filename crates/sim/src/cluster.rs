@@ -164,34 +164,8 @@ impl ClusterState {
         )));
     }
 
-    /// Pops every job completing at or before `now`, restores its capacity,
-    /// and appends the machines that freed capacity to `freed` (deduplicated
-    /// by the caller if needed).
-    pub fn complete_due(&mut self, now: Time, instance: &Instance, freed: &mut Vec<usize>) {
-        while let Some(Reverse((t, m, job))) = self.running.peek().copied() {
-            if t.0 > now {
-                break;
-            }
-            self.running.pop();
-            let m = m as usize;
-            let demands = &instance.job(job).demands;
-            let base = m * self.num_resources;
-            for (r, (a, &d)) in self.avail[base..base + self.num_resources]
-                .iter_mut()
-                .zip(demands.iter())
-                .enumerate()
-            {
-                *a += d;
-                debug_assert!(*a <= self.caps[base + r]);
-            }
-            freed.push(m);
-        }
-    }
-
-    /// Like [`ClusterState::complete_due`], but records `(job, machine)` for
-    /// each popped completion instead of just the freed machine. Used by the
-    /// fault-aware driver, which needs per-job completion records for its
-    /// invariant checker.
+    /// Pops every job completing at or before `now`, restores its
+    /// capacity, and appends `(job, machine)` to `completed` for each.
     pub fn complete_due_recorded(
         &mut self,
         now: Time,
@@ -392,9 +366,9 @@ mod tests {
         cs.start(0, inst.job(JobId(0)), 0.0);
         assert!(!cs.fits(0, &inst.job(JobId(1)).demands));
         assert_eq!(cs.next_completion(), Some(2.0));
-        let mut freed = Vec::new();
-        cs.complete_due(2.0, &inst, &mut freed);
-        assert_eq!(freed, vec![0]);
+        let mut done = Vec::new();
+        cs.complete_due_recorded(2.0, &inst, &mut done);
+        assert_eq!(done, vec![(JobId(0), 0)]);
         assert!(cs.fits(0, &inst.job(JobId(1)).demands));
         assert_eq!(cs.num_running(), 0);
     }
@@ -405,9 +379,9 @@ mod tests {
         let mut cs = ClusterState::new(1, 1);
         cs.start(0, inst.job(JobId(0)), 0.0);
         cs.start(0, inst.job(JobId(1)), 0.0);
-        let mut freed = Vec::new();
-        cs.complete_due(3.0, &inst, &mut freed);
-        assert_eq!(freed, vec![0]);
+        let mut done = Vec::new();
+        cs.complete_due_recorded(3.0, &inst, &mut done);
+        assert_eq!(done, vec![(JobId(0), 0)]);
         assert_eq!(cs.next_completion(), Some(5.0));
     }
 
@@ -435,10 +409,10 @@ mod tests {
         let mut cs = ClusterState::new(2, 1);
         cs.start(0, inst.job(JobId(0)), 0.0);
         cs.start(1, inst.job(JobId(1)), 0.0);
-        let mut freed = Vec::new();
-        cs.complete_due(2.0, &inst, &mut freed);
-        freed.sort_unstable();
-        assert_eq!(freed, vec![0, 1]);
+        let mut done = Vec::new();
+        cs.complete_due_recorded(2.0, &inst, &mut done);
+        done.sort_unstable();
+        assert_eq!(done, vec![(JobId(0), 0), (JobId(1), 1)]);
         assert_eq!(cs.next_completion(), None);
     }
 
@@ -458,9 +432,9 @@ mod tests {
         assert_eq!(cs.first_fit(&inst.job(JobId(0)).demands), Some(1));
         // The survivor on machine 1 still completes normally.
         assert_eq!(cs.next_completion(), Some(3.0));
-        let mut freed = Vec::new();
-        cs.complete_due(3.0, &inst, &mut freed);
-        assert_eq!(freed, vec![1]);
+        let mut done = Vec::new();
+        cs.complete_due_recorded(3.0, &inst, &mut done);
+        assert_eq!(done, vec![(JobId(2), 1)]);
         // Recovery restores full capacity.
         cs.recover_machine(0);
         assert!(cs.is_up(0));
@@ -522,11 +496,11 @@ mod tests {
         cs.start(1, inst.job(JobId(1)), 0.0);
         // Machine 1 runs at speed 2: the job completes at t = 2, not 4.
         assert_eq!(cs.next_completion(), Some(2.0));
-        let mut freed = Vec::new();
-        cs.complete_due(2.0, &inst, &mut freed);
-        assert_eq!(freed, vec![1]);
-        cs.complete_due(4.0, &inst, &mut freed);
-        assert_eq!(freed, vec![1, 0]);
+        let mut done = Vec::new();
+        cs.complete_due_recorded(2.0, &inst, &mut done);
+        assert_eq!(done, vec![(JobId(1), 1)]);
+        cs.complete_due_recorded(4.0, &inst, &mut done);
+        assert_eq!(done, vec![(JobId(1), 1), (JobId(0), 0)]);
     }
 
     #[test]

@@ -58,10 +58,11 @@
 //!
 //! [`ClusterState`]: crate::ClusterState
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use mris_types::{
-    Amount, ClusterSpec, Codec, CodecError, Decoder, Encoder, Instance, Job, JobId, Time, CAPACITY,
+    Amount, ClusterSpec, Codec, CodecError, Decoder, Encoder, Instance, JobId, Time, CAPACITY,
 };
 
 /// Segments per skip-index block. 16 is small enough that a block is often
@@ -197,6 +198,74 @@ struct Probe {
     learned: Option<Time>,
 }
 
+/// One resource vector as the skip-index scan and the block fold hold it:
+/// `[Amount; R]` for one to four resources, so every per-resource loop has
+/// a constant trip count and compiles to straight-line compares, and a boxed
+/// slice for any other count. The scan and the fold are each written once,
+/// generic over the lane; their callers pick the impl from the width.
+trait Lane {
+    /// The lane of `width` resources holding `f(r)` at resource `r`.
+    fn from_fn(width: usize, f: impl FnMut(usize) -> Amount) -> Self;
+    fn as_slice(&self) -> &[Amount];
+    fn as_mut_slice(&mut self) -> &mut [Amount];
+    /// Whether `usage` — a segment's, or a block's max or min — is at most
+    /// this lane on every resource. With the free room `cap - demand` as
+    /// the lane, that is "the demand fits on top of `usage`".
+    fn covers(&self, usage: &[Amount]) -> bool;
+}
+
+impl<const R: usize> Lane for [Amount; R] {
+    #[inline(always)]
+    fn from_fn(width: usize, f: impl FnMut(usize) -> Amount) -> Self {
+        debug_assert_eq!(width, R);
+        std::array::from_fn(f)
+    }
+
+    #[inline(always)]
+    fn as_slice(&self) -> &[Amount] {
+        self
+    }
+
+    #[inline(always)]
+    fn as_mut_slice(&mut self) -> &mut [Amount] {
+        self
+    }
+
+    #[inline(always)]
+    fn covers(&self, usage: &[Amount]) -> bool {
+        // Every compare, then one branch.
+        let mut covered = true;
+        for r in 0..R {
+            covered &= usage[r] <= self[r];
+        }
+        covered
+    }
+}
+
+impl Lane for Box<[Amount]> {
+    fn from_fn(width: usize, f: impl FnMut(usize) -> Amount) -> Self {
+        (0..width).map(f).collect()
+    }
+
+    fn as_slice(&self) -> &[Amount] {
+        self
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Amount] {
+        self
+    }
+
+    fn covers(&self, usage: &[Amount]) -> bool {
+        usage.iter().zip(self.iter()).all(|(&u, &room)| u <= room)
+    }
+}
+
+/// Row `i` of a flattened `rows x width` table.
+#[inline(always)]
+fn row(table: &[Amount], i: usize, width: usize) -> &[Amount] {
+    &table[i * width..(i + 1) * width]
+}
+
 /// Per-machine resource usage over time as a step function.
 ///
 /// Invariants:
@@ -324,93 +393,45 @@ impl MachineTimeline {
             "usage_at({t}) queries history compacted away before {}",
             self.watermark
         );
-        let i = self.segment_index(t);
-        &self.usage[i * self.num_resources..(i + 1) * self.num_resources]
+        row(&self.usage, self.segment_index(t), self.num_resources)
     }
 
-    fn segment_usage(&self, i: usize) -> &[Amount] {
-        &self.usage[i * self.num_resources..(i + 1) * self.num_resources]
-    }
-
-    /// Whether every segment of block `b` is feasible for `demands` (its
-    /// per-resource max usage leaves room on every resource).
-    #[inline]
-    fn block_feasible(&self, b: usize, demands: &[Amount]) -> bool {
-        let r = self.num_resources;
-        self.block_max[b * r..(b + 1) * r]
-            .iter()
-            .zip(demands)
-            .zip(&self.cap)
-            .all(|((&u, &d), &c)| u + d <= c)
-    }
-
-    /// Whether every segment of block `b` violates `demands` (some resource's
-    /// per-resource *min* usage already exceeds the remaining room).
-    #[inline]
-    fn block_saturated(&self, b: usize, demands: &[Amount]) -> bool {
-        let r = self.num_resources;
-        self.block_min[b * r..(b + 1) * r]
-            .iter()
-            .zip(demands)
-            .zip(&self.cap)
-            .any(|((&u, &d), &c)| u + d > c)
-    }
-
-    /// Recomputes the skip-index entry of block `b` in place.
-    /// Dispatches to a core monomorphized on the resource count — commits
-    /// that splice breakpoints into the middle of a long timeline recompute
-    /// every shifted tail block, so the per-segment fold is hot.
-    fn recompute_block(&mut self, b: usize) {
+    /// Recomputes the skip-index entries of `blocks` in place, on a fixed
+    /// [`Lane`] where the resource count has one: commits that splice
+    /// breakpoints into the middle of a long timeline recompute every
+    /// shifted tail block, so the per-segment fold is hot.
+    fn refold(&mut self, blocks: Range<usize>) {
         match self.num_resources {
-            1 => self.recompute_block_core::<1>(b),
-            2 => self.recompute_block_core::<2>(b),
-            3 => self.recompute_block_core::<3>(b),
-            4 => self.recompute_block_core::<4>(b),
-            _ => self.recompute_block_any(b),
+            1 => self.refold_lanes::<[Amount; 1]>(blocks),
+            2 => self.refold_lanes::<[Amount; 2]>(blocks),
+            3 => self.refold_lanes::<[Amount; 3]>(blocks),
+            4 => self.refold_lanes::<[Amount; 4]>(blocks),
+            _ => self.refold_lanes::<Box<[Amount]>>(blocks),
         }
     }
 
-    /// Monomorphized fold; `R` must equal `self.num_resources`. The min/max
-    /// accumulators live in fixed-size locals and `chunks_exact` removes
-    /// the per-visit bounds checks. Mirrors
-    /// [`MachineTimeline::recompute_block_any`] — keep the two in sync.
-    fn recompute_block_core<const R: usize>(&mut self, b: usize) {
-        debug_assert_eq!(self.num_resources, R);
-        let lo = b * BLOCK;
-        let hi = (lo + BLOCK).min(self.times.len());
-        debug_assert!(lo < hi);
-        let usage = &self.usage[lo * R..hi * R];
-        let mut mx: [Amount; R] = std::array::from_fn(|r| usage[r]);
-        let mut mn = mx;
-        for seg in usage[R..].chunks_exact(R) {
-            for r in 0..R {
-                mx[r] = mx[r].max(seg[r]);
-                mn[r] = mn[r].min(seg[r]);
-            }
-        }
-        let base = b * R;
-        self.block_max[base..base + R].copy_from_slice(&mx);
-        self.block_min[base..base + R].copy_from_slice(&mn);
-    }
-
-    /// Slice-generic fold for resource counts with no monomorphized core.
-    fn recompute_block_any(&mut self, b: usize) {
-        let r = self.num_resources;
-        let lo = b * BLOCK;
-        let hi = (lo + BLOCK).min(self.times.len());
-        debug_assert!(lo < hi);
-        let base = b * r;
-        self.block_max[base..base + r].copy_from_slice(&self.usage[lo * r..lo * r + r]);
-        self.block_min[base..base + r].copy_from_slice(&self.usage[lo * r..lo * r + r]);
-        for i in lo + 1..hi {
-            for (res, &u) in self.usage[i * r..(i + 1) * r].iter().enumerate() {
-                if u > self.block_max[base + res] {
-                    self.block_max[base + res] = u;
-                }
-                if u < self.block_min[base + res] {
-                    self.block_min[base + res] = u;
+    /// The block fold: each block's per-resource max and min usage,
+    /// accumulated in two lanes.
+    fn refold_lanes<L: Lane>(&mut self, blocks: Range<usize>) {
+        let mut mx = L::from_fn(self.num_resources, |_| 0);
+        let mut mn = L::from_fn(self.num_resources, |_| 0);
+        let w = mx.as_slice().len();
+        for b in blocks {
+            let lo = b * BLOCK;
+            let hi = (lo + BLOCK).min(self.times.len());
+            debug_assert!(lo < hi);
+            let usage = &self.usage[lo * w..hi * w];
+            mx.as_mut_slice().copy_from_slice(&usage[..w]);
+            mn.as_mut_slice().copy_from_slice(&usage[..w]);
+            for seg in usage[w..].chunks_exact(w) {
+                let accumulators = mx.as_mut_slice().iter_mut().zip(mn.as_mut_slice());
+                for ((x, n), &u) in accumulators.zip(seg) {
+                    *x = (*x).max(u);
+                    *n = (*n).min(u);
                 }
             }
+            self.block_max[b * w..(b + 1) * w].copy_from_slice(mx.as_slice());
+            self.block_min[b * w..(b + 1) * w].copy_from_slice(mn.as_slice());
         }
     }
 
@@ -420,43 +441,9 @@ impl MachineTimeline {
     fn rebuild_index_from(&mut self, first_seg: usize) {
         let r = self.num_resources;
         let num_blocks = self.times.len().div_ceil(BLOCK);
-        let first_block = first_seg / BLOCK;
         self.block_max.resize(num_blocks * r, 0);
         self.block_min.resize(num_blocks * r, 0);
-        for b in first_block..num_blocks {
-            self.recompute_block(b);
-        }
-    }
-
-    /// Whether a job with `demands` fits throughout `[start, start + dur)`.
-    pub fn is_feasible(&self, start: Time, dur: Time, demands: &[Amount]) -> bool {
-        debug_assert_eq!(demands.len(), self.num_resources);
-        debug_assert!(dur > 0.0 && start >= 0.0);
-        debug_assert!(
-            start >= self.watermark,
-            "is_feasible({start}, ..) queries history compacted away before {}",
-            self.watermark
-        );
-        let n = self.times.len();
-        let end = start + dur;
-        let mut i = self.segment_index(start);
-        while i < n && self.times[i] < end {
-            if i.is_multiple_of(BLOCK) && self.block_feasible(i / BLOCK, demands) {
-                i += BLOCK;
-                continue;
-            }
-            let seg = self.segment_usage(i);
-            if seg
-                .iter()
-                .zip(demands)
-                .zip(&self.cap)
-                .any(|((&u, &d), &c)| u + d > c)
-            {
-                return false;
-            }
-            i += 1;
-        }
-        true
+        self.refold(first_seg / BLOCK..num_blocks);
     }
 
     /// The earliest instant `s >= from` such that the job fits throughout
@@ -547,12 +534,10 @@ impl MachineTimeline {
 
     /// The cutoff-pruned skip-index scan behind every probe: `Ok(start)`,
     /// or `Err(bound)` with `bound >= cutoff` when no start below `bound`
-    /// is feasible.
-    ///
-    /// Dispatches to a core monomorphized on the resource count so the
-    /// per-segment feasibility check compiles to straight-line compares —
-    /// the scan visits hundreds of thousands of segments per scheduling run,
-    /// so per-visit iterator and bounds-check overhead is measurable.
+    /// is feasible. Runs on a fixed [`Lane`] where the resource count has
+    /// one: the scan visits hundreds of thousands of segments per
+    /// scheduling run, so per-visit iterator and bounds-check overhead is
+    /// measurable.
     fn scan_earliest(
         &self,
         from: Time,
@@ -567,17 +552,17 @@ impl MachineTimeline {
             return Err(f64::INFINITY);
         }
         match demands.len() {
-            1 => self.scan_core::<1>(from, dur, demands, cutoff, tally),
-            2 => self.scan_core::<2>(from, dur, demands, cutoff, tally),
-            3 => self.scan_core::<3>(from, dur, demands, cutoff, tally),
-            4 => self.scan_core::<4>(from, dur, demands, cutoff, tally),
-            _ => self.scan_any(from, dur, demands, cutoff, tally),
+            1 => self.scan::<[Amount; 1]>(from, dur, demands, cutoff, tally),
+            2 => self.scan::<[Amount; 2]>(from, dur, demands, cutoff, tally),
+            3 => self.scan::<[Amount; 3]>(from, dur, demands, cutoff, tally),
+            4 => self.scan::<[Amount; 4]>(from, dur, demands, cutoff, tally),
+            _ => self.scan::<Box<[Amount]>>(from, dur, demands, cutoff, tally),
         }
     }
 
-    /// Monomorphized scan core; `R` must equal `demands.len()`. Mirrors
-    /// [`MachineTimeline::scan_any`] exactly — keep the two in sync.
-    fn scan_core<const R: usize>(
+    /// The scan itself. The caller has rejected demands above this
+    /// machine's capacity.
+    fn scan<L: Lane>(
         &self,
         from: Time,
         dur: Time,
@@ -585,15 +570,13 @@ impl MachineTimeline {
         cutoff: Time,
         tally: &mut ProbeTally,
     ) -> Result<Time, Time> {
-        debug_assert_eq!(demands.len(), R);
         // Free room per resource: `usage + demand > cap` iff `usage > room`
-        // (exact in fixed point), saving an add per visit. The caller
-        // (`scan_earliest`) already rejected demands above this machine's
-        // capacity, so the subtraction cannot underflow.
-        let room: [Amount; R] = std::array::from_fn(|r| self.cap[r] - demands[r]);
+        // (exact in fixed point), saving an add per visit.
+        let room = L::from_fn(demands.len(), |r| self.cap[r] - demands[r]);
+        let w = room.as_slice().len();
         let n = self.times.len();
         let times = &self.times[..n];
-        let usage = &self.usage[..n * R];
+        let usage = &self.usage[..n * w];
         let bmax = self.block_max.as_slice();
         let bmin = self.block_min.as_slice();
         let mut cand = from;
@@ -611,22 +594,14 @@ impl MachineTimeline {
             let end = cand + dur;
             let mut k = start_k;
             while k < n && times[k] < end {
-                if k.is_multiple_of(BLOCK) {
-                    let mut feasible = true;
-                    for r in 0..R {
-                        feasible &= bmax[(k / BLOCK) * R + r] <= room[r];
-                    }
-                    if feasible {
-                        k += BLOCK;
-                        block_jumps += 1;
-                        continue;
-                    }
+                // A block whose max usage leaves room holds no violating
+                // segment.
+                if k.is_multiple_of(BLOCK) && room.covers(row(bmax, k / BLOCK, w)) {
+                    k += BLOCK;
+                    block_jumps += 1;
+                    continue;
                 }
-                let mut fits = true;
-                for r in 0..R {
-                    fits &= usage[k * R + r] <= room[r];
-                }
-                if !fits {
+                if !room.covers(row(usage, k, w)) {
                     // Any start overlapping this segment is infeasible; jump
                     // past the whole violating run, giving up as soon as the
                     // run provably reaches the cutoff. The last segment is
@@ -638,94 +613,19 @@ impl MachineTimeline {
                         if times[j] >= cutoff {
                             break 'outer Err(times[j]);
                         }
-                        if j.is_multiple_of(BLOCK) {
-                            let mut saturated = false;
-                            for r in 0..R {
-                                saturated |= bmin[(j / BLOCK) * R + r] > room[r];
-                            }
-                            if saturated {
-                                j += BLOCK;
-                                block_jumps += 1;
-                                continue;
-                            }
+                        // A block whose min usage leaves no room on some
+                        // resource holds only violating segments.
+                        if j.is_multiple_of(BLOCK) && !room.covers(row(bmin, j / BLOCK, w)) {
+                            j += BLOCK;
+                            block_jumps += 1;
+                            continue;
                         }
-                        let mut free = true;
-                        for r in 0..R {
-                            free &= usage[j * R + r] <= room[r];
-                        }
-                        if free {
+                        if room.covers(row(usage, j, w)) {
                             break;
                         }
                         j += 1;
                     }
                     cand = times[j];
-                    start_k = j + 1;
-                    continue 'outer;
-                }
-                k += 1;
-            }
-            break 'outer Ok(cand);
-        };
-        tally.block_jumps += block_jumps;
-        result
-    }
-
-    /// Slice-generic scan for resource counts with no monomorphized core.
-    /// Mirrors [`MachineTimeline::scan_core`] exactly — keep the two in sync.
-    fn scan_any(
-        &self,
-        from: Time,
-        dur: Time,
-        demands: &[Amount],
-        cutoff: Time,
-        tally: &mut ProbeTally,
-    ) -> Result<Time, Time> {
-        let n = self.times.len();
-        let mut cand = from;
-        if cand >= cutoff {
-            return Err(cand);
-        }
-        let mut start_k = self.segment_index(cand);
-        let mut block_jumps: u64 = 0;
-        let result = 'outer: loop {
-            let end = cand + dur;
-            let mut k = start_k;
-            while k < n && self.times[k] < end {
-                if k.is_multiple_of(BLOCK) && self.block_feasible(k / BLOCK, demands) {
-                    k += BLOCK;
-                    block_jumps += 1;
-                    continue;
-                }
-                let seg = self.segment_usage(k);
-                if seg
-                    .iter()
-                    .zip(demands)
-                    .zip(&self.cap)
-                    .any(|((&u, &d), &c)| u + d > c)
-                {
-                    let mut j = k + 1;
-                    loop {
-                        debug_assert!(j < n, "tail segment is all-zero and must be feasible");
-                        if self.times[j] >= cutoff {
-                            break 'outer Err(self.times[j]);
-                        }
-                        if j.is_multiple_of(BLOCK) && self.block_saturated(j / BLOCK, demands) {
-                            j += BLOCK;
-                            block_jumps += 1;
-                            continue;
-                        }
-                        if self
-                            .segment_usage(j)
-                            .iter()
-                            .zip(demands)
-                            .zip(&self.cap)
-                            .all(|((&u, &d), &c)| u + d <= c)
-                        {
-                            break;
-                        }
-                        j += 1;
-                    }
-                    cand = self.times[j];
                     start_k = j + 1;
                     continue 'outer;
                 }
@@ -821,9 +721,7 @@ impl MachineTimeline {
                 );
             }
         }
-        for b in i0 / BLOCK..=(i1 - 1) / BLOCK {
-            self.recompute_block(b);
-        }
+        self.refold(i0 / BLOCK..(i1 - 1) / BLOCK + 1);
     }
 
     /// Drops breakpoints earlier than `horizon` whose removal does not change
@@ -1215,14 +1113,6 @@ impl ClusterTimelines {
         best
     }
 
-    /// Finds the earliest fit for `job` at or after `from`, commits it
-    /// (scaled by the winning machine's speed), and returns the placement.
-    pub fn place_earliest(&mut self, job: &Job, from: Time) -> (usize, Time) {
-        let (m, s) = self.earliest_fit_mut(from, job.proc_time, &job.demands);
-        self.commit_job(m, s, job.proc_time, &job.demands);
-        (m, s)
-    }
-
     /// Places every job of `batch`, in order, at its earliest fit at or
     /// after `floor`, committing each before probing the next, and appends
     /// `(job, machine, start)` to `placements`. This is Algorithm 1's
@@ -1428,12 +1318,18 @@ mod tests {
         fracs.iter().copied().map(amt).collect()
     }
 
+    /// Whether `demands` fit throughout `[start, start + dur)`: the scan,
+    /// cut off one ulp past `start`, finds `start` itself.
+    fn fits(tl: &MachineTimeline, start: Time, dur: Time, demands: &[Amount]) -> bool {
+        tl.earliest_fit_bounded(start, dur, demands, start.next_up()) == Some(start)
+    }
+
     #[test]
     fn empty_timeline_fits_anywhere() {
         let tl = MachineTimeline::new(2);
         assert_eq!(tl.earliest_fit(0.0, 5.0, &d(&[1.0, 1.0])), 0.0);
         assert_eq!(tl.earliest_fit(3.5, 5.0, &d(&[1.0, 1.0])), 3.5);
-        assert!(tl.is_feasible(0.0, 100.0, &d(&[1.0, 1.0])));
+        assert!(fits(&tl, 0.0, 100.0, &d(&[1.0, 1.0])));
     }
 
     #[test]
@@ -1474,8 +1370,8 @@ mod tests {
     fn exact_capacity_packing_is_feasible() {
         let mut tl = MachineTimeline::new(1);
         tl.commit(0.0, 5.0, &d(&[0.5]));
-        assert!(tl.is_feasible(0.0, 5.0, &d(&[0.5])));
-        assert!(!tl.is_feasible(0.0, 5.0, &[amt(0.5) + 1]));
+        assert!(fits(&tl, 0.0, 5.0, &d(&[0.5])));
+        assert!(!fits(&tl, 0.0, 5.0, &[amt(0.5) + 1]));
         // Earliest fit for the over-half job is when the first one ends.
         assert_eq!(tl.earliest_fit(0.0, 1.0, &[amt(0.5) + 1]), 5.0);
     }
@@ -1493,15 +1389,24 @@ mod tests {
         assert_eq!(cl.earliest_fit(4.0, 1.0, &d(&[1.0])), (0, 4.0));
     }
 
+    /// `instance`'s jobs placed as one batch at floor 0.
+    fn place_all(cl: &mut ClusterTimelines, instance: &Instance) -> Vec<(JobId, usize, Time)> {
+        let batch: Vec<JobId> = instance.jobs().iter().map(|j| j.id).collect();
+        let mut placements = Vec::new();
+        cl.place_batch(instance, &batch, 0.0, &mut placements);
+        placements
+    }
+
     #[test]
-    fn place_earliest_commits() {
-        use mris_types::{Job, JobId};
+    fn place_batch_commits_each_job() {
+        use mris_types::Job;
         let mut cl = ClusterTimelines::new(1, 1);
-        let j = Job::from_fractions(JobId(0), 0.0, 3.0, 1.0, &[0.8]);
-        let (m0, s0) = cl.place_earliest(&j, 0.0);
-        let (m1, s1) = cl.place_earliest(&j, 0.0);
-        assert_eq!((m0, s0), (0, 0.0));
-        assert_eq!((m1, s1), (0, 3.0));
+        let j = |id| Job::from_fractions(JobId(id), 0.0, 3.0, 1.0, &[0.8]);
+        let instance = Instance::new(vec![j(0), j(1)], 1).unwrap();
+        assert_eq!(
+            place_all(&mut cl, &instance),
+            [(JobId(0), 0, 0.0), (JobId(1), 0, 3.0)]
+        );
         assert_eq!(cl.horizon(), 6.0);
     }
 
@@ -1760,17 +1665,20 @@ mod tests {
 
     #[test]
     fn fast_machine_wins_long_jobs() {
-        use mris_types::{ClusterSpec, Job, JobId};
+        use mris_types::{ClusterSpec, Job};
         // Machine 1 runs at speed 2: nominal work 4 occupies 2 wall time.
         let spec = ClusterSpec::related(2, &[1.0, 2.0]);
         let mut cl = ClusterTimelines::with_spec(&spec, 1);
-        let j = Job::from_fractions(JobId(0), 0.0, 4.0, 1.0, &[1.0]);
-        let (m0, s0) = cl.place_earliest(&j, 0.0);
-        assert_eq!((m0, s0), (0, 0.0));
+        let j = |id| Job::from_fractions(JobId(id), 0.0, 4.0, 1.0, &[1.0]);
+        let instance = Instance::new(vec![j(0), j(1)], 1).unwrap();
+        // The first job takes machine 0 and the second the fast machine,
+        // both at 0.
+        assert_eq!(
+            place_all(&mut cl, &instance),
+            [(JobId(0), 0, 0.0), (JobId(1), 1, 0.0)]
+        );
         // Machine 0 is busy until 4; machine 1 until 2 — next full-demand
         // job starts on the fast machine at 2.
-        let (m1, s1) = cl.place_earliest(&j, 0.0);
-        assert_eq!((m1, s1), (1, 0.0));
         assert_eq!(cl.earliest_fit(0.0, 4.0, &d(&[1.0])), (1, 2.0));
         assert_eq!(cl.horizon(), 4.0);
     }
@@ -1790,8 +1698,8 @@ mod tests {
         assert_eq!(cl.earliest_fit(0.0, 2.0, &d(&[0.4])), (0, 0.0));
         // Per-machine feasibility on the restricted machine uses its cap.
         cl.commit(0, 0.0, 2.0, &d(&[0.3]));
-        assert!(!cl.machine(0).is_feasible(0.0, 1.0, &d(&[0.4])));
-        assert!(cl.machine(0).is_feasible(0.0, 1.0, &d(&[0.2])));
+        assert!(!fits(cl.machine(0), 0.0, 1.0, &d(&[0.4])));
+        assert!(fits(cl.machine(0), 0.0, 1.0, &d(&[0.2])));
     }
 
     #[test]

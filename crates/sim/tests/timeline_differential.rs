@@ -16,6 +16,12 @@ use mris_types::{amount_from_fraction, Amount, CAPACITY};
 
 const RESOURCES: usize = 2;
 
+/// Whether the timeline holds `demands` throughout `[start, start + dur)`:
+/// its scan, cut off one ulp past `start`, finds `start` itself.
+fn fits(tl: &MachineTimeline, start: f64, dur: f64, demands: &[Amount]) -> bool {
+    tl.earliest_fit_bounded(start, dur, demands, start.next_up()) == Some(start)
+}
+
 /// The original `MachineTimeline`: identical invariants, no skip index, no
 /// hint cache, per-breakpoint `Vec::insert`/`splice`, linear scans.
 struct BruteTimeline {
@@ -200,7 +206,7 @@ fn indexed_timeline_matches_brute_force_reference() {
                         let start = start.max(brute.watermark);
                         let ok_brute = brute.is_feasible(start, *dur, &demands);
                         prop_assert_eq!(
-                            indexed.is_feasible(start, *dur, &demands),
+                            fits(&indexed, start, *dur, &demands),
                             ok_brute,
                             "pre-commit feasibility at [{}, {})",
                             start,
@@ -242,9 +248,9 @@ fn indexed_timeline_matches_brute_force_reference() {
                         let demands = to_amounts(fracs);
                         let start = start.max(brute.watermark);
                         prop_assert_eq!(
-                            indexed.is_feasible(start, *dur, &demands),
+                            fits(&indexed, start, *dur, &demands),
                             brute.is_feasible(start, *dur, &demands),
-                            "is_feasible([{}, {}))",
+                            "fits([{}, {}))",
                             start,
                             start + dur
                         );

@@ -81,9 +81,12 @@ done
 # `Encoder`, decode a new value from a `Decoder` and a context), so the raw
 # appenders and in-place loaders it replaced are listed too. Admission
 # records a rejection in one place (`Service::reject`), and the helpers no
-# caller used are listed with the per-gate copy it replaced.
+# caller used are listed with the per-gate copy it replaced. The timeline
+# has one scan body and one block fold, generic over a resource lane, so
+# the hand-mirrored fixed-width and slice cores are listed with the
+# test-only window check, placement wrapper and completion pop beside them.
 echo "==> no test-only mode, unused extra, second arrival vocabulary or second codec in product crates"
-if git grep -nwE 'From<ConfigError> for String|reject_tenant|gauge_set_labeled|histogram_record_labeled|AwctRow|mris_with_heuristic|mris_greedy|CsvError|force_epoch_rebuild|place_batch_ffd|max_weight_by_deadline|render_gantt|best_list_schedule|brute_force|ArrivalProcess|ArrivalPattern|generate_workload|LoadGenConfig|run_workload|CrashPlan|checked_len|encode_admission_error|decode_admission_error|decode_admission_error_with|encode_admission_result|decode_admission_result|encode_outcome|decode_outcome|outcome_tag|durable_run_bytes|durable_bytes|load_durable|durable_fault_bytes|load_fault_bytes|load_cluster_bytes|load_run_bytes|load_gate_bytes|durable_bytes_if_active|load_durable_if_active|encode_entries|decode_entries|buffer_mut|finish_load' -- crates/*/src src; then
+if git grep -nwE 'From<ConfigError> for String|reject_tenant|gauge_set_labeled|histogram_record_labeled|AwctRow|mris_with_heuristic|mris_greedy|CsvError|force_epoch_rebuild|place_batch_ffd|max_weight_by_deadline|render_gantt|best_list_schedule|brute_force|ArrivalProcess|ArrivalPattern|generate_workload|LoadGenConfig|run_workload|CrashPlan|checked_len|encode_admission_error|decode_admission_error|decode_admission_error_with|encode_admission_result|decode_admission_result|encode_outcome|decode_outcome|outcome_tag|durable_run_bytes|durable_bytes|load_durable|durable_fault_bytes|load_fault_bytes|load_cluster_bytes|load_run_bytes|load_gate_bytes|durable_bytes_if_active|load_durable_if_active|encode_entries|decode_entries|buffer_mut|finish_load|scan_any|scan_core|recompute_block_any|recompute_block_core|block_feasible|block_saturated|is_feasible|place_earliest|complete_due' -- crates/*/src src; then
   echo "crates/*/src or src/ names a deleted test-only mode, extra, oracle, arrival type or second codec" >&2; exit 1
 fi
 

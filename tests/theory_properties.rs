@@ -1,7 +1,7 @@
 //! Property-based tests pinning the paper's theoretical results on random
 //! instances.
 
-use mris::core::{batch_makespan_bound, place_batch, Mris};
+use mris::core::{batch_makespan_bound, Mris};
 use mris::prelude::*;
 use mris::sim::ClusterTimelines;
 use mris_rng::prop::{check, Config};
@@ -41,9 +41,11 @@ fn best_list_schedule(instance: &Instance, machines: usize) -> Schedule {
 fn list_schedule(instance: &Instance, machines: usize, order: &[JobId]) -> Schedule {
     let mut timelines = ClusterTimelines::new(machines, instance.num_resources());
     let mut schedule = Schedule::new(instance.len(), machines);
+    let mut placed = Vec::with_capacity(1);
     for &id in order {
-        let job = instance.job(id);
-        let (m, start) = timelines.place_earliest(job, job.release);
+        placed.clear();
+        timelines.place_batch(instance, &[id], instance.job(id).release, &mut placed);
+        let (_, m, start) = placed[0];
         schedule.assign(id, m, start).expect("each job placed once");
     }
     schedule
@@ -224,7 +226,8 @@ fn lemma_6_3_pq_makespan_bound() {
             };
             let mut timelines = ClusterTimelines::new(*machines, instance.num_resources());
             let batch: Vec<JobId> = instance.jobs().iter().map(|j| j.id).collect();
-            let placements = place_batch(&mut timelines, &instance, &batch, 0.0);
+            let mut placements = Vec::new();
+            timelines.place_batch(&instance, &batch, 0.0, &mut placements);
             let makespan = placements
                 .iter()
                 .map(|&(j, _, s)| s + instance.job(j).proc_time)

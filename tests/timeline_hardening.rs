@@ -34,7 +34,7 @@ fn over_commit_aborts_in_release_semantics_and_preserves_the_timeline() {
     // materialized at most already-implied breakpoints, never usage.
     assert_eq!(tl.usage_at(5.5), &d(&[0.7, 0.2])[..]);
     assert_eq!(tl.usage_at(11.0), &d(&[0.0, 0.0])[..]);
-    assert!(tl.is_feasible(0.0, 10.0, &d(&[0.3, 0.3])));
+    assert_eq!(tl.earliest_fit(0.0, 10.0, &d(&[0.3, 0.3])), 0.0);
     assert_eq!(tl.earliest_fit(0.0, 1.0, &d(&[0.7, 0.2])), 10.0);
 }
 
@@ -52,7 +52,7 @@ fn compaction_watermark_is_observable_and_monotone() {
     // takes a duration-3 job, but a duration-4 one must wait out [8, 12).
     assert_eq!(tl.earliest_fit(5.0, 3.0, &d(&[0.5])), 5.0);
     assert_eq!(tl.earliest_fit(5.0, 4.0, &d(&[0.5])), 12.0);
-    assert!(tl.is_feasible(5.0, 3.0, &d(&[0.1])));
+    assert_eq!(tl.earliest_fit(5.0, 3.0, &d(&[0.1])), 5.0);
     // Watermarks never move backwards.
     tl.compact_before(1.0);
     assert_eq!(tl.compaction_watermark(), 5.0);
@@ -133,7 +133,7 @@ fn zero_duration_panics_even_when_every_machine_is_ruled_out() {
 
 /// A demand no machine's capacity holds used to end the cluster scan on a
 /// `(usize::MAX, INFINITY)` sentinel behind a `debug_assert!`; in release
-/// `place_earliest` then indexed machine `usize::MAX`. The driver rejects
+/// the commit then indexed machine `usize::MAX`. The driver rejects
 /// such jobs up front (`SchedulingError::UnplaceableJob`), but a direct
 /// caller must get a panic that names the demand vector — in every
 /// profile.
@@ -144,10 +144,20 @@ fn unplaceable_demand_panics_naming_the_vector() {
         MachineSpec::from_fractions(1.0, &[0.5, 1.0]),
         MachineSpec::from_fractions(2.0, &[1.0, 0.4]),
     ]);
-    let job = Job::from_fractions(JobId(0), 0.0, 1.0, 1.0, &[0.6, 0.5]);
+    let instance = Instance::new(
+        vec![
+            Job::from_fractions(JobId(0), 0.0, 1.0, 1.0, &[0.6, 0.5]),
+            Job::from_fractions(JobId(1), 0.0, 1.0, 1.0, &[0.6, 0.3]),
+        ],
+        2,
+    )
+    .unwrap();
     let mut cl = ClusterTimelines::with_spec(&spec, 2);
-    let err = catch_unwind(AssertUnwindSafe(|| cl.place_earliest(&job, 0.0)))
-        .expect_err("an unplaceable demand must panic, not index out of bounds");
+    let mut placed = Vec::new();
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        cl.place_batch(&instance, &[JobId(0)], 0.0, &mut placed)
+    }))
+    .expect_err("an unplaceable demand must panic, not index out of bounds");
     let msg = err
         .downcast_ref::<String>()
         .cloned()
@@ -157,6 +167,7 @@ fn unplaceable_demand_panics_naming_the_vector() {
         "panic message: {msg}"
     );
     // The cluster is still usable: what fits is placed as before.
-    let small = Job::from_fractions(JobId(1), 0.0, 1.0, 1.0, &[0.6, 0.3]);
-    assert_eq!(cl.place_earliest(&small, 0.0), (1, 0.0));
+    placed.clear();
+    cl.place_batch(&instance, &[JobId(1)], 0.0, &mut placed);
+    assert_eq!(placed, [(JobId(1), 1, 0.0)]);
 }
