@@ -615,9 +615,7 @@ fn decode_report(d: &mut Decoder) -> Result<ServiceReport, CodecError> {
         },
     };
     let jobs = d.count(1)?;
-    let outcomes = (0..jobs)
-        .map(|_| JobOutcome::decode(d, ()))
-        .collect::<Result<Vec<_>, _>>()?;
+    let outcomes = d.vec(jobs, |d| JobOutcome::decode(d, ()))?;
     let machines = d.u64()? as usize;
     let schedule = Schedule::decode(d, (jobs, machines))?;
     let log = FaultLog::decode(d, (jobs, machines))?;

@@ -999,10 +999,8 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             )));
         }
         d.expect_count(n, "outcome count")?;
-        let outcomes: Vec<JobOutcome> = (0..n)
-            .map(|_| JobOutcome::decode(&mut d, ()))
-            .collect::<Result<_, _>>()?;
-        let weights: Vec<f64> = (0..n).map(|_| d.f64()).collect::<Result<_, _>>()?;
+        let outcomes = d.vec(n, |d| JobOutcome::decode(d, ()))?;
+        let weights = d.vec(n, Decoder::f64)?;
         let count = d.count(20)?;
         let mut queue = Vec::with_capacity(count);
         let mut prev = None;
@@ -1017,7 +1015,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             queue.push(Reverse((OrdTime(f64::from_bits(key.0)), key.1, job)));
         }
         d.expect_count(r, "queued demand width")?;
-        let queued_demand: Vec<Amount> = (0..r).map(|_| d.u64()).collect::<Result<_, _>>()?;
+        let queued_demand = d.vec(r, Decoder::u64)?;
         let faults = PendingFaults::decode(&mut d, (n, m, self.cfg.fault_plan.events().len()))?;
         let spec = ClusterSpec::uniform(m);
         let cluster = ClusterState::decode(&mut d, (&spec, self.kernel.instance()))?;

@@ -60,6 +60,9 @@ pub const JOURNAL_VERSION: u32 = 3;
 const MAX_FRAME: u32 = 1 << 16;
 /// Bytes a frame adds around its payload: `len: u32` + `crc32: u32`.
 const FRAME_OVERHEAD: usize = 8;
+/// The shortest frame: the overhead and a tag with one `u32`. Bytes left
+/// over it bound the records that can follow.
+pub(crate) const MIN_FRAME: usize = FRAME_OVERHEAD + 5;
 /// Journal header length in bytes (magic + version + fingerprint).
 pub const HEADER_LEN: usize = 16;
 
@@ -553,14 +556,15 @@ pub struct ParsedJournal {
 
 fn parse_frame(d: &mut Decoder<'_>) -> Result<(JournalRecord, usize), CodecError> {
     let frame_start = d.offset();
-    let len = d.u32()?;
+    // The `len | crc` header in one read: the length is its low half.
+    let header = d.u64()?;
+    let (len, stored) = (header as u32, (header >> 32) as u32);
     if len == 0 || len > MAX_FRAME {
         return Err(CodecError::Malformed {
             offset: frame_start,
             detail: format!("frame length {len} outside (0, {MAX_FRAME}]"),
         });
     }
-    let stored = d.u32()?;
     let payload_start = d.offset();
     let payload = d.bytes(len as usize)?;
     let computed = crc32(payload);
@@ -584,11 +588,9 @@ pub(crate) fn walk_frames(
     mut visit: impl FnMut(JournalRecord, usize) -> ControlFlow<()>,
 ) -> Result<(u32, u64, Option<CodecError>), CodecError> {
     let mut d = Decoder::new(bytes);
-    let magic = d.bytes(4)?;
+    let magic = d.array()?;
     if magic != JOURNAL_MAGIC {
-        return Err(CodecError::BadMagic {
-            found: magic.try_into().expect("4-byte slice"),
-        });
+        return Err(CodecError::BadMagic { found: magic });
     }
     let version = d.u32()?;
     if version != JOURNAL_VERSION {

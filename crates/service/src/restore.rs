@@ -55,7 +55,7 @@ use crate::codec::Encoder;
 use crate::core::{Service, ServiceConfig};
 use crate::journal::{
     config_fingerprint, walk_frames, Durability, DurabilityConfig, DurabilitySink, JournalRecord,
-    ReplayVerifier, HEADER_LEN,
+    ReplayVerifier, HEADER_LEN, MIN_FRAME,
 };
 use crate::snapshot::SnapshotView;
 use crate::telemetry::TelemetrySink;
@@ -106,7 +106,11 @@ impl JournalScan {
     /// Walks `journal` once. With `mark = Some(lsn)` the record at `lsn`
     /// is the snapshot's mark: the events before it are counted, it is
     /// checked, and only the records after it are kept.
+    ///
+    /// The kept records are reserved where keeping starts, for as many
+    /// frames as the bytes left can hold, so the tail never regrows.
     fn walk(journal: &[u8], mark: Option<u64>) -> Result<JournalScan, CodecError> {
+        let room = |from: usize| journal.len().saturating_sub(from) / MIN_FRAME;
         let mut scan = JournalScan {
             fingerprint: 0,
             valid: HEADER_LEN,
@@ -114,7 +118,7 @@ impl JournalScan {
             records: 0,
             events_before_mark: 0,
             mark_unmatched: false,
-            tail: Vec::new(),
+            tail: Vec::with_capacity(if mark.is_none() { room(HEADER_LEN) } else { 0 }),
             horizon: f64::NEG_INFINITY,
         };
         let (_, fingerprint, tail_error) = walk_frames(journal, |rec, end| {
@@ -134,6 +138,7 @@ impl JournalScan {
                 }
                 Some(m) if lsn == m => {
                     scan.mark_unmatched = rec != JournalRecord::SnapshotMark { lsn: m };
+                    scan.tail.reserve(room(end));
                 }
                 _ => scan.tail.push(rec),
             }

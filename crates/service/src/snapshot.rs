@@ -95,11 +95,9 @@ impl<'a> SnapshotView<'a> {
     /// mismatches are all typed errors.
     pub(crate) fn parse(bytes: &'a [u8]) -> Result<SnapshotView<'a>, CodecError> {
         let mut d = Decoder::new(bytes);
-        let magic = d.bytes(4)?;
+        let magic = d.array()?;
         if magic != SNAPSHOT_MAGIC {
-            return Err(CodecError::BadMagic {
-                found: magic.try_into().expect("4-byte slice"),
-            });
+            return Err(CodecError::BadMagic { found: magic });
         }
         let version = d.u32()?;
         if version != SNAPSHOT_VERSION {

@@ -292,9 +292,7 @@ impl Codec for ClusterState {
         let (m_count, r_count) = (cluster.num_machines, cluster.num_resources);
         d.expect_count(m_count, "cluster machine count")?;
         d.expect_count(r_count, "cluster resource count")?;
-        let avail: Vec<Amount> = (0..m_count * r_count)
-            .map(|_| d.u64())
-            .collect::<Result<_, _>>()?;
+        let avail = d.vec(m_count * r_count, Decoder::u64)?;
         for down in &mut cluster.down {
             *down = d.bool()?;
         }

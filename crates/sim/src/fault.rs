@@ -400,7 +400,11 @@ impl Codec for FaultLog {
                 )));
             }
         }
-        for _ in 0..d.count(28)? {
+        // A run completes each job once: with room for every job, the
+        // restored log never regrows.
+        let count = d.count(28)?;
+        log.completions.reserve(count.max(jobs));
+        for _ in 0..count {
             log.completions.push(CompletionRecord {
                 job: d.job(jobs)?,
                 machine: d.machine(machines)?,

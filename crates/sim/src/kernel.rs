@@ -109,9 +109,8 @@ impl Codec for PendingFaults {
             };
             queue.push(Reverse((OrdTime(f64::from_bits(at)), kind)));
         }
-        let re_released = (0..d.count(4)?)
-            .map(|_| d.job(jobs))
-            .collect::<Result<_, _>>()?;
+        let count = d.count(4)?;
+        let re_released = d.vec(count, |d| d.job(jobs))?;
         Ok(PendingFaults { queue, re_released })
     }
 }

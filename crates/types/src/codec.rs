@@ -103,85 +103,132 @@ impl Encoder {
 }
 
 /// Cursor-based primitive decoder; every read is bounds-checked and returns
-/// a typed [`CodecError`] instead of panicking.
+/// a typed [`CodecError`] instead of panicking. Its reads are `#[inline]`,
+/// as the [`Encoder`]'s appends are: restore decodes a journal frame and
+/// every per-job field of a snapshot through them, so a call each would
+/// cost more than the read. A fixed-width read is one bounds check on the
+/// bytes left ([`Decoder::array`]).
 #[derive(Debug)]
 pub struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet read.
+    rest: &'a [u8],
+    /// The whole input's length: the offset is what `rest` lacks of it.
+    len: usize,
 }
 
 impl<'a> Decoder<'a> {
     /// A decoder over `buf` starting at offset 0.
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
+        Decoder {
+            rest: buf,
+            len: buf.len(),
+        }
     }
 
     /// Current byte offset (for error reporting and frame accounting).
+    #[inline]
     pub fn offset(&self) -> usize {
-        self.pos
+        self.len - self.rest.len()
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated {
-                offset: self.pos,
-                needed: n,
-                remaining: self.remaining(),
-            });
+    /// The error of a read of `needed` bytes at the cursor, which is not
+    /// moved.
+    #[cold]
+    fn truncated(&self, needed: usize) -> CodecError {
+        CodecError::Truncated {
+            offset: self.offset(),
+            needed,
+            remaining: self.remaining(),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    }
+
+    /// Reads exactly `N` raw bytes, as an array.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let Some((head, rest)) = self.rest.split_first_chunk::<N>() else {
+            return Err(self.truncated(N));
+        };
+        self.rest = rest;
+        Ok(*head)
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes(s.try_into().expect("4-byte slice")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads an `f64` from its IEEE-754 bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads exactly `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.take(n)
+        let Some((head, rest)) = self.rest.split_at_checked(n) else {
+            return Err(self.truncated(n));
+        };
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// Decodes `n` values with `read` into a vector allocated once for all
+    /// of them. `n` must be a size the caller already trusts: one of its
+    /// own dimensions, or a count [`Decoder::count`] has bounded by the
+    /// bytes left, so that a corrupt count cannot allocate past the input.
+    #[inline]
+    pub fn vec<T>(
+        &mut self,
+        n: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(read(self)?);
+        }
+        Ok(v)
     }
 
     /// Reads a `u8` that must be `0` or `1`.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => {
-                Err(self.malformed_at(self.pos - 1, format!("flag byte {other} is not 0 or 1")))
-            }
+            other => Err(self.malformed_at(
+                self.offset() - 1,
+                format!("flag byte {other} is not 0 or 1"),
+            )),
         }
     }
 
     /// Reads a `u64` element count and checks that `count` elements of at
     /// least `min_bytes` bytes each can still follow, so a corrupt count is
     /// a typed error before anything is allocated for it.
+    #[inline]
     pub fn count(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
-        let at = self.pos;
+        let at = self.offset();
         let count = self.u64()?;
         let fits = usize::try_from(count)
             .ok()
@@ -198,8 +245,9 @@ impl<'a> Decoder<'a> {
 
     /// Reads a `u64` count that must equal `expected` — a dimension the
     /// decoder already knows from its own configuration.
+    #[inline]
     pub fn expect_count(&mut self, expected: usize, what: &str) -> Result<(), CodecError> {
-        let at = self.pos;
+        let at = self.offset();
         let found = self.u64()?;
         if found != expected as u64 {
             return Err(self.malformed_at(at, format!("{what} is {found}, expected {expected}")));
@@ -210,8 +258,9 @@ impl<'a> Decoder<'a> {
     /// Reads a `u32` job id that must index `seen` (one flag per job of
     /// the instance) and not be marked there yet; marks it. Durable states
     /// hold each job at most once, so this is how their decoders read ids.
+    #[inline]
     pub fn unique_job(&mut self, seen: &mut [bool]) -> Result<JobId, CodecError> {
-        let at = self.pos;
+        let at = self.offset();
         let job = self.job(seen.len())?;
         if std::mem::replace(&mut seen[job.index()], true) {
             return Err(self.malformed_at(at, format!("job {} is held twice", job.0)));
@@ -220,8 +269,9 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a `u32` job id that must be below `jobs`.
+    #[inline]
     pub fn job(&mut self, jobs: usize) -> Result<JobId, CodecError> {
-        let at = self.pos;
+        let at = self.offset();
         let j = self.u32()?;
         if j as usize >= jobs {
             return Err(self.malformed_at(at, format!("job {j} is out of range")));
@@ -230,8 +280,9 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a `u64` machine index that must be below `machines`.
+    #[inline]
     pub fn machine(&mut self, machines: usize) -> Result<usize, CodecError> {
-        let at = self.pos;
+        let at = self.offset();
         let m = self.u64()?;
         if m >= machines as u64 {
             return Err(self.malformed_at(at, format!("machine {m} is out of range")));
@@ -240,10 +291,12 @@ impl<'a> Decoder<'a> {
     }
 
     /// A [`CodecError::Malformed`] at the current offset.
+    #[cold]
     pub fn malformed(&self, detail: impl Into<String>) -> CodecError {
-        self.malformed_at(self.pos, detail)
+        self.malformed_at(self.offset(), detail)
     }
 
+    #[cold]
     fn malformed_at(&self, offset: usize, detail: impl Into<String>) -> CodecError {
         CodecError::Malformed {
             offset,
@@ -252,12 +305,13 @@ impl<'a> Decoder<'a> {
     }
 
     /// Asserts the input is fully consumed (strict container parsing).
+    #[inline]
     pub fn finish(self) -> Result<(), CodecError> {
         if self.remaining() != 0 {
-            return Err(CodecError::Malformed {
-                offset: self.pos,
-                detail: format!("{} trailing bytes after the last field", self.remaining()),
-            });
+            return Err(self.malformed(format!(
+                "{} trailing bytes after the last field",
+                self.remaining()
+            )));
         }
         Ok(())
     }
