@@ -435,15 +435,14 @@ impl MachineTimeline {
         }
     }
 
-    /// Rebuilds the skip index for every block containing a segment `>=
-    /// first_seg` (segment indices at or after an insertion point shift, so
-    /// their blocks must be recomputed; earlier blocks are untouched).
-    fn rebuild_index_from(&mut self, first_seg: usize) {
+    /// Sizes the skip index to the segments' blocks and returns their
+    /// number; the caller folds the blocks whose segments moved.
+    fn resize_index(&mut self) -> usize {
         let r = self.num_resources;
         let num_blocks = self.times.len().div_ceil(BLOCK);
         self.block_max.resize(num_blocks * r, 0);
         self.block_min.resize(num_blocks * r, 0);
-        self.refold(first_seg / BLOCK..num_blocks);
+        num_blocks
     }
 
     /// The earliest instant `s >= from` such that the job fits throughout
@@ -651,7 +650,8 @@ impl MachineTimeline {
     /// Ensures `start` and `end` are breakpoints by splicing them into the
     /// existing vectors (two tail moves at most, instead of rebuilding the
     /// whole step function), and returns the segment index range `[i0, i1)`
-    /// covering exactly `[start, end)`.
+    /// covering exactly `[start, end)`. The skip index is left to the
+    /// caller: every segment from `i0` on may have moved.
     fn insert_breakpoints(&mut self, start: Time, end: Time) -> (usize, usize) {
         debug_assert!(start < end);
         let i_s = self.segment_index(start);
@@ -671,7 +671,6 @@ impl MachineTimeline {
         if need_s {
             self.split_segment(i_s, start);
         }
-        self.rebuild_index_from(i0);
         (i0, i1)
     }
 
@@ -685,17 +684,23 @@ impl MachineTimeline {
     /// would silently corrupt every subsequent feasibility answer, so this
     /// is checked before any usage is modified; on panic the step function
     /// is semantically unchanged (at most already-implied breakpoints were
-    /// materialized).
+    /// materialized) and the skip index is exact for it.
     pub fn commit(&mut self, start: Time, dur: Time, demands: &[Amount]) {
         assert_eq!(demands.len(), self.num_resources);
         assert!(start >= 0.0 && dur > 0.0 && (start + dur).is_finite());
         let segments_before = self.times.len();
         let (i0, i1) = self.insert_breakpoints(start, start + dur);
+        let inserted = self.times.len() - segments_before;
         mris_obs::counter_add("mris_timeline_commits_total", 1);
-        mris_obs::counter_add(
-            "mris_timeline_commit_breakpoints_total",
-            (self.times.len() - segments_before) as u64,
-        );
+        mris_obs::counter_add("mris_timeline_commit_breakpoints_total", inserted as u64);
+        // The blocks to fold, once, after the usage add: the job's, and
+        // every later one when a breakpoint shifted the segments after it.
+        let end = if inserted > 0 {
+            self.resize_index()
+        } else {
+            (i1 - 1) / BLOCK + 1
+        };
+        let blocks = i0 / BLOCK..end;
         let r = self.num_resources;
         // One fused walk: add optimistically and, on the first violating
         // segment, roll back everything added before panicking — so the step
@@ -715,13 +720,14 @@ impl MachineTimeline {
                         *u -= d;
                     }
                 }
+                self.refold(blocks);
                 panic!(
                     "timeline commit exceeds capacity in [{start}, {})",
                     start + dur
                 );
             }
         }
-        self.refold(i0 / BLOCK..(i1 - 1) / BLOCK + 1);
+        self.refold(blocks);
     }
 
     /// Drops breakpoints earlier than `horizon` whose removal does not change
@@ -744,10 +750,8 @@ impl MachineTimeline {
         // valid for any t >= 0 (usage before the watermark is now
         // approximate, which is fine: callers promise not to query it).
         self.times[0] = 0.0;
-        let num_blocks = self.times.len().div_ceil(BLOCK);
-        self.block_max.truncate(num_blocks * self.num_resources);
-        self.block_min.truncate(num_blocks * self.num_resources);
-        self.rebuild_index_from(0);
+        let num_blocks = self.resize_index();
+        self.refold(0..num_blocks);
     }
 }
 
@@ -1228,7 +1232,8 @@ impl Codec for MachineTimeline {
         tl.watermark = watermark;
         tl.times = times;
         tl.usage = usage;
-        tl.rebuild_index_from(0);
+        let num_blocks = tl.resize_index();
+        tl.refold(0..num_blocks);
         Ok(tl)
     }
 }
