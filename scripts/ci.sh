@@ -106,6 +106,14 @@ fi
 echo "==> no crate has more release-mode panic sites than scripts/panic_sites.txt"
 scripts/panic_sites.sh
 
+# scripts/pairs.sh judges alternating benchmark pairs by one rule,
+# scripts/pairs_rule.awk; on runs EXPERIMENTS.md recorded it must read
+# what those were judged by hand (PR 45's `durable` pairs `better`, its
+# `wide` pairs `unresolved`, PR 44's one program measured twice neither
+# `better` nor `worse`).
+echo "==> the pair rule reads its fixtures"
+scripts/pairs_rule_test.sh
+
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
