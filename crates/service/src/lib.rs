@@ -33,12 +33,14 @@
 //!   state-mutating event plus periodic full-state snapshots, both over
 //!   the in-tree zero-dependency codec ([`Encoder`], [`Decoder`]). The
 //!   journal's derived records are the stream's durable encoding, in the
-//!   kernel's call order. Restore replays the journal from genesis through
-//!   a fresh policy and verifies every derived record and snapshot
-//!   byte-for-byte, so a crash-restarted service is bit-identical to the
-//!   uncrashed run (the crash-restart suite pins this); journal loss after
-//!   a snapshot degrades to machine-failure semantics via
-//!   [`RestoreOptions::outage`].
+//!   kernel's call order. Restore decodes the newest snapshot into a
+//!   fresh service and policy, checks that it re-encodes to its own bytes,
+//!   and replays only the journal's records after the snapshot's mark (the
+//!   whole journal, from genesis, without a snapshot), verifying every
+//!   derived record byte-for-byte, so a crash-restarted service is
+//!   bit-identical to the uncrashed run (the crash-restart suite pins
+//!   this); journal loss after a snapshot degrades to machine-failure
+//!   semantics via [`RestoreOptions::outage`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
